@@ -191,9 +191,10 @@ func runReport(out io.Writer, recs []runlog.Record, events []telemetry.Event, id
 }
 
 // spanTimeline renders the per-phase self-time timeline from the run's span
-// tree (telemetry.PhaseBreakdown): self times are exclusive of child spans,
-// parallel children are interval-merged, and the rows sum to the request's
-// root-span duration — directly comparable to the recorded wall time. The
+// tree (telemetry.PhaseBreakdown): self times are wall-attributed — each
+// instant goes to the deepest active span — so the rows sum to the request's
+// root-span duration, directly comparable to the recorded wall time, while
+// the total column is busy time and may exceed it. The
 // record's root span ID carves this request's subtree out of a trace run
 // shared by several requests against one cached optimizer.
 //

@@ -1,0 +1,171 @@
+package udao
+
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"math"
+	"math/rand"
+	"testing"
+
+	"repro/internal/model"
+	"repro/internal/model/dnn"
+	"repro/internal/model/gp"
+	"repro/internal/spark"
+)
+
+// Frontier digests pin the exact bits of full PF-AP runs through the facade —
+// the path the server takes for a cold /optimize. The solver contract is
+// bit-determinism, so a performance change to the solver, evaluator, space or
+// model layers must leave these unchanged; a change that is meant to alter
+// numerics must say so and update them.
+const (
+	digestDNNCores = "5a7dbd921c1c19b7b4fa195c"
+	digestGP       = "da5167fd1f33c7aa5730da90"
+	digestPipeline = "9d9b5fa35395a2effc2ed995"
+)
+
+// digestTrainingSet samples n lattice points of spc and labels them with a
+// smooth synthetic latency surface (falls with parallelism, has a memory and
+// partition sweet spot), in log scale like the model server's targets.
+func digestTrainingSet(spc *Space, n int, seed int64, scale float64) ([][]float64, []float64) {
+	rng := rand.New(rand.NewSource(seed))
+	X := make([][]float64, n)
+	y := make([]float64, n)
+	for i := range X {
+		x := make([]float64, spc.Dim())
+		for d := range x {
+			x[d] = rng.Float64()
+		}
+		rx, err := spc.Round(x)
+		if err != nil {
+			panic(err)
+		}
+		par := 1 + 6*rx[1]*rx[2]
+		lat := scale/par + 40*(rx[3]-0.6)*(rx[3]-0.6) + 25*(rx[0]-0.4)*(rx[0]-0.4) + 5*rx[len(rx)-1]
+		X[i], y[i] = rx, math.Log(lat)
+	}
+	return X, y
+}
+
+// digestCores is the server's exact cores objective: instances × cores read
+// off the decoded configuration.
+func digestCores(spc *Space) Model {
+	return model.Func{D: spc.Dim(), F: func(x []float64) float64 {
+		vals, err := spc.Decode(x)
+		if err != nil {
+			return 0
+		}
+		inst, _ := spc.Get(vals, spark.KnobInstances)
+		cores, _ := spc.Get(vals, spark.KnobCores)
+		return inst * cores
+	}}
+}
+
+func digestDNN(spc *Space, seed int64, scale float64) Model {
+	X, y := digestTrainingSet(spc, 64, seed, scale)
+	net := dnn.New(spc.Dim(), dnn.Config{Hidden: []int{24, 24}, Epochs: 40, Seed: seed})
+	net.Fit(X, y)
+	return model.Exp{M: net}
+}
+
+// frontierDigest hashes every plan's encoded configuration and objective
+// values (in objective order) plus the uncertain fraction, after an initial
+// frontier and one incremental expand.
+func frontierDigest(t *testing.T, opt *Optimizer, names []string, expand int) string {
+	t.Helper()
+	if _, err := opt.ParetoFrontier(); err != nil {
+		t.Fatal(err)
+	}
+	plans, err := opt.Expand(expand)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unc, err := opt.UncertainSpace()
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	put := func(v float64) {
+		var b [8]byte
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+		h.Write(b[:])
+	}
+	for _, p := range plans {
+		for _, v := range p.X {
+			put(v)
+		}
+		for _, n := range names {
+			put(p.Objectives[n])
+		}
+	}
+	put(unc)
+	t.Logf("%d plans, uncertain %.6f", len(plans), unc)
+	return hex.EncodeToString(h.Sum(nil)[:12])
+}
+
+// TestFrontierDigestDNNCores: DNN latency plus the Decode-based cores
+// objective over the 12-knob batch space — the cold-dnn serving shape.
+func TestFrontierDigestDNNCores(t *testing.T) {
+	spc := spark.BatchSpace()
+	opt, err := NewOptimizer(spc, []Objective{
+		{Name: "latency", Model: digestDNN(spc, 3, 400)},
+		{Name: "cores", Model: digestCores(spc)},
+	}, Options{Probes: 16, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := frontierDigest(t, opt, []string{"latency", "cores"}, 8); got != digestDNNCores {
+		t.Fatalf("frontier digest %s, want %s", got, digestDNNCores)
+	}
+}
+
+// TestFrontierDigestGP: a GP latency model under the conservative α·std
+// uplift plus the cores objective — the server's default model kind.
+func TestFrontierDigestGP(t *testing.T) {
+	spc := spark.BatchSpace()
+	X, y := digestTrainingSet(spc, 40, 7, 300)
+	g, err := gp.Fit(X, y, gp.Config{MLEIters: 15})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt, err := NewOptimizer(spc, []Objective{
+		{Name: "latency", Model: model.Exp{M: g}},
+		{Name: "cores", Model: digestCores(spc)},
+	}, Options{Probes: 12, Seed: 9, Alpha: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := frontierDigest(t, opt, []string{"latency", "cores"}, 6); got != digestGP {
+		t.Fatalf("frontier digest %s, want %s", got, digestGP)
+	}
+}
+
+// TestFrontierDigestPipeline: a two-stage pipeline over the batch space with
+// tied cluster knobs, per-stage DNN latencies summed and cores charged once
+// through the first stage — the service's pipeline shape.
+func TestFrontierDigestPipeline(t *testing.T) {
+	spc := spark.BatchSpace()
+	var shared []Var
+	for _, name := range []string{spark.KnobInstances, spark.KnobCores, spark.KnobMemory} {
+		shared = append(shared, spc.Vars[spc.Lookup(name)])
+	}
+	c, err := NewCompositeSpace(shared, []Stage{
+		{Name: "etl", Vars: spc.Vars},
+		{Name: "ml", Vars: spc.Vars},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	objs := []PipelineObjective{
+		{Name: "latency", StageModels: []Model{digestDNN(spc, 11, 500), digestDNN(spc, 13, 250)}},
+		{Name: "cores", StageModels: []Model{digestCores(spc), nil}},
+	}
+	opt, err := NewPipelineOptimizer(c, objs, Options{Probes: 10, Starts: 16, Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := frontierDigest(t, opt, []string{"latency", "cores"}, 4); got != digestPipeline {
+		t.Fatalf("frontier digest %s, want %s", got, digestPipeline)
+	}
+}

@@ -75,13 +75,18 @@ func (f fusedFallback) ValueGrad(x, grad []float64) (float64, []float64) {
 	return v, out
 }
 
-// EnsureValueGrad returns m as a ValueGradienter, wrapping it (via
-// EnsureGradient when needed) with an unfused fallback otherwise.
+// EnsureValueGrad returns m as a ValueGradienter: m itself when it has a
+// fused path, an unfused fallback over its analytic gradient when it has
+// one, and NumericGradient (whose ValueGrad differences into the caller's
+// buffer) otherwise.
 func EnsureValueGrad(m Model) ValueGradienter {
-	if vg, ok := m.(ValueGradienter); ok {
-		return vg
+	switch g := m.(type) {
+	case ValueGradienter:
+		return g
+	case Gradienter:
+		return fusedFallback{G: g}
 	}
-	return fusedFallback{G: EnsureGradient(m)}
+	return NumericGradient{M: m}
 }
 
 // NumericGradient wraps any Model with central finite differences so the
@@ -268,82 +273,5 @@ func (e Exp) PredictVar(x []float64) (float64, float64) {
 	}
 	mean := math.Exp(mu + v/2)
 	variance := (math.Exp(v) - 1) * math.Exp(2*mu+v)
-	return mean, variance
-}
-
-// Sum combines per-task models into a pipeline objective (paper §VIII's
-// future-work direction: "extend UDAO to support a pipeline of analytic
-// tasks"): the pipeline's latency under a shared configuration is the sum of
-// its stages' latencies, Σ wᵢ·Ψᵢ(x). Weights default to 1 when nil.
-//
-// Every component reads the same full configuration; for stage-wise variable
-// spaces — each stage with its own knob block plus shared knobs — use Routed,
-// which generalizes Sum by feeding each stage model its own sub-vector.
-type Sum struct {
-	Models  []Model
-	Weights []float64
-}
-
-// Dim implements Model.
-func (s Sum) Dim() int { return s.Models[0].Dim() }
-
-func (s Sum) weight(i int) float64 {
-	if s.Weights == nil {
-		return 1
-	}
-	return s.Weights[i]
-}
-
-// Predict implements Model.
-func (s Sum) Predict(x []float64) float64 {
-	v := 0.0
-	for i, m := range s.Models {
-		v += s.weight(i) * m.Predict(x)
-	}
-	return v
-}
-
-// Gradient implements Gradienter by summing the component gradients.
-func (s Sum) Gradient(x []float64) []float64 {
-	out := make([]float64, s.Dim())
-	for i, m := range s.Models {
-		g := EnsureGradient(m).Gradient(x)
-		linalg.AXPY(s.weight(i), g, out)
-	}
-	return out
-}
-
-// ValueGrad implements ValueGradienter, fusing each stage's value and
-// gradient evaluation.
-func (s Sum) ValueGrad(x, grad []float64) (float64, []float64) {
-	out := GradBuf(grad, s.Dim())
-	for i := range out {
-		out[i] = 0
-	}
-	v := 0.0
-	buf := make([]float64, s.Dim())
-	for i, m := range s.Models {
-		vi, g := EnsureValueGrad(m).ValueGrad(x, buf)
-		w := s.weight(i)
-		v += w * vi
-		linalg.AXPY(w, g, out)
-	}
-	return v, out
-}
-
-// PredictVar implements Uncertain assuming independent component errors:
-// variances add (scaled by squared weights).
-func (s Sum) PredictVar(x []float64) (float64, float64) {
-	mean, variance := 0.0, 0.0
-	for i, m := range s.Models {
-		w := s.weight(i)
-		if u, ok := m.(Uncertain); ok {
-			mu, v := u.PredictVar(x)
-			mean += w * mu
-			variance += w * w * v
-		} else {
-			mean += w * m.Predict(x)
-		}
-	}
 	return mean, variance
 }

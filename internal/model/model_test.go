@@ -129,34 +129,45 @@ func TestExp(t *testing.T) {
 	}
 }
 
+// TestSum: a pipeline objective over one shared configuration is Routed
+// with identity routing, and equals the inline weighted sum of its stages.
 func TestSum(t *testing.T) {
 	a := Func{D: 2, F: func(x []float64) float64 { return 2 * x[0] }}
 	b := Func{D: 2, F: func(x []float64) float64 { return 3 * x[1] }}
-	s := Sum{Models: []Model{a, b}}
+	ident := [][]int{{0, 1}, {0, 1}}
+	sum := func(models []Model, weights []float64) Routed {
+		t.Helper()
+		r, err := NewRouted(2, models, ident, weights)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	s := sum([]Model{a, b}, nil)
 	x := []float64{0.5, 0.5}
-	if got := s.Predict(x); math.Abs(got-2.5) > 1e-12 {
-		t.Fatalf("Sum.Predict = %v, want 2.5", got)
+	if got, want := s.Predict(x), a.Predict(x)+b.Predict(x); got != want {
+		t.Fatalf("sum Predict = %v, want %v", got, want)
 	}
 	g := s.Gradient(x)
 	if math.Abs(g[0]-2) > 1e-3 || math.Abs(g[1]-3) > 1e-3 {
-		t.Fatalf("Sum.Gradient = %v, want [2 3]", g)
+		t.Fatalf("sum Gradient = %v, want [2 3]", g)
 	}
 	// Weighted variant.
-	w := Sum{Models: []Model{a, b}, Weights: []float64{1, 2}}
-	if got := w.Predict(x); math.Abs(got-4) > 1e-12 {
-		t.Fatalf("weighted Sum.Predict = %v, want 4", got)
+	w := sum([]Model{a, b}, []float64{1, 2})
+	if got, want := w.Predict(x), 1*a.Predict(x)+2*b.Predict(x); got != want {
+		t.Fatalf("weighted sum Predict = %v, want %v", got, want)
 	}
 	// Variance adds for Uncertain components.
-	u := Sum{Models: []Model{quadraticU{}, quadraticU{}}}
+	u := sum([]Model{quadraticU{}, quadraticU{}}, nil)
 	_, v := u.PredictVar(x)
 	if math.Abs(v-0.08) > 1e-12 {
-		t.Fatalf("Sum.PredictVar variance = %v, want 0.08", v)
+		t.Fatalf("sum PredictVar variance = %v, want 0.08", v)
 	}
 	// Mixed Uncertain and plain components.
-	mixed := Sum{Models: []Model{quadraticU{}, a}}
+	mixed := sum([]Model{quadraticU{}, a}, nil)
 	mu, mv := mixed.PredictVar(x)
-	want := (quadratic{}).Predict(x) + 1
+	want := (quadratic{}).Predict(x) + a.Predict(x)
 	if math.Abs(mu-want) > 1e-12 || mv != 0.04 {
-		t.Fatalf("mixed Sum.PredictVar = %v, %v", mu, mv)
+		t.Fatalf("mixed sum PredictVar = %v, %v", mu, mv)
 	}
 }

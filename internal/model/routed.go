@@ -6,11 +6,12 @@ import (
 	"repro/internal/linalg"
 )
 
-// Routed generalizes Sum to stage-wise variable spaces (paper §VIII's
-// pipeline-of-tasks direction): each component model reads its *own*
-// sub-vector of the composite decision vector instead of the whole thing, and
-// the composite objective is the weighted sum of the stage values,
-// Σ wᵢ·Ψᵢ(x[Indexᵢ]). Index rows typically come from a composite space's
+// Routed combines per-stage models into one pipeline objective over a
+// stage-wise variable space (paper §VIII's pipeline-of-tasks direction): each
+// component model reads its *own* sub-vector of the composite decision
+// vector, and the composite objective is the weighted sum of the stage
+// values, Σ wᵢ·Ψᵢ(x[Indexᵢ]). Identity routing (every row reads the whole
+// vector) gives the plain weighted sum of models sharing one configuration. Index rows typically come from a composite space's
 // StageDims, so shared (tied) variables feed every stage while per-stage
 // blocks feed only their own model.
 //
@@ -135,8 +136,8 @@ func (r Routed) ValueGrad(x, grad []float64) (float64, []float64) {
 	return v, out
 }
 
-// PredictVar implements Uncertain assuming independent stage errors, exactly
-// like Sum: means add, variances add scaled by squared weights.
+// PredictVar implements Uncertain assuming independent stage errors: means
+// add, variances add scaled by squared weights.
 func (r Routed) PredictVar(x []float64) (float64, float64) {
 	buf := make([]float64, r.maxSubDim())
 	mean, variance := 0.0, 0.0

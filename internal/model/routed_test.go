@@ -206,31 +206,38 @@ func TestNewRoutedValidation(t *testing.T) {
 	}
 }
 
-// TestRoutedIdentityMatchesSum pins the generalization claim: with identity
-// routing (every stage reads the full vector) Routed degenerates to Sum,
-// bit for bit.
+// TestRoutedIdentityMatchesSum pins the degenerate case: with identity
+// routing (every stage reads the full vector) Routed is the inline weighted
+// sum of its stages, bit for bit, in value and fused gradient.
 func TestRoutedIdentityMatchesSum(t *testing.T) {
 	d := 4
 	models := []Model{
 		Func{D: d, F: func(x []float64) float64 { return x[0]*x[1] + x[2] }},
 		Func{D: d, F: func(x []float64) float64 { return x[3] * x[3] }},
 	}
+	weights := []float64{1.5, 0.5}
 	ident := []int{0, 1, 2, 3}
-	r, err := NewRouted(d, models, [][]int{ident, ident}, []float64{1.5, 0.5})
+	r, err := NewRouted(d, models, [][]int{ident, ident}, weights)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := Sum{Models: models, Weights: []float64{1.5, 0.5}}
 	rng := rand.New(rand.NewSource(4))
 	for trial := 0; trial < 10; trial++ {
 		x := randPoint(rng, d)
-		if r.Predict(x) != s.Predict(x) {
-			t.Fatal("Predict differs from Sum under identity routing")
+		sv, sg := 0.0, make([]float64, d)
+		for i, m := range models {
+			vi, gi := EnsureValueGrad(m).ValueGrad(x, nil)
+			sv += weights[i] * vi
+			for k := range sg {
+				sg[k] += weights[i] * gi[k]
+			}
+		}
+		if r.Predict(x) != sv {
+			t.Fatal("Predict differs from the weighted sum under identity routing")
 		}
 		rv, rg := r.ValueGrad(x, nil)
-		sv, sg := s.ValueGrad(x, nil)
 		if rv != sv || !reflect.DeepEqual(rg, sg) {
-			t.Fatal("ValueGrad differs from Sum under identity routing")
+			t.Fatal("ValueGrad differs from the weighted sum under identity routing")
 		}
 	}
 }

@@ -55,9 +55,10 @@ func (o *Options) defaults() {
 //
 // Semantics:
 //
-//   - Eval/EvalInto/EvalBatch return the effective objective vector
-//     (conservative F̃ values when Alpha > 0) and are memoized: re-evaluating
-//     a bit-identical point is a cache hit that performs no model passes.
+//   - Eval/EvalInto/EvalBatch/EvalRows return the effective objective
+//     vector (conservative F̃ values when Alpha > 0) and are memoized:
+//     re-evaluating a bit-identical point is a cache hit that performs no
+//     model passes.
 //   - ObjValueGrad is the fused per-objective path (one model pass for value
 //     and input gradient); it is not memoized — gradient trajectories rarely
 //     revisit points, and the fused pass is already the cheap path.
@@ -161,14 +162,22 @@ func (e *Evaluator) NumObjectives() int { return len(e.eff) }
 // Alpha returns the configured uncertainty multiplier.
 func (e *Evaluator) Alpha() float64 { return e.opts.Alpha }
 
-// memoKey encodes x exactly (raw float64 bits), so memoization can never
-// conflate distinct points.
-func memoKey(x []float64) string {
-	b := make([]byte, 8*len(x))
-	for i, v := range x {
-		binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(v))
+// memoized reports whether the memo is on. It reads the option, not the
+// memo map, which flushes replace under memoMu.
+func (e *Evaluator) memoized() bool { return e.opts.MemoCap > 0 }
+
+// appendMemoKey appends the exact encoding of x (raw float64 bits) to b, so
+// memoization can never conflate distinct points.
+func appendMemoKey(b []byte, x []float64) []byte {
+	for _, v := range x {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
 	}
-	return string(b)
+	return b
+}
+
+// memoKey is appendMemoKey as a map key.
+func memoKey(x []float64) string {
+	return string(appendMemoKey(make([]byte, 0, 8*len(x)), x))
 }
 
 // Eval returns the effective objective vector at x as a fresh slice.
@@ -182,7 +191,7 @@ func (e *Evaluator) Eval(x []float64) objective.Point {
 // have length k. Memoized: a repeated point costs a cache lookup, not k
 // model passes.
 func (e *Evaluator) EvalInto(x []float64, f objective.Point) {
-	if e.memo == nil {
+	if !e.memoized() {
 		e.evalModels(x, f)
 		return
 	}
@@ -245,8 +254,8 @@ func (e *Evaluator) ObjValueGrad(j int, x, grad []float64) (float64, []float64) 
 
 // EvalBatch evaluates the effective objective vectors of every point,
 // returning results in input order. When every objective has a native batched
-// pass (the DNN models), the points are evaluated through one matrix pass per
-// objective (memo hits excluded first); otherwise the points fan out over a
+// pass (the DNN models), the points go through EvalRows — one matrix pass per
+// objective over the memo misses; otherwise the points fan out over a
 // bounded worker pool. Both paths produce values bit-identical to sequential
 // per-point evaluation, so the choice changes wall-clock only.
 func (e *Evaluator) EvalBatch(xs [][]float64) []objective.Point {

@@ -23,9 +23,13 @@
 // continuation that is skipped entirely when the objective's loss coefficient
 // is zero on every row (constraints strictly inside their box contribute no
 // gradient). The batched kernels are bit-identical to the scalar fused path,
-// so results match the former per-start implementation exactly. Candidate
-// evaluations on the rounded configuration lattice hit the evaluator's memo
-// cache; SolveBatch fans its probes out on a Workers-bounded pool; and a
+// so results match the former per-start implementation exactly. With a
+// Space, each iteration then rounds every start's iterate onto the
+// configuration lattice (space.RoundInto, allocation-free) and evaluates all
+// the rounded candidates in one memoized problem.Evaluator.EvalRows call:
+// memo hits are copied, repeated rows are evaluated once, and the misses
+// share one batched pass per objective. SolveBatch fans its probes out on a
+// Workers-bounded pool; and a
 // cross-expand subproblem cache replays previously-solved (co, seed) boxes
 // bit-identically (see Config.CacheCap). Models must be safe for concurrent
 // Predict/ValueGrad calls.
@@ -276,9 +280,9 @@ func (s *Solver) Evaluator() *problem.Evaluator { return s.ev }
 func (s *Solver) Evals() uint64 { return s.ev.Evals() }
 
 // solveScratch holds one Solve's batched buffers: the multi-start iterate
-// matrix, Adam state, loss gradients, the per-objective gradient batch, and
-// the objective-value rows (raw iterates and lattice-rounded candidates).
-// All matrices have one row per start.
+// matrix, Adam state, loss gradients, the per-objective gradient batch, the
+// lattice-rounded candidates, and the objective-value rows (raw iterates and
+// rounded candidates). All matrices have one row per start.
 type solveScratch struct {
 	X     *linalg.Matrix // Starts×dim iterates
 	G     *linalg.Matrix // Starts×dim accumulated loss gradients
@@ -286,12 +290,14 @@ type solveScratch struct {
 	mAdam *linalg.Matrix // Starts×dim Adam first moments
 	vAdam *linalg.Matrix // Starts×dim Adam second moments
 	Y     *linalg.Matrix // Starts×k effective objective values at X
+	Xr    *linalg.Matrix // Starts×dim iterates rounded onto the lattice
 	Yr    *linalg.Matrix // Starts×k values at the rounded candidates
 	bestX *linalg.Matrix // Starts×dim incumbent configurations
 	bestF *linalg.Matrix // Starts×k incumbent objective values
 	yb    []float64      // per-objective value column
 	coeff []float64      // per-row dL/dFj of the current objective
 	free  []bool         // objectives with no loss influence (skip forward)
+	eval  problem.BatchScratch
 	res   []startResult
 }
 
@@ -304,6 +310,7 @@ func (s *Solver) newSolveScratch() *solveScratch {
 		mAdam: linalg.NewMatrix(n, s.dim),
 		vAdam: linalg.NewMatrix(n, s.dim),
 		Y:     linalg.NewMatrix(n, s.k),
+		Xr:    linalg.NewMatrix(n, s.dim),
 		Yr:    linalg.NewMatrix(n, s.k),
 		bestX: linalg.NewMatrix(n, s.dim),
 		bestF: linalg.NewMatrix(n, s.k),
@@ -440,36 +447,42 @@ func (s *Solver) fillStarts(seed int64, X *linalg.Matrix) {
 	}
 }
 
-// considerRow records x as the start's incumbent if it is feasible (after
-// rounding to the configuration lattice) and improves the target objective.
-// f holds the effective objective values at x; fr is the scratch row for
-// values at the rounded candidate. res.sol's slices are scratch-owned
-// incumbent buffers (copied into, never reallocated), so the Adam inner loop
-// stays allocation-free; Solve clones the winner before releasing the
-// scratch.
-func (s *Solver) considerRow(co solver.CO, x []float64, f, fr objective.Point, res *startResult) {
-	xx := x
-	ff := f
-	if s.spc != nil {
-		rx, err := s.spc.Round(x)
-		if err != nil {
-			return
-		}
-		xx = rx
-		// Lattice-rounded candidates revisit the same snapped points across
-		// iterations and starts — the evaluator's memo makes these hits free.
-		s.ev.EvalInto(rx, fr)
-		ff = fr
-	}
-	if !s.feasible(co, ff) {
+// considerRow records the candidate x as the start's incumbent if it is
+// feasible and improves the target objective. f holds the effective
+// objective values at x. With a Space, x is the lattice-rounded candidate
+// (see roundCandidates). res.sol's slices are scratch-owned incumbent
+// buffers (copied into, never reallocated), so the Adam inner loop stays
+// allocation-free; Solve clones the winner before releasing the scratch.
+func (s *Solver) considerRow(co solver.CO, x []float64, f objective.Point, res *startResult) {
+	if !s.feasible(co, f) {
 		return
 	}
-	if ff[co.Target] < res.val {
-		res.val = ff[co.Target]
-		copy(res.sol.X, xx)
-		copy(res.sol.F, ff)
+	if f[co.Target] < res.val {
+		res.val = f[co.Target]
+		copy(res.sol.X, x)
+		copy(res.sol.F, f)
 		res.ok = true
 	}
+}
+
+// roundRow snaps start r's iterate onto the configuration lattice, into row
+// r of sc.Xr.
+func (s *Solver) roundRow(sc *solveScratch, r int) {
+	if err := s.spc.RoundInto(sc.Xr.Row(r), sc.X.Row(r)); err != nil {
+		panic(err) // problem.New checked the space against the models' dim
+	}
+}
+
+// roundCandidates snaps every start's iterate onto the configuration lattice
+// and evaluates all the rounded candidates in one memoized batched call.
+// Rounded candidates revisit the same lattice points across iterations and
+// starts, so most rows are memo hits; the misses share one batched model pass
+// per objective.
+func (s *Solver) roundCandidates(sc *solveScratch) {
+	for r := 0; r < sc.X.Rows; r++ {
+		s.roundRow(sc, r)
+	}
+	s.ev.EvalRows(sc.Xr, sc.Yr, &sc.eval)
 }
 
 // solveAllStarts runs every Adam trajectory in lockstep: one batched
@@ -510,8 +523,17 @@ func (s *Solver) solveAllStarts(co solver.CO, seed int64, snap uint64, sc *solve
 	}
 	n := sc.X.Rows
 	const b1, b2, eps = 0.9, 0.999, 1e-8
+	// Candidates are the iterates themselves without a Space, their
+	// lattice-rounded images (in sc.Xr/sc.Yr) with one.
+	cx, cf := sc.X, sc.Y
+	if s.spc != nil {
+		cx, cf = sc.Xr, sc.Yr
+	}
 	for it := 1; it <= s.cfg.Iters; it++ {
 		s.batchLossGrad(co, sc)
+		if s.spc != nil {
+			s.roundCandidates(sc)
+		}
 		// Bias-correction denominators hoisted out of the per-dimension loop;
 		// the step expression itself is kept in the textbook shape so results
 		// stay bit-identical to the unhoisted form.
@@ -521,7 +543,7 @@ func (s *Solver) solveAllStarts(co solver.CO, seed int64, snap uint64, sc *solve
 		for r := 0; r < n; r++ {
 			res := &sc.res[r]
 			x := sc.X.Row(r)
-			s.considerRow(co, x, sc.Y.Row(r), sc.Yr.Row(r), res)
+			s.considerRow(co, cx.Row(r), cf.Row(r), res)
 			grad := sc.G.Row(r)
 			m := sc.mAdam.Row(r)
 			v := sc.vAdam.Row(r)
@@ -545,18 +567,23 @@ func (s *Solver) solveAllStarts(co solver.CO, seed int64, snap uint64, sc *solve
 			}
 		}
 	}
+	// The final iterates are judged one row at a time, in the same model call
+	// order as a per-start loop: value at the iterate, then at its rounding.
 	for r := 0; r < n; r++ {
 		res := &sc.res[r]
 		res.iters = s.cfg.Iters
-		f := objective.Point(sc.Y.Row(r))
-		s.ev.EvalInto(sc.X.Row(r), f)
-		s.considerRow(co, sc.X.Row(r), f, sc.Yr.Row(r), res)
+		s.ev.EvalInto(sc.X.Row(r), sc.Y.Row(r))
+		if s.spc != nil {
+			s.roundRow(sc, r)
+			s.ev.EvalInto(sc.Xr.Row(r), sc.Yr.Row(r))
+		}
+		s.considerRow(co, cx.Row(r), cf.Row(r), res)
 	}
 	if anyFree && s.spc == nil {
 		// Continuous incumbents recorded mid-descent carry stale values in the
 		// skipped objectives' slots; fill them from the models now. (With a
-		// Space, incumbents were evaluated in full via the memoized EvalInto on
-		// the rounded point, so there is nothing to patch.)
+		// Space, incumbents were evaluated in full at the rounded point, so
+		// there is nothing to patch.)
 		for r := range sc.res {
 			res := &sc.res[r]
 			if !res.ok {

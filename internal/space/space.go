@@ -51,13 +51,22 @@ func (v Var) width() int {
 type Space struct {
 	Vars    []Var
 	offsets []int
-	dim     int
-	index   map[string]int // name → first Vars index, resolved at New time
+	// logMin[i] and logSpan[i] cache log(Min) and log(Max)-log(Min) of
+	// log-scale variable i, so the encode/decode hot paths (MOGD rounds every
+	// start's iterate each Adam step) never recompute them.
+	logMin, logSpan []float64
+	dim             int
+	index           map[string]int // name → first Vars index, resolved at New time
 }
 
 // New validates the variable definitions and computes the encoding layout.
 func New(vars []Var) (*Space, error) {
-	s := &Space{Vars: vars, index: make(map[string]int, len(vars))}
+	s := &Space{
+		Vars:    vars,
+		index:   make(map[string]int, len(vars)),
+		logMin:  make([]float64, len(vars)),
+		logSpan: make([]float64, len(vars)),
+	}
 	for i, v := range vars {
 		if v.Name == "" {
 			return nil, fmt.Errorf("space: variable %d has no name", i)
@@ -69,6 +78,10 @@ func New(vars []Var) (*Space, error) {
 			}
 			if v.Log && v.Min <= 0 {
 				return nil, fmt.Errorf("space: %s requests log scale with Min <= 0", v.Name)
+			}
+			if v.Log {
+				s.logMin[i] = math.Log(v.Min)
+				s.logSpan[i] = math.Log(v.Max) - s.logMin[i]
 			}
 		case Boolean:
 		case Categorical:
@@ -111,46 +124,72 @@ type Values []Value
 
 // Encode maps a raw assignment to the normalized [0,1]^D solver space.
 func (s *Space) Encode(vals Values) ([]float64, error) {
-	if len(vals) != len(s.Vars) {
-		return nil, fmt.Errorf("space: Encode got %d values for %d variables", len(vals), len(s.Vars))
-	}
 	x := make([]float64, s.dim)
-	for i, v := range s.Vars {
-		off := s.offsets[i]
-		raw := float64(vals[i])
-		switch v.Kind {
-		case Continuous, Integer:
-			x[off] = s.normalize(v, raw)
-		case Boolean:
-			if raw != 0 && raw != 1 {
-				return nil, fmt.Errorf("space: %s boolean value %v not in {0,1}", v.Name, raw)
-			}
-			x[off] = raw
-		case Categorical:
-			idx := int(raw)
-			if float64(idx) != raw || idx < 0 || idx >= len(v.Levels) {
-				return nil, fmt.Errorf("space: %s categorical index %v out of range", v.Name, raw)
-			}
-			x[off+idx] = 1
-		}
+	if err := s.EncodeInto(x, vals); err != nil {
+		return nil, err
 	}
 	return x, nil
 }
 
-func (s *Space) normalize(v Var, raw float64) float64 {
+// EncodeInto is Encode writing into dst, which must have length Dim(). It
+// allocates nothing; on error dst's contents are unspecified.
+func (s *Space) EncodeInto(dst []float64, vals Values) error {
+	if len(vals) != len(s.Vars) {
+		return fmt.Errorf("space: Encode got %d values for %d variables", len(vals), len(s.Vars))
+	}
+	if len(dst) != s.dim {
+		return fmt.Errorf("space: Encode got a %d-dim output, want %d", len(dst), s.dim)
+	}
+	for i := range s.Vars {
+		if err := s.encodeVar(dst, i, float64(vals[i])); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// encodeVar writes variable i's encoding of raw into its block of x.
+func (s *Space) encodeVar(x []float64, i int, raw float64) error {
+	v := &s.Vars[i]
+	off := s.offsets[i]
+	switch v.Kind {
+	case Continuous, Integer:
+		x[off] = s.normalize(i, raw)
+	case Boolean:
+		if raw != 0 && raw != 1 {
+			return fmt.Errorf("space: %s boolean value %v not in {0,1}", v.Name, raw)
+		}
+		x[off] = raw
+	case Categorical:
+		idx := int(raw)
+		if float64(idx) != raw || idx < 0 || idx >= len(v.Levels) {
+			return fmt.Errorf("space: %s categorical index %v out of range", v.Name, raw)
+		}
+		block := x[off : off+len(v.Levels)]
+		for j := range block {
+			block[j] = 0
+		}
+		block[idx] = 1
+	}
+	return nil
+}
+
+func (s *Space) normalize(i int, raw float64) float64 {
+	v := &s.Vars[i]
 	if v.Max == v.Min {
 		return 0
 	}
 	if v.Log {
-		return linalg.Clamp((math.Log(raw)-math.Log(v.Min))/(math.Log(v.Max)-math.Log(v.Min)), 0, 1)
+		return linalg.Clamp((math.Log(raw)-s.logMin[i])/s.logSpan[i], 0, 1)
 	}
 	return linalg.Clamp((raw-v.Min)/(v.Max-v.Min), 0, 1)
 }
 
-func (s *Space) denormalize(v Var, u float64) float64 {
+func (s *Space) denormalize(i int, u float64) float64 {
+	v := &s.Vars[i]
 	u = linalg.Clamp(u, 0, 1)
 	if v.Log {
-		return math.Exp(math.Log(v.Min) + u*(math.Log(v.Max)-math.Log(v.Min)))
+		return math.Exp(s.logMin[i] + u*s.logSpan[i])
 	}
 	return v.Min + u*(v.Max-v.Min)
 }
@@ -159,34 +198,52 @@ func (s *Space) denormalize(v Var, u float64) float64 {
 // assignment: integers are rounded to the closest value, booleans snapped to
 // the nearer of {0,1}, and categorical groups resolved by argmax (§IV-B).
 func (s *Space) Decode(x []float64) (Values, error) {
-	if len(x) != s.dim {
-		return nil, fmt.Errorf("space: Decode got %d dims, want %d", len(x), s.dim)
-	}
 	vals := make(Values, len(s.Vars))
-	for i, v := range s.Vars {
-		off := s.offsets[i]
-		switch v.Kind {
-		case Continuous:
-			vals[i] = Value(s.denormalize(v, x[off]))
-		case Integer:
-			vals[i] = Value(math.Round(linalg.Clamp(s.denormalize(v, x[off]), v.Min, v.Max)))
-		case Boolean:
-			if x[off] >= 0.5 {
-				vals[i] = 1
-			} else {
-				vals[i] = 0
-			}
-		case Categorical:
-			best, bestV := 0, math.Inf(-1)
-			for j := 0; j < len(v.Levels); j++ {
-				if x[off+j] > bestV {
-					best, bestV = j, x[off+j]
-				}
-			}
-			vals[i] = Value(best)
-		}
+	if err := s.DecodeInto(vals, x); err != nil {
+		return nil, err
 	}
 	return vals, nil
+}
+
+// DecodeInto is Decode writing into dst, which must have length NumVars(). It
+// allocates nothing.
+func (s *Space) DecodeInto(dst Values, x []float64) error {
+	if len(x) != s.dim {
+		return fmt.Errorf("space: Decode got %d dims, want %d", len(x), s.dim)
+	}
+	if len(dst) != len(s.Vars) {
+		return fmt.Errorf("space: Decode got %d output values for %d variables", len(dst), len(s.Vars))
+	}
+	for i := range s.Vars {
+		dst[i] = s.decodeVar(x, i)
+	}
+	return nil
+}
+
+// decodeVar returns variable i's raw value at x.
+func (s *Space) decodeVar(x []float64, i int) Value {
+	v := &s.Vars[i]
+	off := s.offsets[i]
+	switch v.Kind {
+	case Continuous:
+		return Value(s.denormalize(i, x[off]))
+	case Integer:
+		return Value(math.Round(linalg.Clamp(s.denormalize(i, x[off]), v.Min, v.Max)))
+	case Boolean:
+		if x[off] >= 0.5 {
+			return 1
+		}
+		return 0
+	case Categorical:
+		best, bestV := 0, math.Inf(-1)
+		for j := 0; j < len(v.Levels); j++ {
+			if x[off+j] > bestV {
+				best, bestV = j, x[off+j]
+			}
+		}
+		return Value(best)
+	}
+	return 0
 }
 
 // Round snaps a continuous solver point onto the lattice of valid
@@ -194,11 +251,29 @@ func (s *Space) Decode(x []float64) (Values, error) {
 // algorithms use this to evaluate objectives at the configuration that would
 // actually be deployed.
 func (s *Space) Round(x []float64) ([]float64, error) {
-	vals, err := s.Decode(x)
-	if err != nil {
+	out := make([]float64, s.dim)
+	if err := s.RoundInto(out, x); err != nil {
 		return nil, err
 	}
-	return s.Encode(vals)
+	return out, nil
+}
+
+// RoundInto is Round writing into dst, which must have length Dim() and may
+// be x itself. It decodes and re-encodes one variable at a time, so it
+// allocates nothing.
+func (s *Space) RoundInto(dst, x []float64) error {
+	if len(x) != s.dim {
+		return fmt.Errorf("space: Decode got %d dims, want %d", len(x), s.dim)
+	}
+	if len(dst) != s.dim {
+		return fmt.Errorf("space: Round got a %d-dim output, want %d", len(dst), s.dim)
+	}
+	for i := range s.Vars {
+		// A decoded value is always in its variable's domain, so the encode
+		// cannot fail.
+		_ = s.encodeVar(dst, i, float64(s.decodeVar(x, i)))
+	}
+	return nil
 }
 
 // Lookup returns the index of the named variable, or -1. The name→index map

@@ -1,7 +1,8 @@
 package telemetry
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"time"
 )
 
@@ -72,112 +73,95 @@ func (s Span) End(detail string, attrs map[string]float64) {
 	})
 }
 
-// PhaseTime is one row of a per-phase breakdown: how much wall time a trace
-// scope spent exclusive of its child spans.
+// PhaseTime is one row of a per-phase breakdown.
 type PhaseTime struct {
-	Phase string        // trace scope ("service", "pf", "mogd", ...)
-	Spans int           // number of spans aggregated into this row
-	Total time.Duration // summed span durations (inclusive of children)
-	Self  time.Duration // summed self time (duration minus child coverage)
+	Phase string // trace scope ("service", "pf", "mogd", ...)
+	Spans int    // number of spans aggregated into this row
+	// Total is busy time: the summed durations of the row's spans, inclusive
+	// of their children. Concurrent spans each count in full, so Totals may
+	// exceed wall time.
+	Total time.Duration
+	// Self is wall-attributed time: the instants of the root span during
+	// which one of the row's spans was the deepest active span. Self times
+	// partition the root interval, so they sum to its duration exactly.
+	Self time.Duration
 }
 
-// PhaseBreakdown computes per-scope self times from span-carrying events.
+// PhaseBreakdown computes per-phase wall-attributed and busy times from
+// span-carrying events.
 //
-// Self time of a span is its duration minus the wall-clock coverage of its
-// direct children — overlapping children (a parallel solve batch) are merged
-// as intervals first, so concurrent child work is never double-counted and
-// the self times of a tree sum to exactly the root span's duration (clamped
-// at interval boundaries against timing skew). That property is what makes
-// the breakdown comparable to the run's recorded wall time.
+// Every instant of a root span's interval is attributed to exactly one span:
+// the deepest span of its tree active at that instant, ties going to the
+// lowest span ID. A span's Self is the time attributed to it; child spans are
+// clipped to the root's interval against timing skew. So the Self times of a
+// tree sum to exactly the root span's duration even when children overlap —
+// PF-AP's concurrent MOGD solves, the evaluator's batch workers — which makes
+// the breakdown comparable to the run's recorded wall time. Total stays the
+// summed busy time.
 //
 // If root is nonzero only the subtree below (and including) that span ID is
 // aggregated — the way to isolate one request when a cached optimizer's run
-// ID spans several. With root == 0 every span in events is aggregated and
-// Total is the summed duration of all parentless spans.
+// ID spans several. Span IDs increase from parent to child, so only events
+// with IDs at or above root are gathered: a request whose subtree is just
+// its root (a cache hit) allocates nothing for the run's earlier events.
+// With root == 0 every span tree in events is aggregated and the returned
+// total is the summed duration of their roots (spans whose parent is absent).
 //
 // Returns the per-phase rows (sorted by descending self time, ties by phase
 // name) and the wall-clock total the self times sum to.
 func PhaseBreakdown(events []Event, root uint64) ([]PhaseTime, time.Duration) {
-	nodes := make(map[uint64]spanInterval, len(events))
+	var nodes []spanNode
 	for _, e := range events {
-		if e.Span == 0 || e.Dur <= 0 {
+		if e.Span == 0 || e.Dur <= 0 || e.Span < root {
 			continue
 		}
-		nodes[e.Span] = spanInterval{scope: PhaseKey(e.Scope, e.Name), start: e.Time.Add(-e.Dur), end: e.Time, parent: e.Parent}
+		nodes = append(nodes, spanNode{
+			id: e.Span, parent: e.Parent, phase: PhaseKey(e.Scope, e.Name),
+			start: e.Time.Add(-e.Dur), end: e.Time, tree: -1,
+		})
 	}
-	if len(nodes) == 0 {
+	slices.SortFunc(nodes, func(a, b spanNode) int { return cmp.Compare(a.id, b.id) })
+
+	// Resolve tree membership and depth in ID order: a parent always precedes
+	// its children.
+	var rows []PhaseTime
+	var total time.Duration
+	for i := range nodes {
+		n := &nodes[i]
+		if i > 0 && n.id == nodes[i-1].id {
+			continue // a duplicated event; the first copy stands
+		}
+		p := -1
+		if n.parent != 0 && n.parent != n.id {
+			if j, ok := slices.BinarySearchFunc(nodes[:i], n.parent, func(a spanNode, id uint64) int {
+				return cmp.Compare(a.id, id)
+			}); ok && nodes[j].tree >= 0 {
+				p = j
+			}
+		}
+		switch {
+		case root != 0 && n.id == root, root == 0 && p < 0:
+			n.tree = i
+			total += n.end.Sub(n.start)
+		case p >= 0 && n.id != root:
+			n.tree, n.depth = nodes[p].tree, nodes[p].depth+1
+		default:
+			continue
+		}
+		r := phaseRow(&rows, n.phase)
+		r.Spans++
+		r.Total += n.end.Sub(n.start)
+	}
+	if len(rows) == 0 {
 		return nil, 0
 	}
+	attributeWall(nodes, rows)
 
-	// Restrict to the requested subtree by walking parent links.
-	inTree := func(id uint64) bool { return true }
-	if root != 0 {
-		memo := make(map[uint64]bool, len(nodes))
-		var walk func(id uint64) bool
-		walk = func(id uint64) bool {
-			if id == root {
-				return true
-			}
-			if v, ok := memo[id]; ok {
-				return v
-			}
-			n, ok := nodes[id]
-			if !ok || n.parent == 0 || n.parent == id {
-				memo[id] = false
-				return false
-			}
-			memo[id] = false // cycle guard
-			v := walk(n.parent)
-			memo[id] = v
-			return v
+	slices.SortFunc(rows, func(a, b PhaseTime) int {
+		if c := cmp.Compare(b.Self, a.Self); c != 0 {
+			return c
 		}
-		inTree = func(id uint64) bool { return walk(id) }
-	}
-
-	children := make(map[uint64][]spanInterval, len(nodes))
-	for id, n := range nodes {
-		if !inTree(id) {
-			continue
-		}
-		if _, ok := nodes[n.parent]; ok && n.parent != id && (root == 0 || id != root) {
-			children[n.parent] = append(children[n.parent], n)
-		}
-	}
-
-	agg := make(map[string]*PhaseTime)
-	var total time.Duration
-	for id, n := range nodes {
-		if !inTree(id) {
-			continue
-		}
-		row := agg[n.scope]
-		if row == nil {
-			row = &PhaseTime{Phase: n.scope}
-			agg[n.scope] = row
-		}
-		dur := n.end.Sub(n.start)
-		row.Spans++
-		row.Total += dur
-		row.Self += dur - coverage(children[id], n.start, n.end)
-		isRoot := id == root
-		if root == 0 {
-			_, hasParent := nodes[n.parent]
-			isRoot = n.parent == 0 || n.parent == id || !hasParent
-		}
-		if isRoot {
-			total += dur
-		}
-	}
-
-	rows := make([]PhaseTime, 0, len(agg))
-	for _, r := range agg {
-		rows = append(rows, *r)
-	}
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].Self != rows[j].Self {
-			return rows[i].Self > rows[j].Self
-		}
-		return rows[i].Phase < rows[j].Phase
+		return cmp.Compare(a.Phase, b.Phase)
 	})
 	return rows, total
 }
@@ -193,34 +177,85 @@ func PhaseKey(scope, name string) string {
 	return scope
 }
 
-type spanInterval struct {
-	scope      string
+// spanNode is one span of a breakdown. tree is the index of its tree's root
+// in the ID-sorted node list (-1 outside every aggregated tree) and depth its
+// distance from that root.
+type spanNode struct {
+	id, parent uint64
+	phase      string
 	start, end time.Time
-	parent     uint64
+	tree       int
+	depth      int
 }
 
-// coverage returns the wall-clock length of the union of the child intervals,
-// clipped to [lo, hi]. Children may overlap (parallel work) or spill slightly
-// past the parent (timing skew); both are handled by merging.
-func coverage(kids []spanInterval, lo, hi time.Time) time.Duration {
-	if len(kids) == 0 {
-		return 0
-	}
-	sort.Slice(kids, func(i, j int) bool { return kids[i].start.Before(kids[j].start) })
-	var covered time.Duration
-	cursor := lo
-	for _, k := range kids {
-		s, e := k.start, k.end
-		if s.Before(cursor) {
-			s = cursor
-		}
-		if e.After(hi) {
-			e = hi
-		}
-		if e.After(s) {
-			covered += e.Sub(s)
-			cursor = e
+// phaseRow returns the row of phase, appending it when new. Requests have a
+// handful of phases, so a linear scan beats a map.
+func phaseRow(rows *[]PhaseTime, phase string) *PhaseTime {
+	for i := range *rows {
+		if (*rows)[i].Phase == phase {
+			return &(*rows)[i]
 		}
 	}
-	return covered
+	*rows = append(*rows, PhaseTime{Phase: phase})
+	return &(*rows)[len(*rows)-1]
+}
+
+// spanEdge is a span opening or closing at offset at from its tree root's
+// start.
+type spanEdge struct {
+	tree, node int
+	at         time.Duration
+	open       bool
+}
+
+// attributeWall sweeps each tree's span edges in time order and adds every
+// elementary segment to the Self of the deepest open span.
+func attributeWall(nodes []spanNode, rows []PhaseTime) {
+	var edges []spanEdge
+	for i := range nodes {
+		n := &nodes[i]
+		if n.tree < 0 {
+			continue
+		}
+		rt := &nodes[n.tree]
+		lo, hi := n.start.Sub(rt.start), n.end.Sub(rt.start)
+		lo, hi = max(lo, 0), min(hi, rt.end.Sub(rt.start))
+		if hi > lo {
+			edges = append(edges, spanEdge{n.tree, i, lo, true}, spanEdge{n.tree, i, hi, false})
+		}
+	}
+	// Edges at one instant may come in any order: only the state after the
+	// last of them opens a segment.
+	slices.SortFunc(edges, func(a, b spanEdge) int {
+		if c := cmp.Compare(a.tree, b.tree); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.at, b.at)
+	})
+	// open lists the open spans deepest first, ties by node index (which
+	// follows span ID). Only a request's concurrently open spans are in it,
+	// a handful even for PF-AP, so a sorted slice beats a heap.
+	var open []int
+	for k, e := range edges {
+		if e.open {
+			at := slices.IndexFunc(open, func(o int) bool {
+				return nodes[e.node].depth > nodes[o].depth ||
+					nodes[e.node].depth == nodes[o].depth && e.node < o
+			})
+			if at < 0 {
+				at = len(open)
+			}
+			open = slices.Insert(open, at, e.node)
+		} else {
+			at := slices.Index(open, e.node)
+			open = slices.Delete(open, at, at+1)
+		}
+		if k+1 == len(edges) || edges[k+1].tree != e.tree {
+			open = open[:0]
+			continue
+		}
+		if seg := edges[k+1].at - e.at; seg > 0 {
+			phaseRow(&rows, nodes[open[0]].phase).Self += seg
+		}
+	}
 }

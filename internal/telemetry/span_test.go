@@ -216,6 +216,106 @@ func TestSpanParallelChildrenCoverage(t *testing.T) {
 	}
 }
 
+// TestPhaseBreakdownDeepestWins: overlapping siblings at different depths.
+// Every instant of the root goes to the deepest open span (ties to the lower
+// span ID), so Self times partition the root interval exactly while Total
+// stays the busy time, which exceeds it.
+func TestPhaseBreakdownDeepestWins(t *testing.T) {
+	base := time.Unix(1700000000, 0)
+	ms := time.Millisecond
+	mk := func(span, parent uint64, scope string, start, end time.Duration) Event {
+		return Event{Span: span, Parent: parent, Scope: scope,
+			Time: base.Add(end * ms), Dur: (end - start) * ms}
+	}
+	events := []Event{
+		mk(7, 4, "eval", 25, 35),  // depth 3, inside solve 4
+		mk(4, 2, "mogd", 20, 40),  // depth 2
+		mk(5, 2, "mogd", 30, 60),  // depth 2, overlaps 4 and model 3
+		mk(6, 3, "eval", 80, 95),  // depth 2, outlives its parent
+		mk(2, 1, "pf", 10, 70),    // depth 1
+		mk(3, 1, "model", 50, 90), // depth 1, overlaps pf
+		mk(1, 0, "service", 0, 100),
+	}
+	rows, total := PhaseBreakdown(events, 1)
+	if total != 100*ms {
+		t.Fatalf("total = %v, want 100ms", total)
+	}
+	want := map[string]struct {
+		spans       int
+		self, total time.Duration
+	}{
+		// service: [0,10) + [95,100)
+		"service": {1, 15 * ms, 100 * ms},
+		// pf: [10,20) + [60,70), where it ties model 3 at depth 1 and has
+		// the lower ID
+		"pf": {1, 20 * ms, 60 * ms},
+		// mogd: 4 over [20,25) and [35,40) (tie with 5), 5 over [40,60)
+		"mogd": {2, 30 * ms, 50 * ms},
+		// eval: 7 over [25,35), 6 over [80,95)
+		"eval":  {2, 25 * ms, 25 * ms},
+		"model": {1, 10 * ms, 40 * ms},
+	}
+	if len(rows) != len(want) {
+		t.Fatalf("rows = %+v", rows)
+	}
+	var sum, busy time.Duration
+	for _, r := range rows {
+		w, ok := want[r.Phase]
+		if !ok || r.Spans != w.spans || r.Self != w.self || r.Total != w.total {
+			t.Errorf("%s: got spans %d self %v total %v, want %+v", r.Phase, r.Spans, r.Self, r.Total, w)
+		}
+		sum += r.Self
+		busy += r.Total
+	}
+	if sum != total {
+		t.Fatalf("self sum %v != total %v", sum, total)
+	}
+	if busy <= total {
+		t.Fatalf("busy %v should exceed wall %v with overlapping spans", busy, total)
+	}
+	if rows[0].Phase != "mogd" {
+		t.Fatalf("rows not sorted by self time: %+v", rows)
+	}
+
+	// With root == 0 the same tree is found through its parentless root.
+	all, allTotal := PhaseBreakdown(events, 0)
+	if allTotal != total || len(all) != len(rows) {
+		t.Fatalf("root 0: total %v rows %+v", allTotal, all)
+	}
+	for i := range all {
+		if all[i] != rows[i] {
+			t.Fatalf("root 0 row %d = %+v, want %+v", i, all[i], rows[i])
+		}
+	}
+}
+
+// TestPhaseBreakdownHitAllocations: a request whose subtree is just its root
+// (a cache hit) pays no allocation per earlier event of its run.
+func TestPhaseBreakdownHitAllocations(t *testing.T) {
+	base := time.Unix(1700000000, 0)
+	run := func(earlier int) []Event {
+		var events []Event
+		for i := 1; i <= earlier; i++ {
+			events = append(events, Event{Span: uint64(i), Parent: 1, Scope: "mogd",
+				Time: base.Add(time.Duration(i) * time.Millisecond), Dur: time.Millisecond})
+		}
+		return append(events, Event{Span: uint64(earlier + 1), Scope: "service",
+			Time: base.Add(time.Hour), Dur: time.Millisecond})
+	}
+	allocs := func(events []Event) float64 {
+		root := events[len(events)-1].Span
+		return testing.AllocsPerRun(20, func() {
+			rows, total := PhaseBreakdown(events, root)
+			if len(rows) != 1 || rows[0].Self != total {
+				t.Fatalf("hit breakdown = %+v, %v", rows, total)
+			}
+		})
+	}
+	if few, many := allocs(run(4)), allocs(run(4000)); many != few {
+		t.Fatalf("allocs grow with the run's earlier events: %v (4) vs %v (4000)", few, many)
+	}
+}
+
 // TestSpanZeroAlloc: the enabled-span fast path (no attrs, ring only) must
 // not allocate — the contract that lets spans sit on the solver hot path.
 func TestSpanZeroAlloc(t *testing.T) {

@@ -27,7 +27,13 @@
 #                        the solve hot path; must stay 0 allocs/op)
 #   internal/solver/mogd MOGDSolve / MOGDSolveSerial / MOGDSolveBatch
 #   internal/moo/ws, nc  WSRun / NCRun  (baseline inner loops)
-#   internal/core        Sequential / Parallel  (PF-S / PF-AP end to end)
+#   internal/core        Sequential / Parallel  (the PF-AS / PF-AP loops on
+#                        one solver: after the first iteration they replay
+#                        the subproblem cache, so they measure PF over cache
+#                        replays) / SequentialCold / ParallelCold  (a fresh
+#                        solver per iteration over the server's objective
+#                        shape, DNN latency + the exact cores objective: the
+#                        cold solve of a new job)
 #   internal/serving     ServingCacheHit / ServingCacheInsert /
 #                        CoalescedDispatch  (the serving cache's steady-state
 #                        lease path, eviction churn, and singleflight dispatch)

@@ -32,10 +32,12 @@ fi
 # evaluator seam (scalar, matrix-batch, and the stage-wise composite eval —
 # informational until its first scripts/bench.sh recording), the span
 # open+End pair (must stay allocation-free), the MOGD solver hot path, the
-# end-to-end Progressive Frontier loops, the serving cache's lease / insert /
+# Progressive Frontier loops (Sequential/Parallel replay the subproblem cache
+# after their first iteration; SequentialCold/ParallelCold solve cold on a
+# fresh solver every iteration), the serving cache's lease / insert /
 # singleflight-dispatch paths, and the calibration ledger's window update and
 # append (the /observe hot path — the append must stay off the disk write).
-TRACKED='GEMM ValueGradBatch EvaluatorValueGrad EvaluatorValueGradTelemetry EvaluatorMemoHit EvalBatch CompositeEval SpanStartEnd MOGDSolve MOGDSolveSerial MOGDSolveBatch Sequential Parallel ServingCacheHit ServingCacheInsert CoalescedDispatch CalibWindowAdd CalibLedgerAppend'
+TRACKED='GEMM ValueGradBatch EvaluatorValueGrad EvaluatorValueGradTelemetry EvaluatorMemoHit EvalBatch CompositeEval SpanStartEnd MOGDSolve MOGDSolveSerial MOGDSolveBatch Sequential Parallel SequentialCold ParallelCold ServingCacheHit ServingCacheInsert CoalescedDispatch CalibWindowAdd CalibLedgerAppend'
 
 RAW=$(mktemp)
 trap 'rm -f "$RAW"' EXIT

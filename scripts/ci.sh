@@ -11,8 +11,9 @@
 #      registry, calibration ledger, HTTP service incl. the sharded serving
 #      cache and the /observe loop, watchdog)
 #   4. full test suite
-#   5. benchmark smoke: one iteration of the MOGD benchmarks, so a broken
-#      benchmark harness fails CI instead of the next perf investigation
+#   5. benchmark smoke: one iteration of the MOGD benchmarks and of the cold
+#      Progressive Frontier benchmarks, so a broken benchmark harness fails
+#      CI instead of the next perf investigation
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -29,5 +30,6 @@ go build ./...
 go test -race ./internal/linalg/... ./internal/solver/... ./internal/model/... ./internal/core/... ./internal/problem/... ./internal/space/... ./internal/recommend/... ./internal/conformance/... ./internal/telemetry/... ./internal/runlog/... ./internal/calib/... ./internal/watch/... ./internal/serving/... ./internal/service/...
 go test ./...
 go test -run '^$' -bench MOGD -benchtime 1x ./internal/solver/mogd/
+go test -run '^$' -bench Cold -benchtime 1x ./internal/core/
 
 echo "ci: all gates passed"
