@@ -401,8 +401,8 @@ func inProcessServer(opt options, out io.Writer) (*httptest.Server, func(), erro
 		svc.Calib = led
 		svc.Watch = wd
 		cleanup = func() {
-			wd.Stop()
 			wd.EvalOnce()
+			wd.Stop()
 			led.Close()
 			reg.Close()
 		}

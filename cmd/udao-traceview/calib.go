@@ -9,16 +9,11 @@ import (
 	"time"
 
 	"repro/internal/calib"
+	"repro/internal/watch"
 )
 
-// Thresholds mirrored from the watchdog's calib_drift / coverage_collapse
-// defaults, so the offline report flags exactly what the live rules would.
-const (
-	calibDriftMAPE    = 0.35
-	calibCoverageMin  = 0.5
-	calibDriftMinN    = 8
-	calibDriftBuckets = 10
-)
+// calibDriftBuckets is the number of buckets of the drift trajectory.
+const calibDriftBuckets = 10
 
 // calibCmd renders the calibration report from a prediction–outcome ledger
 // (calib.jsonl, written by POST /observe): per-workload/per-objective
@@ -183,13 +178,14 @@ func calibDrift(pairs []calib.Pair, objective string) []driftBucket {
 	return out
 }
 
-// calibFlags marks series the live watchdog rules would alert on.
+// calibFlags marks series the live watchdog rules would alert on, judged
+// against the rules' default thresholds.
 func calibFlags(st calib.ObjectiveStats) string {
 	var flags []string
-	if st.Pairs >= calibDriftMinN && st.MAPE >= calibDriftMAPE {
+	if st.Pairs >= watch.DefaultCalibMinPairs && st.MAPE >= watch.DefaultCalibMAPEMax {
 		flags = append(flags, "DRIFT")
 	}
-	if st.CoveragePairs >= calibDriftMinN && st.Coverage != calib.CoverageUnknown && st.Coverage < calibCoverageMin {
+	if st.CoveragePairs >= watch.DefaultCalibMinPairs && st.Coverage != calib.CoverageUnknown && st.Coverage < watch.DefaultCalibCoverageFloor {
 		flags = append(flags, "LOW-COVERAGE")
 	}
 	return strings.Join(flags, ",")

@@ -100,11 +100,10 @@ func loadTrace(path string) ([]telemetry.Event, error) {
 		return nil, nil
 	}
 	var events []telemetry.Event
-	paths := make([]string, 0, runlog.DefaultKeep+1)
-	for i := runlog.DefaultKeep; i >= 1; i-- {
-		paths = append(paths, runlog.RotatedPath(path, i))
+	paths, err := runlog.RotationChain(path)
+	if err != nil {
+		return nil, fmt.Errorf("listing trace sink %s: %w", path, err)
 	}
-	paths = append(paths, path)
 	seen := false
 	for _, p := range paths {
 		f, err := os.Open(p)

@@ -14,29 +14,25 @@
 // `calib_drift` and `coverage_collapse` watchdog rules evaluate exactly the
 // statistics maintained here.
 //
-// Durability matches internal/runlog: pairs append as JSON lines to a
-// size-rotated calib.jsonl (runlog.RotatingFile), IDs are monotonic across
-// restarts ("obs-000001"), a half-written final line is repaired at reopen,
-// and reopening replays every complete pair back into the rolling windows so
+// Durability is the run registry's: pairs append to calib.jsonl through a
+// runlog.Journal, the durable JSONL log the registry and the watchdog's
+// alert log share — size-rotated, IDs monotonic across restarts
+// ("obs-000001"), a half-written final line repaired at reopen — and
+// reopening replays every complete pair back into the rolling windows so
 // calibration state survives process restarts.
 //
 // Performance contract: Observe updates the in-memory windows synchronously
 // (fixed-size rings, reused sort scratch, metric instruments resolved once
 // per series — the window-add path is allocation-free, enforced by
-// BenchmarkCalibWindowAdd) and hands JSON encoding and the disk write to a
-// buffered background worker, so callers never wait on I/O.
+// BenchmarkCalibWindowAdd) and hands JSON encoding and the disk write to the
+// journal's background writer, so callers never wait on I/O.
 package calib
 
 import (
-	"bufio"
-	"encoding/json"
 	"errors"
-	"fmt"
 	"math"
-	"os"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/runlog"
@@ -100,9 +96,11 @@ type Options struct {
 }
 
 // Ledger is the durable prediction–outcome ledger plus the in-memory rolling
-// calibration windows. Safe for concurrent use.
+// calibration windows. The embedded journal provides Err (the calibration
+// half of the service's readiness gate), Sync, Close and Path. Safe for
+// concurrent use.
 type Ledger struct {
-	path   string
+	*runlog.Journal[Pair]
 	window int
 	z      float64
 	now    func() time.Time
@@ -111,35 +109,26 @@ type Ledger struct {
 	mu         sync.Mutex
 	series     map[string]*series // workload\x00objective
 	byWorkload map[string][]*series
-	seq        uint64
 	count      int
 	nameBuf    []string // reused scratch for deterministic objective order
 
 	cPairs *telemetry.Counter
 	hAbs   *telemetry.Histogram
-
-	file    *runlog.RotatingFile
-	ch      chan Pair
-	pending sync.WaitGroup
-	done    chan struct{}
-	lifeMu  sync.RWMutex
-	closed  bool
-	lastErr atomic.Value // error
 }
+
+func pairID(p *Pair) *string { return &p.ID }
 
 // Open loads the ledger at path (rotated files oldest-first, then the active
 // file), replays every complete pair into the rolling windows, repairs a
-// truncated final line, and starts the background writer.
+// half-written final line, and starts the background writer.
 func Open(path string, opts Options) (*Ledger, error) {
 	l := &Ledger{
-		path:       path,
 		window:     opts.Window,
 		z:          opts.Z,
 		now:        opts.Now,
 		tel:        opts.Telemetry,
 		series:     map[string]*series{},
 		byWorkload: map[string][]*series{},
-		done:       make(chan struct{}),
 	}
 	if l.window <= 0 {
 		l.window = DefaultWindow
@@ -154,93 +143,13 @@ func Open(path string, opts Options) (*Ledger, error) {
 		l.cPairs = l.tel.Metrics.Counter(telemetry.MetricCalibPairs)
 		l.hAbs = l.tel.Metrics.Histogram(telemetry.MetricCalibAbsErr, "", nil)
 	}
-	keep := opts.Keep
-	if keep <= 0 {
-		keep = runlog.DefaultKeep
-	}
-	for i := keep; i >= 1; i-- {
-		prs, _, err := readPairs(runlog.RotatedPath(path, i))
-		if err != nil && !errors.Is(err, os.ErrNotExist) {
-			return nil, err
-		}
-		l.replayAll(prs)
-	}
-	prs, complete, err := readPairs(path)
-	if err != nil && !errors.Is(err, os.ErrNotExist) {
-		return nil, err
-	}
-	l.replayAll(prs)
-	if err == nil {
-		// Repair a half-written final pair: without this, the next append
-		// would concatenate onto the partial line and corrupt both records.
-		if st, serr := os.Stat(path); serr == nil && st.Size() > complete {
-			if terr := os.Truncate(path, complete); terr != nil {
-				return nil, fmt.Errorf("calib: repairing %s: %w", path, terr)
-			}
-		}
-	}
-	f, err := runlog.OpenRotating(path, opts.MaxBytes, opts.Keep)
+	jopts := runlog.Options{MaxBytes: opts.MaxBytes, Keep: opts.Keep, Buffer: opts.Buffer}
+	j, err := runlog.OpenJournal(path, "obs", jopts, pairID, func(p Pair) { l.absorbLocked(&p) })
 	if err != nil {
 		return nil, err
 	}
-	l.file = f
-	buf := opts.Buffer
-	if buf <= 0 {
-		buf = 256
-	}
-	l.ch = make(chan Pair, buf)
-	go l.writer()
+	l.Journal = j
 	return l, nil
-}
-
-// readPairs parses the JSONL file at path, returning the complete pairs and
-// the byte offset just past the last complete line (the truncation point for
-// crash repair). Unparseable interior lines are skipped.
-func readPairs(path string) (prs []Pair, complete int64, err error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, 0, err
-	}
-	defer f.Close()
-	st, serr := f.Stat()
-	if serr != nil || !st.Mode().IsRegular() {
-		return nil, 0, nil
-	}
-	size := st.Size()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 16<<20)
-	var offset int64
-	for sc.Scan() {
-		line := sc.Bytes()
-		lineLen := int64(len(line)) + 1 // +1 for the newline Scan strips
-		var p Pair
-		if jerr := json.Unmarshal(line, &p); jerr == nil && p.ID != "" {
-			// A final line without a trailing newline is incomplete; it never
-			// reaches size, so comparing offsets excludes it.
-			if offset+lineLen <= size {
-				prs = append(prs, p)
-				complete = offset + lineLen
-			}
-		}
-		offset += lineLen
-	}
-	if serr := sc.Err(); serr != nil {
-		return prs, complete, serr
-	}
-	return prs, complete, nil
-}
-
-// replayAll feeds loaded pairs back into the windows, keeping seq past the
-// largest numeric ID so restarts never reuse one.
-func (l *Ledger) replayAll(prs []Pair) {
-	for i := range prs {
-		p := &prs[i]
-		l.absorbLocked(p)
-		var n uint64
-		if _, err := fmt.Sscanf(p.ID, "obs-%d", &n); err == nil && n > l.seq {
-			l.seq = n
-		}
-	}
 }
 
 // Observe validates, stamps and records one prediction–outcome pair: signed
@@ -248,74 +157,46 @@ func (l *Ledger) replayAll(prs []Pair) {
 // and Actual, the pair is absorbed into the rolling windows (publishing the
 // udao_calib_* instruments), and the disk write is queued. The returned pair
 // carries the assigned ID and computed errors. Returns ErrNoOverlap when no
-// objective joins. Disk errors surface asynchronously via Err.
+// objective joins. The ledger owns p from the call on: the writer encodes it
+// later, so the caller must not modify what it refers to. Disk errors
+// surface asynchronously via Err; a closed ledger rejects p and leaves the
+// windows unchanged.
 func (l *Ledger) Observe(p Pair) (Pair, error) {
-	l.lifeMu.RLock()
-	defer l.lifeMu.RUnlock()
-	if l.closed {
-		return p, errors.New("calib: ledger closed")
-	}
-	joined := 0
+	joined := false
 	for name := range p.Actual {
 		if _, ok := p.Predicted[name]; ok {
-			joined++
+			joined = true
+			break
 		}
 	}
-	if joined == 0 {
+	if !joined {
 		return p, ErrNoOverlap
 	}
-	if p.RelErr == nil {
-		p.RelErr = make(map[string]float64, joined)
-	}
-
-	l.mu.Lock()
-	if p.Time.IsZero() {
-		p.Time = l.now()
-	}
-	if p.ID == "" {
-		l.seq++
-		p.ID = fmt.Sprintf("obs-%06d", l.seq)
-	}
-	l.absorbLocked(&p)
-	l.mu.Unlock()
-
-	l.pending.Add(1)
-	// A full queue blocks rather than drops — the ledger is the system of
-	// record for calibration, and the worker keeps draining.
-	l.ch <- p
-	return p, nil
+	err := l.Append(&p, func(p *Pair) {
+		l.mu.Lock()
+		defer l.mu.Unlock()
+		if p.Time.IsZero() {
+			p.Time = l.now()
+		}
+		l.absorbLocked(p)
+	})
+	return p, err
 }
 
 // absorbLocked computes/refreshes the pair's relative errors and feeds every
 // joined objective's rolling window. Iteration is in sorted objective order
 // so series creation (and therefore metric registration) is deterministic.
 func (l *Ledger) absorbLocked(p *Pair) {
-	l.nameBuf = l.nameBuf[:0]
-	for name := range p.Actual {
-		if _, ok := p.Predicted[name]; ok {
-			l.nameBuf = append(l.nameBuf, name)
-		}
-	}
+	l.nameBuf = joinedObjectives(p, l.nameBuf)
 	if len(l.nameBuf) == 0 {
 		return
 	}
-	sort.Strings(l.nameBuf)
 	if p.RelErr == nil {
 		p.RelErr = make(map[string]float64, len(l.nameBuf))
 	}
 	for _, name := range l.nameBuf {
-		actual, pred := p.Actual[name], p.Predicted[name]
-		denom := math.Abs(actual)
-		if denom < relEps {
-			denom = relEps
-		}
-		signed := (actual - pred) / denom
-		p.RelErr[name] = signed
-		sm := sample{signed: signed, abs: math.Abs(signed)}
-		if std, ok := p.Std[name]; ok && std > 0 {
-			sm.hasStd = true
-			sm.covered = math.Abs(actual-pred) <= l.z*std
-		}
+		sm := score(p, name, l.z)
+		p.RelErr[name] = sm.signed
 		l.seriesLocked(p.Workload, name).add(sm, p.Run)
 		if l.hAbs != nil {
 			l.hAbs.Observe(sm.abs)
@@ -327,6 +208,34 @@ func (l *Ledger) absorbLocked(p *Pair) {
 	}
 }
 
+// joinedObjectives returns, sorted, the objectives p both predicted and
+// measured, reusing buf's storage.
+func joinedObjectives(p *Pair, buf []string) []string {
+	buf = buf[:0]
+	for name := range p.Actual {
+		if _, ok := p.Predicted[name]; ok {
+			buf = append(buf, name)
+		}
+	}
+	sort.Strings(buf)
+	return buf
+}
+
+// score is the calibration sample of one joined objective of p: the signed
+// relative error (actual-predicted)/max(|actual|, eps) and, when the
+// prediction carried a std, whether the outcome fell inside the z·std
+// interval.
+func score(p *Pair, name string, z float64) sample {
+	actual, pred := p.Actual[name], p.Predicted[name]
+	signed := (actual - pred) / math.Max(math.Abs(actual), relEps)
+	sm := sample{signed: signed, abs: math.Abs(signed)}
+	if std, ok := p.Std[name]; ok && std > 0 {
+		sm.hasStd = true
+		sm.covered = math.Abs(actual-pred) <= z*std
+	}
+	return sm
+}
+
 func (l *Ledger) seriesLocked(workload, objective string) *series {
 	key := workload + "\x00" + objective
 	s, ok := l.series[key]
@@ -336,23 +245,6 @@ func (l *Ledger) seriesLocked(workload, objective string) *series {
 		l.byWorkload[workload] = append(l.byWorkload[workload], s)
 	}
 	return s
-}
-
-// writer drains queued pairs to the rotated file; JSON encoding happens here,
-// off the caller's path.
-func (l *Ledger) writer() {
-	defer close(l.done)
-	for p := range l.ch {
-		line, err := json.Marshal(&p)
-		if err == nil {
-			line = append(line, '\n')
-			_, err = l.file.Write(line)
-		}
-		if err != nil {
-			l.lastErr.Store(err)
-		}
-		l.pending.Done()
-	}
 }
 
 // Calibration returns the rolling-window stats of every objective series of
@@ -392,97 +284,8 @@ func (l *Ledger) Len() int {
 	return l.count
 }
 
-// Path returns the active JSONL file path.
-func (l *Ledger) Path() string { return l.path }
-
-// Err returns the ledger's writability status (nil when healthy) — the
-// calibration half of the service's readiness gate.
-func (l *Ledger) Err() error {
-	l.lifeMu.RLock()
-	closed := l.closed
-	l.lifeMu.RUnlock()
-	if closed {
-		return errors.New("calib: ledger closed")
-	}
-	return l.writeErr()
-}
-
-func (l *Ledger) writeErr() error {
-	if err, ok := l.lastErr.Load().(error); ok {
-		return err
-	}
-	return nil
-}
-
-// Sync waits for every queued pair to reach the file and flushes it. For use
-// at checkpoints (tests, shutdown), not on the serving path.
-func (l *Ledger) Sync() error {
-	l.pending.Wait()
-	if err := l.Err(); err != nil {
-		return err
-	}
-	return l.file.Sync()
-}
-
-// Close drains the queue and closes the file. Further Observes fail.
-func (l *Ledger) Close() error {
-	l.lifeMu.Lock()
-	if l.closed {
-		l.lifeMu.Unlock()
-		return nil
-	}
-	l.closed = true
-	l.lifeMu.Unlock()
-	l.pending.Wait()
-	close(l.ch)
-	<-l.done
-	err := l.writeErr()
-	if cerr := l.file.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
 // Load reads every complete pair from the ledger files at path (rotated
 // oldest-first, then the active file) without opening them for writing — the
 // offline access path used by udao-traceview calib. A missing active file
 // with no rotated siblings is an error.
-func Load(path string) ([]Pair, error) {
-	var out []Pair
-	seen := map[string]bool{}
-	found := false
-	for i := runlog.DefaultKeep + 8; i >= 1; i-- {
-		prs, _, err := readPairs(runlog.RotatedPath(path, i))
-		if err != nil {
-			if errors.Is(err, os.ErrNotExist) {
-				continue
-			}
-			return nil, err
-		}
-		found = true
-		for _, p := range prs {
-			if !seen[p.ID] {
-				seen[p.ID] = true
-				out = append(out, p)
-			}
-		}
-	}
-	prs, _, err := readPairs(path)
-	if err != nil {
-		if !errors.Is(err, os.ErrNotExist) || !found {
-			return nil, fmt.Errorf("calib: %w", err)
-		}
-	} else {
-		found = true
-		for _, p := range prs {
-			if !seen[p.ID] {
-				seen[p.ID] = true
-				out = append(out, p)
-			}
-		}
-	}
-	if !found {
-		return nil, fmt.Errorf("calib: no ledger files at %s", path)
-	}
-	return out, nil
-}
+func Load(path string) ([]Pair, error) { return runlog.LoadJournal(path, pairID) }

@@ -1,7 +1,6 @@
 package calib
 
 import (
-	"math"
 	"slices"
 	"strings"
 )
@@ -22,29 +21,17 @@ func Summarize(pairs []Pair, window int, z float64) map[string][]ObjectiveStats 
 	}
 	byKey := map[string]*series{}
 	var names []string
-	for _, p := range pairs {
-		names = names[:0]
-		for name := range p.Actual {
-			if _, ok := p.Predicted[name]; ok {
-				names = append(names, name)
-			}
-		}
-		slices.Sort(names)
+	for i := range pairs {
+		p := &pairs[i]
+		names = joinedObjectives(p, names)
 		for _, name := range names {
-			pred, actual := p.Predicted[name], p.Actual[name]
-			signed := (actual - pred) / math.Max(math.Abs(actual), relEps)
-			sm := sample{signed: signed, abs: math.Abs(signed)}
-			if std, ok := p.Std[name]; ok && std > 0 {
-				sm.hasStd = true
-				sm.covered = math.Abs(actual-pred) <= z*std
-			}
 			key := p.Workload + "\x00" + name
 			s := byKey[key]
 			if s == nil {
 				s = newSeries(p.Workload, name, window, nil)
 				byKey[key] = s
 			}
-			s.add(sm, p.Run)
+			s.add(score(p, name, z), p.Run)
 		}
 	}
 	out := map[string][]ObjectiveStats{}

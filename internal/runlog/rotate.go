@@ -1,8 +1,13 @@
 package runlog
 
 import (
+	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
+	"sort"
+	"strconv"
+	"strings"
 	"sync"
 )
 
@@ -19,9 +24,9 @@ const DefaultKeep = 3
 // (dropping the oldest), …, path.1 → path.2, path → path.1, and a fresh file
 // is opened at path. Rotation happens only at Write boundaries, so callers
 // that write whole records per call (one JSON line per Write) never see a
-// record split across files. Both the run registry and the telemetry trace
-// sink write through this type, which is why long-running servers cannot
-// grow either artifact without bound.
+// record split across files. Every Journal (run registry, calibration
+// ledger, alert log) and the telemetry trace sink write through this type,
+// which is why long-running servers cannot grow any of them without bound.
 type RotatingFile struct {
 	mu       sync.Mutex
 	path     string
@@ -56,6 +61,30 @@ func OpenRotating(path string, maxBytes int64, keep int) (*RotatingFile, error) 
 // RotatedPath returns the name of the i-th rotated file (i >= 1), oldest
 // last: path.1 is the most recently rotated file.
 func RotatedPath(path string, i int) string { return fmt.Sprintf("%s.%d", path, i) }
+
+// RotationChain lists the files of the rotated log at path in write order:
+// every rotated sibling RotatedPath(path, i) that exists, highest i (oldest)
+// first, then path itself, whether or not it exists.
+func RotationChain(path string) ([]string, error) {
+	entries, err := os.ReadDir(filepath.Dir(path))
+	if err != nil && !errors.Is(err, os.ErrNotExist) {
+		return nil, err
+	}
+	prefix := filepath.Base(path) + "."
+	var rotated []int
+	for _, e := range entries {
+		suffix, ok := strings.CutPrefix(e.Name(), prefix)
+		if i, err := strconv.Atoi(suffix); ok && err == nil && i >= 1 && strconv.Itoa(i) == suffix {
+			rotated = append(rotated, i)
+		}
+	}
+	sort.Sort(sort.Reverse(sort.IntSlice(rotated)))
+	chain := make([]string, 0, len(rotated)+1)
+	for _, i := range rotated {
+		chain = append(chain, RotatedPath(path, i))
+	}
+	return append(chain, path), nil
+}
 
 // Write appends p, rotating first if the write would exceed the size bound.
 // A single write larger than the bound goes into a fresh file whole.
@@ -100,13 +129,6 @@ func (w *RotatingFile) rotateLocked() error {
 	}
 	w.f, w.size = f, 0
 	return nil
-}
-
-// Size returns the current size of the active file.
-func (w *RotatingFile) Size() int64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.size
 }
 
 // Sync flushes the active file to stable storage.

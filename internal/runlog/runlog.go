@@ -13,23 +13,23 @@
 // half-written final record (the log is repaired to the last complete line on
 // reopen).
 //
+// The log itself is a Journal, the package's generic durable JSONL log, which
+// the calibration ledger (internal/calib) and the watchdog's alert log
+// (internal/watch) share: rotated files replayed oldest-first on reopen,
+// crash repair, monotonic "<prefix>-%06d" IDs across restarts, and a
+// background writer behind a bounded queue. RotatingFile is its storage, and
+// also carries the telemetry trace sink.
+//
 // Performance contract: Append computes quality metrics and updates the index
 // synchronously (cheap: a 2D sweep or one bounded Monte Carlo pass over the
-// frontier) but hands the disk write to a buffered background worker, so the
-// solve hot path never waits on I/O.
+// frontier) but hands JSON encoding and the disk write to the journal's
+// writer, so the solve hot path never waits on I/O.
 package runlog
 
 import (
-	"bufio"
-	"encoding/json"
-	"errors"
-	"fmt"
 	"math"
-	"os"
 	"sort"
-	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/metrics"
@@ -157,7 +157,7 @@ type Record struct {
 	PhaseBreakdown map[string]float64 `json:"phase_breakdown,omitempty"`
 }
 
-// Options tunes a registry.
+// Options tunes a registry. MaxBytes, Keep and Buffer size any Journal.
 type Options struct {
 	// MaxBytes bounds the active JSONL file; on overflow it rotates to
 	// path.1 … path.Keep (<= 0 uses DefaultMaxBytes).
@@ -171,143 +171,40 @@ type Options struct {
 	Now func() time.Time
 }
 
-// Registry is the durable run registry: an append-only rotated JSONL file
-// plus an in-memory index over every complete record. Safe for concurrent
-// use.
+// Registry is the durable run registry: an append-only rotated JSONL
+// journal plus an in-memory index over every complete record. The embedded
+// journal provides Err (the registry half of the service's readiness gate),
+// Sync, Close and Path. Safe for concurrent use.
 type Registry struct {
-	path string
-	now  func() time.Time
+	*Journal[Record]
+	now func() time.Time
 
 	mu         sync.RWMutex
 	byID       map[string]*Record
 	order      []*Record            // append order (time order for live appends)
 	byWorkload map[string][]*Record // same order, split per workload
-	seq        uint64
-
-	file    *RotatingFile
-	ch      chan []byte
-	pending sync.WaitGroup
-	done    chan struct{}
-	lifeMu  sync.RWMutex // guards closed against in-flight Appends
-	closed  bool
-	lastErr atomic.Value // error
 }
 
+func recordID(rec *Record) *string { return &rec.ID }
+
 // Open loads the registry at path (rotated files oldest-first, then the
-// active file), indexing only complete records, repairs a truncated final
-// line by truncating the active file to its last complete record, and starts
-// the background writer.
+// active file), indexing every complete record, repairs a half-written final
+// line, and starts the background writer.
 func Open(path string, opts Options) (*Registry, error) {
 	r := &Registry{
-		path:       path,
 		now:        opts.Now,
 		byID:       map[string]*Record{},
 		byWorkload: map[string][]*Record{},
-		done:       make(chan struct{}),
 	}
 	if r.now == nil {
 		r.now = time.Now
 	}
-	keep := opts.Keep
-	if keep <= 0 {
-		keep = DefaultKeep
-	}
-	// Oldest rotated file first so the in-memory order matches append order.
-	for i := keep; i >= 1; i-- {
-		recs, _, err := readRecords(RotatedPath(path, i))
-		if err != nil && !errors.Is(err, os.ErrNotExist) {
-			return nil, err
-		}
-		r.indexAll(recs)
-	}
-	recs, complete, err := readRecords(path)
-	if err != nil && !errors.Is(err, os.ErrNotExist) {
-		return nil, err
-	}
-	r.indexAll(recs)
-	if err == nil {
-		// Repair a half-written final record: without this, the next append
-		// would concatenate onto the partial line and corrupt both records.
-		if st, serr := os.Stat(path); serr == nil && st.Size() > complete {
-			if terr := os.Truncate(path, complete); terr != nil {
-				return nil, fmt.Errorf("runlog: repairing %s: %w", path, terr)
-			}
-		}
-	}
-	f, err := OpenRotating(path, opts.MaxBytes, opts.Keep)
+	j, err := OpenJournal(path, "run", opts, recordID, func(rec Record) { r.insertLocked(&rec) })
 	if err != nil {
 		return nil, err
 	}
-	r.file = f
-	buf := opts.Buffer
-	if buf <= 0 {
-		buf = 256
-	}
-	r.ch = make(chan []byte, buf)
-	go r.writer()
+	r.Journal = j
 	return r, nil
-}
-
-// readRecords parses the JSONL file at path, returning the complete records
-// and the byte offset just past the last complete line. Unparseable interior
-// lines are skipped (not indexed); a missing trailing newline or a partial
-// final line leaves that tail out of the completed offset.
-func readRecords(path string) (recs []Record, complete int64, err error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, 0, err
-	}
-	defer f.Close()
-	if st, serr := f.Stat(); serr != nil || !st.Mode().IsRegular() {
-		// A directory or special file squatting on the path holds no records;
-		// it will surface as a write error when rotation reaches it.
-		return nil, 0, nil
-	}
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 16<<20)
-	var offset int64
-	for sc.Scan() {
-		line := sc.Bytes()
-		lineLen := int64(len(line)) + 1 // +1 for the newline Scan strips
-		// A final line without a trailing newline is indistinguishable from
-		// a complete one via Scanner alone; detect it by comparing offsets
-		// against the file size afterwards.
-		var rec Record
-		if jerr := json.Unmarshal(line, &rec); jerr == nil && rec.ID != "" {
-			if offset+lineLen <= fileSize(f) {
-				recs = append(recs, rec)
-				complete = offset + lineLen
-			}
-		}
-		offset += lineLen
-	}
-	if serr := sc.Err(); serr != nil {
-		return recs, complete, serr
-	}
-	return recs, complete, nil
-}
-
-func fileSize(f *os.File) int64 {
-	st, err := f.Stat()
-	if err != nil {
-		return 0
-	}
-	return st.Size()
-}
-
-// indexAll inserts loaded records, keeping seq past the largest numeric ID.
-func (r *Registry) indexAll(recs []Record) {
-	for i := range recs {
-		rec := recs[i]
-		if _, dup := r.byID[rec.ID]; dup {
-			continue
-		}
-		r.insertLocked(&rec)
-		var n uint64
-		if _, err := fmt.Sscanf(rec.ID, "run-%d", &n); err == nil && n > r.seq {
-			r.seq = n
-		}
-	}
 }
 
 func (r *Registry) insertLocked(rec *Record) {
@@ -316,54 +213,30 @@ func (r *Registry) insertLocked(rec *Record) {
 	r.byWorkload[rec.Workload] = append(r.byWorkload[rec.Workload], rec)
 }
 
-// Append assigns an ID and timestamp (if unset), computes the quality block
-// against the previous run of the same workload, indexes the record, and
-// queues the disk write. The returned record carries the assigned ID and
-// computed quality. Disk errors surface asynchronously via Err.
+// Append assigns an ID ("run-000001", monotonic across restarts) and a
+// timestamp (if unset), computes the quality block against the previous run
+// of the same workload, indexes the record, and queues it for the writer.
+// The returned record carries the assigned ID and computed quality. The
+// registry owns rec from the call on: the writer encodes it later, so the
+// caller must not modify what it refers to. Encoding and disk errors surface
+// asynchronously via Err; a closed registry rejects rec and leaves the index
+// unchanged.
 func (r *Registry) Append(rec Record) (Record, error) {
-	r.lifeMu.RLock()
-	defer r.lifeMu.RUnlock()
-	if r.closed {
-		return rec, errors.New("runlog: registry closed")
-	}
-	r.mu.Lock()
-	if rec.Time.IsZero() {
-		rec.Time = r.now()
-	}
-	if rec.ID == "" {
-		r.seq++
-		rec.ID = fmt.Sprintf("run-%06d", r.seq)
-	}
-	r.computeQualityLocked(&rec)
-	for i := range rec.Expands {
-		rec.Expands[i].Hypervolume = sanitize(rec.Expands[i].Hypervolume)
-		rec.Expands[i].UncertainFrac = sanitize(rec.Expands[i].UncertainFrac)
-	}
-	stored := rec
-	r.insertLocked(&stored)
-	r.mu.Unlock()
-
-	line, err := json.Marshal(&rec)
-	if err != nil {
-		return rec, fmt.Errorf("runlog: encoding record %s: %w", rec.ID, err)
-	}
-	line = append(line, '\n')
-	r.pending.Add(1)
-	// A full queue blocks rather than drops — the registry is the system of
-	// record, and the worker keeps draining, so this is backpressure only.
-	r.ch <- line
-	return rec, nil
-}
-
-// writer drains queued lines to the rotated file.
-func (r *Registry) writer() {
-	defer close(r.done)
-	for line := range r.ch {
-		if _, err := r.file.Write(line); err != nil {
-			r.lastErr.Store(err)
+	err := r.Journal.Append(&rec, func(rec *Record) {
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		if rec.Time.IsZero() {
+			rec.Time = r.now()
 		}
-		r.pending.Done()
-	}
+		r.computeQualityLocked(rec)
+		for i := range rec.Expands {
+			rec.Expands[i].Hypervolume = sanitize(rec.Expands[i].Hypervolume)
+			rec.Expands[i].UncertainFrac = sanitize(rec.Expands[i].UncertainFrac)
+		}
+		stored := *rec
+		r.insertLocked(&stored)
+	})
+	return rec, err
 }
 
 // computeQualityLocked fills rec.Quality from the frontier and the previous
@@ -497,105 +370,8 @@ func (r *Registry) Len() int {
 	return len(r.order)
 }
 
-// Path returns the active JSONL file path.
-func (r *Registry) Path() string { return r.path }
-
-// Err returns the registry's writability status (nil when healthy) — the
-// registry half of the service's readiness gate: the most recent
-// asynchronous write error, or a closed registry.
-func (r *Registry) Err() error {
-	r.lifeMu.RLock()
-	closed := r.closed
-	r.lifeMu.RUnlock()
-	if closed {
-		return errors.New("runlog: registry closed")
-	}
-	return r.writeErr()
-}
-
-// writeErr returns the most recent asynchronous write error.
-func (r *Registry) writeErr() error {
-	if err, ok := r.lastErr.Load().(error); ok {
-		return err
-	}
-	return nil
-}
-
-// Sync waits for every queued record to reach the file and flushes it. For
-// use at checkpoints (tests, shutdown), not on the serving path.
-func (r *Registry) Sync() error {
-	r.pending.Wait()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	return r.file.Sync()
-}
-
-// Close drains the queue and closes the file. Further Appends fail.
-func (r *Registry) Close() error {
-	r.lifeMu.Lock()
-	if r.closed {
-		r.lifeMu.Unlock()
-		return nil
-	}
-	r.closed = true
-	r.lifeMu.Unlock()
-	r.pending.Wait()
-	close(r.ch)
-	<-r.done
-	err := r.writeErr()
-	if cerr := r.file.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
 // Load reads every complete record from the registry files at path (rotated
 // oldest-first, then the active file) without opening them for writing —
 // the offline access path used by udao-traceview. A missing active file with
 // no rotated siblings is an error.
-func Load(path string) ([]Record, error) {
-	var out []Record
-	seen := map[string]bool{}
-	found := false
-	for i := DefaultKeep + 8; i >= 1; i-- {
-		recs, _, err := readRecords(RotatedPath(path, i))
-		if err != nil {
-			if errors.Is(err, os.ErrNotExist) {
-				continue
-			}
-			return nil, err
-		}
-		found = true
-		for _, rec := range recs {
-			if !seen[rec.ID] {
-				seen[rec.ID] = true
-				out = append(out, rec)
-			}
-		}
-	}
-	recs, _, err := readRecords(path)
-	if err != nil {
-		if !errors.Is(err, os.ErrNotExist) || !found {
-			return nil, fmt.Errorf("runlog: %w", err)
-		}
-	} else {
-		found = true
-		for _, rec := range recs {
-			if !seen[rec.ID] {
-				seen[rec.ID] = true
-				out = append(out, rec)
-			}
-		}
-	}
-	if !found {
-		return nil, fmt.Errorf("runlog: no registry files at %s", path)
-	}
-	return out, nil
-}
-
-// FormatID reports whether id looks like a registry run ID ("run-000001") —
-// used by CLI argument dispatch to distinguish run IDs from workload names.
-func FormatID(id string) bool {
-	return strings.HasPrefix(id, "run-") && len(id) > 4
-}
+func Load(path string) ([]Record, error) { return LoadJournal(path, recordID) }

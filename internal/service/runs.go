@@ -166,9 +166,9 @@ func (s *Service) registerObservability(mux *http.ServeMux) {
 	})
 }
 
-// readiness evaluates the gates: the model server must answer a Ping and the
-// run registry (when configured) must be writable — its last asynchronous
-// disk write must have succeeded.
+// readiness evaluates the gates: the model server must answer a Ping, and
+// each configured journal — run registry, alert log, calibration ledger —
+// must be writable: none of its asynchronous disk writes may have failed.
 func (s *Service) readiness() (int, map[string]any) {
 	checks := map[string]string{}
 	ready := true

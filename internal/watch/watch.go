@@ -7,6 +7,13 @@
 // capture plus the offending run's trace snapshot, taken at the moment the
 // system misbehaved rather than minutes later when someone attaches.
 //
+// alerts.jsonl is a runlog.Journal, the durable log the run registry and the
+// calibration ledger share: a restarted watchdog replays it, so alert IDs
+// ("alert-000001") keep counting across restarts — and with them the flight
+// bundle directories named after them — and GET /alerts still lists the
+// alerts raised before the restart. A sweep that raised alerts returns only
+// once they are on disk.
+//
 // The rule catalog (thresholds are Config fields; defaults in parentheses):
 //
 //   - slo_burn: per workload, the fraction of solves in the last window that
@@ -45,7 +52,6 @@
 package watch
 
 import (
-	"encoding/json"
 	"fmt"
 	"log/slog"
 	"sort"
@@ -81,15 +87,23 @@ type Alert struct {
 	Bundle string `json:"bundle,omitempty"`
 }
 
+// Default thresholds of the calibration rules. udao-traceview calib flags
+// its offline report against the same values.
+const (
+	DefaultCalibMAPEMax       = 0.35 // calib_drift: rolling MAPE ceiling
+	DefaultCalibMinPairs      = 8    // pairs in a window before it is judged
+	DefaultCalibCoverageFloor = 0.5  // coverage_collapse: interval coverage floor
+)
+
 // Config tunes a Watchdog. Telemetry is required; everything else has a
 // usable zero value.
 type Config struct {
 	Telemetry *telemetry.Telemetry
 	// Runs, when non-nil, enables the run-registry rules (hv_drop_streak).
 	Runs *runlog.Registry
-	// AlertPath is the durable alert log (JSONL, size-rotated like the run
-	// registry's files). Empty disables the durable log — alerts then live
-	// only in the in-memory ring.
+	// AlertPath is the durable alert log (a runlog.Journal, size-rotated like
+	// the run registry's files). Empty disables the durable log — alerts
+	// then live only in the in-memory ring, numbered from alert-000001.
 	AlertPath     string
 	AlertMaxBytes int64
 	AlertKeep     int
@@ -166,13 +180,13 @@ func (c *Config) defaults() {
 		c.CacheThrashMin = 8
 	}
 	if c.CalibMAPEMax <= 0 {
-		c.CalibMAPEMax = 0.35
+		c.CalibMAPEMax = DefaultCalibMAPEMax
 	}
 	if c.CalibMinPairs <= 0 {
-		c.CalibMinPairs = 8
+		c.CalibMinPairs = DefaultCalibMinPairs
 	}
 	if c.CalibCoverageFloor <= 0 {
-		c.CalibCoverageFloor = 0.5
+		c.CalibCoverageFloor = DefaultCalibCoverageFloor
 	}
 	if c.Now == nil {
 		c.Now = time.Now
@@ -187,12 +201,10 @@ const maxRecentAlerts = 256
 // debugging endpoints) can force a deterministic sweep.
 type Watchdog struct {
 	cfg    Config
-	log    *runlog.RotatingFile
+	log    *runlog.Journal[Alert]
 	flight *flightRecorder
 
-	evals    atomic.Uint64
-	alertSeq atomic.Uint64
-	writeErr atomic.Value // error of the last alert-log write; nil-able via errBox
+	evals atomic.Uint64
 
 	mu       sync.Mutex
 	recent   []Alert
@@ -212,12 +224,11 @@ type Watchdog struct {
 	done     chan struct{}
 }
 
-// errBox wraps an error for atomic.Value storage (which cannot hold a bare
-// nil interface once a non-nil was stored).
-type errBox struct{ err error }
+func alertID(a *Alert) *string { return &a.ID }
 
-// New builds a watchdog (opening the durable alert log if configured) but
-// does not start the sweep loop.
+// New builds a watchdog (opening the durable alert log if configured, and
+// replaying its newest alerts into the GET /alerts ring) but does not start
+// the sweep loop.
 func New(cfg Config) (*Watchdog, error) {
 	if cfg.Telemetry == nil {
 		return nil, fmt.Errorf("watch: Config.Telemetry is required")
@@ -231,14 +242,12 @@ func New(cfg Config) (*Watchdog, error) {
 		stop:  make(chan struct{}),
 		done:  make(chan struct{}),
 	}
-	w.writeErr.Store(errBox{})
-	if cfg.AlertPath != "" {
-		f, err := runlog.OpenRotating(cfg.AlertPath, cfg.AlertMaxBytes, cfg.AlertKeep)
-		if err != nil {
-			return nil, fmt.Errorf("watch: open alert log: %w", err)
-		}
-		w.log = f
+	opts := runlog.Options{MaxBytes: cfg.AlertMaxBytes, Keep: cfg.AlertKeep}
+	log, err := runlog.OpenJournal(cfg.AlertPath, "alert", opts, alertID, w.remember)
+	if err != nil {
+		return nil, fmt.Errorf("watch: open alert log: %w", err)
 	}
+	w.log = log
 	if cfg.Flight.Dir != "" {
 		w.flight = newFlightRecorder(cfg.Flight, cfg.Telemetry, cfg.Now)
 	}
@@ -271,18 +280,16 @@ func (w *Watchdog) Stop() {
 		if w.started.Load() {
 			<-w.done
 		}
-		if w.log != nil {
-			_ = w.log.Close()
-		}
+		// A failed write is already reported by Err.
+		_ = w.log.Close()
 	})
 }
 
-// Err returns the error of the last alert-log write (nil when healthy or
-// when the durable log is disabled). The service's /readyz gates on it: a
-// watchdog that can no longer persist alerts is a monitoring outage.
-func (w *Watchdog) Err() error {
-	return w.writeErr.Load().(errBox).err
-}
+// Err reports the alert log's health: nil while alerts can be persisted,
+// the first failed alert-log write (it stays set), or an error once the
+// watchdog is stopped. The service's /readyz gates on it: a watchdog that can
+// no longer persist alerts is a monitoring outage.
+func (w *Watchdog) Err() error { return w.log.Err() }
 
 // Evals returns the number of completed rule sweeps.
 func (w *Watchdog) Evals() uint64 { return w.evals.Load() }
@@ -313,7 +320,8 @@ func (w *Watchdog) Alerts(limit int) []Alert {
 
 // EvalOnce performs one rule sweep: snapshot, evaluate every rule against
 // the previous snapshot's window, raise alerts. It returns the alerts raised
-// by this sweep (usually none).
+// by this sweep (usually none); the alert log holds them, flushed to disk,
+// by the time it returns.
 func (w *Watchdog) EvalOnce() []Alert {
 	now := w.cfg.Now()
 	snap := w.cfg.Telemetry.Metrics.Snapshot()
@@ -342,6 +350,10 @@ func (w *Watchdog) EvalOnce() []Alert {
 	for i := range raised {
 		w.raise(&raised[i], now)
 	}
+	if len(raised) > 0 {
+		// A failed write or flush stays in Err, which /readyz reports.
+		_ = w.log.Sync()
+	}
 
 	w.evals.Add(1)
 	m := w.cfg.Telemetry.Metrics
@@ -350,32 +362,18 @@ func (w *Watchdog) EvalOnce() []Alert {
 	return raised
 }
 
-// raise finalizes one alert: ID and timestamp, flight-recorder capture,
-// durable log append, in-memory ring, metrics, structured log.
+// raise finalizes one alert: ID and flight-recorder capture, durable log
+// append, in-memory ring, metrics, structured log. A stopped watchdog's
+// closed log rejects the alert, which then only reaches the logger.
 func (w *Watchdog) raise(a *Alert, now time.Time) {
-	a.ID = fmt.Sprintf("alert-%06d", w.alertSeq.Add(1))
 	a.Time = now
-	if w.flight != nil {
-		if dir, err := w.flight.capture(*a); err == nil && dir != "" {
-			a.Bundle = dir
-		} else if err != nil && w.cfg.Logger != nil {
-			w.cfg.Logger.Warn("flight capture failed", "alert", a.ID, "err", err)
+	if err := w.log.Append(a, w.capture); err != nil {
+		if w.cfg.Logger != nil {
+			w.cfg.Logger.Warn("watchdog alert not recorded", "rule", a.Rule, "workload", a.Workload, "err", err)
 		}
+		return
 	}
-	if w.log != nil {
-		line, err := json.Marshal(a)
-		if err == nil {
-			line = append(line, '\n')
-			_, err = w.log.Write(line)
-		}
-		w.writeErr.Store(errBox{err})
-	}
-	w.mu.Lock()
-	w.recent = append(w.recent, *a)
-	if len(w.recent) > maxRecentAlerts {
-		w.recent = w.recent[len(w.recent)-maxRecentAlerts:]
-	}
-	w.mu.Unlock()
+	w.remember(*a)
 
 	m := w.cfg.Telemetry.Metrics
 	m.Counter(telemetry.MetricWatchAlerts).Inc()
@@ -386,6 +384,44 @@ func (w *Watchdog) raise(a *Alert, now time.Time) {
 			"workload", a.Workload, "value", a.Value, "threshold", a.Threshold,
 			"summary", a.Summary)
 	}
+}
+
+// capture attaches a flight-recorder bundle, named after the alert's fresh
+// ID, to the alert.
+func (w *Watchdog) capture(a *Alert) {
+	if w.flight == nil {
+		return
+	}
+	if dir, err := w.flight.capture(*a); err == nil && dir != "" {
+		a.Bundle = dir
+	} else if err != nil && w.cfg.Logger != nil {
+		w.cfg.Logger.Warn("flight capture failed", "alert", a.ID, "err", err)
+	}
+}
+
+// remember adds an alert to the in-memory ring GET /alerts serves.
+func (w *Watchdog) remember(a Alert) {
+	w.mu.Lock()
+	w.recent = append(w.recent, a)
+	if len(w.recent) > maxRecentAlerts {
+		w.recent = w.recent[len(w.recent)-maxRecentAlerts:]
+	}
+	w.mu.Unlock()
+}
+
+// latch is the edge trigger every rule shares. While a key's condition
+// holds it fires once per new evidence — the identity of the data the
+// condition was judged on — and a healthy sweep re-arms it.
+func (w *Watchdog) latch(key string, violated bool, evidence string) bool {
+	if !violated {
+		delete(w.fired, key)
+		return false
+	}
+	if last, ok := w.fired[key]; ok && last == evidence {
+		return false
+	}
+	w.fired[key] = evidence
+	return true
 }
 
 // counterDelta returns the window increase of a counter series.
@@ -448,16 +484,10 @@ func (w *Watchdog) ruleSLOBurn(snap telemetry.Snapshot) []Alert {
 			continue
 		}
 		frac := float64(breach) / float64(total)
-		key := "slo_burn|" + wl
 		evidence := fmt.Sprintf("%d/%d", snap.Counters[telemetry.Labeled(telemetry.MetricSolveSLOBreach, "workload", wl)], snap.Counters[telemetry.Labeled(telemetry.MetricSolveSLOOk, "workload", wl)])
-		if frac < w.cfg.SLOBurnThreshold {
-			delete(w.fired, key)
+		if !w.latch("slo_burn|"+wl, frac >= w.cfg.SLOBurnThreshold, evidence) {
 			continue
 		}
-		if w.fired[key] == evidence {
-			continue
-		}
-		w.fired[key] = evidence
 		sev := "warning"
 		if frac >= 0.9 {
 			sev = "critical"
@@ -483,14 +513,9 @@ func (w *Watchdog) ruleSubcacheCollapse(snap telemetry.Snapshot) []Alert {
 		}
 		rate := float64(hits) / float64(lookups)
 		evidence := fmt.Sprintf("%d/%d", snap.Counters[hitName], snap.Counters[missName])
-		if rate >= w.cfg.HitRateFloor {
-			delete(w.fired, key)
+		if !w.latch(key, rate < w.cfg.HitRateFloor, evidence) {
 			return
 		}
-		if w.fired[key] == evidence {
-			return
-		}
-		w.fired[key] = evidence
 		scope := "global"
 		if wl != "" {
 			scope = fmt.Sprintf("workload %q", wl)
@@ -536,15 +561,9 @@ func (w *Watchdog) ruleLatencyAnomaly(snap telemetry.Snapshot) []Alert {
 	if n < w.cfg.EWMAMinObs || ew <= 0 {
 		return nil
 	}
-	if mean <= w.cfg.EWMADeviation*ew {
-		delete(w.fired, "latency|")
+	if !w.latch("latency|", mean > w.cfg.EWMADeviation*ew, fmt.Sprintf("%d", cur.Count)) {
 		return nil
 	}
-	evidence := fmt.Sprintf("%d", cur.Count)
-	if w.fired["latency|"] == evidence {
-		return nil
-	}
-	w.fired["latency|"] = evidence
 	return []Alert{{
 		Rule: "latency_anomaly", Severity: "warning",
 		Value: mean, Threshold: w.cfg.EWMADeviation * ew,
@@ -578,15 +597,9 @@ func (w *Watchdog) ruleEvalStall(snap telemetry.Snapshot, now time.Time) []Alert
 	if dSolves == 0 || n < w.cfg.EWMAMinObs || ew <= 0 {
 		return nil
 	}
-	if rate >= ew/w.cfg.EWMADeviation {
-		delete(w.fired, "evalstall|")
+	if !w.latch("evalstall|", rate < ew/w.cfg.EWMADeviation, fmt.Sprintf("%d", snap.Counters[telemetry.MetricMOGDSolves])) {
 		return nil
 	}
-	evidence := fmt.Sprintf("%d", snap.Counters[telemetry.MetricMOGDSolves])
-	if w.fired["evalstall|"] == evidence {
-		return nil
-	}
-	w.fired["evalstall|"] = evidence
 	return []Alert{{
 		Rule: "eval_stall", Severity: "warning",
 		Value: rate, Threshold: ew / w.cfg.EWMADeviation,
@@ -598,20 +611,13 @@ func (w *Watchdog) ruleEvalStall(snap telemetry.Snapshot, now time.Time) []Alert
 func (w *Watchdog) ruleShedBurst(snap telemetry.Snapshot) []Alert {
 	reqs := w.counterDelta(snap, telemetry.MetricServingRequests)
 	shed := w.counterDelta(snap, telemetry.MetricShed)
-	const key = "shedburst|"
 	if reqs < w.cfg.ShedBurstMin {
 		return nil // too little traffic to judge; keep the latch as-is
 	}
 	frac := float64(shed) / float64(reqs)
-	if frac < w.cfg.ShedBurstThreshold {
-		delete(w.fired, key)
+	if !w.latch("shedburst|", frac >= w.cfg.ShedBurstThreshold, fmt.Sprintf("%d", snap.Counters[telemetry.MetricShed])) {
 		return nil
 	}
-	evidence := fmt.Sprintf("%d", snap.Counters[telemetry.MetricShed])
-	if w.fired[key] == evidence {
-		return nil
-	}
-	w.fired[key] = evidence
 	sev := "warning"
 	if frac >= 0.5 {
 		sev = "critical"
@@ -629,20 +635,14 @@ func (w *Watchdog) ruleShedBurst(snap telemetry.Snapshot) []Alert {
 func (w *Watchdog) ruleCacheThrash(snap telemetry.Snapshot) []Alert {
 	evict := w.counterDelta(snap, telemetry.Labeled(telemetry.MetricServingEvictions, "reason", "lru"))
 	hits := w.counterDelta(snap, telemetry.MetricServingHits)
-	const key = "cachethrash|"
 	if evict < w.cfg.CacheThrashMin {
 		return nil
 	}
 	share := float64(evict) / float64(evict+hits)
-	if share < 0.5 {
-		delete(w.fired, key)
-		return nil
-	}
 	evidence := fmt.Sprintf("%d", snap.Counters[telemetry.Labeled(telemetry.MetricServingEvictions, "reason", "lru")])
-	if w.fired[key] == evidence {
+	if !w.latch("cachethrash|", share >= 0.5, evidence) {
 		return nil
 	}
-	w.fired[key] = evidence
 	return []Alert{{
 		Rule: "cache_thrash", Severity: "warning",
 		Value: float64(evict), Threshold: float64(w.cfg.CacheThrashMin),
@@ -673,16 +673,9 @@ func (w *Watchdog) ruleCalibDrift() []Alert {
 			if st.Pairs < w.cfg.CalibMinPairs {
 				continue
 			}
-			key := "calibdrift|" + wl + "|" + st.Objective
-			if st.MAPE < w.cfg.CalibMAPEMax {
-				delete(w.fired, key)
+			if !w.latch("calibdrift|"+wl+"|"+st.Objective, st.MAPE >= w.cfg.CalibMAPEMax, fmt.Sprintf("%d", st.Total)) {
 				continue
 			}
-			evidence := fmt.Sprintf("%d", st.Total)
-			if w.fired[key] == evidence {
-				continue
-			}
-			w.fired[key] = evidence
 			sev := "warning"
 			if st.MAPE >= 2*w.cfg.CalibMAPEMax {
 				sev = "critical"
@@ -709,16 +702,9 @@ func (w *Watchdog) ruleCoverageCollapse() []Alert {
 			if st.CoveragePairs < w.cfg.CalibMinPairs || st.Coverage == calib.CoverageUnknown {
 				continue
 			}
-			key := "calibcov|" + wl + "|" + st.Objective
-			if st.Coverage >= w.cfg.CalibCoverageFloor {
-				delete(w.fired, key)
+			if !w.latch("calibcov|"+wl+"|"+st.Objective, st.Coverage < w.cfg.CalibCoverageFloor, fmt.Sprintf("%d", st.Total)) {
 				continue
 			}
-			evidence := fmt.Sprintf("%d", st.Total)
-			if w.fired[key] == evidence {
-				continue
-			}
-			w.fired[key] = evidence
 			sev := "warning"
 			if st.Coverage < w.cfg.CalibCoverageFloor/2 {
 				sev = "critical"
@@ -762,16 +748,10 @@ func (w *Watchdog) ruleHVDropStreak() []Alert {
 				worst = d
 			}
 		}
-		key := "hvdrop|" + wl
-		if streak < w.cfg.DropStreak {
-			delete(w.fired, key)
-			continue
-		}
 		last := rs[len(rs)-1]
-		if w.fired[key] == last.ID {
+		if !w.latch("hvdrop|"+wl, streak >= w.cfg.DropStreak, last.ID) {
 			continue
 		}
-		w.fired[key] = last.ID
 		out = append(out, Alert{
 			Rule: "hv_drop_streak", Severity: "critical", Workload: wl,
 			Value: float64(streak), Threshold: float64(w.cfg.DropStreak),

@@ -37,6 +37,9 @@
 #   internal/serving     ServingCacheHit / ServingCacheInsert /
 #                        CoalescedDispatch  (the serving cache's steady-state
 #                        lease path, eviction churn, and singleflight dispatch)
+#   internal/runlog      RegistryAppend  (recording one served answer in the
+#                        run registry: quality block, index, and the hand-off
+#                        to the journal's writer — every cache hit pays it)
 #   internal/calib       CalibWindowAdd / CalibLedgerAppend  (the rolling
 #                        calibration window update — 0 allocs steady-state —
 #                        and the /observe ledger append, which must leave JSON
@@ -63,6 +66,7 @@ go test -run '^$' -bench 'MOGD' -benchmem -benchtime 1s ./internal/solver/mogd/ 
 go test -run '^$' -bench 'WSRun|NCRun' -benchmem -benchtime 1s ./internal/moo/ws/ ./internal/moo/nc/ >>"$RAW"
 go test -run '^$' -bench 'Sequential|Parallel' -benchmem -benchtime 1s ./internal/core/ >>"$RAW"
 go test -run '^$' -bench 'Serving|Coalesced' -benchmem -benchtime 1s ./internal/serving/ >>"$RAW"
+go test -run '^$' -bench 'RegistryAppend' -benchmem -benchtime 1s ./internal/runlog/ >>"$RAW"
 go test -run '^$' -bench 'Calib' -benchmem -benchtime 1s ./internal/calib/ >>"$RAW"
 
 CPU=$(awk -F': ' '/^cpu:/ {print $2; exit}' "$RAW")

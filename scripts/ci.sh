@@ -14,6 +14,8 @@
 #   5. benchmark smoke: one iteration of the MOGD benchmarks and of the cold
 #      Progressive Frontier benchmarks, so a broken benchmark harness fails
 #      CI instead of the next perf investigation
+#   6. fuzz smoke: 10s of FuzzJournalReopen over the durable journal's crash
+#      repair (the run registry, calibration ledger and alert log)
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -31,5 +33,6 @@ go test -race ./internal/linalg/... ./internal/solver/... ./internal/model/... .
 go test ./...
 go test -run '^$' -bench MOGD -benchtime 1x ./internal/solver/mogd/
 go test -run '^$' -bench Cold -benchtime 1x ./internal/core/
+go test -run '^$' -fuzz FuzzJournalReopen -fuzztime 10s ./internal/runlog/
 
 echo "ci: all gates passed"
