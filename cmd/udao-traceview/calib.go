@@ -179,13 +179,13 @@ func calibDrift(pairs []calib.Pair, objective string) []driftBucket {
 }
 
 // calibFlags marks series the live watchdog rules would alert on, judged
-// against the rules' default thresholds.
+// against the rules' thresholds.
 func calibFlags(st calib.ObjectiveStats) string {
 	var flags []string
-	if st.Pairs >= watch.DefaultCalibMinPairs && st.MAPE >= watch.DefaultCalibMAPEMax {
+	if st.Pairs >= watch.CalibMinPairs && st.MAPE >= watch.CalibMAPEMax {
 		flags = append(flags, "DRIFT")
 	}
-	if st.CoveragePairs >= watch.DefaultCalibMinPairs && st.Coverage != calib.CoverageUnknown && st.Coverage < watch.DefaultCalibCoverageFloor {
+	if st.CoveragePairs >= watch.CalibMinPairs && st.Coverage != calib.CoverageUnknown && st.Coverage < watch.CalibCoverageFloor {
 		flags = append(flags, "LOW-COVERAGE")
 	}
 	return strings.Join(flags, ",")

@@ -85,13 +85,3 @@ func NewComposite(c *space.Composite, objs []StageObjective) (*Problem, error) {
 	}
 	return New(models, c.Space)
 }
-
-// MustNewComposite is NewComposite for static definitions; it panics on
-// error.
-func MustNewComposite(c *space.Composite, objs []StageObjective) *Problem {
-	p, err := NewComposite(c, objs)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"net/http"
@@ -10,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/calib"
 	"repro/internal/runlog"
 	"repro/internal/telemetry"
 	"repro/internal/watch"
@@ -191,5 +193,78 @@ func TestAlertsEndToEnd(t *testing.T) {
 	}
 	if snap.Counters[telemetry.Labeled(telemetry.MetricWatchAlerts, "rule", "slo_burn")] == 0 {
 		t.Fatal("per-rule alert counter = 0")
+	}
+}
+
+// TestObserveLoopTripsDriftAlert closes the observe loop over HTTP: outcomes
+// fed back over /observe at 2.5x their predictions must end, after one
+// watchdog sweep, in a calib_drift alert with a flight-recorder bundle.
+func TestObserveLoopTripsDriftAlert(t *testing.T) {
+	svc, wl, led := buildCalibService(t, calib.Options{})
+	dir := t.TempDir()
+	wd, err := watch.New(watch.Config{
+		Telemetry: svc.Telemetry,
+		Runs:      svc.Runs,
+		Calib:     led,
+		AlertPath: filepath.Join(dir, "alerts.jsonl"),
+		Flight:    watch.FlightConfig{Dir: filepath.Join(dir, "flight")},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wd.Stop()
+	svc.Watch = wd
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+
+	// Ten pairs clear the minimum of watch.CalibMinPairs; varied weights make
+	// every request after the first a hit on the same frontier.
+	for i := 0; i < 10; i++ {
+		w := 0.05 + 0.09*float64(i)
+		opt := postOptimize(t, ts.URL, OptimizeRequest{Workload: wl, Weights: []float64{w, 1 - w}, Probes: 8})
+		actual := map[string]float64{}
+		for k, v := range opt.Objectives {
+			actual[k] = 2.5 * v
+		}
+		postObserve(t, ts.URL, ObserveRequest{Run: opt.RunRecord, Actual: actual}, http.StatusOK)
+	}
+	wd.EvalOnce()
+
+	// The durable state the loop leaves behind: a ledger with matched pairs...
+	if err := led.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if fi, err := os.Stat(led.Path()); err != nil || fi.Size() == 0 {
+		t.Fatalf("calib.jsonl missing or empty: %v", err)
+	}
+	// ...and a calib_drift alert in alerts.jsonl. actual = 2.5x predicted
+	// gives rel err 0.6 on every objective, far over the 0.35 ceiling.
+	blob, err := os.ReadFile(filepath.Join(dir, "alerts.jsonl"))
+	if err != nil {
+		t.Fatalf("alerts.jsonl: %v", err)
+	}
+	var drift *watch.Alert
+	sc := bufio.NewScanner(bytes.NewReader(blob))
+	for sc.Scan() {
+		var a watch.Alert
+		if err := json.Unmarshal(sc.Bytes(), &a); err != nil {
+			t.Fatalf("bad alert line %q: %v", sc.Text(), err)
+		}
+		if a.Rule == "calib_drift" && drift == nil {
+			drift = &a
+		}
+	}
+	if drift == nil {
+		t.Fatalf("no calib_drift alert in alerts.jsonl:\n%s", blob)
+	}
+	if drift.Value < 0.5 || drift.Value > 0.7 {
+		t.Fatalf("drift MAPE = %v, want ~0.6", drift.Value)
+	}
+	// The first raised alert captures a flight bundle identifying itself.
+	if drift.Bundle == "" {
+		t.Fatalf("calib_drift alert has no flight bundle: %+v", drift)
+	}
+	if _, err := os.Stat(filepath.Join(drift.Bundle, "alert.json")); err != nil {
+		t.Fatalf("flight bundle %s incomplete: %v", drift.Bundle, err)
 	}
 }

@@ -200,8 +200,8 @@ type shardElem struct {
 }
 
 // Stats is a point-in-time snapshot of the cache counters, mirrored from
-// the telemetry registry for callers (tests, the loadgen summary) without
-// one.
+// the telemetry registry for callers (tests, servbench's traced host)
+// without one.
 type Stats struct {
 	Requests  uint64
 	Hits      uint64

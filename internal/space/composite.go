@@ -152,16 +152,6 @@ func NewComposite(shared []Var, stages []Stage) (*Composite, error) {
 	return c, nil
 }
 
-// MustNewComposite is NewComposite for static definitions; it panics on
-// error.
-func MustNewComposite(shared []Var, stages []Stage) *Composite {
-	c, err := NewComposite(shared, stages)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
 // NumStages returns the number of stages.
 func (c *Composite) NumStages() int { return len(c.Stages) }
 

@@ -24,6 +24,8 @@ package telemetry
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 	"sync/atomic"
 )
 
@@ -202,6 +204,35 @@ func Labeled(name, label, value string) string {
 // `udao_calib_mape{workload="q1",objective="latency"}`.
 func Labeled2(name, l1, v1, l2, v2 string) string {
 	return fmt.Sprintf("%s{%s=%q,%s=%q}", name, l1, v1, l2, v2)
+}
+
+// LabelValue reads one label's value back from a series name rendered by
+// Labeled or Labeled2, e.g. LabelValue(`udao_solve_seconds{workload="q1"}`,
+// "workload") = "q1", true. Values are unquoted, so a value holding the
+// block's own delimiters (`,`, `"`, `\`) reads back as it was written.
+func LabelValue(series, label string) (string, bool) {
+	i := strings.IndexByte(series, '{')
+	if i < 0 {
+		return "", false
+	}
+	rest := series[i+1:]
+	for {
+		name, quoted, ok := strings.Cut(rest, "=")
+		if !ok {
+			return "", false
+		}
+		q, err := strconv.QuotedPrefix(quoted)
+		if err != nil {
+			return "", false
+		}
+		if name == label {
+			v, err := strconv.Unquote(q)
+			return v, err == nil
+		}
+		if rest, ok = strings.CutPrefix(quoted[len(q):], ","); !ok {
+			return "", false
+		}
+	}
 }
 
 // NextRunID returns a fresh process-unique run identifier with the given

@@ -14,26 +14,28 @@
 // alerts raised before the restart. A sweep that raised alerts returns only
 // once they are on disk.
 //
-// The rule catalog (thresholds are Config fields; defaults in parentheses):
+// The rule catalog (thresholds are the package constants named below, values
+// in parentheses):
 //
 //   - slo_burn: per workload, the fraction of solves in the last window that
-//     breached the latency SLO. Fires at >= SLOBurnThreshold (0.5) once the
-//     window holds >= SLOBurnMin (4) solves.
-//   - hv_drop_streak: per workload, DropStreak (3) consecutive recorded runs
+//     breached the latency SLO. Fires at >= sloBurnThreshold (0.5) once the
+//     window holds >= sloBurnMin (4) solves.
+//   - hv_drop_streak: per workload, dropStreak (3) consecutive recorded runs
 //     with a negative hypervolume delta — the frontier is getting worse, not
 //     noisier. Evaluated over the run registry, so it survives restarts.
 //   - subcache_collapse: the MOGD subproblem cache's hit rate over the last
-//     window fell below HitRateFloor (0.10) with >= HitRateMin (50) lookups —
+//     window fell below hitRateFloor (0.10) with >= hitRateMin (50) lookups —
 //     the cross-expand reuse that keeps solves fast has stopped working.
 //   - latency_anomaly: the window's mean solve latency exceeded
-//     EWMADeviation (3x) times its exponentially weighted moving average.
-//   - eval_stall: the evaluator's model-pass rate collapsed below 1/EWMADeviation
+//     ewmaDeviation (3x) times its exponentially weighted moving average
+//     (factor ewmaFactor 0.3, trusted after ewmaMinObs 3 windows).
+//   - eval_stall: the evaluator's model-pass rate collapsed below 1/ewmaDeviation
 //     of its EWMA while solves were in flight.
-//   - shed_burst: the serving path shed (429'd) at least ShedBurstThreshold
-//     (0.05) of the window's requests, with >= ShedBurstMin (20) requests in
+//   - shed_burst: the serving path shed (429'd) at least shedBurstThreshold
+//     (0.05) of the window's requests, with >= shedBurstMin (20) requests in
 //     the window — admission control went from safety valve to steady state.
 //   - cache_thrash: the serving cache evicted (LRU) at least as many
-//     optimizers as it served hits over the window, with >= CacheThrashMin
+//     optimizers as it served hits over the window, with >= cacheThrashMin
 //     (8) evictions — the working set no longer fits and every miss pays a
 //     full rebuild.
 //   - calib_drift: per workload+objective, the calibration ledger's rolling
@@ -75,7 +77,7 @@ type Alert struct {
 	Workload string    `json:"workload,omitempty"`
 	Summary  string    `json:"summary"`
 	// Value is the measured quantity that violated the rule; Threshold the
-	// configured bound it was judged against (rule-specific units).
+	// bound it was judged against (rule-specific units).
 	Value     float64 `json:"value"`
 	Threshold float64 `json:"threshold"`
 	// RunRecord / TraceRun join the alert to the run registry and the trace
@@ -87,12 +89,27 @@ type Alert struct {
 	Bundle string `json:"bundle,omitempty"`
 }
 
-// Default thresholds of the calibration rules. udao-traceview calib flags
-// its offline report against the same values.
+// Rule thresholds. The calibration ones are exported: udao-traceview calib
+// flags its offline report against the same values.
 const (
-	DefaultCalibMAPEMax       = 0.35 // calib_drift: rolling MAPE ceiling
-	DefaultCalibMinPairs      = 8    // pairs in a window before it is judged
-	DefaultCalibCoverageFloor = 0.5  // coverage_collapse: interval coverage floor
+	sloBurnThreshold = 0.5 // slo_burn: breached fraction of the window's solves
+	sloBurnMin       = 4   // slo_burn: solves in the window before it is judged
+	dropStreak       = 3   // hv_drop_streak: consecutive runs with a negative delta
+
+	hitRateFloor = 0.10 // subcache_collapse: MOGD subproblem-cache hit-rate floor
+	hitRateMin   = 50   // subcache_collapse: lookups in the window before it is judged
+
+	ewmaFactor    = 0.3 // latency_anomaly, eval_stall: EWMA smoothing factor
+	ewmaDeviation = 3.0 // latency_anomaly, eval_stall: tolerated factor off the EWMA
+	ewmaMinObs    = 3   // latency_anomaly, eval_stall: windows before the EWMA is trusted
+
+	shedBurstThreshold = 0.05 // shed_burst: shed fraction of the window's requests
+	shedBurstMin       = 20   // shed_burst: requests in the window before it is judged
+	cacheThrashMin     = 8    // cache_thrash: LRU evictions in the window
+
+	CalibMAPEMax       = 0.35 // calib_drift: rolling MAPE ceiling
+	CalibMinPairs      = 8    // pairs in a window before it is judged
+	CalibCoverageFloor = 0.5  // coverage_collapse: interval coverage floor
 )
 
 // Config tunes a Watchdog. Telemetry is required; everything else has a
@@ -110,29 +127,10 @@ type Config struct {
 	// Interval between rule sweeps (default 15s).
 	Interval time.Duration
 
-	// Rule thresholds; zero selects the documented default.
-	SLOBurnThreshold float64 // default 0.5
-	SLOBurnMin       uint64  // default 4
-	DropStreak       int     // default 3
-	HitRateFloor     float64 // default 0.10
-	HitRateMin       uint64  // default 50
-	EWMAFactor       float64 // default 0.3
-	EWMADeviation    float64 // default 3
-	EWMAMinObs       uint64  // default 3 window observations
-
-	// Serving-path thresholds (shed_burst, cache_thrash).
-	ShedBurstThreshold float64 // default 0.05 of the window's requests
-	ShedBurstMin       uint64  // default 20 requests in the window
-	CacheThrashMin     uint64  // default 8 LRU evictions in the window
-
 	// Calib, when non-nil, enables the calibration rules (calib_drift,
 	// coverage_collapse) over the prediction–outcome ledger's rolling
 	// windows.
 	Calib *calib.Ledger
-	// Calibration thresholds; zero selects the documented default.
-	CalibMAPEMax       float64 // default 0.35 rolling mean absolute relative error
-	CalibMinPairs      int     // default 8 pairs before a window is judged
-	CalibCoverageFloor float64 // default 0.5 of outcomes inside the z-sigma interval
 
 	// Flight configures the triggered flight recorder; zero disables it.
 	Flight FlightConfig
@@ -145,48 +143,6 @@ type Config struct {
 func (c *Config) defaults() {
 	if c.Interval <= 0 {
 		c.Interval = 15 * time.Second
-	}
-	if c.SLOBurnThreshold <= 0 {
-		c.SLOBurnThreshold = 0.5
-	}
-	if c.SLOBurnMin == 0 {
-		c.SLOBurnMin = 4
-	}
-	if c.DropStreak <= 0 {
-		c.DropStreak = 3
-	}
-	if c.HitRateFloor <= 0 {
-		c.HitRateFloor = 0.10
-	}
-	if c.HitRateMin == 0 {
-		c.HitRateMin = 50
-	}
-	if c.EWMAFactor <= 0 || c.EWMAFactor > 1 {
-		c.EWMAFactor = 0.3
-	}
-	if c.EWMADeviation <= 1 {
-		c.EWMADeviation = 3
-	}
-	if c.EWMAMinObs == 0 {
-		c.EWMAMinObs = 3
-	}
-	if c.ShedBurstThreshold <= 0 {
-		c.ShedBurstThreshold = 0.05
-	}
-	if c.ShedBurstMin == 0 {
-		c.ShedBurstMin = 20
-	}
-	if c.CacheThrashMin == 0 {
-		c.CacheThrashMin = 8
-	}
-	if c.CalibMAPEMax <= 0 {
-		c.CalibMAPEMax = DefaultCalibMAPEMax
-	}
-	if c.CalibMinPairs <= 0 {
-		c.CalibMinPairs = DefaultCalibMinPairs
-	}
-	if c.CalibCoverageFloor <= 0 {
-		c.CalibCoverageFloor = DefaultCalibCoverageFloor
 	}
 	if c.Now == nil {
 		c.Now = time.Now
@@ -434,27 +390,6 @@ func (w *Watchdog) counterDelta(snap telemetry.Snapshot, name string) uint64 {
 	return cur - prev
 }
 
-// labelValue extracts the value of the given label from a series name, e.g.
-// labelValue(`udao_solve_slo_ok_total{workload="q1"}`, "workload") = "q1".
-func labelValue(series, label string) (string, bool) {
-	i := strings.IndexByte(series, '{')
-	if i < 0 {
-		return "", false
-	}
-	block := series[i+1 : len(series)-1]
-	prefix := label + "="
-	for _, kv := range strings.Split(block, ",") {
-		if strings.HasPrefix(kv, prefix) {
-			v := strings.TrimPrefix(kv, prefix)
-			if len(v) >= 2 && v[0] == '"' && v[len(v)-1] == '"' {
-				return v[1 : len(v)-1], true
-			}
-			return v, true
-		}
-	}
-	return "", false
-}
-
 // workloadSeries lists the workload label values present for a metric family
 // in the snapshot, sorted for deterministic sweep order.
 func workloadSeries(snap telemetry.Snapshot, family string) []string {
@@ -464,7 +399,7 @@ func workloadSeries(snap telemetry.Snapshot, family string) []string {
 		if !strings.HasPrefix(name, family+"{") {
 			continue
 		}
-		if wl, ok := labelValue(name, "workload"); ok && !seen[wl] {
+		if wl, ok := telemetry.LabelValue(name, "workload"); ok && !seen[wl] {
 			seen[wl] = true
 			out = append(out, wl)
 		}
@@ -480,12 +415,12 @@ func (w *Watchdog) ruleSLOBurn(snap telemetry.Snapshot) []Alert {
 		breach := w.counterDelta(snap, telemetry.Labeled(telemetry.MetricSolveSLOBreach, "workload", wl))
 		ok := w.counterDelta(snap, telemetry.Labeled(telemetry.MetricSolveSLOOk, "workload", wl))
 		total := breach + ok
-		if total < w.cfg.SLOBurnMin {
+		if total < sloBurnMin {
 			continue
 		}
 		frac := float64(breach) / float64(total)
 		evidence := fmt.Sprintf("%d/%d", snap.Counters[telemetry.Labeled(telemetry.MetricSolveSLOBreach, "workload", wl)], snap.Counters[telemetry.Labeled(telemetry.MetricSolveSLOOk, "workload", wl)])
-		if !w.latch("slo_burn|"+wl, frac >= w.cfg.SLOBurnThreshold, evidence) {
+		if !w.latch("slo_burn|"+wl, frac >= sloBurnThreshold, evidence) {
 			continue
 		}
 		sev := "warning"
@@ -494,7 +429,7 @@ func (w *Watchdog) ruleSLOBurn(snap telemetry.Snapshot) []Alert {
 		}
 		out = append(out, Alert{
 			Rule: "slo_burn", Severity: sev, Workload: wl,
-			Value: frac, Threshold: w.cfg.SLOBurnThreshold,
+			Value: frac, Threshold: sloBurnThreshold,
 			Summary: fmt.Sprintf("workload %q: %d of %d solves in the last window breached the latency SLO (%.0f%%)", wl, breach, total, 100*frac),
 		})
 	}
@@ -508,12 +443,12 @@ func (w *Watchdog) ruleSubcacheCollapse(snap telemetry.Snapshot) []Alert {
 		hits := w.counterDelta(snap, hitName)
 		misses := w.counterDelta(snap, missName)
 		lookups := hits + misses
-		if lookups < w.cfg.HitRateMin {
+		if lookups < hitRateMin {
 			return
 		}
 		rate := float64(hits) / float64(lookups)
 		evidence := fmt.Sprintf("%d/%d", snap.Counters[hitName], snap.Counters[missName])
-		if !w.latch(key, rate < w.cfg.HitRateFloor, evidence) {
+		if !w.latch(key, rate < hitRateFloor, evidence) {
 			return
 		}
 		scope := "global"
@@ -522,8 +457,8 @@ func (w *Watchdog) ruleSubcacheCollapse(snap telemetry.Snapshot) []Alert {
 		}
 		out = append(out, Alert{
 			Rule: "subcache_collapse", Severity: "warning", Workload: wl,
-			Value: rate, Threshold: w.cfg.HitRateFloor,
-			Summary: fmt.Sprintf("%s: MOGD subproblem-cache hit rate %.1f%% over %d lookups (floor %.0f%%)", scope, 100*rate, lookups, 100*w.cfg.HitRateFloor),
+			Value: rate, Threshold: hitRateFloor,
+			Summary: fmt.Sprintf("%s: MOGD subproblem-cache hit rate %.1f%% over %d lookups (floor %.0f%%)", scope, 100*rate, lookups, 100*hitRateFloor),
 		})
 	}
 	check("subcache|", "", telemetry.MetricMOGDCacheHit, telemetry.MetricMOGDCacheMiss)
@@ -554,19 +489,19 @@ func (w *Watchdog) ruleLatencyAnomaly(snap telemetry.Snapshot) []Alert {
 		if n == 0 {
 			w.ewma[series] = mean
 		} else {
-			w.ewma[series] = ew + w.cfg.EWMAFactor*(mean-ew)
+			w.ewma[series] = ew + ewmaFactor*(mean-ew)
 		}
 		w.ewmaN[series] = n + 1
 	}()
-	if n < w.cfg.EWMAMinObs || ew <= 0 {
+	if n < ewmaMinObs || ew <= 0 {
 		return nil
 	}
-	if !w.latch("latency|", mean > w.cfg.EWMADeviation*ew, fmt.Sprintf("%d", cur.Count)) {
+	if !w.latch("latency|", mean > ewmaDeviation*ew, fmt.Sprintf("%d", cur.Count)) {
 		return nil
 	}
 	return []Alert{{
 		Rule: "latency_anomaly", Severity: "warning",
-		Value: mean, Threshold: w.cfg.EWMADeviation * ew,
+		Value: mean, Threshold: ewmaDeviation * ew,
 		Summary: fmt.Sprintf("mean solve latency %.3fs in the last window, %.1fx its moving average %.3fs", mean, mean/ew, ew),
 	}}
 }
@@ -588,22 +523,22 @@ func (w *Watchdog) ruleEvalStall(snap telemetry.Snapshot, now time.Time) []Alert
 		if n == 0 {
 			w.ewma[series] = rate
 		} else {
-			w.ewma[series] = ew + w.cfg.EWMAFactor*(rate-ew)
+			w.ewma[series] = ew + ewmaFactor*(rate-ew)
 		}
 		w.ewmaN[series] = n + 1
 	}
 	// A stall is: solves progressed this window, the eval rate collapsed to
 	// under 1/dev of its EWMA, and we have enough history to trust the EWMA.
-	if dSolves == 0 || n < w.cfg.EWMAMinObs || ew <= 0 {
+	if dSolves == 0 || n < ewmaMinObs || ew <= 0 {
 		return nil
 	}
-	if !w.latch("evalstall|", rate < ew/w.cfg.EWMADeviation, fmt.Sprintf("%d", snap.Counters[telemetry.MetricMOGDSolves])) {
+	if !w.latch("evalstall|", rate < ew/ewmaDeviation, fmt.Sprintf("%d", snap.Counters[telemetry.MetricMOGDSolves])) {
 		return nil
 	}
 	return []Alert{{
 		Rule: "eval_stall", Severity: "warning",
-		Value: rate, Threshold: ew / w.cfg.EWMADeviation,
-		Summary: fmt.Sprintf("model-pass rate %.0f/s collapsed below 1/%.0f of its moving average %.0f/s while solves ran", rate, w.cfg.EWMADeviation, ew),
+		Value: rate, Threshold: ew / ewmaDeviation,
+		Summary: fmt.Sprintf("model-pass rate %.0f/s collapsed below 1/%.0f of its moving average %.0f/s while solves ran", rate, ewmaDeviation, ew),
 	}}
 }
 
@@ -611,11 +546,11 @@ func (w *Watchdog) ruleEvalStall(snap telemetry.Snapshot, now time.Time) []Alert
 func (w *Watchdog) ruleShedBurst(snap telemetry.Snapshot) []Alert {
 	reqs := w.counterDelta(snap, telemetry.MetricServingRequests)
 	shed := w.counterDelta(snap, telemetry.MetricShed)
-	if reqs < w.cfg.ShedBurstMin {
+	if reqs < shedBurstMin {
 		return nil // too little traffic to judge; keep the latch as-is
 	}
 	frac := float64(shed) / float64(reqs)
-	if !w.latch("shedburst|", frac >= w.cfg.ShedBurstThreshold, fmt.Sprintf("%d", snap.Counters[telemetry.MetricShed])) {
+	if !w.latch("shedburst|", frac >= shedBurstThreshold, fmt.Sprintf("%d", snap.Counters[telemetry.MetricShed])) {
 		return nil
 	}
 	sev := "warning"
@@ -624,18 +559,18 @@ func (w *Watchdog) ruleShedBurst(snap telemetry.Snapshot) []Alert {
 	}
 	return []Alert{{
 		Rule: "shed_burst", Severity: sev,
-		Value: frac, Threshold: w.cfg.ShedBurstThreshold,
+		Value: frac, Threshold: shedBurstThreshold,
 		Summary: fmt.Sprintf("serving shed %d of %d requests in the last window (%.1f%%) — admission control is load-shedding steadily", shed, reqs, 100*frac),
 	}}
 }
 
 // ruleCacheThrash: the serving cache's LRU churn outpaced its reuse — at
-// least CacheThrashMin evictions in the window and no fewer evictions than
+// least cacheThrashMin evictions in the window and no fewer evictions than
 // hits, i.e. the eviction share of (evictions+hits) reached 1/2.
 func (w *Watchdog) ruleCacheThrash(snap telemetry.Snapshot) []Alert {
 	evict := w.counterDelta(snap, telemetry.Labeled(telemetry.MetricServingEvictions, "reason", "lru"))
 	hits := w.counterDelta(snap, telemetry.MetricServingHits)
-	if evict < w.cfg.CacheThrashMin {
+	if evict < cacheThrashMin {
 		return nil
 	}
 	share := float64(evict) / float64(evict+hits)
@@ -645,7 +580,7 @@ func (w *Watchdog) ruleCacheThrash(snap telemetry.Snapshot) []Alert {
 	}
 	return []Alert{{
 		Rule: "cache_thrash", Severity: "warning",
-		Value: float64(evict), Threshold: float64(w.cfg.CacheThrashMin),
+		Value: float64(evict), Threshold: cacheThrashMin,
 		Summary: fmt.Sprintf("serving cache evicted %d optimizers against %d hits in the last window — the working set no longer fits; raise -cache-entries", evict, hits),
 	}}
 }
@@ -663,28 +598,28 @@ func (w *Watchdog) traceRunOf(runID string) string {
 }
 
 // ruleCalibDrift: per workload+objective, the rolling-window MAPE of
-// predictions against observed outcomes reached the configured ceiling. The
+// predictions against observed outcomes reached CalibMAPEMax. The
 // total pair count is the edge evidence — a drifted window alerts once per
 // newly observed outcome batch, not once per sweep.
 func (w *Watchdog) ruleCalibDrift() []Alert {
 	var out []Alert
 	for _, wl := range w.cfg.Calib.Workloads() {
 		for _, st := range w.cfg.Calib.Calibration(wl) {
-			if st.Pairs < w.cfg.CalibMinPairs {
+			if st.Pairs < CalibMinPairs {
 				continue
 			}
-			if !w.latch("calibdrift|"+wl+"|"+st.Objective, st.MAPE >= w.cfg.CalibMAPEMax, fmt.Sprintf("%d", st.Total)) {
+			if !w.latch("calibdrift|"+wl+"|"+st.Objective, st.MAPE >= CalibMAPEMax, fmt.Sprintf("%d", st.Total)) {
 				continue
 			}
 			sev := "warning"
-			if st.MAPE >= 2*w.cfg.CalibMAPEMax {
+			if st.MAPE >= 2*CalibMAPEMax {
 				sev = "critical"
 			}
 			out = append(out, Alert{
 				Rule: "calib_drift", Severity: sev, Workload: wl,
-				Value: st.MAPE, Threshold: w.cfg.CalibMAPEMax,
+				Value: st.MAPE, Threshold: CalibMAPEMax,
 				RunRecord: st.LastRun, TraceRun: w.traceRunOf(st.LastRun),
-				Summary: fmt.Sprintf("workload %q: %s predictions off by %.0f%% MAPE over the last %d observed outcomes (bias %+.0f%%, ceiling %.0f%%) — the model has drifted; retrain from fresh traces", wl, st.Objective, 100*st.MAPE, st.Pairs, 100*st.Bias, 100*w.cfg.CalibMAPEMax),
+				Summary: fmt.Sprintf("workload %q: %s predictions off by %.0f%% MAPE over the last %d observed outcomes (bias %+.0f%%, ceiling %.0f%%) — the model has drifted; retrain from fresh traces", wl, st.Objective, 100*st.MAPE, st.Pairs, 100*st.Bias, 100*CalibMAPEMax),
 			})
 		}
 	}
@@ -699,28 +634,28 @@ func (w *Watchdog) ruleCoverageCollapse() []Alert {
 	var out []Alert
 	for _, wl := range w.cfg.Calib.Workloads() {
 		for _, st := range w.cfg.Calib.Calibration(wl) {
-			if st.CoveragePairs < w.cfg.CalibMinPairs || st.Coverage == calib.CoverageUnknown {
+			if st.CoveragePairs < CalibMinPairs || st.Coverage == calib.CoverageUnknown {
 				continue
 			}
-			if !w.latch("calibcov|"+wl+"|"+st.Objective, st.Coverage < w.cfg.CalibCoverageFloor, fmt.Sprintf("%d", st.Total)) {
+			if !w.latch("calibcov|"+wl+"|"+st.Objective, st.Coverage < CalibCoverageFloor, fmt.Sprintf("%d", st.Total)) {
 				continue
 			}
 			sev := "warning"
-			if st.Coverage < w.cfg.CalibCoverageFloor/2 {
+			if st.Coverage < CalibCoverageFloor/2 {
 				sev = "critical"
 			}
 			out = append(out, Alert{
 				Rule: "coverage_collapse", Severity: sev, Workload: wl,
-				Value: st.Coverage, Threshold: w.cfg.CalibCoverageFloor,
+				Value: st.Coverage, Threshold: CalibCoverageFloor,
 				RunRecord: st.LastRun, TraceRun: w.traceRunOf(st.LastRun),
-				Summary: fmt.Sprintf("workload %q: only %.0f%% of %d observed %s outcomes fell inside the model's uncertainty interval (floor %.0f%%) — predictive variance is underestimating the true error", wl, 100*st.Coverage, st.CoveragePairs, st.Objective, 100*w.cfg.CalibCoverageFloor),
+				Summary: fmt.Sprintf("workload %q: only %.0f%% of %d observed %s outcomes fell inside the model's uncertainty interval (floor %.0f%%) — predictive variance is underestimating the true error", wl, 100*st.Coverage, st.CoveragePairs, st.Objective, 100*CalibCoverageFloor),
 			})
 		}
 	}
 	return out
 }
 
-// ruleHVDropStreak: DropStreak consecutive recorded runs of one workload
+// ruleHVDropStreak: dropStreak consecutive recorded runs of one workload
 // with negative hypervolume delta.
 func (w *Watchdog) ruleHVDropStreak() []Alert {
 	recs := w.cfg.Runs.List("", time.Time{}, 0)
@@ -749,12 +684,12 @@ func (w *Watchdog) ruleHVDropStreak() []Alert {
 			}
 		}
 		last := rs[len(rs)-1]
-		if !w.latch("hvdrop|"+wl, streak >= w.cfg.DropStreak, last.ID) {
+		if !w.latch("hvdrop|"+wl, streak >= dropStreak, last.ID) {
 			continue
 		}
 		out = append(out, Alert{
 			Rule: "hv_drop_streak", Severity: "critical", Workload: wl,
-			Value: float64(streak), Threshold: float64(w.cfg.DropStreak),
+			Value: float64(streak), Threshold: dropStreak,
 			RunRecord: last.ID, TraceRun: last.TraceRunID,
 			Summary: fmt.Sprintf("workload %q: hypervolume dropped %d runs in a row (worst delta %.4g, last run %s)", wl, streak, worst, last.ID),
 		})

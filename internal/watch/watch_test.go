@@ -100,6 +100,33 @@ func TestSLOBurnAlert(t *testing.T) {
 	}
 }
 
+// TestPerWorkloadRulesReadQuotedNames: pipeline requests name their workload
+// freely, and a name holding the label block's delimiters must still be
+// judged, and reported, under its own name.
+func TestPerWorkloadRulesReadQuotedNames(t *testing.T) {
+	tel := telemetry.New()
+	w := newWatchdog(t, Config{Telemetry: tel})
+	names := []string{"q1", "pipe ok", "etl,ml", `a"b`, `c\d`}
+
+	w.EvalOnce() // baseline
+	for _, wl := range names {
+		tel.Metrics.Counter(telemetry.Labeled(telemetry.MetricSolveSLOBreach, "workload", wl)).Add(5)
+		tel.Metrics.Counter(telemetry.Labeled(telemetry.MetricSolveSLOOk, "workload", wl)).Add(1)
+		tel.Metrics.Counter(telemetry.Labeled(telemetry.MetricMOGDCacheMiss, "workload", wl)).Add(60)
+	}
+	raised := map[string]bool{}
+	for _, a := range w.EvalOnce() {
+		raised[a.Rule+" "+a.Workload] = true
+	}
+	for _, wl := range names {
+		for _, rule := range []string{"slo_burn", "subcache_collapse"} {
+			if !raised[rule+" "+wl] {
+				t.Errorf("no %s alert for workload %q; raised %v", rule, wl, raised)
+			}
+		}
+	}
+}
+
 func TestSubcacheCollapseAndLatencyAnomaly(t *testing.T) {
 	tel := telemetry.New()
 	clock := newClock()
@@ -161,7 +188,7 @@ func TestShedBurstAlert(t *testing.T) {
 	if raised[0].Value < 0.24 || raised[0].Value > 0.26 {
 		t.Fatalf("shed fraction %v, want 0.25", raised[0].Value)
 	}
-	// Quiet window below ShedBurstMin: no judgement, no re-fire.
+	// Quiet window below shedBurstMin: no judgement, no re-fire.
 	reqs.Add(3)
 	shed.Add(3)
 	clock.tick(15 * time.Second)
@@ -251,11 +278,10 @@ func TestHVDropStreakTriggersFlightBundle(t *testing.T) {
 	defer reg.Close()
 
 	w := newWatchdog(t, Config{
-		Telemetry:  tel,
-		Runs:       reg,
-		AlertPath:  filepath.Join(dir, "alerts.jsonl"),
-		DropStreak: 3,
-		Now:        clock.now,
+		Telemetry: tel,
+		Runs:      reg,
+		AlertPath: filepath.Join(dir, "alerts.jsonl"),
+		Now:       clock.now,
 		Flight: FlightConfig{
 			Dir:           filepath.Join(dir, "flight"),
 			CPUProfileDur: 20 * time.Millisecond,

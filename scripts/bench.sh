@@ -44,10 +44,6 @@
 #                        calibration window update — 0 allocs steady-state —
 #                        and the /observe ledger append, which must leave JSON
 #                        encoding and the disk write off the caller's path)
-#
-# After recording, a short udao-loadgen run (in-process server, 2 workloads,
-# 200 QPS for 2s) smoke-tests the QPS harness end to end — its numbers are
-# NOT recorded here; use cmd/udao-loadgen -out BENCH_serving.json for that.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -95,6 +91,3 @@ else
 fi
 
 echo "recorded run \"$LABEL\" in $OUT"
-
-echo "loadgen smoke: 2 workloads @ 200 QPS for 2s (numbers not recorded)"
-go run ./cmd/udao-loadgen -workloads 1,9 -samples 16 -qps 200 -duration 2s -concurrency 16 -probes 10

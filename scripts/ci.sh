@@ -15,7 +15,9 @@
 #      Progressive Frontier benchmarks, so a broken benchmark harness fails
 #      CI instead of the next perf investigation
 #   6. fuzz smoke: 10s of FuzzJournalReopen over the durable journal's crash
-#      repair (the run registry, calibration ledger and alert log)
+#      repair (the run registry, calibration ledger and alert log), and 10s of
+#      FuzzLabelValue over the metric series label round trip the watchdog's
+#      per-workload rules read
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -34,5 +36,6 @@ go test ./...
 go test -run '^$' -bench MOGD -benchtime 1x ./internal/solver/mogd/
 go test -run '^$' -bench Cold -benchtime 1x ./internal/core/
 go test -run '^$' -fuzz FuzzJournalReopen -fuzztime 10s ./internal/runlog/
+go test -run '^$' -fuzz FuzzLabelValue -fuzztime 10s ./internal/telemetry/
 
 echo "ci: all gates passed"
