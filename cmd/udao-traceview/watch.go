@@ -143,14 +143,7 @@ func renderWatch(out io.Writer, source string, m map[string]float64, alerts []wa
 	if hits+misses > 0 {
 		memoRate = fmt.Sprintf("%.0f%%", 100*hits/(hits+misses))
 	}
-	scHits := m[telemetry.MetricMOGDCacheHit]
-	scMisses := m[telemetry.MetricMOGDCacheMiss]
-	scRate := "-"
-	if scHits+scMisses > 0 {
-		scRate = fmt.Sprintf("%.0f%%", 100*scHits/(scHits+scMisses))
-	}
-	fmt.Fprintf(out, "evals       %.0f model passes, memo hit rate %s | subcache hit rate %s\n",
-		evals, memoRate, scRate)
+	fmt.Fprintf(out, "evals       %.0f model passes, memo hit rate %s\n", evals, memoRate)
 
 	reqs := m[telemetry.MetricServingRequests]
 	servingHits := m[telemetry.MetricServingHits]
@@ -181,13 +174,14 @@ func renderWatch(out io.Writer, source string, m map[string]float64, alerts []wa
 		sum   float64
 	}
 	var phases []phaseRow
-	prefix := telemetry.MetricPhaseSeconds + "{phase="
+	prefix := telemetry.MetricPhaseSeconds + "_sum{"
 	for name, v := range m {
-		if !strings.HasPrefix(name, prefix) || !strings.HasSuffix(name, "}_sum") {
+		if !strings.HasPrefix(name, prefix) {
 			continue
 		}
-		label := strings.TrimSuffix(strings.TrimPrefix(name, prefix), "}_sum")
-		phases = append(phases, phaseRow{phase: strings.Trim(label, `"`), sum: v})
+		if phase, ok := telemetry.LabelValue(name, "phase"); ok {
+			phases = append(phases, phaseRow{phase: phase, sum: v})
+		}
 	}
 	sort.Slice(phases, func(i, j int) bool {
 		if phases[i].sum != phases[j].sum {

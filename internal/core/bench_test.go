@@ -6,55 +6,11 @@ import (
 	"testing"
 
 	"repro/internal/model"
-	"repro/internal/model/analytic"
 	"repro/internal/model/dnn"
 	"repro/internal/solver/mogd"
 	"repro/internal/space"
 	"repro/internal/spark"
 )
-
-// benchPFSolver builds the Fig. 3(f) bivariate problem with the MOGD solver —
-// the PF-AS/PF-AP configuration of the paper's timing table (§VI-C).
-func benchPFSolver(b *testing.B) *mogd.Solver {
-	b.Helper()
-	lat, cost := analytic.PaperExample2D()
-	s, err := mogd.New(mogd.Problem{Objectives: []model.Model{lat, cost}},
-		mogd.Config{Seed: 1, Starts: 6, Iters: 80})
-	if err != nil {
-		b.Fatal(err)
-	}
-	return s
-}
-
-// BenchmarkSequential runs PF-AS (Algorithm 1 with MOGD probes) on one solver
-// built outside the loop. Every iteration after the first replays the
-// solver's subproblem cache, so this measures the PF loop over cache replays,
-// not descent; BenchmarkSequentialCold measures a cold run.
-func BenchmarkSequential(b *testing.B) {
-	s := benchPFSolver(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Sequential(s, Options{Probes: 20, Seed: 1}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkParallel runs PF-AP (l^k grid probes dispatched simultaneously) on
-// one solver built outside the loop; like BenchmarkSequential it replays the
-// subproblem cache after the first iteration. BenchmarkParallelCold measures
-// a cold run.
-func BenchmarkParallel(b *testing.B) {
-	s := benchPFSolver(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Parallel(s, Options{Probes: 20, Seed: 1}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
 
 // coldProblem is the server's objective shape for a DNN workload: a DNN
 // latency model trained in log scale over the 12-knob batch space, and the
@@ -99,7 +55,7 @@ func coresObjective(spc *space.Space) model.Model {
 }
 
 // benchCold runs one PF loop per iteration on a fresh solver — and so a
-// fresh evaluator memo and an empty subproblem cache — configured like the
+// fresh evaluator memo and an empty near-start store — configured like the
 // service's optimizer (default multi-start and iteration budget, near warm
 // starts): the cold path of a new job's first /optimize.
 func benchCold(b *testing.B, pf func(solverLike, Options) error) {

@@ -199,15 +199,14 @@ func initialRect(plans []objective.Solution) (objective.Rect, bool) {
 
 // middleCO builds the Middle Point Probe CO problem of Definition III.3 for
 // a hyperrectangle: minimize the target within [Utopia, (Utopia+Nadir)/2].
-// Bound vectors live in the step arena — valid until the next step's reset.
-func (r *run) middleCO(rect objective.Rect, target int) solver.CO {
-	mid := r.arena.take(len(rect.Utopia))
+func middleCO(rect objective.Rect, target int) solver.CO {
+	mid := make([]float64, len(rect.Utopia))
 	for d := range mid {
 		mid[d] = (rect.Utopia[d] + rect.Nadir[d]) / 2
 	}
 	return solver.CO{
 		Target: target,
-		Lo:     r.arena.copyOf(rect.Utopia),
+		Lo:     rect.Utopia.Clone(),
 		Hi:     mid,
 	}
 }
@@ -227,10 +226,7 @@ type run struct {
 	probes   int
 	seq      int
 	rng      *rand.Rand
-	// arena carves each step's CO bound vectors; cos/retryIdx/retryCOs are
-	// the parallel step's reusable batch slices. Together they make
-	// steady-state expansion allocation-free on the probe-construction side.
-	arena    stepArena
+	// cos/retryIdx/retryCOs are the parallel step's reusable batch slices.
 	cos      []solver.CO
 	retryIdx []int
 	retryCOs []solver.CO
@@ -239,10 +235,8 @@ type run struct {
 	telProbes     *telemetry.Counter
 	telUncertain  *telemetry.Gauge
 	telUncertainW *telemetry.Gauge // per-workload series (nil without Workload)
-	telArena      *telemetry.Counter
 	tracer        *telemetry.Tracer
-	lastProbes    int    // probes already flushed to telProbes
-	lastReuses    uint64 // arena reuses already flushed to telArena
+	lastProbes    int // probes already flushed to telProbes
 }
 
 // newRunState builds the shared state, resolving telemetry instruments once.
@@ -254,7 +248,6 @@ func newRunState(s solver.Solver, opt Options) *run {
 		if opt.Workload != "" {
 			r.telUncertainW = tel.Metrics.Gauge(telemetry.Labeled(telemetry.MetricPFUncertain, "workload", opt.Workload))
 		}
-		r.telArena = tel.Metrics.Counter(telemetry.MetricPFArenaReuse)
 		r.tracer = tel.Trace
 	}
 	return r
@@ -338,10 +331,6 @@ func (r *run) observe() {
 		r.telProbes.Add(uint64(d))
 		r.lastProbes = r.probes
 	}
-	if d := r.arena.reuses - r.lastReuses; d > 0 {
-		r.telArena.Add(d)
-		r.lastReuses = r.arena.reuses
-	}
 	frac := r.uncertainFrac()
 	r.telUncertain.Set(frac)
 	if r.telUncertainW != nil {
@@ -369,13 +358,12 @@ func (r *run) observe() {
 // the target over [Utopia, Nadir] either finds a Pareto point of the
 // rectangle (Proposition A.1) that subdivides it, or proves the rectangle
 // holds no feasible point at all and it can be discarded. This keeps failed
-// probes from fragmenting empty regions indefinitely. Bound vectors live in
-// the step arena.
-func (r *run) fullCO(rect objective.Rect, target int) solver.CO {
+// probes from fragmenting empty regions indefinitely.
+func fullCO(rect objective.Rect, target int) solver.CO {
 	return solver.CO{
 		Target: target,
-		Lo:     r.arena.copyOf(rect.Utopia),
-		Hi:     r.arena.copyOf(rect.Nadir),
+		Lo:     rect.Utopia.Clone(),
+		Hi:     rect.Nadir.Clone(),
 	}
 }
 
@@ -434,15 +422,14 @@ func Parallel(s solver.Solver, opt Options) ([]objective.Solution, error) {
 // stepSequential performs one Middle Point Probe (with its full-box
 // fallback) on the largest queued hyperrectangle.
 func (r *run) stepSequential() {
-	r.arena.reset()
 	it := r.pop()
-	co := r.middleCO(it.rect, r.opt.Target)
+	co := middleCO(it.rect, r.opt.Target)
 	sol, found := r.s.Solve(co, r.opt.Seed+int64(r.probes)*1_000_003)
 	r.probes++
 	if !found {
 		// The lower half-box is empty; fall back to probing the whole
 		// rectangle before giving up on it.
-		sol, found = r.s.Solve(r.fullCO(it.rect, r.opt.Target), r.opt.Seed+int64(r.probes)*1_000_003+1)
+		sol, found = r.s.Solve(fullCO(it.rect, r.opt.Target), r.opt.Seed+int64(r.probes)*1_000_003+1)
 		r.probes++
 	}
 	if found {
@@ -458,12 +445,11 @@ func (r *run) stepSequential() {
 // and probes every cell simultaneously, retrying failed cells once over
 // their full boxes.
 func (r *run) stepParallel() {
-	r.arena.reset()
 	it := r.pop()
 	cells := it.rect.GridCells(r.opt.Grid)
 	cos := r.cos[:0]
 	for _, c := range cells {
-		cos = append(cos, r.middleCO(c, r.opt.Target))
+		cos = append(cos, middleCO(c, r.opt.Target))
 	}
 	r.cos = cos
 	results := r.s.SolveBatch(cos, r.opt.Seed+int64(r.probes)*1_000_003)
@@ -474,7 +460,7 @@ func (r *run) stepParallel() {
 	for i, res := range results {
 		if !res.OK {
 			retryIdx = append(retryIdx, i)
-			retryCOs = append(retryCOs, r.fullCO(cells[i], r.opt.Target))
+			retryCOs = append(retryCOs, fullCO(cells[i], r.opt.Target))
 		}
 	}
 	r.retryIdx, r.retryCOs = retryIdx, retryCOs

@@ -5,7 +5,6 @@ import (
 
 	udao "repro"
 	"repro/internal/runlog"
-	"repro/internal/serving"
 	"repro/internal/telemetry"
 )
 
@@ -119,7 +118,3 @@ func (s *Service) warmOne(req OptimizeRequest, probes int) (primed bool, err err
 	}
 	return primed, err
 }
-
-// ServingStats exposes the serving-cache counters (tests, the server's
-// startup log).
-func (s *Service) ServingStats() serving.Stats { return s.serving().Stats() }

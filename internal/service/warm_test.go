@@ -66,7 +66,7 @@ func TestWarmCacheDedupesAndBounds(t *testing.T) {
 	if warmed := s2.WarmCache(0); warmed != 2 {
 		t.Fatalf("WarmCache(0) = %d, want 2 distinct keys", warmed)
 	}
-	if st := s2.ServingStats(); st.Warmups != 2 {
+	if st := s2.serving().Stats(); st.Warmups != 2 {
 		t.Fatalf("warmups = %d, want 2", st.Warmups)
 	}
 

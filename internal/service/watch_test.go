@@ -196,6 +196,36 @@ func TestAlertsEndToEnd(t *testing.T) {
 	}
 }
 
+// TestSolveAndExpandRaiseNoAlert: a cold solve and an expand of its frontier
+// between two watchdog sweeps are healthy traffic and raise no alert. A PF
+// run poses each ε-constraint box once, so MOGD never sees a box twice here.
+func TestSolveAndExpandRaiseNoAlert(t *testing.T) {
+	svc, wl := buildTelemetryService(t)
+	wd, err := watch.New(watch.Config{Telemetry: svc.Telemetry})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wd.Stop()
+	svc.Watch = wd
+
+	wd.EvalOnce() // baseline
+	for _, step := range []struct {
+		probes int
+		served string
+	}{{30, "solve"}, {60, "expand"}} {
+		resp, err := svc.Optimize(OptimizeRequest{Workload: wl, Weights: []float64{0.5, 0.5}, Probes: step.probes})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Served != step.served {
+			t.Fatalf("%d probes: served %q, want %q", step.probes, resp.Served, step.served)
+		}
+	}
+	if raised := wd.EvalOnce(); len(raised) != 0 {
+		t.Fatalf("healthy solve and expand raised %+v", raised)
+	}
+}
+
 // TestObserveLoopTripsDriftAlert closes the observe loop over HTTP: outcomes
 // fed back over /observe at 2.5x their predictions must end, after one
 // watchdog sweep, in a calib_drift alert with a flight-recorder bundle.

@@ -29,14 +29,12 @@
 // the rounded candidates in one memoized problem.Evaluator.EvalRows call:
 // memo hits are copied, repeated rows are evaluated once, and the misses
 // share one batched pass per objective. SolveBatch fans its probes out on a
-// Workers-bounded pool; and a
-// cross-expand subproblem cache replays previously-solved (co, seed) boxes
-// bit-identically (see Config.CacheCap). Models must be safe for concurrent
-// Predict/ValueGrad calls.
+// Workers-bounded pool, and with Config.NearStarts each probe warm-starts from
+// the nearest box the solver solved before. Models must be safe for
+// concurrent Predict/ValueGrad calls.
 package mogd
 
 import (
-	"container/list"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -72,47 +70,33 @@ type Config struct {
 	Tol     float64 // feasibility tolerance on the normalized scale (default 1e-4)
 	Workers int     // max concurrent starts/probes across Solve+SolveBatch (default GOMAXPROCS)
 	Seed    int64
-	// CacheCap bounds the cross-expand subproblem cache in entries: solved
-	// (co, seed) subproblems are remembered LRU-style and replayed on exact
-	// re-solves — the PF expand loop and service-level re-optimizations keep
-	// hitting the same ε-constraint boxes. Zero means the default (512);
-	// negative disables the cache. Replay is bit-identical to a fresh solve
-	// (solves are deterministic functions of co and seed), so caching on or
-	// off never changes results — only wall-clock. Callers that retrain the
-	// underlying models must call ResetCache.
-	CacheCap int
-	// NearStarts, when true, upgrades exact-key subproblem-cache misses to
-	// NEAR hits inside SolveBatch: the last multi-start row is seeded from
-	// the solution of the nearest previously-cached ε-constraint box with
-	// the same target (L1 distance over the finite bounds; boxes whose
+	// NearStarts, when true, keeps the ε-constraint boxes the solver solved
+	// feasibly (the latest nearCap of them) and seeds the last multi-start row
+	// of every SolveBatch probe from the solution of the nearest stored box
+	// with the same target (L1 distance over the finite bounds; boxes whose
 	// infinity patterns differ are incomparable) instead of a random draw.
 	// PF expand loops revisit slightly-shifted rectangles, so the neighbour's
 	// incumbent is usually feasible here too and descent starts next to the
-	// optimum.
+	// optimum. A solver without NearStarts keeps nothing.
 	//
-	// Determinism: each SolveBatch sees a SNAPSHOT of the cache as of the
-	// batch's start — entries inserted during the batch are invisible to its
+	// Determinism: each SolveBatch sees a SNAPSHOT of the store as of the
+	// batch's start — boxes stored during the batch are invisible to its
 	// probes — so results are independent of probe scheduling. Standalone
 	// Solve calls never near-warm-start. The trade-off is that with
 	// NearStarts on, a batch probe's result may legitimately differ from the
 	// same (co, seed) solved standalone (it had a better starting point);
-	// and if the cache overflows CacheCap mid-run, WHICH neighbours survive
-	// eviction depends on concurrent LRU touch order, making warm starts
-	// reproducible only while the working set fits the cache.
+	// and if the store overflows nearCap mid-run, WHICH boxes survive depends
+	// on the order concurrent probes finished in, making warm starts
+	// reproducible only while the working set fits the store.
 	NearStarts bool
 	// Telemetry, when non-nil, feeds the solver's counters (iterations,
-	// boundary clamps, solves, infeasible solves, subproblem-cache traffic)
-	// and emits one trace event per Solve (per-start events at
-	// LevelVerbose), tagged with RunID. The Adam inner loop pays no
-	// allocations and no atomics for it — per-start tallies are accumulated
-	// locally and flushed once per start.
+	// boundary clamps, solves, infeasible solves, near warm-starts) and emits
+	// one trace event per Solve (per-start events at LevelVerbose), tagged
+	// with RunID. The Adam inner loop pays no allocations and no atomics for
+	// it — per-start tallies are accumulated locally and flushed once per
+	// start.
 	Telemetry *telemetry.Telemetry
 	RunID     string
-	// Workload, when set together with Telemetry, additionally labels the
-	// subproblem-cache counters per workload
-	// (udao_mogd_subcache_hits_total{workload="..."}), so per-workload cache
-	// efficacy is visible alongside the global totals.
-	Workload string
 }
 
 // validate rejects explicitly invalid settings; zero stays "default".
@@ -175,31 +159,23 @@ type Solver struct {
 	// scratch recycles per-Solve batched buffers (the multi-start matrices)
 	// across Solve calls.
 	scratch sync.Pool
-	// cache is the cross-expand subproblem cache (nil when disabled).
-	cache *subCache
-	// epoch stamps cache entries for NearStarts' snapshot rule: SolveBatch
+	// near stores solved boxes for near warm starts (nil without
+	// NearStarts).
+	near *nearStore
+	// epoch stamps stored boxes for NearStarts' snapshot rule: SolveBatch
 	// bumps it once at batch start, and near-neighbour lookup only considers
-	// entries stamped before the running batch.
+	// boxes stamped before the running batch.
 	epoch atomic.Uint64
 
 	// Telemetry instruments (nil when Config.Telemetry is nil), resolved
 	// once at construction.
-	telIters     *telemetry.Counter
-	telClamps    *telemetry.Counter
-	telSolves    *telemetry.Counter
-	telInfeas    *telemetry.Counter
-	telCacheHit  *telemetry.Counter
-	telCacheMiss *telemetry.Counter
-	telCacheRej  *telemetry.Counter
-	telCacheNear *telemetry.Counter
-	// Per-workload subcache series (nil without Config.Workload); the
-	// instruments are nil-safe so call sites never branch.
-	telCacheHitW  *telemetry.Counter
-	telCacheMissW *telemetry.Counter
-	telCacheRejW  *telemetry.Counter
-	telCacheNearW *telemetry.Counter
-	tracer        *telemetry.Tracer
-	runID         string
+	telIters  *telemetry.Counter
+	telClamps *telemetry.Counter
+	telSolves *telemetry.Counter
+	telInfeas *telemetry.Counter
+	telNear   *telemetry.Counter
+	tracer    *telemetry.Tracer
+	runID     string
 	// parentSpan is the span ID the next solve/solve_batch spans nest under,
 	// set per expand step by core.Run (and per batch by SolveBatch itself).
 	parentSpan atomic.Uint64
@@ -238,28 +214,15 @@ func NewOnEvaluator(ev *problem.Evaluator, cfg Config) (*Solver, error) {
 		k:   ev.NumObjectives(),
 		sem: make(chan struct{}, cfg.Workers-1),
 	}
-	if cfg.CacheCap >= 0 {
-		cap := cfg.CacheCap
-		if cap == 0 {
-			cap = 512
-		}
-		s.cache = newSubCache(cap)
+	if cfg.NearStarts {
+		s.near = &nearStore{boxes: make(map[string]nearBox)}
 	}
 	if tel := cfg.Telemetry; tel != nil {
 		s.telIters = tel.Metrics.Counter(telemetry.MetricMOGDIterations)
 		s.telClamps = tel.Metrics.Counter(telemetry.MetricMOGDClamps)
 		s.telSolves = tel.Metrics.Counter(telemetry.MetricMOGDSolves)
 		s.telInfeas = tel.Metrics.Counter(telemetry.MetricMOGDInfeasible)
-		s.telCacheHit = tel.Metrics.Counter(telemetry.MetricMOGDCacheHit)
-		s.telCacheMiss = tel.Metrics.Counter(telemetry.MetricMOGDCacheMiss)
-		s.telCacheRej = tel.Metrics.Counter(telemetry.MetricMOGDCacheRej)
-		s.telCacheNear = tel.Metrics.Counter(telemetry.MetricMOGDCacheNear)
-		if cfg.Workload != "" {
-			s.telCacheHitW = tel.Metrics.Counter(telemetry.Labeled(telemetry.MetricMOGDCacheHit, "workload", cfg.Workload))
-			s.telCacheMissW = tel.Metrics.Counter(telemetry.Labeled(telemetry.MetricMOGDCacheMiss, "workload", cfg.Workload))
-			s.telCacheRejW = tel.Metrics.Counter(telemetry.Labeled(telemetry.MetricMOGDCacheRej, "workload", cfg.Workload))
-			s.telCacheNearW = tel.Metrics.Counter(telemetry.Labeled(telemetry.MetricMOGDCacheNear, "workload", cfg.Workload))
-		}
+		s.telNear = tel.Metrics.Counter(telemetry.MetricMOGDCacheNear)
 		s.tracer = tel.Trace
 		s.runID = cfg.RunID
 	}
@@ -493,13 +456,12 @@ func (s *Solver) roundCandidates(sc *solveScratch) {
 func (s *Solver) solveAllStarts(co solver.CO, seed int64, snap uint64, sc *solveScratch) {
 	s.fillStarts(seed, sc.X)
 	// Near warm start (Config.NearStarts): replace the LAST random draw with
-	// the nearest cached neighbour's solution. Overwriting after fillStarts
+	// the nearest stored neighbour's solution. Overwriting after fillStarts
 	// keeps the RNG draw sequence — and with it every other start row —
 	// identical to the cold path; keeping rows 0..n-2 preserves the center
 	// start and the exploration draws.
-	if snap != 0 && sc.X.Rows >= 2 && s.nearWarmStart(co, snap, sc.X.Row(sc.X.Rows-1)) {
-		s.telCacheNear.Add(1)
-		s.telCacheNearW.Add(1)
+	if snap != 0 && sc.X.Rows >= 2 && s.near.warmStart(co, snap, sc.X.Row(sc.X.Rows-1)) {
+		s.telNear.Add(1)
 	}
 	for i := range sc.mAdam.Data {
 		sc.mAdam.Data[i] = 0
@@ -606,28 +568,19 @@ func (s *Solver) solveAllStarts(co solver.CO, seed int64, snap uint64, sc *solve
 // goroutine (parallelism lives at the SolveBatch probe level); the result is
 // deterministic: the start points come from one seeded RNG, the per-row
 // arithmetic matches sequential per-start descent bit-for-bit, and the
-// incumbents are reduced in start order. A subproblem-cache hit (same co and
-// seed solved before) replays the remembered solution without any model
-// passes — bit-identical to re-solving, see Config.CacheCap.
+// incumbents are reduced in start order.
 func (s *Solver) Solve(co solver.CO, seed int64) (objective.Solution, bool) {
 	return s.solve(co, seed, 0)
 }
 
-// solve is Solve with a cache-snapshot epoch: snap == 0 means "no near warm
+// solve is Solve with a store-snapshot epoch: snap == 0 means "no near warm
 // starts" (the standalone path); SolveBatch passes its batch epoch so probes
-// may warm-start from entries cached before the batch began.
+// may warm-start from boxes stored before the batch began.
 func (s *Solver) solve(co solver.CO, seed int64, snap uint64) (objective.Solution, bool) {
 	s.checkBounds(co)
-	// The solve span covers cache lookup and descent alike; a replay ends it
-	// immediately with the "cache_replay" detail, so the timeline attributes
-	// replayed probes to the mogd phase without hiding that they were cheap.
 	var span telemetry.Span
 	if s.telSolves != nil {
 		span = s.tracer.StartSpan(telemetry.LevelRun, s.runID, s.parentSpan.Load(), "mogd", "solve")
-	}
-	if sol, ok, hit := s.cacheGet(co, seed); hit {
-		span.End("cache_replay", nil)
-		return sol, ok
 	}
 	sc := s.scratch.Get().(*solveScratch)
 	s.solveAllStarts(co, seed, snap, sc)
@@ -654,7 +607,9 @@ func (s *Solver) solve(co solver.CO, seed int64, snap uint64) (objective.Solutio
 		s.observeSolve(co, sc.res, sol, found, span)
 	}
 	s.scratch.Put(sc)
-	s.cachePut(co, seed, sol, found)
+	if found && s.near != nil {
+		s.near.put(co, seed, sol.X, s.epoch.Load())
+	}
 	return sol, found
 }
 
@@ -774,8 +729,8 @@ func (s *Solver) SolveBatch(cos []solver.CO, seed int64) []solver.Result {
 		}()
 	}
 	// The batch epoch freezes the near-warm-start snapshot: whatever the
-	// cache held before this line is fair game for every probe; whatever the
-	// probes themselves insert is not. With NearStarts off the bump is inert.
+	// store held before this line is fair game for every probe; whatever the
+	// probes themselves store is not.
 	var snap uint64
 	if s.cfg.NearStarts {
 		snap = s.epoch.Add(1)
@@ -808,44 +763,43 @@ func (s *Solver) Minimize(target int, seed int64) (objective.Solution, bool) {
 	return s.Solve(solver.CO{Target: target, Lo: lo, Hi: hi}, seed)
 }
 
-// subCache is the cross-expand subproblem cache: an LRU map from the exact
-// (target, seed, constraint box) key to the solved incumbent. The PF expand
-// loop and service-level re-optimizations keep revisiting the same
-// ε-constraint rectangles; replaying the remembered solution is bit-identical
-// to re-solving because solves are deterministic functions of (co, seed).
-type subCache struct {
-	mu      sync.Mutex
-	cap     int
-	lru     *list.List // front = most recently used
-	entries map[string]*list.Element
-	// Stats mirror the telemetry counters for callers without a registry.
-	hits, misses, rejects, nearHits uint64
+func cloneSolution(sol objective.Solution) objective.Solution {
+	var out objective.Solution
+	if sol.F != nil {
+		out.F = sol.F.Clone()
+	}
+	if sol.X != nil {
+		out.X = append([]float64(nil), sol.X...)
+	}
+	return out
 }
 
-type cacheEntry struct {
-	key string
-	sol objective.Solution
-	ok  bool
-	// target, lo and hi identify the entry's ε-constraint box for the
-	// NearStarts neighbour search (lo/hi are copies of the solved CO's
-	// bounds); epoch is the solver epoch at insertion, gating which batches
-	// may warm-start from this entry.
+// nearCap bounds a NearStarts solver's store of solved boxes; the oldest box
+// leaves first.
+const nearCap = 512
+
+// nearStore holds the ε-constraint boxes a NearStarts solver solved
+// feasibly, keyed by boxKey. A re-solved box keeps its first entry.
+type nearStore struct {
+	mu    sync.Mutex
+	boxes map[string]nearBox
+	order []string // keys, oldest first
+	hits  uint64   // warm starts served
+}
+
+// nearBox is one solved box: its target and bounds (copies of the CO's), the
+// solution's configuration, and the solver epoch when it was stored, which
+// gates which batches may warm-start from it.
+type nearBox struct {
 	target int
 	lo, hi []float64
+	x      []float64
 	epoch  uint64
 }
 
-func newSubCache(cap int) *subCache {
-	return &subCache{
-		cap:     cap,
-		lru:     list.New(),
-		entries: make(map[string]*list.Element),
-	}
-}
-
-// cacheKey encodes (target, seed, Lo, Hi) exactly — raw float64 bits — so
+// boxKey encodes (target, seed, Lo, Hi) exactly — raw float64 bits — so
 // distinct constraint boxes can never collide.
-func cacheKey(co solver.CO, seed int64) string {
+func boxKey(co solver.CO, seed int64) string {
 	b := make([]byte, 16+16*len(co.Lo))
 	binary.LittleEndian.PutUint64(b, uint64(co.Target))
 	binary.LittleEndian.PutUint64(b[8:], uint64(seed))
@@ -861,96 +815,30 @@ func cacheKey(co solver.CO, seed int64) string {
 	return string(b)
 }
 
-func cloneSolution(sol objective.Solution) objective.Solution {
-	var out objective.Solution
-	if sol.F != nil {
-		out.F = sol.F.Clone()
-	}
-	if sol.X != nil {
-		out.X = append([]float64(nil), sol.X...)
-	}
-	return out
-}
-
-// cacheGet looks up the solved subproblem. The poison guard lives here: a
-// cached "feasible" incumbent whose values violate the requested constraint
-// box (possible only through external Prime calls or model retraining without
-// ResetCache) is rejected and evicted rather than returned, so a stale or
-// hostile entry can never leak an out-of-box solution into a frontier.
-func (s *Solver) cacheGet(co solver.CO, seed int64) (objective.Solution, bool, bool) {
-	c := s.cache
-	if c == nil {
-		return objective.Solution{}, false, false
-	}
-	key := cacheKey(co, seed)
-	c.mu.Lock()
-	el, found := c.entries[key]
-	if !found {
-		c.misses++
-		c.mu.Unlock()
-		s.telCacheMiss.Add(1)
-		s.telCacheMissW.Add(1)
-		return objective.Solution{}, false, false
-	}
-	e := el.Value.(*cacheEntry)
-	if e.ok && !s.feasible(co, e.sol.F) {
-		c.lru.Remove(el)
-		delete(c.entries, key)
-		c.rejects++
-		c.misses++
-		c.mu.Unlock()
-		s.telCacheRej.Add(1)
-		s.telCacheRejW.Add(1)
-		s.telCacheMiss.Add(1)
-		s.telCacheMissW.Add(1)
-		return objective.Solution{}, false, false
-	}
-	c.lru.MoveToFront(el)
-	sol := cloneSolution(e.sol)
-	ok := e.ok
-	c.hits++
-	c.mu.Unlock()
-	s.telCacheHit.Add(1)
-	s.telCacheHitW.Add(1)
-	return sol, ok, true
-}
-
-func (s *Solver) cachePut(co solver.CO, seed int64, sol objective.Solution, ok bool) {
-	if s.cache == nil {
+func (st *nearStore) put(co solver.CO, seed int64, x []float64, epoch uint64) {
+	key := boxKey(co, seed)
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if _, dup := st.boxes[key]; dup {
 		return
 	}
-	s.cache.put(cacheKey(co, seed), cloneSolution(sol), ok, co, s.epoch.Load())
-}
-
-func (c *subCache) put(key string, sol objective.Solution, ok bool, co solver.CO, epoch uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, exists := c.entries[key]; exists {
-		// Overwrite keeps the original insertion epoch: an entry that was
-		// already visible to running batches stays visible, one that wasn't
-		// doesn't become so mid-batch.
-		e := el.Value.(*cacheEntry)
-		e.sol, e.ok = sol, ok
-		c.lru.MoveToFront(el)
-		return
+	if len(st.order) == nearCap {
+		delete(st.boxes, st.order[0])
+		st.order = append(st.order[:0], st.order[1:]...)
 	}
-	for c.lru.Len() >= c.cap {
-		back := c.lru.Back()
-		delete(c.entries, back.Value.(*cacheEntry).key)
-		c.lru.Remove(back)
-	}
-	c.entries[key] = c.lru.PushFront(&cacheEntry{
-		key: key, sol: sol, ok: ok,
+	st.order = append(st.order, key)
+	st.boxes[key] = nearBox{
 		target: co.Target,
 		lo:     append([]float64(nil), co.Lo...),
 		hi:     append([]float64(nil), co.Hi...),
+		x:      append([]float64(nil), x...),
 		epoch:  epoch,
-	})
+	}
 }
 
 // boxDistance is the L1 distance between the requested constraint box and a
-// cached entry's box over their finite bounds. Boxes whose infinity patterns
-// differ answer a structurally different subproblem and are incomparable.
+// stored box over their finite bounds. Boxes whose infinity patterns differ
+// answer a structurally different subproblem and are incomparable.
 func boxDistance(co solver.CO, lo, hi []float64) (float64, bool) {
 	d := 0.0
 	for j := range co.Lo {
@@ -972,96 +860,45 @@ func boxDistance(co solver.CO, lo, hi []float64) (float64, bool) {
 	return d, true
 }
 
-// nearWarmStart copies the nearest visible cached neighbour's solution into
-// dst and reports whether it found one. Only feasible entries with the same
-// target, a comparable box, and an insertion epoch before snap qualify; ties
-// in distance break toward the smaller key so the scan is independent of map
-// iteration order. (A same-box different-seed entry has distance 0 — the
-// most common near hit in PF's re-probing pattern.)
-func (s *Solver) nearWarmStart(co solver.CO, snap uint64, dst []float64) bool {
-	if !s.cfg.NearStarts || s.cache == nil {
-		return false
-	}
-	c := s.cache
-	c.mu.Lock()
-	defer c.mu.Unlock()
+// warmStart copies the nearest visible stored neighbour's solution into dst
+// and reports whether it found one. Only boxes with the same target, a
+// comparable box, and a store epoch before snap qualify; ties in distance
+// break toward the smaller key so the scan is independent of map iteration
+// order. (A same-box different-seed entry has distance 0 — the most common
+// near hit in PF's re-probing pattern.)
+func (st *nearStore) warmStart(co solver.CO, snap uint64, dst []float64) bool {
+	st.mu.Lock()
+	defer st.mu.Unlock()
 	bestD := math.Inf(1)
 	bestKey := ""
 	var bestX []float64
-	for key, el := range c.entries {
-		e := el.Value.(*cacheEntry)
-		if e.epoch >= snap || !e.ok || e.target != co.Target || len(e.sol.X) != len(dst) {
+	for key, b := range st.boxes {
+		if b.epoch >= snap || b.target != co.Target {
 			continue
 		}
-		d, comparable := boxDistance(co, e.lo, e.hi)
+		d, comparable := boxDistance(co, b.lo, b.hi)
 		if !comparable {
 			continue
 		}
 		if d < bestD || (d == bestD && key < bestKey) {
-			bestD, bestKey, bestX = d, key, e.sol.X
+			bestD, bestKey, bestX = d, key, b.x
 		}
 	}
 	if bestX == nil {
 		return false
 	}
 	copy(dst, bestX)
-	c.nearHits++
+	st.hits++
 	return true
 }
 
-// Prime seeds the subproblem cache with an externally-known incumbent — e.g.
-// a neighbouring ε-constraint rectangle's solution that the caller knows also
-// solves this box. The solution is cloned; a later Solve with the same (co,
-// seed) replays it instead of descending. Feasibility is NOT validated here:
-// the poison guard in cacheGet re-checks the incumbent against the box at
-// lookup time, so a bad priming is rejected then, not silently clamped in.
-// No-op when the cache is disabled.
-func (s *Solver) Prime(co solver.CO, seed int64, sol objective.Solution, ok bool) {
-	s.checkBounds(co)
-	if s.cache == nil {
-		return
-	}
-	if ok && (len(sol.F) != s.k || len(sol.X) != s.dim) {
-		panic(fmt.Sprintf("mogd: Prime solution has %d objectives and %d dims, want %d and %d",
-			len(sol.F), len(sol.X), s.k, s.dim))
-	}
-	s.cache.put(cacheKey(co, seed), cloneSolution(sol), ok, co, s.epoch.Load())
-}
-
-// ResetCache drops every cached subproblem. Callers that retrain or swap the
-// underlying models must call this — cached incumbents encode the old models'
-// values.
-func (s *Solver) ResetCache() {
-	c := s.cache
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	c.lru.Init()
-	c.entries = make(map[string]*list.Element)
-	c.mu.Unlock()
-}
-
-// CacheStats returns the subproblem cache's hit, miss, and poison-reject
-// counts (all zero when the cache is disabled).
-func (s *Solver) CacheStats() (hits, misses, rejects uint64) {
-	c := s.cache
-	if c == nil {
-		return 0, 0, 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses, c.rejects
-}
-
-// CacheNearHits returns how many solves were warm-started from a cached
-// neighbour (NearStarts). Always zero with NearStarts off or no cache.
+// CacheNearHits returns how many solves were warm-started from a stored
+// neighbour. Always zero without NearStarts.
 func (s *Solver) CacheNearHits() uint64 {
-	c := s.cache
-	if c == nil {
+	if s.near == nil {
 		return 0
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.nearHits
+	s.near.mu.Lock()
+	defer s.near.mu.Unlock()
+	return s.near.hits
 }

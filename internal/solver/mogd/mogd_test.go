@@ -213,3 +213,25 @@ func TestSolvePanicsOnBadBounds(t *testing.T) {
 func TestImplementsSolverInterface(t *testing.T) {
 	var _ solver.Solver = paperProblem(t, Config{})
 }
+
+// TestNearStoreBound: the near-start store keeps at most nearCap boxes,
+// dropping the oldest first, and a re-solved box keeps its first entry.
+func TestNearStoreBound(t *testing.T) {
+	st := &nearStore{boxes: make(map[string]nearBox)}
+	box := func(i int) solver.CO {
+		return solver.CO{Target: 0, Lo: []float64{0}, Hi: []float64{float64(i)}}
+	}
+	for i := 0; i <= nearCap; i++ {
+		st.put(box(i), 1, []float64{float64(i)}, 1)
+	}
+	st.put(box(nearCap), 1, []float64{-1}, 2)
+	if len(st.boxes) != nearCap || len(st.order) != nearCap {
+		t.Fatalf("store holds %d boxes under %d keys, want %d", len(st.boxes), len(st.order), nearCap)
+	}
+	if _, ok := st.boxes[boxKey(box(0), 1)]; ok {
+		t.Fatal("the oldest box survived an overflow")
+	}
+	if b := st.boxes[boxKey(box(nearCap), 1)]; b.x[0] != nearCap || b.epoch != 1 {
+		t.Fatalf("a re-solved box replaced its first entry: %+v", b)
+	}
+}

@@ -348,15 +348,23 @@ func (r *Registry) WriteProm(w *strings.Builder) {
 	sort.Strings(names)
 	for _, n := range names {
 		h := r.hists[n]
-		meta(baseName(n), "histogram")
+		// A labeled series keeps its label block after the _bucket, _sum and
+		// _count suffixes; buckets add le to that block.
+		base := baseName(n)
+		block := n[len(base):]
+		le := "{"
+		if block != "" {
+			le = block[:len(block)-1] + ","
+		}
+		meta(base, "histogram")
 		cum := uint64(0)
 		for i, b := range h.bounds {
 			cum += h.counts[i].Load()
-			fmt.Fprintf(w, "%s_bucket{le=%q} %d\n", n, fmtBound(b), cum)
+			fmt.Fprintf(w, "%s_bucket%sle=%q} %d\n", base, le, fmtBound(b), cum)
 		}
-		fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", n, h.Count())
-		fmt.Fprintf(w, "%s_sum %g\n", n, h.Sum())
-		fmt.Fprintf(w, "%s_count %d\n", n, h.Count())
+		fmt.Fprintf(w, "%s_bucket%sle=\"+Inf\"} %d\n", base, le, h.Count())
+		fmt.Fprintf(w, "%s_sum%s %g\n", base, block, h.Sum())
+		fmt.Fprintf(w, "%s_count%s %d\n", base, block, h.Count())
 	}
 }
 

@@ -71,6 +71,7 @@ func TestPrometheusExposition(t *testing.T) {
 	tel.Metrics.Counter(MetricModelEvals).Add(7)
 	tel.Metrics.Counter(MetricHTTPRequests + `{route="/optimize",code="200"}`).Inc()
 	tel.Metrics.Histogram(MetricHTTPLatency, "", nil).Observe(0.003)
+	tel.Metrics.Histogram(Labeled(MetricPhaseSeconds, "phase", "pf"), "", nil).Observe(0.02)
 	tel.Metrics.Gauge(MetricPFUncertain).Set(0.25)
 
 	var b strings.Builder
@@ -87,6 +88,12 @@ func TestPrometheusExposition(t *testing.T) {
 		"# TYPE udao_http_latency_seconds histogram",
 		`udao_http_latency_seconds_bucket{le="0.005"} 1`,
 		"udao_http_latency_seconds_count 1",
+		// A labeled histogram keeps one label block, with le added to it.
+		`udao_phase_seconds_bucket{phase="pf",le="0.01"} 0`,
+		`udao_phase_seconds_bucket{phase="pf",le="0.025"} 1`,
+		`udao_phase_seconds_bucket{phase="pf",le="+Inf"} 1`,
+		`udao_phase_seconds_sum{phase="pf"} 0.02`,
+		`udao_phase_seconds_count{phase="pf"} 1`,
 		"udao_pf_uncertain_frac 0.25",
 	} {
 		if !strings.Contains(out, want) {
@@ -96,6 +103,12 @@ func TestPrometheusExposition(t *testing.T) {
 	// HELP/TYPE must be emitted once per family, not per labeled series.
 	if n := strings.Count(out, "# TYPE udao_http_requests_total counter"); n != 1 {
 		t.Fatalf("TYPE emitted %d times for one family", n)
+	}
+	if n := strings.Count(out, "# TYPE udao_phase_seconds histogram"); n != 1 {
+		t.Fatalf("TYPE emitted %d times for one histogram family", n)
+	}
+	if strings.Contains(out, "}_") {
+		t.Fatalf("a suffix follows a label block:\n%s", out)
 	}
 }
 

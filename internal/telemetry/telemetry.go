@@ -27,6 +27,7 @@ import (
 	"strconv"
 	"strings"
 	"sync/atomic"
+	"unicode/utf8"
 )
 
 // Standard metric names fed by the optimizer stack. They are pre-registered
@@ -44,15 +45,20 @@ const (
 	MetricMOGDClamps     = "udao_mogd_clamps_total"
 	MetricMOGDSolves     = "udao_mogd_solves_total"
 	MetricMOGDInfeasible = "udao_mogd_infeasible_total"
-	MetricMOGDCacheHit   = "udao_mogd_subcache_hits_total"
-	MetricMOGDCacheMiss  = "udao_mogd_subcache_misses_total"
-	MetricMOGDCacheRej   = "udao_mogd_subcache_rejects_total"
 	MetricPFProbes       = "udao_pf_probes_total"
 	MetricPFExpansions   = "udao_pf_expansions_total"
-	MetricPFArenaReuse   = "udao_pf_arena_reuses_total"
 	MetricPFUncertain    = "udao_pf_uncertain_frac"
 	MetricModelTrainings = "udao_model_trainings_total"
 	MetricModelTrainTime = "udao_model_train_seconds"
+)
+
+// Nothing feeds MetricMOGDCacheHit and MetricMOGDCacheMiss, and New does not
+// register them: MOGD replays no subproblems, because a PF run poses each
+// ε-constraint box once. They stay declared for servbench's per-layer
+// report, which reads them as zero.
+const (
+	MetricMOGDCacheHit  = "udao_mogd_subcache_hits_total"
+	MetricMOGDCacheMiss = "udao_mogd_subcache_misses_total"
 )
 
 // Frontier-quality and run-registry metric names, fed by the service layer
@@ -86,9 +92,9 @@ const (
 // these; udao_shed_total additionally appears per reason, e.g.
 // udao_shed_total{reason="admission"}, and the eviction counter per cause
 // (udao_serving_cache_evictions_total{reason="lru"|"ttl"}).
-// MetricMOGDCacheNear counts the PR-5 subproblem cache's near hits: exact-key
-// misses answered by warm-starting MOGD from the nearest cached
-// ε-constraint box (see mogd.Config.NearStarts).
+// MetricMOGDCacheNear counts MOGD near warm-starts: batch probes seeded from
+// the nearest ε-constraint box the solver solved before (see
+// mogd.Config.NearStarts).
 const (
 	MetricServingRequests  = "udao_serving_requests_total"
 	MetricServingHits      = "udao_serving_cache_hits_total"
@@ -151,12 +157,8 @@ func (t *Telemetry) registerStandard() {
 	r.Counter(MetricMOGDClamps, "MOGD boundary clamps applied")
 	r.Counter(MetricMOGDSolves, "MOGD constrained solves completed")
 	r.Counter(MetricMOGDInfeasible, "MOGD solves that found no feasible point")
-	r.Counter(MetricMOGDCacheHit, "MOGD subproblem-cache hits (solves replayed from a cached incumbent)")
-	r.Counter(MetricMOGDCacheMiss, "MOGD subproblem-cache misses")
-	r.Counter(MetricMOGDCacheRej, "MOGD subproblem-cache entries rejected by the constraint-box guard")
 	r.Counter(MetricPFProbes, "Progressive Frontier probes issued")
 	r.Counter(MetricPFExpansions, "Progressive Frontier Expand calls completed")
-	r.Counter(MetricPFArenaReuse, "PF expand-loop scratch-arena buffer reuses")
 	r.Gauge(MetricPFUncertain, "uncertain fraction of the last reported PF run")
 	r.Counter(MetricModelTrainings, "model server (re)trainings and fine-tunings")
 	r.Histogram(MetricModelTrainTime, "model server training latency in seconds", nil)
@@ -181,7 +183,7 @@ func (t *Telemetry) registerStandard() {
 	r.Gauge(MetricServingEntries, "optimizer entries currently held by the serving cache")
 	r.Gauge(MetricServingInflight, "solves currently holding an admission slot")
 	r.Counter(MetricShed, "requests shed by admission control (also per reason)")
-	r.Counter(MetricMOGDCacheNear, "MOGD subproblem-cache near hits (solves warm-started from the nearest cached box)")
+	r.Counter(MetricMOGDCacheNear, "MOGD near warm-starts (batch probes seeded from the nearest previously solved box)")
 	r.Counter(MetricServingWarmup, "serving-cache entries primed from the run registry at boot")
 	r.Counter(MetricCalibPairs, "prediction-outcome pairs appended to the calibration ledger (also per workload+objective)")
 	r.Gauge(MetricCalibMAPE, "rolling-window mean absolute relative prediction error per workload+objective")
@@ -195,7 +197,7 @@ func (t *Telemetry) registerStandard() {
 // `udao_solve_seconds{workload="q1"}`. The registry groups labeled series
 // with their base family on /metrics (see baseName).
 func Labeled(name, label, value string) string {
-	return fmt.Sprintf("%s{%s=%q}", name, label, value)
+	return name + "{" + label + `="` + labelEscaper.Replace(value) + `"}`
 }
 
 // Labeled2 renders the two-label variant of Labeled — label order is part of
@@ -203,13 +205,19 @@ func Labeled(name, label, value string) string {
 // Labeled2(MetricCalibMAPE, "workload", "q1", "objective", "latency") =
 // `udao_calib_mape{workload="q1",objective="latency"}`.
 func Labeled2(name, l1, v1, l2, v2 string) string {
-	return fmt.Sprintf("%s{%s=%q,%s=%q}", name, l1, v1, l2, v2)
+	return name + "{" + l1 + `="` + labelEscaper.Replace(v1) + `",` + l2 + `="` + labelEscaper.Replace(v2) + `"}`
 }
+
+// labelEscaper writes a label value as Prometheus text format defines it:
+// backslash, double quote and line feed are escaped, every other byte is
+// written as it is.
+var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
 
 // LabelValue reads one label's value back from a series name rendered by
 // Labeled or Labeled2, e.g. LabelValue(`udao_solve_seconds{workload="q1"}`,
-// "workload") = "q1", true. Values are unquoted, so a value holding the
-// block's own delimiters (`,`, `"`, `\`) reads back as it was written.
+// "workload") = "q1", true. A value reads back byte for byte as it was
+// written, whatever it holds. Go's other escapes are read too, so a label
+// block formatted with %q reads back as well.
 func LabelValue(series, label string) (string, bool) {
 	i := strings.IndexByte(series, '{')
 	if i < 0 {
@@ -221,18 +229,48 @@ func LabelValue(series, label string) (string, bool) {
 		if !ok {
 			return "", false
 		}
-		q, err := strconv.QuotedPrefix(quoted)
-		if err != nil {
+		v, tail, ok := unquoteLabel(quoted)
+		if !ok {
 			return "", false
 		}
 		if name == label {
-			v, err := strconv.Unquote(q)
-			return v, err == nil
+			return v, true
 		}
-		if rest, ok = strings.CutPrefix(quoted[len(q):], ","); !ok {
+		if rest, ok = strings.CutPrefix(tail, ","); !ok {
 			return "", false
 		}
 	}
+}
+
+// unquoteLabel reads the quoted label value at the start of s and returns it
+// with the rest of s after its closing quote. Bytes outside escapes are
+// taken as they are.
+func unquoteLabel(s string) (string, string, bool) {
+	if !strings.HasPrefix(s, `"`) {
+		return "", "", false
+	}
+	var b []byte
+	for s = s[1:]; s != ""; {
+		switch s[0] {
+		case '"':
+			return string(b), s[1:], true
+		case '\\':
+			r, multibyte, tail, err := strconv.UnquoteChar(s, '"')
+			if err != nil {
+				return "", "", false
+			}
+			if multibyte {
+				b = utf8.AppendRune(b, r)
+			} else {
+				b = append(b, byte(r))
+			}
+			s = tail
+		default:
+			b = append(b, s[0])
+			s = s[1:]
+		}
+	}
+	return "", "", false
 }
 
 // NextRunID returns a fresh process-unique run identifier with the given

@@ -23,9 +23,6 @@
 //   - hv_drop_streak: per workload, dropStreak (3) consecutive recorded runs
 //     with a negative hypervolume delta — the frontier is getting worse, not
 //     noisier. Evaluated over the run registry, so it survives restarts.
-//   - subcache_collapse: the MOGD subproblem cache's hit rate over the last
-//     window fell below hitRateFloor (0.10) with >= hitRateMin (50) lookups —
-//     the cross-expand reuse that keeps solves fast has stopped working.
 //   - latency_anomaly: the window's mean solve latency exceeded
 //     ewmaDeviation (3x) times its exponentially weighted moving average
 //     (factor ewmaFactor 0.3, trusted after ewmaMinObs 3 windows).
@@ -95,9 +92,6 @@ const (
 	sloBurnThreshold = 0.5 // slo_burn: breached fraction of the window's solves
 	sloBurnMin       = 4   // slo_burn: solves in the window before it is judged
 	dropStreak       = 3   // hv_drop_streak: consecutive runs with a negative delta
-
-	hitRateFloor = 0.10 // subcache_collapse: MOGD subproblem-cache hit-rate floor
-	hitRateMin   = 50   // subcache_collapse: lookups in the window before it is judged
 
 	ewmaFactor    = 0.3 // latency_anomaly, eval_stall: EWMA smoothing factor
 	ewmaDeviation = 3.0 // latency_anomaly, eval_stall: tolerated factor off the EWMA
@@ -286,7 +280,6 @@ func (w *Watchdog) EvalOnce() []Alert {
 	var raised []Alert
 	if w.hasPrev {
 		raised = append(raised, w.ruleSLOBurn(snap)...)
-		raised = append(raised, w.ruleSubcacheCollapse(snap)...)
 		raised = append(raised, w.ruleLatencyAnomaly(snap)...)
 		raised = append(raised, w.ruleEvalStall(snap, now)...)
 		raised = append(raised, w.ruleShedBurst(snap)...)
@@ -390,36 +383,33 @@ func (w *Watchdog) counterDelta(snap telemetry.Snapshot, name string) uint64 {
 	return cur - prev
 }
 
-// workloadSeries lists the workload label values present for a metric family
-// in the snapshot, sorted for deterministic sweep order.
-func workloadSeries(snap telemetry.Snapshot, family string) []string {
-	var out []string
-	seen := map[string]bool{}
+// ruleSLOBurn: per workload, breaches/(breaches+oks) over the window. A
+// workload's ok series is its breach series' label block on the ok family,
+// so the rule judges a workload whichever quoting wrote that block.
+func (w *Watchdog) ruleSLOBurn(snap telemetry.Snapshot) []Alert {
+	var blocks []string
 	for name := range snap.Counters {
-		if !strings.HasPrefix(name, family+"{") {
-			continue
-		}
-		if wl, ok := telemetry.LabelValue(name, "workload"); ok && !seen[wl] {
-			seen[wl] = true
-			out = append(out, wl)
+		if block, ok := strings.CutPrefix(name, telemetry.MetricSolveSLOBreach); ok && strings.HasPrefix(block, "{") {
+			blocks = append(blocks, block)
 		}
 	}
-	sort.Strings(out)
-	return out
-}
-
-// ruleSLOBurn: per workload, breaches/(breaches+oks) over the window.
-func (w *Watchdog) ruleSLOBurn(snap telemetry.Snapshot) []Alert {
+	sort.Strings(blocks)
 	var out []Alert
-	for _, wl := range workloadSeries(snap, telemetry.MetricSolveSLOBreach) {
-		breach := w.counterDelta(snap, telemetry.Labeled(telemetry.MetricSolveSLOBreach, "workload", wl))
-		ok := w.counterDelta(snap, telemetry.Labeled(telemetry.MetricSolveSLOOk, "workload", wl))
-		total := breach + ok
+	for _, block := range blocks {
+		wl, ok := telemetry.LabelValue(block, "workload")
+		if !ok {
+			continue
+		}
+		breachName := telemetry.MetricSolveSLOBreach + block
+		okName := telemetry.MetricSolveSLOOk + block
+		breach := w.counterDelta(snap, breachName)
+		oks := w.counterDelta(snap, okName)
+		total := breach + oks
 		if total < sloBurnMin {
 			continue
 		}
 		frac := float64(breach) / float64(total)
-		evidence := fmt.Sprintf("%d/%d", snap.Counters[telemetry.Labeled(telemetry.MetricSolveSLOBreach, "workload", wl)], snap.Counters[telemetry.Labeled(telemetry.MetricSolveSLOOk, "workload", wl)])
+		evidence := fmt.Sprintf("%d/%d", snap.Counters[breachName], snap.Counters[okName])
 		if !w.latch("slo_burn|"+wl, frac >= sloBurnThreshold, evidence) {
 			continue
 		}
@@ -432,40 +422,6 @@ func (w *Watchdog) ruleSLOBurn(snap telemetry.Snapshot) []Alert {
 			Value: frac, Threshold: sloBurnThreshold,
 			Summary: fmt.Sprintf("workload %q: %d of %d solves in the last window breached the latency SLO (%.0f%%)", wl, breach, total, 100*frac),
 		})
-	}
-	return out
-}
-
-// ruleSubcacheCollapse: MOGD subproblem-cache hit rate over the window.
-func (w *Watchdog) ruleSubcacheCollapse(snap telemetry.Snapshot) []Alert {
-	var out []Alert
-	check := func(key, wl, hitName, missName string) {
-		hits := w.counterDelta(snap, hitName)
-		misses := w.counterDelta(snap, missName)
-		lookups := hits + misses
-		if lookups < hitRateMin {
-			return
-		}
-		rate := float64(hits) / float64(lookups)
-		evidence := fmt.Sprintf("%d/%d", snap.Counters[hitName], snap.Counters[missName])
-		if !w.latch(key, rate < hitRateFloor, evidence) {
-			return
-		}
-		scope := "global"
-		if wl != "" {
-			scope = fmt.Sprintf("workload %q", wl)
-		}
-		out = append(out, Alert{
-			Rule: "subcache_collapse", Severity: "warning", Workload: wl,
-			Value: rate, Threshold: hitRateFloor,
-			Summary: fmt.Sprintf("%s: MOGD subproblem-cache hit rate %.1f%% over %d lookups (floor %.0f%%)", scope, 100*rate, lookups, 100*hitRateFloor),
-		})
-	}
-	check("subcache|", "", telemetry.MetricMOGDCacheHit, telemetry.MetricMOGDCacheMiss)
-	for _, wl := range workloadSeries(snap, telemetry.MetricMOGDCacheMiss) {
-		check("subcache|"+wl, wl,
-			telemetry.Labeled(telemetry.MetricMOGDCacheHit, "workload", wl),
-			telemetry.Labeled(telemetry.MetricMOGDCacheMiss, "workload", wl))
 	}
 	return out
 }

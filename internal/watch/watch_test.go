@@ -112,52 +112,63 @@ func TestPerWorkloadRulesReadQuotedNames(t *testing.T) {
 	for _, wl := range names {
 		tel.Metrics.Counter(telemetry.Labeled(telemetry.MetricSolveSLOBreach, "workload", wl)).Add(5)
 		tel.Metrics.Counter(telemetry.Labeled(telemetry.MetricSolveSLOOk, "workload", wl)).Add(1)
-		tel.Metrics.Counter(telemetry.Labeled(telemetry.MetricMOGDCacheMiss, "workload", wl)).Add(60)
 	}
 	raised := map[string]bool{}
 	for _, a := range w.EvalOnce() {
 		raised[a.Rule+" "+a.Workload] = true
 	}
 	for _, wl := range names {
-		for _, rule := range []string{"slo_burn", "subcache_collapse"} {
-			if !raised[rule+" "+wl] {
-				t.Errorf("no %s alert for workload %q; raised %v", rule, wl, raised)
-			}
+		if !raised["slo_burn "+wl] {
+			t.Errorf("no slo_burn alert for workload %q; raised %v", wl, raised)
 		}
 	}
 }
 
+// TestSLOBurnReadsGoQuotedBlocks: the service formats its per-workload SLO
+// series with %q, which writes a tab as \t where Labeled writes it as it
+// is; slo_burn still judges, and names, such a workload.
+func TestSLOBurnReadsGoQuotedBlocks(t *testing.T) {
+	tel := telemetry.New()
+	w := newWatchdog(t, Config{Telemetry: tel})
+	const wl = "a\tb"
+
+	w.EvalOnce() // baseline
+	tel.Metrics.Counter(fmt.Sprintf("%s{workload=%q}", telemetry.MetricSolveSLOBreach, wl)).Add(5)
+	tel.Metrics.Counter(fmt.Sprintf("%s{workload=%q}", telemetry.MetricSolveSLOOk, wl)).Add(1)
+	raised := w.EvalOnce()
+	if len(raised) != 1 || raised[0].Rule != "slo_burn" || raised[0].Workload != wl {
+		t.Fatalf("want one slo_burn alert for %q, got %+v", wl, raised)
+	}
+}
+
+// TestSubcacheCollapseAndLatencyAnomaly: a window in which MOGD's subproblem
+// counters record no hits is healthy, since a PF run poses each box once and
+// no rule judges those counters; the same window's latency spike is an
+// anomaly.
 func TestSubcacheCollapseAndLatencyAnomaly(t *testing.T) {
 	tel := telemetry.New()
 	clock := newClock()
 	w := newWatchdog(t, Config{Telemetry: tel, Now: clock.now})
 
-	hit := tel.Metrics.Counter(telemetry.MetricMOGDCacheHit)
 	miss := tel.Metrics.Counter(telemetry.MetricMOGDCacheMiss)
 	lat := tel.Metrics.Histogram(telemetry.MetricSolveLatency, "", nil)
 
 	w.EvalOnce() // baseline
 	// Healthy windows establish the latency EWMA (~0.1s).
 	for i := 0; i < 4; i++ {
-		hit.Add(80)
-		miss.Add(20)
 		lat.Observe(0.1)
 		clock.tick(15 * time.Second)
 		if got := w.EvalOnce(); len(got) != 0 {
 			t.Fatalf("healthy window %d raised %v", i, got)
 		}
 	}
-	// Collapse the cache and spike latency in one window.
+	// No subproblem hits in 100 lookups, and a latency spike, in one window.
 	miss.Add(100)
 	lat.Observe(2.0)
 	clock.tick(15 * time.Second)
 	raised := w.EvalOnce()
-	rules := map[string]bool{}
-	for _, a := range raised {
-		rules[a.Rule] = true
-	}
-	if !rules["subcache_collapse"] || !rules["latency_anomaly"] {
-		t.Fatalf("want subcache_collapse and latency_anomaly, got %+v", raised)
+	if len(raised) != 1 || raised[0].Rule != "latency_anomaly" {
+		t.Fatalf("want only latency_anomaly, got %+v", raised)
 	}
 }
 

@@ -102,9 +102,8 @@ type Options struct {
 	// ("opt-N") when Telemetry is set and RunID is empty.
 	RunID string
 	// Workload, when set together with Telemetry, labels the per-workload
-	// metric series fed below this optimizer (the uncertain-fraction gauge,
-	// the MOGD subproblem-cache counters). Typically the workload name of
-	// the originating service request.
+	// uncertain-fraction gauge this optimizer's PF loop feeds. Typically the
+	// workload name of the originating service request.
 	Workload string
 }
 
@@ -295,9 +294,9 @@ func (o *Optimizer) evaluator() (*problem.Evaluator, error) {
 
 func (o *Optimizer) mogdSolver(ev *problem.Evaluator) (*mogd.Solver, error) {
 	// NearStarts: the PF loop's batches revisit neighbouring ε-constraint
-	// boxes across expands, which is exactly the access pattern the
-	// subproblem cache's near-warm-start exploits.
-	return mogd.NewOnEvaluator(ev, mogd.Config{Starts: o.opt.Starts, Iters: o.opt.Iters, Alpha: o.opt.Alpha, Seed: o.opt.Seed, NearStarts: true, Telemetry: o.opt.Telemetry, RunID: o.opt.RunID, Workload: o.opt.Workload})
+	// boxes across expands, which is exactly the access pattern the near
+	// warm-start exploits.
+	return mogd.NewOnEvaluator(ev, mogd.Config{Starts: o.opt.Starts, Iters: o.opt.Iters, Alpha: o.opt.Alpha, Seed: o.opt.Seed, NearStarts: true, Telemetry: o.opt.Telemetry, RunID: o.opt.RunID})
 }
 
 // FrontierPoints returns the cached frontier as minimization-oriented

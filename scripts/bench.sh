@@ -27,13 +27,10 @@
 #                        the solve hot path; must stay 0 allocs/op)
 #   internal/solver/mogd MOGDSolve / MOGDSolveSerial / MOGDSolveBatch
 #   internal/moo/ws, nc  WSRun / NCRun  (baseline inner loops)
-#   internal/core        Sequential / Parallel  (the PF-AS / PF-AP loops on
-#                        one solver: after the first iteration they replay
-#                        the subproblem cache, so they measure PF over cache
-#                        replays) / SequentialCold / ParallelCold  (a fresh
-#                        solver per iteration over the server's objective
-#                        shape, DNN latency + the exact cores objective: the
-#                        cold solve of a new job)
+#   internal/core        SequentialCold / ParallelCold  (PF-AS / PF-AP on a
+#                        fresh solver per iteration over the server's
+#                        objective shape, DNN latency + the exact cores
+#                        objective: the cold solve of a new job)
 #   internal/serving     ServingCacheHit / ServingCacheInsert /
 #                        CoalescedDispatch  (the serving cache's steady-state
 #                        lease path, eviction churn, and singleflight dispatch)
@@ -60,7 +57,7 @@ go test -run '^$' -bench 'Lookup|Get' -benchmem -benchtime 1s ./internal/space/ 
 go test -run '^$' -bench 'Span' -benchmem -benchtime 1s ./internal/telemetry/ >>"$RAW"
 go test -run '^$' -bench 'MOGD' -benchmem -benchtime 1s ./internal/solver/mogd/ >>"$RAW"
 go test -run '^$' -bench 'WSRun|NCRun' -benchmem -benchtime 1s ./internal/moo/ws/ ./internal/moo/nc/ >>"$RAW"
-go test -run '^$' -bench 'Sequential|Parallel' -benchmem -benchtime 1s ./internal/core/ >>"$RAW"
+go test -run '^$' -bench 'Cold' -benchmem -benchtime 1s ./internal/core/ >>"$RAW"
 go test -run '^$' -bench 'Serving|Coalesced' -benchmem -benchtime 1s ./internal/serving/ >>"$RAW"
 go test -run '^$' -bench 'RegistryAppend' -benchmem -benchtime 1s ./internal/runlog/ >>"$RAW"
 go test -run '^$' -bench 'Calib' -benchmem -benchtime 1s ./internal/calib/ >>"$RAW"
