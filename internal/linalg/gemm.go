@@ -9,11 +9,10 @@ import (
 // forward/backward pass (internal/model/dnn) and everything built on it
 // (batched MOGD multi-start, population evaluation in the moo baselines).
 //
-// All three kernels accumulate into C:
+// Both kernels accumulate into C:
 //
-//	GemmNN:  C += A·B
-//	GemmNT:  C += A·Bᵀ
-//	GemmTN:  C += Aᵀ·B
+//	GemmNN:  C += A·B   (the batched backward pass: deltas times weights)
+//	GemmNT:  C += A·Bᵀ  (the batched forward pass: inputs times weightsᵀ)
 //
 // Determinism contract: every output element C[i,j] is a running sum that
 // starts from the value already stored in C and adds its products in strictly
@@ -165,24 +164,6 @@ func GemmNN(a, b, c *Matrix) {
 		for k := 0; k < kk; k++ {
 			av := arow[k]
 			brow := b.Row(k)[:nn]
-			for j, bv := range brow {
-				crow[j] += av * bv
-			}
-		}
-	}
-}
-
-// GemmTN computes C += Aᵀ·B for row-major A (K×m), B (K×n), C (m×n) — the
-// weight-gradient layout (inputsᵀ times deltas) offered for completeness and
-// future batched training. The k-i-j order keeps ascending-k accumulation.
-func GemmTN(a, b, c *Matrix) {
-	kk, m, n := a.Rows, a.Cols, b.Cols
-	checkGemm("GemmTN", m, kk, b.Rows, n, c.Rows, c.Cols, a, b, c)
-	for k := 0; k < kk; k++ {
-		arow := a.Row(k)[:m]
-		brow := b.Row(k)[:n]
-		for i, av := range arow {
-			crow := c.Row(i)[:n]
 			for j, bv := range brow {
 				crow[j] += av * bv
 			}

@@ -29,6 +29,6 @@ func BenchmarkGEMMScalarRef(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		refGemm(a, w, c, false, true)
+		refGemm(a, w, c, true)
 	}
 }

@@ -47,14 +47,9 @@ func (l Latency) Predict(x []float64) float64 {
 	return l.Serial + l.Work/cores + l.Shuffle*math.Log2(1+cores)
 }
 
-// Gradient implements model.Gradienter with the analytic derivative.
-func (l Latency) Gradient(x []float64) []float64 {
-	_, g := l.ValueGrad(x, nil)
-	return g
-}
-
-// ValueGrad implements model.ValueGradienter; the core count and its partial
-// derivatives are shared between the value and the gradient.
+// ValueGrad implements model.ValueGradienter with the analytic derivative;
+// the core count and its partial derivatives are shared between the value
+// and the gradient.
 func (l Latency) ValueGrad(x, grad []float64) (float64, []float64) {
 	g := model.GradBuf(grad, l.D)
 	for i := range g {
@@ -85,12 +80,6 @@ func (c CoreCost) Dim() int { return c.D }
 // Predict implements model.Model.
 func (c CoreCost) Predict(x []float64) float64 {
 	return (1 + x[0]*(c.MaxExec-1)) * (1 + x[1]*(c.MaxCores-1))
-}
-
-// Gradient implements model.Gradienter.
-func (c CoreCost) Gradient(x []float64) []float64 {
-	_, g := c.ValueGrad(x, nil)
-	return g
 }
 
 // ValueGrad implements model.ValueGradienter.

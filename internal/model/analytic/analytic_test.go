@@ -28,8 +28,8 @@ func TestLatencyGradientMatchesNumeric(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for i := 0; i < 50; i++ {
 		x := []float64{0.05 + 0.9*rng.Float64(), 0.05 + 0.9*rng.Float64()}
-		a := l.Gradient(x)
-		n := num.Gradient(x)
+		_, a := l.ValueGrad(x, nil)
+		_, n := num.ValueGrad(x, nil)
 		for d := range a {
 			if math.Abs(a[d]-n[d]) > 1e-3*(1+math.Abs(n[d])) {
 				t.Fatalf("gradient mismatch at %v dim %d: analytic %v numeric %v", x, d, a[d], n[d])
@@ -48,7 +48,8 @@ func TestCoreCost(t *testing.T) {
 	}
 	num := model.NumericGradient{M: c}
 	x := []float64{0.4, 0.6}
-	a, n := c.Gradient(x), num.Gradient(x)
+	_, a := c.ValueGrad(x, nil)
+	_, n := num.ValueGrad(x, nil)
 	for d := range a {
 		if math.Abs(a[d]-n[d]) > 1e-3*(1+math.Abs(n[d])) {
 			t.Fatalf("CoreCost gradient mismatch: %v vs %v", a, n)

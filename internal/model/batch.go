@@ -21,23 +21,12 @@ type BatchPredictor interface {
 	PredictBatch(X *linalg.Matrix, y []float64)
 }
 
-// BatchValueGradienter is a Model with a fused batched value+gradient pass.
-type BatchValueGradienter interface {
-	Model
-	// ValueGradBatch writes Predict(X.Row(r)) into y[r] and the input
-	// gradient at X.Row(r) into G.Row(r) for every row.
-	ValueGradBatch(X *linalg.Matrix, y []float64, G *linalg.Matrix)
-}
-
-func checkBatch(m Model, X *linalg.Matrix, y []float64, G *linalg.Matrix) {
+func checkBatch(m Model, X *linalg.Matrix, y []float64) {
 	if X.Cols != m.Dim() {
 		panic(fmt.Sprintf("model: batch input has %d columns, model dim %d", X.Cols, m.Dim()))
 	}
 	if len(y) != X.Rows {
 		panic(fmt.Sprintf("model: batch output length %d != %d rows", len(y), X.Rows))
-	}
-	if G != nil && (G.Rows != X.Rows || G.Cols != X.Cols) {
-		panic(fmt.Sprintf("model: batch gradient is %dx%d, want %dx%d", G.Rows, G.Cols, X.Rows, X.Cols))
 	}
 }
 
@@ -48,24 +37,9 @@ func PredictBatch(m Model, X *linalg.Matrix, y []float64) {
 		bp.PredictBatch(X, y)
 		return
 	}
-	checkBatch(m, X, y, nil)
+	checkBatch(m, X, y)
 	for r := 0; r < X.Rows; r++ {
 		y[r] = m.Predict(X.Row(r))
-	}
-}
-
-// ValueGradBatch evaluates values and input gradients for every row of X,
-// using the model's native batched pass when it has one and per-row fused
-// ValueGrad calls otherwise.
-func ValueGradBatch(m Model, X *linalg.Matrix, y []float64, G *linalg.Matrix) {
-	if bg, ok := m.(BatchValueGradienter); ok {
-		bg.ValueGradBatch(X, y, G)
-		return
-	}
-	checkBatch(m, X, y, G)
-	vg := EnsureValueGrad(m)
-	for r := 0; r < X.Rows; r++ {
-		y[r], _ = vg.ValueGrad(X.Row(r), G.Row(r))
 	}
 }
 
@@ -83,8 +57,8 @@ type BatchGrad interface {
 // BatchForwarder is a Model whose batched fused pass can defer the backward
 // half: callers that only sometimes need gradients (the MOGD loss skips every
 // objective whose constraint is inactive) pay for the backward pass only when
-// they ask for it. Values and gradients must match the scalar path
-// bit-for-bit, like the other batch contracts.
+// they ask for it. Values and gradients must match the scalar ValueGrad
+// bit-for-bit.
 type BatchForwarder interface {
 	Model
 	// ForwardBatch writes Predict(X.Row(r)) into y[r] and returns the
@@ -107,7 +81,7 @@ func ForwardBatch(m Model, X *linalg.Matrix, y []float64) BatchGrad {
 	if bf, ok := m.(BatchForwarder); ok {
 		return bf.ForwardBatch(X, y)
 	}
-	checkBatch(m, X, y, nil)
+	checkBatch(m, X, y)
 	g := linalg.NewMatrix(X.Rows, X.Cols)
 	vg := EnsureValueGrad(m)
 	for r := 0; r < X.Rows; r++ {
@@ -162,13 +136,6 @@ func (n Negated) PredictBatch(X *linalg.Matrix, y []float64) {
 	linalg.Scale(-1, y)
 }
 
-// ValueGradBatch forwards the fused batched pass through the sign flip.
-func (n Negated) ValueGradBatch(X *linalg.Matrix, y []float64, G *linalg.Matrix) {
-	ValueGradBatch(n.M, X, y, G)
-	linalg.Scale(-1, y)
-	linalg.Scale(-1, G.Data)
-}
-
 // PredictBatch forwards the batched pass through the exponential.
 func (e Exp) PredictBatch(X *linalg.Matrix, y []float64) {
 	PredictBatch(e.M, X, y)
@@ -177,23 +144,9 @@ func (e Exp) PredictBatch(X *linalg.Matrix, y []float64) {
 	}
 }
 
-// ValueGradBatch forwards the fused batched pass through the chain rule,
-// sharing each row's inner value between the output and the gradient scale
-// exactly like the scalar ValueGrad.
-func (e Exp) ValueGradBatch(X *linalg.Matrix, y []float64, G *linalg.Matrix) {
-	ValueGradBatch(e.M, X, y, G)
-	for r := range y {
-		ev := math.Exp(y[r])
-		y[r] = ev
-		linalg.Scale(ev, G.Row(r))
-	}
-}
-
 var (
-	_ BatchPredictor       = Negated{}
-	_ BatchValueGradienter = Negated{}
-	_ BatchForwarder       = Negated{}
-	_ BatchPredictor       = Exp{}
-	_ BatchValueGradienter = Exp{}
-	_ BatchForwarder       = Exp{}
+	_ BatchPredictor = Negated{}
+	_ BatchForwarder = Negated{}
+	_ BatchPredictor = Exp{}
+	_ BatchForwarder = Exp{}
 )

@@ -131,29 +131,12 @@ func (n *Net) inputGradBatch(sc *batchScratch, rows int, G *linalg.Matrix) {
 // PredictBatch implements model.BatchPredictor: every row of X through one
 // GEMM per layer, bit-identical per row to Predict. Safe for concurrent use.
 func (n *Net) PredictBatch(X *linalg.Matrix, y []float64) {
-	n.checkBatchShapes(X, y, nil)
+	n.checkBatchShapes(X, y)
 	if X.Rows == 0 {
 		return
 	}
 	sc := n.getBatchScratch()
 	out := n.forwardBatch(X, sc)
-	for r := 0; r < X.Rows; r++ {
-		y[r] = out.Data[r]*n.YStd + n.YMean
-	}
-	n.putBatchScratch(sc)
-}
-
-// ValueGradBatch implements model.BatchValueGradienter: one fused batched
-// forward+backward, bit-identical per row to ValueGrad. Safe for concurrent
-// use; allocation-free at steady state.
-func (n *Net) ValueGradBatch(X *linalg.Matrix, y []float64, G *linalg.Matrix) {
-	n.checkBatchShapes(X, y, G)
-	if X.Rows == 0 {
-		return
-	}
-	sc := n.getBatchScratch()
-	out := n.forwardBatch(X, sc)
-	n.inputGradBatch(sc, X.Rows, G)
 	for r := 0; r < X.Rows; r++ {
 		y[r] = out.Data[r]*n.YStd + n.YMean
 	}
@@ -163,9 +146,10 @@ func (n *Net) ValueGradBatch(X *linalg.Matrix, y []float64, G *linalg.Matrix) {
 // ForwardBatch implements model.BatchForwarder: the forward half of the
 // batched fused pass, with the backward half deferred behind the returned
 // continuation. The scratch (holding the retained activations) is the handle,
-// so the split pass allocates nothing at steady state.
+// so the split pass allocates nothing at steady state. Row r's value and
+// gradient are bit-identical to ValueGrad at X row r.
 func (n *Net) ForwardBatch(X *linalg.Matrix, y []float64) model.BatchGrad {
-	n.checkBatchShapes(X, y, nil)
+	n.checkBatchShapes(X, y)
 	sc := n.getBatchScratch()
 	sc.rows = X.Rows
 	if X.Rows > 0 {
@@ -192,22 +176,18 @@ func (sc *batchScratch) Grad(G *linalg.Matrix) {
 // Done implements model.BatchGrad, releasing the scratch to the pool.
 func (sc *batchScratch) Done() { sc.net.putBatchScratch(sc) }
 
-func (n *Net) checkBatchShapes(X *linalg.Matrix, y []float64, G *linalg.Matrix) {
+func (n *Net) checkBatchShapes(X *linalg.Matrix, y []float64) {
 	if X.Cols != n.InDim {
 		panic(fmt.Sprintf("dnn: batch input has %d columns, want %d", X.Cols, n.InDim))
 	}
 	if len(y) != X.Rows {
 		panic(fmt.Sprintf("dnn: batch output length %d != %d rows", len(y), X.Rows))
 	}
-	if G != nil && (G.Rows != X.Rows || G.Cols != n.InDim) {
-		panic(fmt.Sprintf("dnn: batch gradient is %dx%d, want %dx%d", G.Rows, G.Cols, X.Rows, n.InDim))
-	}
 }
 
 var (
-	_ model.BatchPredictor       = (*Net)(nil)
-	_ model.BatchValueGradienter = (*Net)(nil)
-	_ model.BatchForwarder       = (*Net)(nil)
+	_ model.BatchPredictor = (*Net)(nil)
+	_ model.BatchForwarder = (*Net)(nil)
 )
 
 // ensureBPool lazily builds the batch-scratch pool; split out so New stays in

@@ -35,8 +35,16 @@ func randBatch(rng *rand.Rand, rows, dim int) *linalg.Matrix {
 	return X
 }
 
+// splitPass runs the batched pass the way MOGD does: values from
+// ForwardBatch, then gradients from the deferred Grad.
+func splitPass(m model.Model, X *linalg.Matrix, y []float64, G *linalg.Matrix) {
+	h := model.ForwardBatch(m, X, y)
+	h.Grad(G)
+	h.Done()
+}
+
 // TestBatchBitIdentical asserts the acceptance criterion directly: every row
-// of the batched pass — including a batch of size 1 — equals the scalar
+// of the batched passes — including a batch of size 1 — equals the scalar
 // Predict/ValueGrad bit-for-bit under float equality.
 func TestBatchBitIdentical(t *testing.T) {
 	const dim = 12
@@ -46,7 +54,7 @@ func TestBatchBitIdentical(t *testing.T) {
 		X := randBatch(rng, rows, dim)
 		y := make([]float64, rows)
 		G := linalg.NewMatrix(rows, dim)
-		n.ValueGradBatch(X, y, G)
+		splitPass(n, X, y, G)
 		yp := make([]float64, rows)
 		n.PredictBatch(X, yp)
 		grad := make([]float64, dim)
@@ -77,7 +85,7 @@ func TestBatchFallbacksAndWrappers(t *testing.T) {
 		t.Helper()
 		y := make([]float64, X.Rows)
 		G := linalg.NewMatrix(X.Rows, dim)
-		model.ValueGradBatch(m, X, y, G)
+		splitPass(m, X, y, G)
 		vg := model.EnsureValueGrad(m)
 		for r := 0; r < X.Rows; r++ {
 			v, g := vg.ValueGrad(X.Row(r), nil)
@@ -118,7 +126,11 @@ func TestBatchShapeGuards(t *testing.T) {
 	for name, fn := range map[string]func(){
 		"cols": func() { n.PredictBatch(linalg.NewMatrix(3, 5), make([]float64, 3)) },
 		"ylen": func() { n.PredictBatch(X, make([]float64, 2)) },
-		"gdim": func() { n.ValueGradBatch(X, make([]float64, 3), linalg.NewMatrix(3, 3)) },
+		"gdim": func() {
+			h := n.ForwardBatch(X, make([]float64, 3))
+			defer h.Done()
+			h.Grad(linalg.NewMatrix(3, 3))
+		},
 	} {
 		func() {
 			defer func() {
@@ -130,11 +142,12 @@ func TestBatchShapeGuards(t *testing.T) {
 		}()
 	}
 	// Empty batch is a no-op, not a panic.
-	n.ValueGradBatch(linalg.NewMatrix(0, 4), nil, linalg.NewMatrix(0, 4))
+	splitPass(n, linalg.NewMatrix(0, 4), nil, linalg.NewMatrix(0, 4))
 }
 
 // BenchmarkValueGradBatch measures the MOGD hot shape — 8 starts through the
-// default 2×64 network — per batched fused pass.
+// default 2×64 network — per split batched pass (ForwardBatch, Grad, Done),
+// the sequence MOGD runs for each objective it differentiates.
 func BenchmarkValueGradBatch(b *testing.B) {
 	const dim, rows = 12, 8
 	n := trainedNet(b, dim)
@@ -145,7 +158,9 @@ func BenchmarkValueGradBatch(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		n.ValueGradBatch(X, y, G)
+		h := n.ForwardBatch(X, y)
+		h.Grad(G)
+		h.Done()
 	}
 }
 

@@ -26,16 +26,6 @@ func BenchmarkPredict(b *testing.B) {
 	}
 }
 
-func BenchmarkGradient(b *testing.B) {
-	n := benchNet()
-	x := benchInput(n.InDim)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		n.Gradient(x)
-	}
-}
-
 func BenchmarkValueGrad(b *testing.B) {
 	n := benchNet()
 	x := benchInput(n.InDim)

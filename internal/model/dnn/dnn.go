@@ -76,7 +76,7 @@ type Net struct {
 	adamT       int
 	mcCounter   int64
 	// pool recycles forward/backprop scratch between calls so the inference
-	// paths (Predict/Gradient/ValueGrad/PredictVar) run allocation-free after
+	// paths (Predict/ValueGrad/PredictVar) run allocation-free after
 	// warm-up. It is per-Net (buffer shapes depend on the layer widths) and
 	// makes those paths safe for concurrent callers. A zero-value or
 	// hand-assembled Net (nil pool) falls back to per-call allocation.
@@ -236,17 +236,10 @@ func (n *Net) Predict(x []float64) float64 {
 	return out*n.YStd + n.YMean
 }
 
-// Gradient implements model.Gradienter: the analytic ∂Ψ/∂x via backprop
-// through the stored activations. Safe for concurrent use.
-func (n *Net) Gradient(x []float64) []float64 {
-	g := make([]float64, n.InDim)
-	n.ValueGrad(x, g)
-	return g
-}
-
-// ValueGrad implements model.ValueGradienter: one forward pass shared by the
-// value and the input-backprop, where Predict-then-Gradient would run two.
-// Safe for concurrent use; allocation-free when grad has length Dim().
+// ValueGrad implements model.ValueGradienter: the analytic ∂Ψ/∂x via
+// backprop through the activations of the one forward pass that also yields
+// the value. Safe for concurrent use; allocation-free when grad has length
+// Dim().
 func (n *Net) ValueGrad(x, grad []float64) (float64, []float64) {
 	if len(x) != n.InDim {
 		panic(fmt.Sprintf("dnn: input length %d != %d", len(x), n.InDim))

@@ -56,7 +56,7 @@ func TestGradientMatchesFiniteDifference(t *testing.T) {
 	const h = 1e-6
 	for trial := 0; trial < 30; trial++ {
 		x := []float64{rng.Float64(), rng.Float64()}
-		g := n.Gradient(x)
+		_, g := n.ValueGrad(x, nil)
 		for d := 0; d < 2; d++ {
 			xp := []float64{x[0], x[1]}
 			xm := []float64{x[0], x[1]}
@@ -85,7 +85,7 @@ func TestPredictConcurrentSafe(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				x := []float64{rng.Float64(), rng.Float64()}
 				_ = n.Predict(x)
-				_ = n.Gradient(x)
+				_, _ = n.ValueGrad(x, nil)
 			}
 		}(int64(w))
 	}

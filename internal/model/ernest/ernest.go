@@ -58,15 +58,8 @@ func (m *Model) Predict(x []float64) float64 {
 	return s
 }
 
-// Gradient implements model.Gradienter via finite differences (the cores
-// extractor is opaque; the kinks of rounding make this a subgradient).
-func (m *Model) Gradient(x []float64) []float64 {
-	return model.NumericGradient{M: m}.Gradient(x)
-}
-
-// ValueGrad implements model.ValueGradienter: the finite-difference gradient
-// is written into the caller's buffer and the value shares the probe setup,
-// saving the extra Predict and allocation of the generic fallback.
+// ValueGrad implements model.ValueGradienter via finite differences (the
+// cores extractor is opaque; the kinks of rounding make this a subgradient).
 func (m *Model) ValueGrad(x, grad []float64) (float64, []float64) {
 	return model.NumericGradient{M: m}.ValueGrad(x, grad)
 }

@@ -126,7 +126,7 @@ func TestFitOnSimulatorTraces(t *testing.T) {
 
 func TestGradientLength(t *testing.T) {
 	m := &Model{Theta: [4]float64{1, 100, 1, 0.1}, Cores: identityCores, D: 1}
-	g := m.Gradient([]float64{0.5})
+	_, g := m.ValueGrad([]float64{0.5}, nil)
 	if len(g) != 1 {
 		t.Fatalf("gradient length %d", len(g))
 	}

@@ -338,17 +338,11 @@ func (g *GP) PredictVar(x []float64) (float64, float64) {
 	return mean, variance
 }
 
-// Gradient implements model.Gradienter: the analytic gradient of the
-// posterior mean, ∂m/∂x_d = Σ_i α_i k(x, x_i) (x_i[d] - x[d]) / l_d².
-func (g *GP) Gradient(x []float64) []float64 {
-	_, out := g.ValueGrad(x, nil)
-	return out
-}
-
 // ValueGrad implements model.ValueGradienter: the posterior mean and its
-// gradient share one kernel evaluation per training point (each scaled by
-// the cached Cholesky-solve vector α), where Predict-then-Gradient would
-// evaluate the kernel row twice.
+// analytic gradient, ∂m/∂x_d = Σ_i α_i k(x, x_i) (x_i[d] - x[d]) / l_d²,
+// share one kernel evaluation per training point (each scaled by the cached
+// Cholesky-solve vector α), where a separate Predict would evaluate the
+// kernel row again.
 func (g *GP) ValueGrad(x, grad []float64) (float64, []float64) {
 	out := model.GradBuf(grad, g.dim)
 	for d := range out {

@@ -120,7 +120,7 @@ func TestGradientMatchesFiniteDifference(t *testing.T) {
 	const h = 1e-6
 	for trial := 0; trial < 30; trial++ {
 		x := []float64{rng.Float64(), rng.Float64()}
-		grad := g.Gradient(x)
+		_, grad := g.ValueGrad(x, nil)
 		for d := 0; d < 2; d++ {
 			xp := []float64{x[0], x[1]}
 			xm := []float64{x[0], x[1]}
@@ -162,7 +162,7 @@ func TestImplementsModelInterfaces(t *testing.T) {
 		t.Fatal(err)
 	}
 	var _ model.Model = g
-	var _ model.Gradienter = g
+	var _ model.ValueGradienter = g
 	var _ model.Uncertain = g
 	if g.Dim() != 2 {
 		t.Fatal("Dim wrong")

@@ -3,8 +3,9 @@
 //
 // A model maps a configuration in the solver's normalized decision space
 // [0,1]^D to a scalar objective value. The MOGD solver additionally needs
-// input gradients (Gradienter) and, for uncertainty-aware optimization
-// (paper §IV-B.3), predictive variance (Uncertain).
+// the value with its input gradient (ValueGradienter, or NumericGradient for
+// models without one) and, for uncertainty-aware optimization (paper
+// §IV-B.3), predictive variance (Uncertain).
 package model
 
 import (
@@ -21,14 +22,6 @@ type Model interface {
 	Predict(x []float64) float64
 }
 
-// Gradienter is a Model that exposes the analytic gradient ∂Ψ/∂x. Models
-// without analytic gradients can be wrapped with NumericGradient.
-type Gradienter interface {
-	Model
-	// Gradient returns ∂Predict/∂x at x as a new slice of length Dim().
-	Gradient(x []float64) []float64
-}
-
 // Uncertain is a Model with predictive uncertainty: Gaussian processes and
 // Bayesian-approximated DNNs (paper [9], [27]).
 type Uncertain interface {
@@ -42,9 +35,10 @@ type Uncertain interface {
 // iteration; fusing halves the model evaluations). grad, when it has length
 // Dim(), is used as the output buffer and the returned slice aliases it;
 // passing nil (or a wrong-length slice) allocates. Implementations must be
-// safe for concurrent use when the underlying Predict is.
+// safe for concurrent use when the underlying Predict is. Models without an
+// analytic gradient can be wrapped with NumericGradient.
 type ValueGradienter interface {
-	Gradienter
+	Model
 	// ValueGrad returns Predict(x) and ∂Predict/∂x at x.
 	ValueGrad(x, grad []float64) (float64, []float64)
 }
@@ -59,32 +53,12 @@ func GradBuf(grad []float64, n int) []float64 {
 	return make([]float64, n)
 }
 
-// fusedFallback implements ValueGradienter with two separate calls for
-// models without a native fused path.
-type fusedFallback struct{ G Gradienter }
-
-func (f fusedFallback) Dim() int                       { return f.G.Dim() }
-func (f fusedFallback) Predict(x []float64) float64    { return f.G.Predict(x) }
-func (f fusedFallback) Gradient(x []float64) []float64 { return f.G.Gradient(x) }
-
-func (f fusedFallback) ValueGrad(x, grad []float64) (float64, []float64) {
-	v := f.G.Predict(x)
-	g := f.G.Gradient(x)
-	out := GradBuf(grad, len(g))
-	copy(out, g)
-	return v, out
-}
-
 // EnsureValueGrad returns m as a ValueGradienter: m itself when it has a
-// fused path, an unfused fallback over its analytic gradient when it has
-// one, and NumericGradient (whose ValueGrad differences into the caller's
-// buffer) otherwise.
+// fused path, and NumericGradient (whose ValueGrad differences into the
+// caller's buffer) otherwise.
 func EnsureValueGrad(m Model) ValueGradienter {
-	switch g := m.(type) {
-	case ValueGradienter:
+	if g, ok := m.(ValueGradienter); ok {
 		return g
-	case Gradienter:
-		return fusedFallback{G: g}
 	}
 	return NumericGradient{M: m}
 }
@@ -105,17 +79,10 @@ func (n NumericGradient) Dim() int { return n.M.Dim() }
 // Predict implements Model.
 func (n NumericGradient) Predict(x []float64) float64 { return n.M.Predict(x) }
 
-// Gradient returns the central finite-difference gradient of the wrapped
-// model, clamping probe points into [0,1] so boundary evaluations stay in
-// the normalized decision space.
-func (n NumericGradient) Gradient(x []float64) []float64 {
-	g := make([]float64, len(x))
-	n.gradientInto(x, g)
-	return g
-}
-
-// ValueGrad implements ValueGradienter: the value costs one extra model
-// evaluation on top of the 2·D finite-difference probes.
+// ValueGrad implements ValueGradienter with the central finite-difference
+// gradient of the wrapped model, clamping probe points into [0,1] so
+// boundary evaluations stay in the normalized decision space. The value
+// costs one extra model evaluation on top of the 2·D probes.
 func (n NumericGradient) ValueGrad(x, grad []float64) (float64, []float64) {
 	out := GradBuf(grad, len(x))
 	n.gradientInto(x, out)
@@ -144,15 +111,6 @@ func (n NumericGradient) gradientInto(x, g []float64) {
 	}
 }
 
-// EnsureGradient returns m as a Gradienter, wrapping it with NumericGradient
-// when needed.
-func EnsureGradient(m Model) Gradienter {
-	if g, ok := m.(Gradienter); ok {
-		return g
-	}
-	return NumericGradient{M: m}
-}
-
 // Func adapts a plain function into a Model; used for handcrafted models and
 // in tests.
 type Func struct {
@@ -175,13 +133,6 @@ func (n Negated) Dim() int { return n.M.Dim() }
 
 // Predict implements Model.
 func (n Negated) Predict(x []float64) float64 { return -n.M.Predict(x) }
-
-// Gradient implements Gradienter when the wrapped model has gradients.
-func (n Negated) Gradient(x []float64) []float64 {
-	g := EnsureGradient(n.M).Gradient(x)
-	linalg.Scale(-1, g)
-	return g
-}
 
 // ValueGrad implements ValueGradienter, preserving the wrapped model's fused
 // path.
@@ -225,11 +176,6 @@ func (c Conservative) Predict(x []float64) float64 {
 	return mean + c.Alpha*math.Sqrt(variance)
 }
 
-// Gradient implements Gradienter by differencing the conservative estimate.
-func (c Conservative) Gradient(x []float64) []float64 {
-	return NumericGradient{M: c}.Gradient(x)
-}
-
 // Exp wraps a model trained on log-scale targets, exponentiating its output:
 // Predict(x) = exp(M.Predict(x)). Training positive objectives (latency,
 // cost, throughput) in log space keeps extrapolations positive and fits the
@@ -242,16 +188,8 @@ func (e Exp) Dim() int { return e.M.Dim() }
 // Predict implements Model.
 func (e Exp) Predict(x []float64) float64 { return math.Exp(e.M.Predict(x)) }
 
-// Gradient implements Gradienter via the chain rule.
-func (e Exp) Gradient(x []float64) []float64 {
-	g := EnsureGradient(e.M).Gradient(x)
-	scale := math.Exp(e.M.Predict(x))
-	linalg.Scale(scale, g)
-	return g
-}
-
-// ValueGrad implements ValueGradienter: unlike Gradient, the inner value is
-// computed once and shared between the output and the chain-rule scale.
+// ValueGrad implements ValueGradienter via the chain rule: the inner value
+// is computed once and shared between the output and the chain-rule scale.
 func (e Exp) ValueGrad(x, grad []float64) (float64, []float64) {
 	v, g := EnsureValueGrad(e.M).ValueGrad(x, grad)
 	ev := math.Exp(v)

@@ -20,30 +20,30 @@ func (quadraticU) PredictVar(x []float64) (float64, float64) {
 
 func TestNumericGradient(t *testing.T) {
 	g := NumericGradient{M: quadratic{}}
-	grad := g.Gradient([]float64{0.5, 0.5})
+	_, grad := g.ValueGrad([]float64{0.5, 0.5}, nil)
 	want0, want1 := 2*(0.5-0.3), 4*(0.5-0.7)
 	if math.Abs(grad[0]-want0) > 1e-4 || math.Abs(grad[1]-want1) > 1e-4 {
-		t.Fatalf("Gradient = %v, want [%v %v]", grad, want0, want1)
+		t.Fatalf("gradient = %v, want [%v %v]", grad, want0, want1)
 	}
 }
 
 func TestNumericGradientAtBoundary(t *testing.T) {
 	g := NumericGradient{M: quadratic{}}
-	grad := g.Gradient([]float64{0, 1})
+	_, grad := g.ValueGrad([]float64{0, 1}, nil)
 	// One-sided differences at the boundary must still approximate the slope.
 	if math.Abs(grad[0]-(-0.6)) > 1e-3 || math.Abs(grad[1]-1.2) > 1e-3 {
 		t.Fatalf("boundary gradient = %v", grad)
 	}
 }
 
-func TestEnsureGradient(t *testing.T) {
-	// Already a Gradienter: returned unchanged.
+func TestEnsureValueGrad(t *testing.T) {
+	// Already a ValueGradienter: returned unchanged.
 	ng := NumericGradient{M: quadratic{}}
-	if got := EnsureGradient(ng); got != Gradienter(ng) {
-		t.Fatal("EnsureGradient should return the Gradienter unchanged")
+	if got := EnsureValueGrad(ng); got != ValueGradienter(ng) {
+		t.Fatal("EnsureValueGrad should return the ValueGradienter unchanged")
 	}
 	// Plain model gets wrapped.
-	g := EnsureGradient(quadratic{})
+	g := EnsureValueGrad(quadratic{})
 	if g.Dim() != 2 {
 		t.Fatal("wrapped model lost dimensionality")
 	}
@@ -62,11 +62,11 @@ func TestNegated(t *testing.T) {
 	if n.Predict(x) != -(quadratic{}).Predict(x) {
 		t.Fatal("Negated.Predict wrong")
 	}
-	g := n.Gradient(x)
-	base := NumericGradient{M: quadratic{}}.Gradient(x)
+	_, g := n.ValueGrad(x, nil)
+	_, base := NumericGradient{M: quadratic{}}.ValueGrad(x, nil)
 	for i := range g {
 		if math.Abs(g[i]+base[i]) > 1e-9 {
-			t.Fatalf("Negated.Gradient = %v, want -%v", g, base)
+			t.Fatalf("Negated.ValueGrad gradient = %v, want -%v", g, base)
 		}
 	}
 	// Uncertain passthrough.
@@ -93,9 +93,6 @@ func TestConservative(t *testing.T) {
 	if p.Predict(x) != (quadratic{}).Predict(x) {
 		t.Fatal("Conservative over plain model should be identity")
 	}
-	if g := c.Gradient(x); len(g) != 2 {
-		t.Fatal("Conservative.Gradient wrong length")
-	}
 }
 
 func TestExp(t *testing.T) {
@@ -105,10 +102,10 @@ func TestExp(t *testing.T) {
 		t.Fatalf("Exp.Predict = %v", got)
 	}
 	// Chain rule: d exp(2x)/dx = 2 exp(2x).
-	g := e.Gradient([]float64{0.5})
+	_, g := e.ValueGrad([]float64{0.5}, nil)
 	want := 2 * math.Exp(1)
 	if math.Abs(g[0]-want) > 1e-3*want {
-		t.Fatalf("Exp.Gradient = %v, want %v", g[0], want)
+		t.Fatalf("Exp.ValueGrad gradient = %v, want %v", g[0], want)
 	}
 	// Positivity everywhere, even for wildly negative inner outputs.
 	neg := Exp{M: Func{D: 1, F: func(x []float64) float64 { return -50 }}}
@@ -148,9 +145,9 @@ func TestSum(t *testing.T) {
 	if got, want := s.Predict(x), a.Predict(x)+b.Predict(x); got != want {
 		t.Fatalf("sum Predict = %v, want %v", got, want)
 	}
-	g := s.Gradient(x)
+	_, g := s.ValueGrad(x, nil)
 	if math.Abs(g[0]-2) > 1e-3 || math.Abs(g[1]-3) > 1e-3 {
-		t.Fatalf("sum Gradient = %v, want [2 3]", g)
+		t.Fatalf("sum gradient = %v, want [2 3]", g)
 	}
 	// Weighted variant.
 	w := sum([]Model{a, b}, []float64{1, 2})

@@ -19,11 +19,11 @@ import (
 // gradient is computed in its own sub-space and scatter-added into the
 // composite gradient at the stage's dimensions (shared dimensions accumulate
 // across stages, untouched dimensions stay zero). The batched contracts
-// (BatchPredictor, BatchValueGradienter, BatchForwarder) gather each stage's
-// column subset into a contiguous sub-matrix and run the stage model's own
-// batched pass over it, so DNN stage models keep their GEMM path under
-// routing. Stages are always accumulated in ascending order, making every
-// path bit-identical to the scalar stage-by-stage sum.
+// (BatchPredictor, BatchForwarder) gather each stage's column subset into a
+// contiguous sub-matrix and run the stage model's own batched pass over it,
+// so DNN stage models keep their GEMM path under routing. Stages are always
+// accumulated in ascending order, making every path bit-identical to the
+// scalar stage-by-stage sum.
 type Routed struct {
 	// D is the composite input dimensionality.
 	D int
@@ -107,12 +107,6 @@ func (r Routed) Predict(x []float64) float64 {
 	return v
 }
 
-// Gradient implements Gradienter by scatter-adding the stage gradients.
-func (r Routed) Gradient(x []float64) []float64 {
-	_, g := r.ValueGrad(x, nil)
-	return g
-}
-
 // ValueGrad implements ValueGradienter: one fused pass per stage, assembled
 // block-wise into the composite gradient.
 func (r Routed) ValueGrad(x, grad []float64) (float64, []float64) {
@@ -174,7 +168,7 @@ func (r Routed) gatherMatrix(i int, X *linalg.Matrix) *linalg.Matrix {
 // gathered sub-matrix, accumulated in stage order (bit-identical to per-row
 // Predict).
 func (r Routed) PredictBatch(X *linalg.Matrix, y []float64) {
-	checkBatch(r, X, y, nil)
+	checkBatch(r, X, y)
 	for i := range y {
 		y[i] = 0
 	}
@@ -227,7 +221,7 @@ func (g *routedGrad) Done() {
 // GEMM path), and the returned continuation assembles the composite gradient
 // block-wise only when asked.
 func (r Routed) ForwardBatch(X *linalg.Matrix, y []float64) BatchGrad {
-	checkBatch(r, X, y, nil)
+	checkBatch(r, X, y)
 	for i := range y {
 		y[i] = 0
 	}
@@ -243,19 +237,9 @@ func (r Routed) ForwardBatch(X *linalg.Matrix, y []float64) BatchGrad {
 	return cont
 }
 
-// ValueGradBatch implements BatchValueGradienter via the split pass with an
-// immediate backward half.
-func (r Routed) ValueGradBatch(X *linalg.Matrix, y []float64, G *linalg.Matrix) {
-	checkBatch(r, X, y, G)
-	h := r.ForwardBatch(X, y)
-	h.Grad(G)
-	h.Done()
-}
-
 var (
-	_ ValueGradienter      = Routed{}
-	_ Uncertain            = Routed{}
-	_ BatchPredictor       = Routed{}
-	_ BatchValueGradienter = Routed{}
-	_ BatchForwarder       = Routed{}
+	_ ValueGradienter = Routed{}
+	_ Uncertain       = Routed{}
+	_ BatchPredictor  = Routed{}
+	_ BatchForwarder  = Routed{}
 )

@@ -105,8 +105,8 @@ func TestRoutedValueGradBitIdentical(t *testing.T) {
 func TestRoutedGradientNumeric(t *testing.T) {
 	r := routedFixture(t)
 	x := []float64{0.3, 0.6, 0.1, 0.8, 0.5, 0.9}
-	got := r.Gradient(x)
-	num := NumericGradient{M: Func{D: r.D, F: r.Predict}, H: 1e-6}.Gradient(x)
+	_, got := r.ValueGrad(x, nil)
+	_, num := NumericGradient{M: Func{D: r.D, F: r.Predict}, H: 1e-6}.ValueGrad(x, nil)
 	for d := range got {
 		if math.Abs(got[d]-num[d]) > 1e-4 {
 			t.Fatalf("gradient[%d] = %v, numeric %v", d, got[d], num[d])
@@ -114,9 +114,10 @@ func TestRoutedGradientNumeric(t *testing.T) {
 	}
 }
 
-// TestRoutedBatchMatchesScalar pins all three batch contracts against the
-// scalar paths, row by row and bit for bit — including batch size 1, the
-// acceptance case.
+// TestRoutedBatchMatchesScalar pins both batch contracts against the scalar
+// paths, row by row and bit for bit — including batch size 1, the
+// acceptance case. The split pass is checked the way MOGD runs it: values
+// from ForwardBatch, then gradients from Grad.
 func TestRoutedBatchMatchesScalar(t *testing.T) {
 	r := routedFixture(t)
 	rng := rand.New(rand.NewSource(3))
@@ -133,26 +134,15 @@ func TestRoutedBatchMatchesScalar(t *testing.T) {
 			}
 		}
 
+		h := r.ForwardBatch(X, y)
 		G := linalg.NewMatrix(rows, r.D)
-		r.ValueGradBatch(X, y, G)
+		h.Grad(G)
+		h.Done()
 		for rr := 0; rr < rows; rr++ {
 			v, g := r.ValueGrad(X.Row(rr), nil)
 			if y[rr] != v || !reflect.DeepEqual(G.Row(rr), g) {
-				t.Fatalf("rows=%d: ValueGradBatch row %d differs from scalar", rows, rr)
+				t.Fatalf("rows=%d: split pass row %d differs from scalar ValueGrad", rows, rr)
 			}
-		}
-
-		// Split pass: forward values now, gradients on demand.
-		y2 := make([]float64, rows)
-		h := r.ForwardBatch(X, y2)
-		if !reflect.DeepEqual(y2, y) {
-			t.Fatalf("rows=%d: ForwardBatch values differ from ValueGradBatch", rows)
-		}
-		G2 := linalg.NewMatrix(rows, r.D)
-		h.Grad(G2)
-		h.Done()
-		if !reflect.DeepEqual(G2.Data, G.Data) {
-			t.Fatalf("rows=%d: deferred gradients differ from eager batch", rows)
 		}
 	}
 }

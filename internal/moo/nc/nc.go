@@ -145,10 +145,9 @@ func simplexCount(h, k int) int {
 
 // subSolver holds the shared geometry and reusable buffers for the
 // penalty-method sub-problems. Each solve iteration costs one fused
-// ValueGrad pass per objective — value and gradient together — instead of
-// the separate EvalAll + Gradient sweeps of the unfused implementation, and
-// all per-iteration state lives in hoisted buffers, so the inner loop does
-// not allocate.
+// ValueGrad pass per objective — value and gradient together — and all
+// per-iteration state lives in hoisted buffers, so the inner loop does not
+// allocate.
 type subSolver struct {
 	m             *Method
 	ev            *problem.Evaluator

@@ -124,10 +124,8 @@ func (m *Method) Run(opt moo.Options) ([]objective.Solution, error) {
 
 // weighted is the scalarized objective Σ w_i·F̂_i over the evaluator's fused
 // per-objective path: one ValueGrad pass per objective yields both the
-// scalarized value and its gradient, replacing the separate Predict +
-// Gradient sweeps of the unfused implementation. gbuf is the per-objective
-// gradient scratch (Run solves weight vectors sequentially, so one buffer
-// suffices).
+// scalarized value and its gradient. gbuf is the per-objective gradient
+// scratch (Run solves weight vectors sequentially, so one buffer suffices).
 type weighted struct {
 	ev            *problem.Evaluator
 	w             []float64
@@ -148,11 +146,6 @@ func (s *weighted) scale(j int) float64 {
 func (s *weighted) Predict(x []float64) float64 {
 	v, _ := s.ValueGrad(x, nil)
 	return v
-}
-
-func (s *weighted) Gradient(x []float64) []float64 {
-	_, g := s.ValueGrad(x, nil)
-	return g
 }
 
 // ValueGrad implements model.ValueGradienter: the scalarized value and

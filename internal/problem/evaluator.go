@@ -102,14 +102,7 @@ type Evaluator struct {
 	telBatchPts *telemetry.Counter
 	tracer      *telemetry.Tracer
 	runID       string
-	// parentSpan nests batch-eval spans under the enclosing request span;
-	// set via SetParentSpan by whoever owns the request (udao.Optimizer).
-	parentSpan atomic.Uint64
 }
-
-// SetParentSpan re-parents subsequent eval-batch spans under the given span
-// ID (0 detaches).
-func (e *Evaluator) SetParentSpan(id uint64) { e.parentSpan.Store(id) }
 
 // NewEvaluator builds an evaluator over the problem.
 func NewEvaluator(p *Problem, opts Options) *Evaluator {
@@ -158,9 +151,6 @@ func (e *Evaluator) Dim() int { return e.prob.Dim() }
 
 // NumObjectives returns k.
 func (e *Evaluator) NumObjectives() int { return len(e.eff) }
-
-// Alpha returns the configured uncertainty multiplier.
-func (e *Evaluator) Alpha() float64 { return e.opts.Alpha }
 
 // memoized reports whether the memo is on. It reads the option, not the
 // memo map, which flushes replace under memoMu.
@@ -265,7 +255,7 @@ func (e *Evaluator) EvalBatch(xs [][]float64) []objective.Point {
 	}
 	if e.telBatches != nil {
 		start := time.Now()
-		span := e.tracer.StartSpan(telemetry.LevelVerbose, e.runID, e.parentSpan.Load(), "eval", "batch")
+		span := e.tracer.StartSpan(telemetry.LevelVerbose, e.runID, 0, "eval", "batch")
 		defer func() {
 			dur := time.Since(start)
 			e.telBatches.Add(1)
@@ -326,11 +316,6 @@ func (o objView) Dim() int { return o.e.Dim() }
 
 func (o objView) Predict(x []float64) float64 { return o.e.ObjValue(o.j, x) }
 
-func (o objView) Gradient(x []float64) []float64 {
-	_, g := o.e.ObjValueGrad(o.j, x, nil)
-	return g
-}
-
 func (o objView) ValueGrad(x, grad []float64) (float64, []float64) {
 	return o.e.ObjValueGrad(o.j, x, grad)
 }
@@ -341,12 +326,4 @@ func (e *Evaluator) Evals() uint64 { return e.evals.Load() }
 // MemoStats returns cache hit and miss counts.
 func (e *Evaluator) MemoStats() (hits, misses uint64) {
 	return e.memoHits.Load(), e.memoMiss.Load()
-}
-
-// ResetStats zeroes the evaluation counter and memo statistics (the cache
-// itself is kept — cached values stay valid for the problem's lifetime).
-func (e *Evaluator) ResetStats() {
-	e.evals.Store(0)
-	e.memoHits.Store(0)
-	e.memoMiss.Store(0)
 }

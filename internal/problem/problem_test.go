@@ -209,19 +209,6 @@ func TestObjectiveView(t *testing.T) {
 	}
 }
 
-func TestResetStats(t *testing.T) {
-	e := NewEvaluator(MustNew([]model.Model{lin()}, nil), Options{})
-	e.Eval([]float64{0.1, 0.2})
-	e.ResetStats()
-	if e.Evals() != 0 {
-		t.Fatal("ResetStats did not zero counter")
-	}
-	h, m := e.MemoStats()
-	if h != 0 || m != 0 {
-		t.Fatal("ResetStats did not zero memo stats")
-	}
-}
-
 func TestClock(t *testing.T) {
 	c := StartClock(0)
 	if c.Expired() {

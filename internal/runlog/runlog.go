@@ -150,8 +150,8 @@ type Record struct {
 	// process-unique and strictly increasing).
 	RootSpan uint64 `json:"root_span,omitempty"`
 
-	// PhaseBreakdown maps phase labels ("service", "pf", "mogd", "eval",
-	// "model", "stage:<name>") to per-phase self time in seconds, computed
+	// PhaseBreakdown maps phase labels ("service", "pf", "mogd", "model",
+	// "stage:<name>") to per-phase self time in seconds, computed
 	// from the request's span subtree. Self times sum to approximately
 	// SolveSec; absent when tracing was off for the run.
 	PhaseBreakdown map[string]float64 `json:"phase_breakdown,omitempty"`

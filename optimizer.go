@@ -134,22 +134,19 @@ type Optimizer struct {
 	// comp is set by NewPipelineOptimizer: the stage structure behind spc,
 	// used to report per-stage configurations in plans.
 	comp *CompositeSpace
-	// parentSpan nests this optimizer's expand/eval spans under a request
-	// root span (see SetParentSpan).
+	// parentSpan nests this optimizer's expand spans under a request root
+	// span (see SetParentSpan).
 	parentSpan uint64
 }
 
-// SetParentSpan nests the spans of subsequent frontier work (PF expands,
-// solver solves, eval batches) under the given span ID — the service calls
+// SetParentSpan nests the spans of subsequent frontier work (PF expands and
+// solver solves) under the given span ID — the service calls
 // this per request with its root span, including on cached optimizers, so a
 // reused run's timing lands under the right request.
 func (o *Optimizer) SetParentSpan(id uint64) {
 	o.parentSpan = id
 	if o.run != nil {
 		o.run.SetParentSpan(id)
-	}
-	if o.ev != nil {
-		o.ev.SetParentSpan(id)
 	}
 }
 
@@ -287,7 +284,6 @@ func (o *Optimizer) evaluator() (*problem.Evaluator, error) {
 			return nil, fmt.Errorf("udao: %w", err)
 		}
 		o.ev = problem.NewEvaluator(p, problem.Options{Alpha: o.opt.Alpha, Telemetry: o.opt.Telemetry, RunID: o.opt.RunID})
-		o.ev.SetParentSpan(o.parentSpan)
 	}
 	return o.ev, nil
 }

@@ -11,8 +11,9 @@
 #
 # Covered benchmarks:
 #   internal/linalg      GEMM / GEMMScalarRef  (blocked kernel vs reference)
-#   internal/model/dnn   Predict / Gradient / ValueGrad / PredictVar /
-#                        ValueGradBatch / ValueGradScalarLoop
+#   internal/model/dnn   Predict / ValueGrad / PredictVar /
+#                        ValueGradBatch (the split batched pass MOGD runs:
+#                        ForwardBatch, Grad, Done) / ValueGradScalarLoop
 #   internal/problem     EvaluatorMemoHit[Telemetry] / EvaluatorMemoMiss /
 #                        EvaluatorValueGrad[Telemetry] / EvalBatch[Serial] /
 #                        CompositeEval / CompositeValueGrad (the stage-wise
@@ -51,7 +52,7 @@ RAW=$(mktemp)
 trap 'rm -f "$RAW"' EXIT
 
 go test -run '^$' -bench 'GEMM' -benchmem -benchtime 1s ./internal/linalg/ >>"$RAW"
-go test -run '^$' -bench 'Predict|Gradient|ValueGrad' -benchmem -benchtime 1s ./internal/model/dnn/ >>"$RAW"
+go test -run '^$' -bench 'Predict|ValueGrad' -benchmem -benchtime 1s ./internal/model/dnn/ >>"$RAW"
 go test -run '^$' -bench 'Evaluator|EvalBatch|Composite' -benchmem -benchtime 1s ./internal/problem/ >>"$RAW"
 go test -run '^$' -bench 'Lookup|Get' -benchmem -benchtime 1s ./internal/space/ >>"$RAW"
 go test -run '^$' -bench 'Span' -benchmem -benchtime 1s ./internal/telemetry/ >>"$RAW"

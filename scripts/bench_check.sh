@@ -28,7 +28,8 @@ if [ ! -f "$BASE" ]; then
     exit 1
 fi
 
-# Tracked benchmarks: the blocked GEMM kernel, the batched DNN pass, the
+# Tracked benchmarks: the blocked GEMM kernel, the split batched DNN pass
+# (ValueGradBatch: ForwardBatch, Grad, Done, as MOGD runs it), the
 # evaluator seam (scalar, matrix-batch, and the stage-wise composite eval —
 # informational until its first scripts/bench.sh recording), the span
 # open+End pair (must stay allocation-free), the MOGD solver hot path, the
