@@ -14,8 +14,10 @@
 package metrics
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -65,15 +67,23 @@ func UncertainFraction(points []objective.Point, utopia, nadir objective.Point) 
 // clamps them onto it; points are deduplicated, and points with the wrong
 // dimensionality or non-finite components are dropped — callers are not
 // required to pre-clean the frontier.
+//
+// Two points are duplicates when every clamped coordinate prints alike at 9
+// decimals; a point is dropped when an earlier one duplicates it, and the
+// survivors keep input order. Coordinates that print alike lie within 1e-9
+// of each other, so the points are sorted by the first axis, each is
+// compared only with its successors inside nearWindow, and only pairs near
+// on every axis are printed.
 func clipToBox(points []objective.Point, utopia, nadir objective.Point) []objective.Point {
-	seen := make(map[string]bool)
-	var out []objective.Point
+	k := len(utopia)
+	vals := make([]float64, len(points)*k)
+	out := make([]objective.Point, 0, len(points))
 	for _, p := range points {
-		if !pointUsable(p, len(utopia)) {
+		if !pointUsable(p, k) {
 			continue
 		}
-		q := objective.Normalize(p, utopia, nadir)
-		key := ""
+		n := len(out) * k
+		q := objective.NormalizeInto(vals[n:n+k:n+k], p, utopia, nadir)
 		for i := range q {
 			if q[i] < 0 {
 				q[i] = 0
@@ -81,14 +91,82 @@ func clipToBox(points []objective.Point, utopia, nadir objective.Point) []object
 			if q[i] > 1 {
 				q[i] = 1
 			}
-			key += fmtKey(q[i])
 		}
-		if !seen[key] {
-			seen[key] = true
-			out = append(out, q)
+		out = append(out, q)
+	}
+	if len(out) < 2 {
+		return out
+	}
+	if k == 0 {
+		return out[:1] // zero-dimensional points are all the same point
+	}
+	order := make([]int, len(out))
+	for i := range order {
+		order[i] = i
+	}
+	// cmp.Compare sorts NaN (from a NaN box corner) first, so equal keys
+	// stay adjacent within the window.
+	slices.SortFunc(order, func(a, b int) int { return cmp.Compare(out[a][0], out[b][0]) })
+	drop := make([]bool, len(out))
+	var buf [2][24]byte
+	for n, a := range order {
+		if drop[a] {
+			continue
+		}
+		for _, b := range order[n+1:] {
+			if !near(out[a][0], out[b][0]) {
+				break
+			}
+			if drop[b] || !sameKey(out[a], out[b], &buf) {
+				continue
+			}
+			if a > b {
+				drop[a] = true
+				break
+			}
+			drop[b] = true
 		}
 	}
-	return out
+	kept := out[:0]
+	for i, q := range out {
+		if !drop[i] {
+			kept = append(kept, q)
+		}
+	}
+	return kept
+}
+
+// nearWindow bounds the distance between two coordinates that can print
+// alike at 9 decimals. Those lie within 1e-9, so any bound from 1e-9 up is
+// exact; the margin absorbs the subtraction's rounding.
+const nearWindow = 1e-8
+
+// near reports whether x and y are within nearWindow; NaNs, which all
+// print "NaN", are near each other.
+func near(x, y float64) bool {
+	return math.Abs(x-y) <= nearWindow || (x != x && y != y)
+}
+
+// sameKey reports whether p and q print alike, coordinate by coordinate,
+// with strconv's 'f' format at 9 decimals — the dedup key. Pairs not near on
+// every axis are rejected before any coordinate is printed.
+func sameKey(p, q objective.Point, buf *[2][24]byte) bool {
+	for i := range p {
+		if !near(p[i], q[i]) {
+			return false
+		}
+	}
+	for i := range p {
+		if p[i] == q[i] && math.Signbit(p[i]) == math.Signbit(q[i]) {
+			continue // the same value; -0 prints as "-0.000000000"
+		}
+		x := strconv.AppendFloat(buf[0][:0], p[i], 'f', 9, 64)
+		y := strconv.AppendFloat(buf[1][:0], q[i], 'f', 9, 64)
+		if string(x) != string(y) {
+			return false
+		}
+	}
+	return true
 }
 
 // pointUsable reports whether p has the box's dimensionality and only finite
@@ -103,10 +181,6 @@ func pointUsable(p objective.Point, k int) bool {
 		}
 	}
 	return true
-}
-
-func fmtKey(v float64) string {
-	return strconv.FormatFloat(v, 'f', 9, 64) + "|"
 }
 
 // uncertain2D sweeps the frontier left to right. With points sorted by the

@@ -297,14 +297,20 @@ func Bounds(refs []Point) (utopia, nadir Point) {
 // outside the box map outside [0,1]. Degenerate axes (utopia == nadir) map
 // to 0.
 func Normalize(p, utopia, nadir Point) Point {
-	out := make(Point, len(p))
+	return NormalizeInto(make(Point, len(p)), p, utopia, nadir)
+}
+
+// NormalizeInto is Normalize writing into dst (len(dst) >= len(p)), which
+// it returns resliced to len(p).
+func NormalizeInto(dst, p, utopia, nadir Point) Point {
+	dst = dst[:len(p)]
 	for i := range p {
 		span := nadir[i] - utopia[i]
 		if span <= 0 {
-			out[i] = 0
+			dst[i] = 0
 			continue
 		}
-		out[i] = (p[i] - utopia[i]) / span
+		dst[i] = (p[i] - utopia[i]) / span
 	}
-	return out
+	return dst
 }

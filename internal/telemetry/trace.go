@@ -141,46 +141,72 @@ func (t *Tracer) Emit(l Level, e Event) {
 	t.sinkMu.Unlock()
 }
 
+// buffered returns the ring's live slots as two slices, oldest first: the
+// events before the write cursor's wrap point, then the ones after it.
+// Callers hold t.mu.
+func (t *Tracer) buffered() [2][]Event {
+	if t.filled {
+		return [2][]Event{t.ring[t.next:], t.ring[:t.next]}
+	}
+	return [2][]Event{nil, t.ring[:t.next]}
+}
+
 // Events returns the buffered events in emission order, filtered to the
-// given run ID ("" returns everything still in the ring).
+// given run ID ("" returns everything still in the ring), as a fresh slice
+// the caller owns (nil when none match). It counts the run's events and
+// copies them into an exact-size slice in one lock hold, so a read costs
+// the run's own events, not a copy of the whole ring.
 func (t *Tracer) Events(run string) []Event {
 	if t == nil {
 		return nil
 	}
 	t.mu.Lock()
-	var ordered []Event
-	if t.filled {
-		ordered = append(ordered, t.ring[t.next:]...)
-		ordered = append(ordered, t.ring[:t.next]...)
-	} else {
-		ordered = append(ordered, t.ring[:t.next]...)
+	defer t.mu.Unlock()
+	segs := t.buffered()
+	n := len(segs[0]) + len(segs[1])
+	if run != "" {
+		n = 0
+		for _, seg := range segs {
+			for i := range seg {
+				if seg[i].Run == run {
+					n++
+				}
+			}
+		}
 	}
-	t.mu.Unlock()
-	if run == "" {
-		return ordered
+	if n == 0 {
+		return nil
 	}
-	out := ordered[:0]
-	for _, e := range ordered {
-		if e.Run == run {
-			out = append(out, e)
+	out := make([]Event, 0, n)
+	for _, seg := range segs {
+		for i := range seg {
+			if run == "" || seg[i].Run == run {
+				out = append(out, seg[i])
+			}
 		}
 	}
 	return out
 }
 
-// Runs returns the distinct run IDs still present in the ring, oldest first.
+// Runs returns the distinct run IDs still present in the ring, oldest
+// first. It reads the ring in place and copies no event.
 func (t *Tracer) Runs() []string {
 	if t == nil {
 		return nil
 	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	seen := map[string]bool{}
 	var out []string
-	for _, e := range t.Events("") {
-		if e.Run == "" || seen[e.Run] {
-			continue
+	for _, seg := range t.buffered() {
+		for i := range seg {
+			r := seg[i].Run
+			if r == "" || seen[r] {
+				continue
+			}
+			seen[r] = true
+			out = append(out, r)
 		}
-		seen[e.Run] = true
-		out = append(out, e.Run)
 	}
 	return out
 }

@@ -3,7 +3,11 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"math/rand"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -88,7 +92,176 @@ func TestNilTracerSafe(t *testing.T) {
 	tr.Emit(LevelRun, Event{})
 	tr.SetLevel(LevelVerbose)
 	tr.SetSink(nil)
-	if tr.Events("") != nil || tr.Runs() != nil || tr.Level() != LevelOff {
+	if tr.Events("") != nil || tr.Events("r") != nil || tr.Runs() != nil || tr.Level() != LevelOff {
 		t.Fatal("nil tracer should be inert")
+	}
+}
+
+// eventsRef is the read Events replaced: copy every live ring slot in
+// emission order, then filter the copy by run. The reference model the
+// single-pass read must agree with.
+func eventsRef(t *Tracer, run string) []Event {
+	t.mu.Lock()
+	var ordered []Event
+	if t.filled {
+		ordered = append(ordered, t.ring[t.next:]...)
+		ordered = append(ordered, t.ring[:t.next]...)
+	} else {
+		ordered = append(ordered, t.ring[:t.next]...)
+	}
+	t.mu.Unlock()
+	if run == "" {
+		return ordered
+	}
+	out := ordered[:0]
+	for _, e := range ordered {
+		if e.Run == run {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
+// runsRef lists the distinct runs of eventsRef's full copy, oldest first.
+func runsRef(t *Tracer) []string {
+	seen := map[string]bool{}
+	var out []string
+	for _, e := range eventsRef(t, "") {
+		if e.Run == "" || seen[e.Run] {
+			continue
+		}
+		seen[e.Run] = true
+		out = append(out, e.Run)
+	}
+	return out
+}
+
+func sameEvents(a, b []Event) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !reflect.DeepEqual(a[i], b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestTracerMatchesReference: over small rings and random emission
+// sequences that wrap them, with run-less events and events at a level the
+// tracer drops, Events and Runs return exactly what the copy-then-filter
+// reference returns.
+func TestTracerMatchesReference(t *testing.T) {
+	runs := []string{"", "a", "b", "req-1", "req-22"}
+	rng := rand.New(rand.NewSource(1))
+	for capacity := 1; capacity <= 64; capacity++ {
+		for trial := 0; trial < 4; trial++ {
+			tr := NewTracer(capacity)
+			emits := rng.Intn(3*capacity + 2)
+			for i := 0; i < emits; i++ {
+				l := LevelRun
+				if rng.Intn(5) == 0 {
+					l = LevelVerbose
+				}
+				tr.Emit(l, Event{Run: runs[rng.Intn(len(runs))], Scope: "s", Name: fmt.Sprint(i)})
+				if rng.Intn(4) != 0 && i != emits-1 {
+					continue
+				}
+				for _, r := range append(runs, "absent") {
+					if got, want := tr.Events(r), eventsRef(tr, r); !sameEvents(got, want) {
+						t.Fatalf("cap %d after %d emits: Events(%q) = %+v, want %+v", capacity, i+1, r, got, want)
+					}
+				}
+				if got, want := tr.Runs(), runsRef(tr); !reflect.DeepEqual(got, want) {
+					t.Fatalf("cap %d after %d emits: Runs() = %v, want %v", capacity, i+1, got, want)
+				}
+			}
+		}
+	}
+}
+
+// fillHotHits fills tr's ring the way a server answering repeat requests
+// for three keys does: each request emits its HTTP event under its own
+// req-N run and then one event under the run that solved its key.
+func fillHotHits(tr *Tracer) {
+	for i := 0; i < len(tr.ring); i += 2 {
+		tr.Emit(LevelRun, Event{Run: fmt.Sprintf("req-%d", i/2), Scope: "http", Name: "request"})
+		tr.Emit(LevelRun, Event{Run: fmt.Sprintf("opt-%d", (i/2)%3), Scope: "service", Name: "optimize", Span: uint64(i + 1)})
+	}
+}
+
+// TestTracerEventsAllocations: on a full ring, reading one run allocates
+// once, an exact-size slice the caller owns.
+func TestTracerEventsAllocations(t *testing.T) {
+	tr := NewTracer(0)
+	fillHotHits(tr)
+	var evs []Event
+	allocs := testing.AllocsPerRun(20, func() { evs = tr.Events("opt-1") })
+	if allocs != 1 {
+		t.Fatalf("Events(run) allocates %v times, want 1", allocs)
+	}
+	if want := len(eventsRef(tr, "opt-1")); len(evs) != want || cap(evs) != len(evs) {
+		t.Fatalf("Events(run) len %d cap %d, want len %d and cap == len", len(evs), cap(evs), want)
+	}
+	// The slice is the caller's: writing it leaves the ring alone.
+	evs[0].Run = "scribbled"
+	if again := tr.Events("opt-1"); again[0].Run != "opt-1" || len(again) != len(evs) {
+		t.Fatalf("writing a returned slice changed the ring: %+v", again[0])
+	}
+}
+
+// TestTracerEventsConcurrent: under concurrent Emit, each read returns only
+// the asked run's events, in the order its goroutine emitted them.
+func TestTracerEventsConcurrent(t *testing.T) {
+	tr := NewTracer(256)
+	const writers, perWriter = 4, 2000
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(run string) {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				tr.Emit(LevelRun, Event{Run: run, Scope: "s", Name: "e"})
+				if i%7 == 0 {
+					tr.Emit(LevelRun, Event{Scope: "http", Name: "request"})
+				}
+			}
+		}(fmt.Sprintf("run-%d", w))
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	for reads := 0; ; reads++ {
+		select {
+		case <-done:
+			return
+		default:
+		}
+		run := fmt.Sprintf("run-%d", reads%writers)
+		evs := tr.Events(run)
+		for i, e := range evs {
+			if e.Run != run {
+				t.Fatalf("Events(%q) returned an event of run %q", run, e.Run)
+			}
+			if i > 0 && e.Seq <= evs[i-1].Seq {
+				t.Fatalf("Events(%q) out of order: seq %d after %d", run, e.Seq, evs[i-1].Seq)
+			}
+		}
+		_ = tr.Runs()
+	}
+}
+
+// BenchmarkTracerEvents reads one run's events from a full default ring
+// filled like a server's under repeat requests: the read every /optimize
+// makes twice.
+func BenchmarkTracerEvents(b *testing.B) {
+	tr := NewTracer(0)
+	fillHotHits(tr)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if len(tr.Events("opt-1")) == 0 {
+			b.Fatal("no events")
+		}
 	}
 }

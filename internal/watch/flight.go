@@ -117,7 +117,10 @@ func (f *flightRecorder) capture(a Alert) (string, error) {
 }
 
 // writeTrace snapshots the trace ring into trace.jsonl: the named run when
-// the alert implicates one, every buffered run otherwise.
+// the alert implicates one, every buffered run otherwise. Every run comes
+// from one ring snapshot, grouped by run in order of first appearance with
+// each run's events in emission order; events that belong to no run are
+// left out, as Runs leaves them out.
 func (f *flightRecorder) writeTrace(dir, run string) error {
 	tf, err := os.Create(filepath.Join(dir, "trace.jsonl"))
 	if err != nil {
@@ -125,18 +128,34 @@ func (f *flightRecorder) writeTrace(dir, run string) error {
 	}
 	defer tf.Close()
 	enc := json.NewEncoder(tf)
-	runs := []string{run}
-	if run == "" {
-		runs = f.tel.Trace.Runs()
-	}
-	for _, r := range runs {
-		for _, e := range f.tel.Trace.Events(r) {
+	for _, group := range groupByRun(f.tel.Trace.Events(run)) {
+		for _, e := range group {
 			if err := enc.Encode(e); err != nil {
 				return err
 			}
 		}
 	}
 	return nil
+}
+
+// groupByRun splits events by run, runs in order of first appearance,
+// dropping events without a run.
+func groupByRun(events []telemetry.Event) [][]telemetry.Event {
+	index := map[string]int{}
+	var groups [][]telemetry.Event
+	for _, e := range events {
+		if e.Run == "" {
+			continue
+		}
+		g, ok := index[e.Run]
+		if !ok {
+			g = len(groups)
+			index[e.Run] = g
+			groups = append(groups, nil)
+		}
+		groups[g] = append(groups[g], e)
+	}
+	return groups
 }
 
 // prune drops the oldest bundle directories beyond MaxBundles. Bundle names

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -433,5 +434,39 @@ func TestBundlePruning(t *testing.T) {
 	}
 	if len(names) != 2 || names[0] != "alert-000003" || names[1] != "alert-000004" {
 		t.Fatalf("pruning kept %v", names)
+	}
+}
+
+// TestRunlessBundleGroupsRuns: a bundle for an alert that names no run
+// holds every buffered run, grouped by run in order of first appearance and
+// each in emission order, and no event that belongs to no run.
+func TestRunlessBundleGroupsRuns(t *testing.T) {
+	tel := telemetry.New()
+	for _, e := range []struct{ run, name string }{
+		{"opt-1", "a1"}, {"", "x1"}, {"req-1", "r1"}, {"opt-1", "a2"}, {"opt-2", "b1"},
+		{"", "x2"}, {"req-1", "r2"}, {"opt-2", "b2"}, {"opt-1", "a3"},
+	} {
+		tel.Trace.Emit(telemetry.LevelRun, telemetry.Event{Run: e.run, Scope: "test", Name: e.name})
+	}
+	f := newFlightRecorder(FlightConfig{Dir: t.TempDir(), MinInterval: -1}, tel, newClock().now)
+	dir, err := f.capture(Alert{ID: "alert-000001", Rule: "slo_burn"})
+	if err != nil || dir == "" {
+		t.Fatalf("capture: dir %q err %v", dir, err)
+	}
+	b, err := os.ReadFile(filepath.Join(dir, "trace.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, line := range strings.Split(strings.TrimSpace(string(b)), "\n") {
+		var e telemetry.Event
+		if err := json.Unmarshal([]byte(line), &e); err != nil {
+			t.Fatalf("trace line %q: %v", line, err)
+		}
+		got = append(got, e.Run+"/"+e.Name)
+	}
+	want := []string{"opt-1/a1", "opt-1/a2", "opt-1/a3", "req-1/r1", "req-1/r2", "opt-2/b1", "opt-2/b2"}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Fatalf("trace.jsonl = %v, want %v", got, want)
 	}
 }

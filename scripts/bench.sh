@@ -25,7 +25,12 @@
 #   internal/space       Lookup / LookupLinearRef / Get  (name->index map vs
 #                        the old linear scan under the Get hot path)
 #   internal/telemetry   SpanStartEnd / SpanStartEndOff  (span open+End on
-#                        the solve hot path; must stay 0 allocs/op)
+#                        the solve hot path; must stay 0 allocs/op) /
+#                        TracerEvents  (one run's events read from a full
+#                        ring, as every /optimize reads them twice)
+#   internal/metrics     ClipToBox/16, /1000  (the quality measures' point
+#                        normalization and dedup, at a served frontier's size
+#                        and a large one)
 #   internal/solver/mogd MOGDSolve / MOGDSolveSerial / MOGDSolveBatch
 #   internal/moo/ws, nc  WSRun / NCRun  (baseline inner loops)
 #   internal/core        SequentialCold / ParallelCold  (PF-AS / PF-AP on a
@@ -55,7 +60,8 @@ go test -run '^$' -bench 'GEMM' -benchmem -benchtime 1s ./internal/linalg/ >>"$R
 go test -run '^$' -bench 'Predict|ValueGrad' -benchmem -benchtime 1s ./internal/model/dnn/ >>"$RAW"
 go test -run '^$' -bench 'Evaluator|EvalBatch|Composite' -benchmem -benchtime 1s ./internal/problem/ >>"$RAW"
 go test -run '^$' -bench 'Lookup|Get' -benchmem -benchtime 1s ./internal/space/ >>"$RAW"
-go test -run '^$' -bench 'Span' -benchmem -benchtime 1s ./internal/telemetry/ >>"$RAW"
+go test -run '^$' -bench 'Span|TracerEvents' -benchmem -benchtime 1s ./internal/telemetry/ >>"$RAW"
+go test -run '^$' -bench 'ClipToBox' -benchmem -benchtime 1s ./internal/metrics/ >>"$RAW"
 go test -run '^$' -bench 'MOGD' -benchmem -benchtime 1s ./internal/solver/mogd/ >>"$RAW"
 go test -run '^$' -bench 'WSRun|NCRun' -benchmem -benchtime 1s ./internal/moo/ws/ ./internal/moo/nc/ >>"$RAW"
 go test -run '^$' -bench 'Cold' -benchmem -benchtime 1s ./internal/core/ >>"$RAW"

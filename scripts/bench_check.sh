@@ -32,14 +32,16 @@ fi
 # (ValueGradBatch: ForwardBatch, Grad, Done, as MOGD runs it), the
 # evaluator seam (scalar, matrix-batch, and the stage-wise composite eval —
 # informational until its first scripts/bench.sh recording), the span
-# open+End pair (must stay allocation-free), the MOGD solver hot path, the
+# open+End pair (must stay allocation-free), the tracer's read of one run
+# from a full ring (every /optimize makes two; informational until its first
+# scripts/bench.sh recording), the MOGD solver hot path, the
 # Progressive Frontier loops (SequentialCold/ParallelCold: PF-AS and PF-AP on
 # a fresh solver every iteration), the serving cache's lease / insert /
 # singleflight-dispatch paths, the run registry's append (every served
 # answer, cache hits included, pays it; informational until its first
 # scripts/bench.sh recording), and the calibration ledger's window update and
 # append (the /observe hot path — the append must stay off the disk write).
-TRACKED='GEMM ValueGradBatch EvaluatorValueGrad EvaluatorValueGradTelemetry EvaluatorMemoHit EvalBatch CompositeEval SpanStartEnd MOGDSolve MOGDSolveSerial MOGDSolveBatch SequentialCold ParallelCold ServingCacheHit ServingCacheInsert CoalescedDispatch RegistryAppend CalibWindowAdd CalibLedgerAppend'
+TRACKED='GEMM ValueGradBatch EvaluatorValueGrad EvaluatorValueGradTelemetry EvaluatorMemoHit EvalBatch CompositeEval SpanStartEnd TracerEvents MOGDSolve MOGDSolveSerial MOGDSolveBatch SequentialCold ParallelCold ServingCacheHit ServingCacheInsert CoalescedDispatch RegistryAppend CalibWindowAdd CalibLedgerAppend'
 
 RAW=$(mktemp)
 trap 'rm -f "$RAW"' EXIT
@@ -47,7 +49,7 @@ trap 'rm -f "$RAW"' EXIT
 go test -run '^$' -bench 'GEMM' -benchmem -benchtime "$BENCHTIME" ./internal/linalg/ >>"$RAW"
 go test -run '^$' -bench 'ValueGradBatch' -benchmem -benchtime "$BENCHTIME" ./internal/model/dnn/ >>"$RAW"
 go test -run '^$' -bench 'Evaluator|EvalBatch|Composite' -benchmem -benchtime "$BENCHTIME" ./internal/problem/ >>"$RAW"
-go test -run '^$' -bench 'SpanStartEnd$' -benchmem -benchtime "$BENCHTIME" ./internal/telemetry/ >>"$RAW"
+go test -run '^$' -bench 'SpanStartEnd$|TracerEvents' -benchmem -benchtime "$BENCHTIME" ./internal/telemetry/ >>"$RAW"
 go test -run '^$' -bench 'MOGD' -benchmem -benchtime "$BENCHTIME" ./internal/solver/mogd/ >>"$RAW"
 go test -run '^$' -bench 'Cold' -benchmem -benchtime "$BENCHTIME" ./internal/core/ >>"$RAW"
 go test -run '^$' -bench 'Serving|Coalesced' -benchmem -benchtime "$BENCHTIME" ./internal/serving/ >>"$RAW"

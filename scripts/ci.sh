@@ -15,9 +15,10 @@
 #      Progressive Frontier benchmarks, so a broken benchmark harness fails
 #      CI instead of the next perf investigation
 #   6. fuzz smoke: 10s of FuzzJournalReopen over the durable journal's crash
-#      repair (the run registry, calibration ledger and alert log), and 10s of
+#      repair (the run registry, calibration ledger and alert log), 10s of
 #      FuzzLabelValue over the metric series label round trip the watchdog's
-#      per-workload rules read
+#      per-workload rules read, and 10s of FuzzClipToBox, the quality
+#      measures' point dedup against its reference, degenerate boxes included
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -37,5 +38,6 @@ go test -run '^$' -bench MOGD -benchtime 1x ./internal/solver/mogd/
 go test -run '^$' -bench Cold -benchtime 1x ./internal/core/
 go test -run '^$' -fuzz FuzzJournalReopen -fuzztime 10s ./internal/runlog/
 go test -run '^$' -fuzz FuzzLabelValue -fuzztime 10s ./internal/telemetry/
+go test -run '^$' -fuzz FuzzClipToBox -fuzztime 10s ./internal/metrics/
 
 echo "ci: all gates passed"
