@@ -5,9 +5,11 @@ import (
 	"unsafe"
 )
 
-// Blocked GEMM kernels — the matrix hot path under the batched DNN
-// forward/backward pass (internal/model/dnn) and everything built on it
-// (batched MOGD multi-start, population evaluation in the moo baselines).
+// Blocked GEMM kernels — the matrix hot path under the batched DNN passes
+// (internal/model/dnn: mini-batch training, MC-dropout sampling, and the
+// forward/backward pass) and everything built on them (model training in the
+// model server, batched MOGD multi-start, population evaluation in the moo
+// baselines).
 //
 // Both kernels accumulate into C:
 //

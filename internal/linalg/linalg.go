@@ -1,10 +1,13 @@
 // Package linalg provides the small dense linear-algebra kernel used by the
-// learned performance models (Gaussian processes, LASSO feature selection).
+// learned performance models (Gaussian processes, LASSO feature selection,
+// DNNs).
 //
 // It is deliberately minimal: dense row-major matrices, Cholesky
 // factorization, and triangular solves are all the Gaussian-process posterior
-// and the coordinate-descent LASSO need. Everything is float64 and
-// allocation-conscious so GP retraining inside benchmarks stays cheap.
+// and the coordinate-descent LASSO need, and the blocked GEMM kernels
+// (gemm.go) carry the DNN's training, inference and MC-dropout passes.
+// Everything is float64 and allocation-conscious so GP retraining inside
+// benchmarks stays cheap.
 package linalg
 
 import (

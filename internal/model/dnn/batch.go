@@ -2,21 +2,24 @@ package dnn
 
 import (
 	"fmt"
+	"math/rand"
 	"sync"
 
 	"repro/internal/linalg"
 	"repro/internal/model"
 )
 
-// Batched inference: the whole multi-start cohort moves through each layer as
-// one GEMM instead of n vector passes. Bit-parity with the scalar path is
+// Batched passes: a multi-start cohort (inference), a training mini-batch
+// (step) or a set of MC-dropout samples (PredictVar) moves through each layer
+// as one GEMM instead of n vector passes. Bit-parity with the scalar path is
 // structural, not approximate — the kernels in internal/linalg accumulate
 // every output element in ascending-k order starting from the preloaded bias
 // (forward) or a zeroed buffer (backward), the exact summation order of
-// forward/inputGrad above, so row r of a batch equals the scalar result for
-// that input under float equality. (The scalar backward skips d == 0 terms
-// where the GEMM adds them; a ±0 addend never changes a sum under float
-// equality, so the paths still compare equal.)
+// forward/inputGrad, so row r of a batch equals the scalar result for that
+// input under float equality. (The scalar backward skips d == 0 terms where
+// the GEMM adds them; a ±0 addend never changes a sum under float equality,
+// and a sum that starts at +0 never becomes −0, so it does not change that
+// sum's bits either.)
 
 // batchScratch holds the per-call matrices of one batched pass. All backing
 // slices grow to the largest batch seen and are reused via the Net's bpool,
@@ -26,6 +29,11 @@ type batchScratch struct {
 	wv   []*linalg.Matrix // per layer: Out×In view of the layer weights
 	dA   *linalg.Matrix   // ping-pong delta buffers, n×(widest layer)
 	dB   *linalg.Matrix
+	// PredictVar's buffers: the caller's input as a 1-row matrix, the
+	// samples' dropout multipliers, and the RNG it reseeds on every call.
+	in   linalg.Matrix
+	mask linalg.Matrix
+	rng  *rand.Rand
 	// net and rows make the scratch double as the model.BatchGrad handle of
 	// a split ForwardBatch pass (see below) without a separate allocation.
 	net  *Net
@@ -72,26 +80,32 @@ func (n *Net) putBatchScratch(sc *batchScratch) {
 // forwardBatch runs the network over all rows of X, returning the n×1 matrix
 // of standardized outputs (a view into sc's last activation buffer).
 func (n *Net) forwardBatch(X *linalg.Matrix, sc *batchScratch) *linalg.Matrix {
-	rows := X.Rows
 	a := X
 	for li, l := range n.Layers {
-		z := view(sc.acts[li], rows, l.Out)
-		for r := 0; r < rows; r++ {
-			copy(z.Row(r), l.B)
-		}
-		w := sc.wv[li]
-		w.Rows, w.Cols, w.Data = l.Out, l.In, l.W
-		linalg.GemmNT(a, w, z)
-		if l.ReLU {
-			for i, v := range z.Data {
-				if v < 0 {
-					z.Data[i] = 0
-				}
-			}
-		}
+		z := view(sc.acts[li], X.Rows, l.Out)
+		n.dense(li, a, z, sc)
 		a = z
 	}
 	return a
+}
+
+// dense runs layer li over the rows of a into z: the bias preloaded into
+// every row, one GemmNT, then the ReLU.
+func (n *Net) dense(li int, a, z *linalg.Matrix, sc *batchScratch) {
+	l := n.Layers[li]
+	for r := 0; r < z.Rows; r++ {
+		copy(z.Row(r), l.B)
+	}
+	w := sc.wv[li]
+	w.Rows, w.Cols, w.Data = l.Out, l.In, l.W
+	linalg.GemmNT(a, w, z)
+	if l.ReLU {
+		for i, v := range z.Data {
+			if v < 0 {
+				z.Data[i] = 0
+			}
+		}
+	}
 }
 
 // inputGradBatch backprops ∂Ψ/∂x for every row through sc's stored

@@ -46,3 +46,26 @@ func BenchmarkPredictVar(b *testing.B) {
 		n.PredictVar(x)
 	}
 }
+
+// BenchmarkPredictVar2x64 is PredictVar at the server's model shape: the
+// default 2×64 network over 12 knobs, 16 MC-dropout samples.
+func BenchmarkPredictVar2x64(b *testing.B) {
+	n := New(12, Config{Seed: 1})
+	x := benchInput(n.InDim)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		n.PredictVar(x)
+	}
+}
+
+// BenchmarkFit trains a fresh net at the server's training shape (12→64→64→1,
+// 60 samples, 200 epochs, batch 32), as a cold DNN request does per model.
+func BenchmarkFit(b *testing.B) {
+	X, y := refData(60, 12, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		New(12, Config{Seed: 1}).Fit(X, y)
+	}
+}

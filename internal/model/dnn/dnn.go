@@ -7,6 +7,11 @@
 // solver consumes), Adam updates, mini-batching, incremental fine-tuning from
 // a checkpoint, and Monte-Carlo-dropout predictive uncertainty (the paper's
 // Bayesian approximation for DNNs [9]).
+//
+// Mini-batch training, batched inference and the MC-dropout samples run on
+// the blocked GEMM kernels of internal/linalg, one GEMM per layer, and are
+// bit-identical to per-sample scalar loops (see batch.go); single-point
+// Predict and ValueGrad keep the scalar loops.
 package dnn
 
 import (
@@ -17,6 +22,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/linalg"
 	"repro/internal/model"
 )
 
@@ -93,9 +99,6 @@ type scratch struct {
 	acts [][]float64
 	// bufA/bufB are ping-pong delta buffers sized to the widest layer.
 	bufA, bufB []float64
-	// mask holds one dropout multiplier per hidden unit per ReLU layer
-	// (nil rows for non-ReLU layers); refilled in place by PredictVar.
-	mask [][]float64
 }
 
 func (n *Net) newScratch() *scratch {
@@ -156,9 +159,8 @@ func New(inDim int, cfg Config) *Net {
 func (n *Net) Dim() int { return n.InDim }
 
 // forward runs the network over sc's activation buffers, returning the
-// standardized output. When drop is true, sc.mask's keep/drop multipliers are
-// applied to the hidden units. It allocates nothing.
-func (n *Net) forward(x []float64, sc *scratch, drop bool) float64 {
+// standardized output. It allocates nothing.
+func (n *Net) forward(x []float64, sc *scratch) float64 {
 	a := x
 	for li, l := range n.Layers {
 		z := sc.acts[li]
@@ -172,12 +174,6 @@ func (n *Net) forward(x []float64, sc *scratch, drop bool) float64 {
 				s = 0
 			}
 			z[o] = s
-		}
-		if drop && l.ReLU {
-			m := sc.mask[li]
-			for o := range z {
-				z[o] *= m[o]
-			}
 		}
 		a = z
 	}
@@ -231,7 +227,7 @@ func (n *Net) Predict(x []float64) float64 {
 		panic(fmt.Sprintf("dnn: input length %d != %d", len(x), n.InDim))
 	}
 	sc := n.getScratch()
-	out := n.forward(x, sc, false)
+	out := n.forward(x, sc)
 	n.putScratch(sc)
 	return out*n.YStd + n.YMean
 }
@@ -246,7 +242,7 @@ func (n *Net) ValueGrad(x, grad []float64) (float64, []float64) {
 	}
 	out := model.GradBuf(grad, n.InDim)
 	sc := n.getScratch()
-	y := n.forward(x, sc, false)
+	y := n.forward(x, sc)
 	n.inputGrad(sc, out)
 	n.putScratch(sc)
 	return y*n.YStd + n.YMean, out
@@ -254,40 +250,74 @@ func (n *Net) ValueGrad(x, grad []float64) (float64, []float64) {
 
 // PredictVar implements model.Uncertain with MC dropout: Cfg.Samples
 // stochastic forward passes with dropout rate Cfg.Dropout on hidden units.
-// The dropout mask and activation buffers are reused across all samples.
+// Every mask is drawn first, in the per-sample order (sample, layer, unit),
+// from one RNG per call. The first layer precedes every mask, so it runs
+// once; the samples then move through each later layer as one GEMM. Each
+// sample's output is bit-identical to a scalar forward pass under its masks.
+// Safe for concurrent use; allocation-free after pool warm-up.
 func (n *Net) PredictVar(x []float64) (mean, variance float64) {
 	s := n.Cfg.Samples
 	if s < 2 {
 		return n.Predict(x), 0
 	}
-	rng := rand.New(rand.NewSource(n.Cfg.Seed ^ atomic.AddInt64(&n.mcCounter, 1)))
+	if len(x) != n.InDim {
+		panic(fmt.Sprintf("dnn: input length %d != %d", len(x), n.InDim))
+	}
+	sc := n.getBatchScratch()
+	seed := n.Cfg.Seed ^ atomic.AddInt64(&n.mcCounter, 1)
+	if sc.rng == nil {
+		sc.rng = rand.New(rand.NewSource(seed))
+	} else {
+		sc.rng.Seed(seed)
+	}
 	keep := 1 - n.Cfg.Dropout
-	sc := n.getScratch()
-	if sc.mask == nil {
-		sc.mask = make([][]float64, len(n.Layers))
-		for li, l := range n.Layers {
-			if l.ReLU {
-				sc.mask[li] = make([]float64, l.Out)
+	units := 0
+	for _, l := range n.Layers {
+		if l.ReLU {
+			units += l.Out
+		}
+	}
+	// Row t of mask holds sample t's multipliers, layer by layer.
+	mask := view(&sc.mask, s, units)
+	for i := range mask.Data {
+		if sc.rng.Float64() < keep {
+			mask.Data[i] = 1 / keep
+		} else {
+			mask.Data[i] = 0
+		}
+	}
+	sc.in = linalg.Matrix{Rows: 1, Cols: n.InDim, Data: x}
+	first := view(sc.dA, 1, n.Layers[0].Out)
+	n.dense(0, &sc.in, first, sc)
+	sc.in.Data = nil // the pooled scratch must not keep x alive
+	a := view(sc.acts[0], s, n.Layers[0].Out)
+	for t := 0; t < s; t++ {
+		copy(a.Row(t), first.Data)
+	}
+	off := 0
+	for li, l := range n.Layers {
+		if li > 0 {
+			z := view(sc.acts[li], s, l.Out)
+			n.dense(li, a, z, sc)
+			a = z
+		}
+		if l.ReLU {
+			for t := 0; t < s; t++ {
+				z, m := a.Row(t), mask.Row(t)[off:off+l.Out]
+				for o := range z {
+					z[o] *= m[o]
+				}
 			}
+			off += l.Out
 		}
 	}
 	sum, sum2 := 0.0, 0.0
-	for t := 0; t < s; t++ {
-		for _, m := range sc.mask {
-			for o := range m {
-				if rng.Float64() < keep {
-					m[o] = 1 / keep
-				} else {
-					m[o] = 0
-				}
-			}
-		}
-		out := n.forward(x, sc, true)
+	for _, out := range a.Data { // a is s×1: one output per sample
 		y := out*n.YStd + n.YMean
 		sum += y
 		sum2 += y * y
 	}
-	n.putScratch(sc)
+	n.putBatchScratch(sc)
 	mean = sum / float64(s)
 	variance = sum2/float64(s) - mean*mean
 	if variance < 0 {
@@ -303,6 +333,11 @@ func (n *Net) PredictVar(x []float64) (mean, variance float64) {
 func (n *Net) Fit(X [][]float64, y []float64) float64 {
 	if len(X) != len(y) || len(X) == 0 {
 		panic("dnn: Fit requires equal-length non-empty X and y")
+	}
+	for _, x := range X {
+		if len(x) != n.InDim {
+			panic(fmt.Sprintf("dnn: input length %d != %d", len(x), n.InDim))
+		}
 	}
 	// (Re)standardize targets on first fit only so incremental updates keep
 	// the output scale stable.
@@ -322,6 +357,8 @@ func (n *Net) Fit(X [][]float64, y []float64) float64 {
 	for i := range idx {
 		idx[i] = i
 	}
+	ts := n.newTrainScratch()
+	defer n.putBatchScratch(ts.batchScratch)
 	var lastMSE float64
 	for epoch := 0; epoch < n.Cfg.Epochs; epoch++ {
 		rng.Shuffle(len(idx), func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
@@ -331,64 +368,99 @@ func (n *Net) Fit(X [][]float64, y []float64) float64 {
 			if end > len(idx) {
 				end = len(idx)
 			}
-			sse += n.step(X, ys, idx[start:end])
+			sse += n.step(X, ys, idx[start:end], ts)
 		}
 		lastMSE = sse / float64(len(idx))
 	}
 	return lastMSE
 }
 
-// step performs one Adam update on a mini-batch and returns the batch SSE.
-func (n *Net) step(X [][]float64, ys []float64, batch []int) float64 {
-	// Accumulate gradients.
-	gW := make([][]float64, len(n.Layers))
-	gB := make([][]float64, len(n.Layers))
-	for li, l := range n.Layers {
-		gW[li] = make([]float64, len(l.W))
-		gB[li] = make([]float64, len(l.B))
+// trainScratch holds one Fit's mini-batch buffers: a pooled batch scratch for
+// the forward activations and the delta ping-pong, the packed batch rows,
+// the transposes the weight-gradient GEMM reads, and each layer's gradients.
+type trainScratch struct {
+	*batchScratch
+	x, dT, inT linalg.Matrix
+	gW         []linalg.Matrix // per layer: Out×In
+	gB         [][]float64     // per layer: Out
+}
+
+func (n *Net) newTrainScratch() *trainScratch {
+	ts := &trainScratch{
+		batchScratch: n.getBatchScratch(),
+		gW:           make([]linalg.Matrix, len(n.Layers)),
+		gB:           make([][]float64, len(n.Layers)),
 	}
-	sse := 0.0
-	sc := n.getScratch()
-	for _, i := range batch {
-		out := n.forward(X[i], sc, false)
-		err := out - ys[i]
-		sse += err * err
-		cur, nxt := sc.bufA, sc.bufB
-		cur[0] = 2 * err / float64(len(batch))
-		for li := len(n.Layers) - 1; li >= 0; li-- {
-			l := n.Layers[li]
-			post := sc.acts[li]
-			pre := X[i]
-			if li > 0 {
-				pre = sc.acts[li-1]
-			}
-			if l.ReLU {
-				for o := 0; o < l.Out; o++ {
-					if post[o] <= 0 {
-						cur[o] = 0
-					}
-				}
-			}
-			for j := 0; j < l.In; j++ {
-				nxt[j] = 0
-			}
-			for o := 0; o < l.Out; o++ {
-				d := cur[o]
-				gB[li][o] += d
-				if d == 0 {
-					continue
-				}
-				row := l.W[o*l.In : (o+1)*l.In]
-				grow := gW[li][o*l.In : (o+1)*l.In]
-				for j := range row {
-					grow[j] += d * pre[j]
-					nxt[j] += d * row[j]
-				}
-			}
-			cur, nxt = nxt, cur
+	for li, l := range n.Layers {
+		ts.gW[li] = linalg.Matrix{Rows: l.Out, Cols: l.In, Data: make([]float64, l.Out*l.In)}
+		ts.gB[li] = make([]float64, l.Out)
+	}
+	return ts
+}
+
+// transposeInto writes mᵀ into dst, growing dst's backing slice as needed.
+func transposeInto(dst, m *linalg.Matrix) *linalg.Matrix {
+	t := view(dst, m.Cols, m.Rows)
+	for r := 0; r < m.Rows; r++ {
+		for c, v := range m.Row(r) {
+			t.Data[c*m.Rows+r] = v
 		}
 	}
-	n.putScratch(sc)
+	return t
+}
+
+// step performs one Adam update on a mini-batch and returns the batch SSE.
+// The batch moves through each layer as one GEMM, and every sum keeps the
+// order of a per-sample loop: SSE and bias gradients add the samples in batch
+// order, and the weight-gradient GEMM's k index is the sample, ascending from
+// a zeroed buffer. That loop skips the products of zero deltas, which the
+// kernels add; a ±0 term cannot change a sum that starts at +0 (see
+// batch.go), so the update is bit-identical to it.
+func (n *Net) step(X [][]float64, ys []float64, batch []int, ts *trainScratch) float64 {
+	b := len(batch)
+	xb := view(&ts.x, b, n.InDim)
+	for r, i := range batch {
+		copy(xb.Row(r), X[i])
+	}
+	out := n.forwardBatch(xb, ts.batchScratch)
+	cur, nxt := view(ts.dA, b, 1), ts.dB
+	sse := 0.0
+	for r, i := range batch {
+		err := out.Data[r] - ys[i]
+		sse += err * err
+		cur.Data[r] = 2 * err / float64(b)
+	}
+	for li := len(n.Layers) - 1; li >= 0; li-- {
+		l := n.Layers[li]
+		if l.ReLU {
+			for i, v := range ts.acts[li].Data {
+				if v <= 0 {
+					cur.Data[i] = 0
+				}
+			}
+		}
+		gB := ts.gB[li]
+		clear(gB)
+		for r := 0; r < b; r++ {
+			for o, d := range cur.Row(r) {
+				gB[o] += d
+			}
+		}
+		in := xb
+		if li > 0 {
+			in = ts.acts[li-1]
+		}
+		gW := &ts.gW[li]
+		clear(gW.Data)
+		linalg.GemmNT(transposeInto(&ts.dT, cur), transposeInto(&ts.inT, in), gW)
+		// The input layer's deltas feed nothing, so they are not computed.
+		if li > 0 {
+			d := view(nxt, b, l.In)
+			clear(d.Data)
+			linalg.GemmNN(cur, ts.wv[li], d)
+			cur, nxt = d, cur
+		}
+	}
 	// Adam update with decoupled L2.
 	n.adamT++
 	t := float64(n.adamT)
@@ -396,14 +468,15 @@ func (n *Net) step(X [][]float64, ys []float64, batch []int) float64 {
 	bc1 := 1 - math.Pow(b1, t)
 	bc2 := 1 - math.Pow(b2, t)
 	for li, l := range n.Layers {
+		gW, gB := ts.gW[li].Data, ts.gB[li]
 		for j := range l.W {
-			g := gW[li][j] + n.Cfg.L2*l.W[j]
+			g := gW[j] + n.Cfg.L2*l.W[j]
 			l.mW[j] = b1*l.mW[j] + (1-b1)*g
 			l.vW[j] = b2*l.vW[j] + (1-b2)*g*g
 			l.W[j] -= n.Cfg.LR * (l.mW[j] / bc1) / (math.Sqrt(l.vW[j]/bc2) + eps)
 		}
 		for j := range l.B {
-			g := gB[li][j]
+			g := gB[j]
 			l.mB[j] = b1*l.mB[j] + (1-b1)*g
 			l.vB[j] = b2*l.vB[j] + (1-b2)*g*g
 			l.B[j] -= n.Cfg.LR * (l.mB[j] / bc1) / (math.Sqrt(l.vB[j]/bc2) + eps)

@@ -1,0 +1,454 @@
+package dnn
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"sort"
+	"sync"
+	"testing"
+
+	"repro/internal/linalg"
+)
+
+// The per-sample training step and MC-dropout loop that step and PredictVar
+// replaced, kept as references: the GEMM paths must reproduce them bit for
+// bit.
+
+// refForward is the scalar forward pass over acts; a non-nil mask applies its
+// keep/drop multipliers to the ReLU layers' units (nil rows elsewhere).
+func refForward(n *Net, x []float64, acts, mask [][]float64) float64 {
+	a := x
+	for li, l := range n.Layers {
+		z := acts[li]
+		for o := 0; o < l.Out; o++ {
+			s := l.B[o]
+			row := l.W[o*l.In : (o+1)*l.In]
+			for i, v := range a {
+				s += row[i] * v
+			}
+			if l.ReLU && s < 0 {
+				s = 0
+			}
+			z[o] = s
+		}
+		if mask != nil && l.ReLU {
+			m := mask[li]
+			for o := range z {
+				z[o] *= m[o]
+			}
+		}
+		a = z
+	}
+	return a[0]
+}
+
+func refActs(n *Net) [][]float64 {
+	acts := make([][]float64, len(n.Layers))
+	for li, l := range n.Layers {
+		acts[li] = make([]float64, l.Out)
+	}
+	return acts
+}
+
+// refFit is Fit over refStep.
+func refFit(n *Net, X [][]float64, y []float64) float64 {
+	if n.adamT == 0 {
+		m, s := meanStd(y)
+		if s < 1e-12 {
+			s = 1
+		}
+		n.YMean, n.YStd = m, s
+	}
+	ys := make([]float64, len(y))
+	for i, v := range y {
+		ys[i] = (v - n.YMean) / n.YStd
+	}
+	rng := rand.New(rand.NewSource(n.Cfg.Seed + 1))
+	idx := make([]int, len(X))
+	for i := range idx {
+		idx[i] = i
+	}
+	var lastMSE float64
+	for epoch := 0; epoch < n.Cfg.Epochs; epoch++ {
+		rng.Shuffle(len(idx), func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
+		sse := 0.0
+		for start := 0; start < len(idx); start += n.Cfg.Batch {
+			end := start + n.Cfg.Batch
+			if end > len(idx) {
+				end = len(idx)
+			}
+			sse += refStep(n, X, ys, idx[start:end])
+		}
+		lastMSE = sse / float64(len(idx))
+	}
+	return lastMSE
+}
+
+// refStep backpropagates one sample at a time, skipping zero deltas, and
+// computes (and discards) the input layer's deltas.
+func refStep(n *Net, X [][]float64, ys []float64, batch []int) float64 {
+	gW := make([][]float64, len(n.Layers))
+	gB := make([][]float64, len(n.Layers))
+	maxW := n.InDim
+	for li, l := range n.Layers {
+		gW[li] = make([]float64, len(l.W))
+		gB[li] = make([]float64, len(l.B))
+		if l.Out > maxW {
+			maxW = l.Out
+		}
+	}
+	acts := refActs(n)
+	bufA, bufB := make([]float64, maxW), make([]float64, maxW)
+	sse := 0.0
+	for _, i := range batch {
+		out := refForward(n, X[i], acts, nil)
+		err := out - ys[i]
+		sse += err * err
+		cur, nxt := bufA, bufB
+		cur[0] = 2 * err / float64(len(batch))
+		for li := len(n.Layers) - 1; li >= 0; li-- {
+			l := n.Layers[li]
+			post := acts[li]
+			pre := X[i]
+			if li > 0 {
+				pre = acts[li-1]
+			}
+			if l.ReLU {
+				for o := 0; o < l.Out; o++ {
+					if post[o] <= 0 {
+						cur[o] = 0
+					}
+				}
+			}
+			for j := 0; j < l.In; j++ {
+				nxt[j] = 0
+			}
+			for o := 0; o < l.Out; o++ {
+				d := cur[o]
+				gB[li][o] += d
+				if d == 0 {
+					continue
+				}
+				row := l.W[o*l.In : (o+1)*l.In]
+				grow := gW[li][o*l.In : (o+1)*l.In]
+				for j := range row {
+					grow[j] += d * pre[j]
+					nxt[j] += d * row[j]
+				}
+			}
+			cur, nxt = nxt, cur
+		}
+	}
+	n.adamT++
+	t := float64(n.adamT)
+	const b1, b2, eps = 0.9, 0.999, 1e-8
+	bc1 := 1 - math.Pow(b1, t)
+	bc2 := 1 - math.Pow(b2, t)
+	for li, l := range n.Layers {
+		for j := range l.W {
+			g := gW[li][j] + n.Cfg.L2*l.W[j]
+			l.mW[j] = b1*l.mW[j] + (1-b1)*g
+			l.vW[j] = b2*l.vW[j] + (1-b2)*g*g
+			l.W[j] -= n.Cfg.LR * (l.mW[j] / bc1) / (math.Sqrt(l.vW[j]/bc2) + eps)
+		}
+		for j := range l.B {
+			g := gB[li][j]
+			l.mB[j] = b1*l.mB[j] + (1-b1)*g
+			l.vB[j] = b2*l.vB[j] + (1-b2)*g*g
+			l.B[j] -= n.Cfg.LR * (l.mB[j] / bc1) / (math.Sqrt(l.vB[j]/bc2) + eps)
+		}
+	}
+	return sse
+}
+
+// refPredictVar draws each sample's masks, then runs one scalar forward pass.
+func refPredictVar(n *Net, x []float64) (mean, variance float64) {
+	s := n.Cfg.Samples
+	n.mcCounter++
+	rng := rand.New(rand.NewSource(n.Cfg.Seed ^ n.mcCounter))
+	keep := 1 - n.Cfg.Dropout
+	acts := refActs(n)
+	mask := make([][]float64, len(n.Layers))
+	for li, l := range n.Layers {
+		if l.ReLU {
+			mask[li] = make([]float64, l.Out)
+		}
+	}
+	sum, sum2 := 0.0, 0.0
+	for t := 0; t < s; t++ {
+		for _, m := range mask {
+			for o := range m {
+				if rng.Float64() < keep {
+					m[o] = 1 / keep
+				} else {
+					m[o] = 0
+				}
+			}
+		}
+		y := refForward(n, x, acts, mask)*n.YStd + n.YMean
+		sum += y
+		sum2 += y * y
+	}
+	mean = sum / float64(s)
+	variance = sum2/float64(s) - mean*mean
+	if variance < 0 {
+		variance = 0
+	}
+	return mean, variance
+}
+
+// refData draws rows×dim inputs in [-1, 1] (negative inputs make the zero
+// products the per-sample loop skips signed) and a nonlinear target.
+func refData(rows, dim int, seed int64) ([][]float64, []float64) {
+	rng := rand.New(rand.NewSource(seed))
+	X := make([][]float64, rows)
+	y := make([]float64, rows)
+	for i := range X {
+		X[i] = make([]float64, dim)
+		s := 0.0
+		for j := range X[i] {
+			X[i][j] = 2*rng.Float64() - 1
+			s += X[i][j] * float64(j%3+1)
+		}
+		y[i] = s*s + math.Sin(3*X[i][0]) + rng.NormFloat64()*0.05
+	}
+	return X, y
+}
+
+func sameBits(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: length %d, reference %d", what, len(got), len(want))
+	}
+	for i := range got {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s[%d] = %v (%#x), reference %v (%#x)", what, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+		}
+	}
+}
+
+// sameNet compares every weight, bias and Adam moment bit for bit.
+func sameNet(t *testing.T, got, want *Net) {
+	t.Helper()
+	if got.adamT != want.adamT {
+		t.Fatalf("adamT %d, reference %d", got.adamT, want.adamT)
+	}
+	sameBits(t, "target scale", []float64{got.YMean, got.YStd}, []float64{want.YMean, want.YStd})
+	for li, l := range got.Layers {
+		r := want.Layers[li]
+		sameBits(t, fmt.Sprintf("layer %d W", li), l.W, r.W)
+		sameBits(t, fmt.Sprintf("layer %d B", li), l.B, r.B)
+		sameBits(t, fmt.Sprintf("layer %d mW", li), l.mW, r.mW)
+		sameBits(t, fmt.Sprintf("layer %d vW", li), l.vW, r.vW)
+		sameBits(t, fmt.Sprintf("layer %d mB", li), l.mB, r.mB)
+		sameBits(t, fmt.Sprintf("layer %d vB", li), l.vB, r.vB)
+	}
+}
+
+// killUnits makes the first k units of every hidden layer output 0 for any
+// input: their deltas are zero for every sample.
+func killUnits(n *Net, k int) {
+	for _, l := range n.Layers {
+		if !l.ReLU {
+			continue
+		}
+		for o := 0; o < k; o++ {
+			for j := 0; j < l.In; j++ {
+				l.W[o*l.In+j] = 0
+			}
+			l.B[o] = -1
+		}
+	}
+}
+
+// TestFitMatchesReference trains twin nets through Fit and through the
+// per-sample reference and compares weights, biases, Adam moments and the
+// returned MSE bit for bit.
+func TestFitMatchesReference(t *testing.T) {
+	cases := []struct {
+		name      string
+		dim, rows int
+		cfg       Config
+		dead      int // hidden units per layer forced dead
+		refit     int // rows of a second, fine-tuning Fit (0 = none)
+	}{
+		// The server's training shape: 12→64→64→1, 60 samples, 200 epochs,
+		// batch 32, so each epoch ends on a partial batch of 28.
+		{name: "server", dim: 12, rows: 60, cfg: Config{Seed: 7}},
+		{name: "batch-1", dim: 5, rows: 23, cfg: Config{Hidden: []int{16, 8}, Epochs: 6, Batch: 1, Seed: 2}},
+		{name: "batch-over-n", dim: 4, rows: 20, cfg: Config{Hidden: []int{16}, Epochs: 30, Batch: 64, Seed: 3}},
+		{name: "4x128", dim: 12, rows: 70, cfg: Config{Hidden: []int{128, 128, 128, 128}, Epochs: 6, Seed: 4}},
+		{name: "dead-relu", dim: 6, rows: 45, cfg: Config{Hidden: []int{24, 16}, Epochs: 25, Batch: 8, Seed: 5}, dead: 5},
+		{name: "fine-tune", dim: 12, rows: 60, cfg: Config{Epochs: 40, Seed: 6}, refit: 37},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			got, want := New(tc.dim, tc.cfg), New(tc.dim, tc.cfg)
+			killUnits(got, tc.dead)
+			killUnits(want, tc.dead)
+			X, y := refData(tc.rows, tc.dim, tc.cfg.Seed)
+			mse, refMSE := got.Fit(X, y), refFit(want, X, y)
+			sameBits(t, "mse", []float64{mse}, []float64{refMSE})
+			sameNet(t, got, want)
+			if tc.refit == 0 {
+				return
+			}
+			X2, y2 := refData(tc.refit, tc.dim, tc.cfg.Seed+100)
+			got.Cfg.Epochs, want.Cfg.Epochs = 30, 30
+			mse, refMSE = got.Fit(X2, y2), refFit(want, X2, y2)
+			sameBits(t, "fine-tune mse", []float64{mse}, []float64{refMSE})
+			sameNet(t, got, want)
+		})
+	}
+}
+
+// TestPredictVarMatchesReference compares PredictVar's (mean, variance) with
+// the per-sample MC-dropout loop on a twin net, call by call.
+func TestPredictVarMatchesReference(t *testing.T) {
+	X, y := refData(60, 12, 21)
+	for _, tc := range []struct {
+		hidden  []int
+		samples int
+	}{
+		{[]int{64, 64}, 2}, {[]int{64, 64}, 16}, {[]int{64, 64}, 33},
+		{[]int{8}, 16}, {[]int{128, 128, 128, 128}, 16},
+	} {
+		t.Run(fmt.Sprintf("%v/samples-%d", tc.hidden, tc.samples), func(t *testing.T) {
+			cfg := Config{Hidden: tc.hidden, Epochs: 5, Dropout: 0.2, Samples: tc.samples, Seed: 21}
+			got, want := New(12, cfg), New(12, cfg)
+			got.Fit(X, y)
+			refFit(want, X, y)
+			for i, x := range X[:12] {
+				m, v := got.PredictVar(x)
+				rm, rv := refPredictVar(want, x)
+				sameBits(t, fmt.Sprintf("call %d (mean, variance)", i), []float64{m, v}, []float64{rm, rv})
+			}
+		})
+	}
+}
+
+// mcNet is a trained server-shape net with a dropout rate that makes the MC
+// samples differ.
+func mcNet() *Net {
+	X, y := refData(60, 12, 31)
+	n := New(12, Config{Epochs: 10, Dropout: 0.2, Seed: 31})
+	n.Fit(X, y)
+	return n
+}
+
+// sortedBits returns the (mean, variance) pairs as sorted bit patterns, so
+// two runs can be compared as multisets.
+func sortedBits(res [][2]float64) [][2]uint64 {
+	out := make([][2]uint64, len(res))
+	for i, r := range res {
+		out[i] = [2]uint64{math.Float64bits(r[0]), math.Float64bits(r[1])}
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i][0] != out[j][0] {
+			return out[i][0] < out[j][0]
+		}
+		return out[i][1] < out[j][1]
+	})
+	return out
+}
+
+// sameMultiset compares conc, the results of concurrent PredictVar calls,
+// with count sequential calls on a fresh twin net: each call draws the next
+// seed, so the two must hold the same results in some order.
+func sameMultiset(t *testing.T, conc [][2]float64, x []float64) {
+	t.Helper()
+	twin := mcNet()
+	seq := make([][2]float64, len(conc))
+	for i := range seq {
+		seq[i][0], seq[i][1] = twin.PredictVar(x)
+	}
+	a, b := sortedBits(conc), sortedBits(seq)
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("concurrent results differ from sequential ones at sorted index %d: %x vs %x", i, a[i], b[i])
+		}
+	}
+}
+
+func testInput() []float64 {
+	x := make([]float64, 12)
+	for i := range x {
+		x[i] = float64(i%5)/5 - 0.3
+	}
+	return x
+}
+
+// TestPredictVarConcurrentMultiset: N concurrent PredictVar calls return the
+// same multiset of results as N sequential calls on a twin net.
+func TestPredictVarConcurrentMultiset(t *testing.T) {
+	const workers, perWorker = 4, 16
+	x := testInput()
+	n := mcNet()
+	conc := make([][2]float64, workers*perWorker)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWorker; i++ {
+				conc[w*perWorker+i][0], conc[w*perWorker+i][1] = n.PredictVar(x)
+			}
+		}(w)
+	}
+	wg.Wait()
+	sameMultiset(t, conc, x)
+}
+
+// TestPredictVarConcurrentWithBatch runs PredictVar beside PredictBatch and
+// the split ForwardBatch pass on one net. They share the batch-scratch pool,
+// so each must still return what it returns alone.
+func TestPredictVarConcurrentWithBatch(t *testing.T) {
+	const workers, calls = 2, 40
+	n := mcNet()
+	X := randBatch(rand.New(rand.NewSource(4)), 9, 12)
+	wantY := make([]float64, X.Rows)
+	n.PredictBatch(X, wantY)
+	wantG := linalg.NewMatrix(X.Rows, 12)
+	splitPass(n, X, make([]float64, X.Rows), wantG)
+	x := testInput()
+	conc := make([][2]float64, workers*calls)
+	errs := make(chan string, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(2)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < calls; i++ {
+				conc[w*calls+i][0], conc[w*calls+i][1] = n.PredictVar(x)
+			}
+		}(w)
+		go func() {
+			defer wg.Done()
+			y := make([]float64, X.Rows)
+			G := linalg.NewMatrix(X.Rows, 12)
+			for i := 0; i < calls; i++ {
+				n.PredictBatch(X, y)
+				for r := range y {
+					if y[r] != wantY[r] {
+						errs <- fmt.Sprintf("PredictBatch row %d = %v, alone %v", r, y[r], wantY[r])
+						return
+					}
+				}
+				splitPass(n, X, y, G)
+				for j := range G.Data {
+					if G.Data[j] != wantG.Data[j] {
+						errs <- fmt.Sprintf("ForwardBatch gradient %d = %v, alone %v", j, G.Data[j], wantG.Data[j])
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Fatal(e)
+	}
+	sameMultiset(t, conc, x)
+}

@@ -1,6 +1,9 @@
 package space
 
 import (
+	"bytes"
+	"encoding/binary"
+	"math"
 	"reflect"
 	"testing"
 )
@@ -163,4 +166,131 @@ func TestCompositeSharedOnlyStage(t *testing.T) {
 	if got := c.StageDims(0); !reflect.DeepEqual(got, []int{0}) {
 		t.Fatalf("StageDims = %v", got)
 	}
+}
+
+// fuzzComposite is a two-stage composite over every knob kind: a shared
+// integer tied into both stages, a shared continuous knob tied into one,
+// log-scale integers and a log-scale continuous knob, a boolean and a
+// categorical knob.
+func fuzzComposite(t testing.TB) *Composite {
+	t.Helper()
+	c, err := NewComposite(
+		[]Var{
+			{Name: "instances", Kind: Integer, Min: 2, Max: 14},
+			{Name: "memFraction", Kind: Continuous, Min: 0.3, Max: 0.9},
+		},
+		[]Stage{
+			{Name: "etl", Vars: []Var{
+				{Name: "instances", Kind: Integer, Min: 2, Max: 14}, // tied
+				{Name: "partitions", Kind: Integer, Min: 8, Max: 1000, Log: true},
+				{Name: "compress", Kind: Boolean},
+				{Name: "memFraction", Kind: Continuous, Min: 0.3, Max: 0.9}, // tied
+			}},
+			{Name: "ml", Vars: []Var{
+				{Name: "solver", Kind: Categorical, Levels: []string{"sgd", "lbfgs", "adam"}},
+				{Name: "batch", Kind: Integer, Min: 2500, Max: 40000, Log: true},
+				{Name: "instances", Kind: Integer, Min: 2, Max: 14}, // tied
+				{Name: "stepSize", Kind: Continuous, Min: 1e-4, Max: 0.5, Log: true},
+			}},
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// inDomain reports whether raw is a value variable v can take.
+func inDomain(v Var, raw float64) bool {
+	switch v.Kind {
+	case Continuous:
+		return raw >= v.Min && raw <= v.Max
+	case Integer:
+		return raw >= v.Min && raw <= v.Max && raw == math.Round(raw)
+	case Boolean:
+		return raw == 0 || raw == 1
+	default:
+		return raw >= 0 && raw < float64(len(v.Levels)) && raw == math.Round(raw)
+	}
+}
+
+// FuzzCompositeRoundTrip decodes any point of a composite's solver space
+// and checks that the values lie in their knobs' domains, that Round lands
+// on a point decoding to the same values, and that each stage's Gather and
+// StageValues agree with the stage sub-space's own Encode and Decode. The
+// input holds one coordinate per encoded dimension (missing ones are 0.5):
+// a control byte c, then for even c a raw little-endian float64 and for odd
+// c one byte b, read as the fraction b/255·1.5 − 0.25 (the unit interval and
+// a margin that Decode clamps). NaN is no point of the space; inputs holding
+// one are skipped.
+func FuzzCompositeRoundTrip(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{1, 0, 1, 255, 1, 42, 1, 128, 1, 200, 1, 17, 1, 170, 1, 85, 1, 2})
+	f.Add(append([]byte{0, 0, 0, 0, 0, 0, 0, 0xf0, 0x7f, 1, 128}, bytes.Repeat([]byte{1, 43}, 8)...))
+	f.Add(append([]byte{0, 0, 0, 0, 0, 0, 0, 0xf0, 0xff, 0, 1, 0, 0, 0, 0, 0, 0, 0x80}, bytes.Repeat([]byte{1, 212}, 8)...))
+	c := fuzzComposite(f)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		x := make([]float64, c.Dim())
+		for d := range x {
+			x[d] = 0.5
+			switch {
+			case len(data) >= 9 && data[0]%2 == 0:
+				x[d] = math.Float64frombits(binary.LittleEndian.Uint64(data[1:]))
+				data = data[9:]
+			case len(data) >= 2 && data[0]%2 == 1:
+				x[d] = float64(data[1])/255*1.5 - 0.25
+				data = data[2:]
+			}
+			if math.IsNaN(x[d]) {
+				return
+			}
+		}
+		vals, err := c.Decode(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range c.Vars {
+			if !inDomain(v, float64(vals[i])) {
+				t.Fatalf("%s decodes to %v, outside its domain (x = %v)", v.Name, vals[i], x)
+			}
+		}
+		rx, err := c.Round(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rvals, err := c.Decode(rx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range c.Vars {
+			a, b := float64(rvals[i]), float64(vals[i])
+			if v.Kind == Continuous {
+				if math.Abs(a-b) > 1e-12*math.Abs(b) {
+					t.Fatalf("%s: Round(x) decodes to %v, x to %v", v.Name, a, b)
+				}
+			} else if a != b {
+				t.Fatalf("%s: Round(x) decodes to %v, x to %v", v.Name, a, b)
+			}
+		}
+		for i := range c.Stages {
+			sub := c.StageSpace(i)
+			sv, err := c.StageValues(vals, i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := sub.Decode(c.Gather(i, x, nil))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, sv) {
+				t.Fatalf("stage %d: sub-space decodes its gathered dims to %v, StageValues gives %v", i, got, sv)
+			}
+			enc, err := sub.Encode(sv)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if g := c.Gather(i, rx, nil); !reflect.DeepEqual(g, enc) {
+				t.Fatalf("stage %d: gathered Round(x) %v, sub-space encoding %v", i, g, enc)
+			}
+		}
+	})
 }

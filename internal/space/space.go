@@ -226,7 +226,9 @@ func (s *Space) decodeVar(x []float64, i int) Value {
 	off := s.offsets[i]
 	switch v.Kind {
 	case Continuous:
-		return Value(s.denormalize(i, x[off]))
+		// Min + u·(Max−Min) can round past Max (0.3 + 1·0.6 is
+		// 0.9000000000000001), so the value is clamped like an integer's.
+		return Value(linalg.Clamp(s.denormalize(i, x[off]), v.Min, v.Max))
 	case Integer:
 		return Value(math.Round(linalg.Clamp(s.denormalize(i, x[off]), v.Min, v.Max)))
 	case Boolean:

@@ -52,10 +52,11 @@ type Event struct {
 // disabled scope costs one atomic load and no allocations.
 type Tracer struct {
 	level   atomic.Int32
-	seq     atomic.Uint64
 	spanSeq atomic.Uint64
 
+	// mu guards the ring and seq, so ring order is Seq order.
 	mu     sync.Mutex
+	seq    uint64
 	ring   []Event
 	next   int
 	filled bool
@@ -122,10 +123,11 @@ func (t *Tracer) Emit(l Level, e Event) {
 	if !t.Enabled(l) {
 		return
 	}
-	e.Seq = t.seq.Add(1)
 	e.Time = time.Now()
 
 	t.mu.Lock()
+	t.seq++
+	e.Seq = t.seq
 	t.ring[t.next] = e
 	t.next++
 	if t.next == len(t.ring) {

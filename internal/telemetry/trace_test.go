@@ -251,6 +251,39 @@ func TestTracerEventsConcurrent(t *testing.T) {
 	}
 }
 
+// TestTracerSeqMatchesRingOrder: events from emitters racing on the ring
+// land in strictly increasing Seq order.
+func TestTracerSeqMatchesRingOrder(t *testing.T) {
+	const writers, perWriter = 4, 10000
+	tr := NewTracer(writers * perWriter)
+	var ready, wg sync.WaitGroup
+	start := make(chan struct{})
+	for w := 0; w < writers; w++ {
+		ready.Add(1)
+		wg.Add(1)
+		go func(run string) {
+			defer wg.Done()
+			ready.Done()
+			<-start
+			for i := 0; i < perWriter; i++ {
+				tr.Emit(LevelRun, Event{Run: run, Scope: "s", Name: "e"})
+			}
+		}(fmt.Sprintf("run-%d", w))
+	}
+	ready.Wait()
+	close(start)
+	wg.Wait()
+	evs := tr.Events("")
+	if len(evs) != writers*perWriter {
+		t.Fatalf("ring holds %d events, want %d", len(evs), writers*perWriter)
+	}
+	for i := 1; i < len(evs); i++ {
+		if evs[i].Seq <= evs[i-1].Seq {
+			t.Fatalf("ring slot %d has seq %d after %d", i, evs[i].Seq, evs[i-1].Seq)
+		}
+	}
+}
+
 // BenchmarkTracerEvents reads one run's events from a full default ring
 // filled like a server's under repeat requests: the read every /optimize
 // makes twice.

@@ -11,9 +11,12 @@
 #
 # Covered benchmarks:
 #   internal/linalg      GEMM / GEMMScalarRef  (blocked kernel vs reference)
-#   internal/model/dnn   Predict / ValueGrad / PredictVar /
+#   internal/model/dnn   Predict / ValueGrad / PredictVar (4×128) /
+#                        PredictVar2x64 (MC dropout at the server's shape) /
 #                        ValueGradBatch (the split batched pass MOGD runs:
-#                        ForwardBatch, Grad, Done) / ValueGradScalarLoop
+#                        ForwardBatch, Grad, Done) / ValueGradScalarLoop /
+#                        Fit (a fresh net trained at the server's shape:
+#                        12→64→64→1, 60 samples, 200 epochs, batch 32)
 #   internal/problem     EvaluatorMemoHit[Telemetry] / EvaluatorMemoMiss /
 #                        EvaluatorValueGrad[Telemetry] / EvalBatch[Serial] /
 #                        CompositeEval / CompositeValueGrad (the stage-wise
@@ -57,7 +60,7 @@ RAW=$(mktemp)
 trap 'rm -f "$RAW"' EXIT
 
 go test -run '^$' -bench 'GEMM' -benchmem -benchtime 1s ./internal/linalg/ >>"$RAW"
-go test -run '^$' -bench 'Predict|ValueGrad' -benchmem -benchtime 1s ./internal/model/dnn/ >>"$RAW"
+go test -run '^$' -bench 'Predict|ValueGrad|Fit' -benchmem -benchtime 1s ./internal/model/dnn/ >>"$RAW"
 go test -run '^$' -bench 'Evaluator|EvalBatch|Composite' -benchmem -benchtime 1s ./internal/problem/ >>"$RAW"
 go test -run '^$' -bench 'Lookup|Get' -benchmem -benchtime 1s ./internal/space/ >>"$RAW"
 go test -run '^$' -bench 'Span|TracerEvents' -benchmem -benchtime 1s ./internal/telemetry/ >>"$RAW"

@@ -29,7 +29,10 @@ if [ ! -f "$BASE" ]; then
 fi
 
 # Tracked benchmarks: the blocked GEMM kernel, the split batched DNN pass
-# (ValueGradBatch: ForwardBatch, Grad, Done, as MOGD runs it), the
+# (ValueGradBatch: ForwardBatch, Grad, Done, as MOGD runs it), DNN training
+# at the server's shape (Fit; informational until its first scripts/bench.sh
+# recording) and MC-dropout uncertainty (PredictVar at 4×128, and
+# PredictVar2x64 at the server's shape, informational until recorded), the
 # evaluator seam (scalar, matrix-batch, and the stage-wise composite eval —
 # informational until its first scripts/bench.sh recording), the span
 # open+End pair (must stay allocation-free), the tracer's read of one run
@@ -41,13 +44,13 @@ fi
 # answer, cache hits included, pays it; informational until its first
 # scripts/bench.sh recording), and the calibration ledger's window update and
 # append (the /observe hot path — the append must stay off the disk write).
-TRACKED='GEMM ValueGradBatch EvaluatorValueGrad EvaluatorValueGradTelemetry EvaluatorMemoHit EvalBatch CompositeEval SpanStartEnd TracerEvents MOGDSolve MOGDSolveSerial MOGDSolveBatch SequentialCold ParallelCold ServingCacheHit ServingCacheInsert CoalescedDispatch RegistryAppend CalibWindowAdd CalibLedgerAppend'
+TRACKED='GEMM ValueGradBatch Fit PredictVar PredictVar2x64 EvaluatorValueGrad EvaluatorValueGradTelemetry EvaluatorMemoHit EvalBatch CompositeEval SpanStartEnd TracerEvents MOGDSolve MOGDSolveSerial MOGDSolveBatch SequentialCold ParallelCold ServingCacheHit ServingCacheInsert CoalescedDispatch RegistryAppend CalibWindowAdd CalibLedgerAppend'
 
 RAW=$(mktemp)
 trap 'rm -f "$RAW"' EXIT
 
 go test -run '^$' -bench 'GEMM' -benchmem -benchtime "$BENCHTIME" ./internal/linalg/ >>"$RAW"
-go test -run '^$' -bench 'ValueGradBatch' -benchmem -benchtime "$BENCHTIME" ./internal/model/dnn/ >>"$RAW"
+go test -run '^$' -bench 'ValueGradBatch|PredictVar|Fit' -benchmem -benchtime "$BENCHTIME" ./internal/model/dnn/ >>"$RAW"
 go test -run '^$' -bench 'Evaluator|EvalBatch|Composite' -benchmem -benchtime "$BENCHTIME" ./internal/problem/ >>"$RAW"
 go test -run '^$' -bench 'SpanStartEnd$|TracerEvents' -benchmem -benchtime "$BENCHTIME" ./internal/telemetry/ >>"$RAW"
 go test -run '^$' -bench 'MOGD' -benchmem -benchtime "$BENCHTIME" ./internal/solver/mogd/ >>"$RAW"

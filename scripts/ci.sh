@@ -17,8 +17,10 @@
 #   6. fuzz smoke: 10s of FuzzJournalReopen over the durable journal's crash
 #      repair (the run registry, calibration ledger and alert log), 10s of
 #      FuzzLabelValue over the metric series label round trip the watchdog's
-#      per-workload rules read, and 10s of FuzzClipToBox, the quality
-#      measures' point dedup against its reference, degenerate boxes included
+#      per-workload rules read, 10s of FuzzClipToBox, the quality
+#      measures' point dedup against its reference, degenerate boxes
+#      included, and 10s of FuzzCompositeRoundTrip over a stage-wise
+#      space's Decode/Round/Gather round trips
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -39,5 +41,6 @@ go test -run '^$' -bench Cold -benchtime 1x ./internal/core/
 go test -run '^$' -fuzz FuzzJournalReopen -fuzztime 10s ./internal/runlog/
 go test -run '^$' -fuzz FuzzLabelValue -fuzztime 10s ./internal/telemetry/
 go test -run '^$' -fuzz FuzzClipToBox -fuzztime 10s ./internal/metrics/
+go test -run '^$' -fuzz FuzzCompositeRoundTrip -fuzztime 10s ./internal/space/
 
 echo "ci: all gates passed"
