@@ -22,7 +22,6 @@ import (
 
 	udao "repro"
 	"repro/internal/bench/tpcxbb"
-	"repro/internal/model"
 	"repro/internal/modelserver"
 	"repro/internal/space"
 	"repro/internal/spark"
@@ -66,15 +65,7 @@ func main() {
 		100*modelserver.WMAPE(latModel, store.ForWorkload(w.Flow.Name), "latency"))
 
 	// Cost in #cores is a known function of the knobs (the paper's cost1).
-	coresModel := model.Func{D: spc.Dim(), F: func(x []float64) float64 {
-		vals, err := spc.Decode(x)
-		if err != nil {
-			return 0
-		}
-		inst, _ := spc.Get(vals, spark.KnobInstances)
-		cores, _ := spc.Get(vals, spark.KnobCores)
-		return inst * cores
-	}}
+	coresModel := spark.CoresModel(spc)
 
 	// 3. Compute the Pareto frontier and recommend.
 	opt, err := udao.NewOptimizer(spc, []udao.Objective{

@@ -21,7 +21,6 @@ import (
 
 	udao "repro"
 	"repro/internal/bench/tpcxbb"
-	"repro/internal/model"
 	"repro/internal/modelserver"
 	"repro/internal/space"
 	"repro/internal/spark"
@@ -102,15 +101,7 @@ func main() {
 		fatal("fatal error", "err", err)
 	}
 	etlSpace := stageSpaces[0]
-	coresModel := model.Func{D: etlSpace.Dim(), F: func(x []float64) float64 {
-		vals, err := etlSpace.Decode(x)
-		if err != nil {
-			return 0
-		}
-		inst, _ := etlSpace.Get(vals, spark.KnobInstances)
-		cores, _ := etlSpace.Get(vals, spark.KnobCores)
-		return inst * cores
-	}}
+	coresModel := spark.CoresModel(etlSpace)
 	opt, err := udao.NewPipelineOptimizer(comp, []udao.PipelineObjective{
 		{Name: "pipeline-latency", StageModels: []udao.Model{stageModels[0], stageModels[1]}},
 		{Name: "cores", StageModels: []udao.Model{coresModel, nil}},

@@ -20,7 +20,6 @@ import (
 
 	udao "repro"
 	"repro/internal/bench/stream"
-	"repro/internal/model"
 	"repro/internal/modelserver"
 	"repro/internal/space"
 	"repro/internal/spark"
@@ -70,15 +69,7 @@ func optimizerForLoad(w stream.Workload, cluster spark.Cluster, rate float64, se
 	if err != nil {
 		fatal("fatal error", "err", err)
 	}
-	cuModel := model.Func{D: spc.Dim(), F: func(x []float64) float64 {
-		vals, err := spc.Decode(x)
-		if err != nil {
-			return 0
-		}
-		inst, _ := spc.Get(vals, spark.KnobInstances)
-		cores, _ := spc.Get(vals, spark.KnobCores)
-		return inst * cores
-	}}
+	cuModel := spark.CoresModel(spc)
 	opt, err := udao.NewOptimizer(spc, []udao.Objective{
 		{Name: "latency", Model: latModel},
 		{Name: "computing-units", Model: cuModel},

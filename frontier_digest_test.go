@@ -48,20 +48,6 @@ func digestTrainingSet(spc *Space, n int, seed int64, scale float64) ([][]float6
 	return X, y
 }
 
-// digestCores is the server's exact cores objective: instances × cores read
-// off the decoded configuration.
-func digestCores(spc *Space) Model {
-	return model.Func{D: spc.Dim(), F: func(x []float64) float64 {
-		vals, err := spc.Decode(x)
-		if err != nil {
-			return 0
-		}
-		inst, _ := spc.Get(vals, spark.KnobInstances)
-		cores, _ := spc.Get(vals, spark.KnobCores)
-		return inst * cores
-	}}
-}
-
 func digestDNN(spc *Space, seed int64, scale float64) Model {
 	X, y := digestTrainingSet(spc, 64, seed, scale)
 	net := dnn.New(spc.Dim(), dnn.Config{Hidden: []int{24, 24}, Epochs: 40, Seed: seed})
@@ -110,7 +96,7 @@ func TestFrontierDigestDNNCores(t *testing.T) {
 	spc := spark.BatchSpace()
 	opt, err := NewOptimizer(spc, []Objective{
 		{Name: "latency", Model: digestDNN(spc, 3, 400)},
-		{Name: "cores", Model: digestCores(spc)},
+		{Name: "cores", Model: spark.CoresModel(spc)},
 	}, Options{Probes: 16, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
@@ -131,7 +117,7 @@ func TestFrontierDigestGP(t *testing.T) {
 	}
 	opt, err := NewOptimizer(spc, []Objective{
 		{Name: "latency", Model: model.Exp{M: g}},
-		{Name: "cores", Model: digestCores(spc)},
+		{Name: "cores", Model: spark.CoresModel(spc)},
 	}, Options{Probes: 12, Seed: 9, Alpha: 0.5})
 	if err != nil {
 		t.Fatal(err)
@@ -159,7 +145,7 @@ func TestFrontierDigestPipeline(t *testing.T) {
 	}
 	objs := []PipelineObjective{
 		{Name: "latency", StageModels: []Model{digestDNN(spc, 11, 500), digestDNN(spc, 13, 250)}},
-		{Name: "cores", StageModels: []Model{digestCores(spc), nil}},
+		{Name: "cores", StageModels: []Model{spark.CoresModel(spc), nil}},
 	}
 	opt, err := NewPipelineOptimizer(c, objs, Options{Probes: 10, Starts: 16, Seed: 2})
 	if err != nil {

@@ -59,15 +59,7 @@ func TestRecurringWorkloadLifecycle(t *testing.T) {
 	if wm := modelserver.WMAPE(latModel, store.ForWorkload(w.Flow.Name), "latency"); wm > 0.3 {
 		t.Fatalf("latency model WMAPE = %v", wm)
 	}
-	coresModel := model.Func{D: spc.Dim(), F: func(x []float64) float64 {
-		vals, err := spc.Decode(x)
-		if err != nil {
-			return 0
-		}
-		inst, _ := spc.Get(vals, spark.KnobInstances)
-		cores, _ := spc.Get(vals, spark.KnobCores)
-		return inst * cores
-	}}
+	coresModel := spark.CoresModel(spc)
 
 	// (3) MOO + recommendation.
 	opt, err := NewOptimizer(spc, []Objective{

@@ -8,7 +8,6 @@ import (
 	"repro/internal/model"
 	"repro/internal/model/dnn"
 	"repro/internal/solver/mogd"
-	"repro/internal/space"
 	"repro/internal/spark"
 )
 
@@ -37,21 +36,7 @@ func coldProblem(b *testing.B) mogd.Problem {
 	}
 	net := dnn.New(spc.Dim(), dnn.Config{Hidden: []int{64, 64}, Epochs: 40, Seed: 1})
 	net.Fit(X, y)
-	return mogd.Problem{Objectives: []model.Model{model.Exp{M: net}, coresObjective(spc)}, Space: spc}
-}
-
-// coresObjective is the server's exact cost in cores: instances × cores read
-// off the decoded configuration.
-func coresObjective(spc *space.Space) model.Model {
-	return model.Func{D: spc.Dim(), F: func(x []float64) float64 {
-		vals, err := spc.Decode(x)
-		if err != nil {
-			return 0
-		}
-		inst, _ := spc.Get(vals, spark.KnobInstances)
-		cores, _ := spc.Get(vals, spark.KnobCores)
-		return inst * cores
-	}}
+	return mogd.Problem{Objectives: []model.Model{model.Exp{M: net}, spark.CoresModel(spc)}, Space: spc}
 }
 
 // benchCold runs one PF loop per iteration on a fresh solver — and so a

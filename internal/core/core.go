@@ -200,14 +200,10 @@ func initialRect(plans []objective.Solution) (objective.Rect, bool) {
 // middleCO builds the Middle Point Probe CO problem of Definition III.3 for
 // a hyperrectangle: minimize the target within [Utopia, (Utopia+Nadir)/2].
 func middleCO(rect objective.Rect, target int) solver.CO {
-	mid := make([]float64, len(rect.Utopia))
-	for d := range mid {
-		mid[d] = (rect.Utopia[d] + rect.Nadir[d]) / 2
-	}
 	return solver.CO{
 		Target: target,
 		Lo:     rect.Utopia.Clone(),
-		Hi:     mid,
+		Hi:     rect.Middle(),
 	}
 }
 

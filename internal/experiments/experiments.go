@@ -33,6 +33,7 @@ import (
 	"repro/internal/moo"
 	"repro/internal/objective"
 	"repro/internal/problem"
+	"repro/internal/solver/exact"
 	"repro/internal/solver/mogd"
 	"repro/internal/space"
 	"repro/internal/spark"
@@ -134,20 +135,6 @@ func (l *Lab) batchRunner(w tpcxbb.Workload, spc *space.Space) trace.Runner {
 	}
 }
 
-// coresModel is the exact analytic model for the cost-in-cores objective
-// (the paper's cost1 is "certain": it is a known function of the knobs).
-func coresModel(spc *space.Space) model.Model {
-	return model.Func{D: spc.Dim(), F: func(x []float64) float64 {
-		vals, err := spc.Decode(x)
-		if err != nil {
-			return 0
-		}
-		inst, _ := spc.Get(vals, spark.KnobInstances)
-		cores, _ := spc.Get(vals, spark.KnobCores)
-		return inst * cores
-	}}
-}
-
 // BatchSetup returns (cached) models and plumbing for batch workload id with
 // objectives (latency, cores). secondCost2 replaces cores with the learned
 // composite cost2 objective.
@@ -185,7 +172,7 @@ func (l *Lab) BatchSetup(id int, kind ModelKind, useCost2 bool) (*Setup, error) 
 	}
 
 	names := []string{ObjLatency, ObjCores}
-	models := []model.Model{latModel, coresModel(spc)}
+	models := []model.Model{latModel, spark.CoresModel(spc)}
 	if useCost2 {
 		c2, err := srv.Model(w.Flow.Name, ObjCost2)
 		if err != nil {
@@ -276,7 +263,7 @@ func (l *Lab) StreamSetup(id int, kind ModelKind, threeD bool) (*Setup, error) {
 	models := []model.Model{latModel, model.Negated{M: thrModel}}
 	if threeD {
 		names = append(names, ObjCores)
-		models = append(models, coresModel(spc))
+		models = append(models, spark.CoresModel(spc))
 	}
 
 	setup := &Setup{
@@ -316,7 +303,7 @@ func modelBox(models []model.Model, spc *space.Space, samples int) (utopia, nadi
 	x := make([]float64, spc.Dim())
 	for i := 0; i < samples; i++ {
 		for d := range x {
-			x[d] = haltonAt(i, d)
+			x[d] = exact.Halton(i, d)
 		}
 		rx, err := spc.Round(x)
 		if err != nil {
@@ -325,18 +312,6 @@ func modelBox(models []model.Model, spc *space.Space, samples int) (utopia, nadi
 		xs = append(xs, rx)
 	}
 	return objective.Bounds(ev.EvalBatch(xs))
-}
-
-var haltonPrimes = []int{2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71}
-
-func haltonAt(i, d int) float64 {
-	base := haltonPrimes[d%len(haltonPrimes)]
-	f, r := 1.0, 0.0
-	for n := i + 1; n > 0; n /= base {
-		f /= float64(base)
-		r += f * float64(n%base)
-	}
-	return r
 }
 
 // SeriesPoint is one sample of a method's uncertain-space trajectory.

@@ -52,29 +52,7 @@ func (l *Lab) KnobImportance(setup *Setup, k int) ([]KnobRank, error) {
 	if keep := feature.FilterConstant(X); len(keep) == 0 {
 		return nil, fmt.Errorf("experiments: all knob columns constant")
 	}
-	// Importance order: the domain-knowledge knobs first (up to half the
-	// budget, as in SelectKnobs), then the LASSO path order.
-	seen := map[int]bool{}
-	var order []int
-	half := (k + 1) / 2
-	for _, p := range preferred {
-		if len(order) >= half {
-			break
-		}
-		if !seen[p] {
-			order = append(order, p)
-			seen[p] = true
-		}
-	}
-	for _, j := range feature.LassoPathOrder(X, y) {
-		if len(order) >= k {
-			break
-		}
-		if !seen[j] {
-			order = append(order, j)
-			seen[j] = true
-		}
-	}
+	order := feature.SelectKnobs(X, y, preferred, k)
 	out := make([]KnobRank, 0, len(order))
 	for rank, j := range order {
 		out = append(out, KnobRank{Knob: spc.Vars[j].Name, Rank: rank + 1})

@@ -213,7 +213,8 @@ func LassoPathOrder(X [][]float64, y []float64) []int {
 // SelectKnobs picks k knob indices by mixing the LASSO path ranking over
 // (X, y) with a domain-knowledge preferred list (§V: "mixing results from a
 // LASSO-based selection method and Spark recommendations"). Preferred knobs
-// occupy up to half the budget; LASSO fills the rest in path order.
+// occupy up to half the budget; LASSO fills the rest in path order. The picks
+// are returned in selection order.
 func SelectKnobs(X [][]float64, y []float64, preferred []int, k int) []int {
 	if k <= 0 {
 		return nil
@@ -239,6 +240,5 @@ func SelectKnobs(X [][]float64, y []float64, preferred []int, k int) []int {
 			seen[j] = true
 		}
 	}
-	sort.Ints(chosen)
 	return chosen
 }

@@ -59,56 +59,6 @@ func (m *Matrix) Clone() *Matrix {
 	return out
 }
 
-// T returns the transpose of m as a new matrix.
-func (m *Matrix) T() *Matrix {
-	out := NewMatrix(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			out.Set(j, i, m.At(i, j))
-		}
-	}
-	return out
-}
-
-// MatVec computes y = m·x. It panics on dimension mismatch.
-func (m *Matrix) MatVec(x []float64) []float64 {
-	if len(x) != m.Cols {
-		panic(fmt.Sprintf("linalg: MatVec dimension mismatch %d != %d", len(x), m.Cols))
-	}
-	y := make([]float64, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		s := 0.0
-		for j, v := range row {
-			s += v * x[j]
-		}
-		y[i] = s
-	}
-	return y
-}
-
-// MatMul computes m·b as a new matrix. It panics on dimension mismatch.
-func (m *Matrix) MatMul(b *Matrix) *Matrix {
-	if m.Cols != b.Rows {
-		panic(fmt.Sprintf("linalg: MatMul dimension mismatch %d != %d", m.Cols, b.Rows))
-	}
-	out := NewMatrix(m.Rows, b.Cols)
-	for i := 0; i < m.Rows; i++ {
-		arow := m.Row(i)
-		orow := out.Row(i)
-		for k, a := range arow {
-			if a == 0 {
-				continue
-			}
-			brow := b.Row(k)
-			for j, bv := range brow {
-				orow[j] += a * bv
-			}
-		}
-	}
-	return out
-}
-
 // AddDiag adds v to every diagonal element of m (in place); used for jitter
 // and noise variance in GP kernels.
 func (m *Matrix) AddDiag(v float64) {
@@ -211,32 +161,6 @@ func Dot(a, b []float64) float64 {
 		s += v * b[i]
 	}
 	return s
-}
-
-// Norm2 returns the Euclidean norm of v.
-func Norm2(v []float64) float64 { return math.Sqrt(Dot(v, v)) }
-
-// Dist2 returns the squared Euclidean distance between a and b.
-func Dist2(a, b []float64) float64 {
-	if len(a) != len(b) {
-		panic("linalg: Dist2 length mismatch")
-	}
-	s := 0.0
-	for i := range a {
-		d := a[i] - b[i]
-		s += d * d
-	}
-	return s
-}
-
-// AXPY computes y += alpha*x in place.
-func AXPY(alpha float64, x, y []float64) {
-	if len(x) != len(y) {
-		panic("linalg: AXPY length mismatch")
-	}
-	for i, v := range x {
-		y[i] += alpha * v
-	}
 }
 
 // Scale multiplies every element of v by alpha, in place.

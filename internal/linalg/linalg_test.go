@@ -37,69 +37,25 @@ func TestNewMatrixFromPanics(t *testing.T) {
 	NewMatrixFrom(2, 2, []float64{1, 2, 3})
 }
 
-func TestTranspose(t *testing.T) {
-	m := NewMatrixFrom(2, 3, []float64{1, 2, 3, 4, 5, 6})
-	mt := m.T()
-	if mt.Rows != 3 || mt.Cols != 2 {
-		t.Fatalf("T dims = %dx%d", mt.Rows, mt.Cols)
-	}
-	for i := 0; i < 2; i++ {
-		for j := 0; j < 3; j++ {
-			if m.At(i, j) != mt.At(j, i) {
-				t.Fatalf("T mismatch at %d,%d", i, j)
-			}
-		}
-	}
-}
-
-func TestMatVec(t *testing.T) {
-	m := NewMatrixFrom(2, 3, []float64{1, 2, 3, 4, 5, 6})
-	y := m.MatVec([]float64{1, 1, 1})
-	if y[0] != 6 || y[1] != 15 {
-		t.Fatalf("MatVec = %v, want [6 15]", y)
-	}
-}
-
-func TestMatMul(t *testing.T) {
-	a := NewMatrixFrom(2, 2, []float64{1, 2, 3, 4})
-	b := NewMatrixFrom(2, 2, []float64{5, 6, 7, 8})
-	c := a.MatMul(b)
-	want := []float64{19, 22, 43, 50}
-	for i, w := range want {
-		if c.Data[i] != w {
-			t.Fatalf("MatMul.Data = %v, want %v", c.Data, want)
-		}
-	}
-}
-
-func TestMatMulIdentity(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	n := 5
-	a := NewMatrix(n, n)
-	eye := NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		eye.Set(i, i, 1)
-		for j := 0; j < n; j++ {
-			a.Set(i, j, rng.NormFloat64())
-		}
-	}
-	c := a.MatMul(eye)
-	for i := range a.Data {
-		if !almostEq(a.Data[i], c.Data[i], 1e-12) {
-			t.Fatalf("A·I != A at %d", i)
-		}
-	}
-}
-
-// randomSPD builds a random symmetric positive-definite matrix A = BᵀB + n·I.
+// randomSPD builds a random symmetric positive-definite matrix A = BBᵀ + n·I.
 func randomSPD(n int, rng *rand.Rand) *Matrix {
 	b := NewMatrix(n, n)
 	for i := range b.Data {
 		b.Data[i] = rng.NormFloat64()
 	}
-	a := b.T().MatMul(b)
+	a := NewMatrix(n, n)
+	GemmNT(b, b, a)
 	a.AddDiag(float64(n))
 	return a
+}
+
+// mulVec returns a·x, one Dot per row.
+func mulVec(a *Matrix, x []float64) []float64 {
+	y := make([]float64, a.Rows)
+	for i := range y {
+		y[i] = Dot(a.Row(i), x)
+	}
+	return y
 }
 
 func TestCholeskyReconstruction(t *testing.T) {
@@ -111,7 +67,8 @@ func TestCholeskyReconstruction(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Cholesky failed on SPD matrix: %v", err)
 		}
-		llt := l.MatMul(l.T())
+		llt := NewMatrix(n, n)
+		GemmNT(l, l, llt)
 		for i := range a.Data {
 			if !almostEq(a.Data[i], llt.Data[i], 1e-8) {
 				t.Fatalf("trial %d: L·Lᵀ != A at index %d: %v vs %v", trial, i, llt.Data[i], a.Data[i])
@@ -140,7 +97,7 @@ func TestCholSolve(t *testing.T) {
 		for i := range x {
 			x[i] = rng.NormFloat64()
 		}
-		b := a.MatVec(x)
+		b := mulVec(a, x)
 		l, err := Cholesky(a)
 		if err != nil {
 			t.Fatal(err)
@@ -171,21 +128,10 @@ func TestDotNormDist(t *testing.T) {
 	if Dot(a, a) != 25 {
 		t.Fatalf("Dot = %v", Dot(a, a))
 	}
-	if Norm2(a) != 5 {
-		t.Fatalf("Norm2 = %v", Norm2(a))
-	}
-	if Dist2([]float64{0, 0}, a) != 25 {
-		t.Fatalf("Dist2 = %v", Dist2([]float64{0, 0}, a))
-	}
 }
 
 func TestAXPYScaleCopy(t *testing.T) {
-	x := []float64{1, 2}
-	y := []float64{10, 20}
-	AXPY(2, x, y)
-	if y[0] != 12 || y[1] != 24 {
-		t.Fatalf("AXPY = %v", y)
-	}
+	y := []float64{12, 24}
 	Scale(0.5, y)
 	if y[0] != 6 || y[1] != 12 {
 		t.Fatalf("Scale = %v", y)
@@ -257,7 +203,7 @@ func TestCholSolveProperty(t *testing.T) {
 			return false
 		}
 		x := CholSolve(l, b)
-		back := a.MatVec(x)
+		back := mulVec(a, x)
 		for i := range b {
 			if !almostEq(back[i], b[i], 1e-6) {
 				return false

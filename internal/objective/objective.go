@@ -138,19 +138,6 @@ type Rect struct {
 	Nadir  Point
 }
 
-// NewRect builds a hyperrectangle and validates corner ordering.
-func NewRect(utopia, nadir Point) (Rect, error) {
-	if len(utopia) != len(nadir) {
-		return Rect{}, fmt.Errorf("objective: corner dimension mismatch %d != %d", len(utopia), len(nadir))
-	}
-	for i := range utopia {
-		if utopia[i] > nadir[i] {
-			return Rect{}, fmt.Errorf("objective: utopia[%d]=%g > nadir[%d]=%g", i, utopia[i], i, nadir[i])
-		}
-	}
-	return Rect{Utopia: utopia.Clone(), Nadir: nadir.Clone()}, nil
-}
-
 // Dim returns the dimensionality of the rectangle.
 func (r Rect) Dim() int { return len(r.Utopia) }
 

@@ -132,10 +132,7 @@ func TestFilterProperty(t *testing.T) {
 }
 
 func TestRectBasics(t *testing.T) {
-	r, err := NewRect(Point{100, 8}, Point{300, 24})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := Rect{Utopia: Point{100, 8}, Nadir: Point{300, 24}}
 	if got := r.Volume(); got != 200*16 {
 		t.Fatalf("Volume = %v, want 3200", got)
 	}
@@ -146,19 +143,13 @@ func TestRectBasics(t *testing.T) {
 	if !r.Contains(Point{150, 16}) || r.Contains(Point{99, 16}) {
 		t.Fatal("Contains wrong")
 	}
-	if _, err := NewRect(Point{1}, Point{0}); err == nil {
-		t.Fatal("expected error for inverted corners")
-	}
-	if _, err := NewRect(Point{1, 2}, Point{3}); err == nil {
-		t.Fatal("expected error for mismatched dims")
-	}
 }
 
 // TestSubdivide2D reproduces the paper's Fig. 2(a) example: probing TPCx-BB
 // Q2's rectangle [ (100,8), (300,24) ] at fM=(150,16) must leave exactly the
 // two unshaded sub-hyperrectangles.
 func TestSubdivide2D(t *testing.T) {
-	r, _ := NewRect(Point{100, 8}, Point{300, 24})
+	r := Rect{Utopia: Point{100, 8}, Nadir: Point{300, 24}}
 	subs := r.Subdivide(Point{150, 16})
 	if len(subs) != 2 {
 		t.Fatalf("Subdivide returned %d rects, want 2: %v", len(subs), subs)
@@ -210,7 +201,7 @@ func TestSubdivideVolumeInvariant(t *testing.T) {
 }
 
 func TestSubdivideClampsOutOfRangeProbe(t *testing.T) {
-	r, _ := NewRect(Point{0, 0}, Point{1, 1})
+	r := Rect{Utopia: Point{0, 0}, Nadir: Point{1, 1}}
 	subs := r.Subdivide(Point{-0.5, 0.5}) // probe outside: clamped to boundary
 	for _, s := range subs {
 		if !r.Contains(s.Utopia) || !r.Contains(s.Nadir) {
@@ -220,7 +211,7 @@ func TestSubdivideClampsOutOfRangeProbe(t *testing.T) {
 }
 
 func TestGridCells(t *testing.T) {
-	r, _ := NewRect(Point{0, 0}, Point{1, 2})
+	r := Rect{Utopia: Point{0, 0}, Nadir: Point{1, 2}}
 	cells := r.GridCells(2)
 	if len(cells) != 4 {
 		t.Fatalf("GridCells(2) in 2D returned %d cells, want 4", len(cells))

@@ -4,8 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/model/dnn"
-
 	"repro/internal/space"
 	"repro/internal/spark"
 	"repro/internal/trace"
@@ -163,35 +161,5 @@ func TestWeightInsensitivity(t *testing.T) {
 	// neighborhood (the paper found 19/30 identical at minimum cores).
 	if diff := coresA - coresB; diff > 8 || diff < -8 {
 		t.Logf("note: OtterTune moved executors %v -> %v across weights", coresA, coresB)
-	}
-}
-
-// TestEncodedWorkloadMapping exercises the [38] extension: mapping via
-// autoencoder embeddings of the metric vectors instead of raw metrics.
-func TestEncodedWorkloadMapping(t *testing.T) {
-	tuner, spc, _ := buildTuner(t)
-	var metricRows [][]float64
-	for _, w := range tuner.History.Workloads() {
-		for _, e := range tuner.History.ForWorkload(w) {
-			metricRows = append(metricRows, e.Metrics)
-		}
-	}
-	enc, err := dnn.TrainAutoencoder(metricRows, 3, dnn.Config{Hidden: []int{16}, Epochs: 150, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tuner.Encoder = enc
-	target := spark.Chain("target", 2.2e6, 120,
-		spark.Operator{Kind: spark.OpScan, Selectivity: 1, CostPerRow: 0.5},
-		spark.Operator{Kind: spark.OpExchange, Selectivity: 1, CostPerRow: 0.1},
-		spark.Operator{Kind: spark.OpUDF, Selectivity: 0.8, CostPerRow: 6.5, MemPerRow: 96},
-	)
-	obs := observe(t, spc, target, 8)
-	mapped, err := tuner.MapWorkload(obs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mapped != "udf" {
-		t.Fatalf("encoded mapping picked %q, want udf", mapped)
 	}
 }

@@ -1,9 +1,6 @@
 package problem
 
-import (
-	"math"
-	"time"
-)
+import "time"
 
 // Clock is the shared wall-clock budget used by every optimizer loop: it
 // starts when created and reports expiry against an optional budget. Zero
@@ -26,31 +23,4 @@ func (c Clock) Elapsed() time.Duration { return time.Since(c.start) }
 // Expired reports whether the budget (if any) is exhausted.
 func (c Clock) Expired() bool {
 	return c.budget > 0 && time.Since(c.start) > c.budget
-}
-
-// Budget returns the configured budget (zero = unlimited).
-func (c Clock) Budget() time.Duration { return c.budget }
-
-// Remaining returns the budget left, clamped at zero once expired.
-// Unlimited clocks (zero budget) report the maximum representable duration,
-// so "remaining > x" comparisons behave naturally; telemetry spans and the
-// service use this to report budget left.
-func (c Clock) Remaining() time.Duration {
-	if c.budget <= 0 {
-		return time.Duration(math.MaxInt64)
-	}
-	rem := c.budget - time.Since(c.start)
-	if rem < 0 {
-		return 0
-	}
-	return rem
-}
-
-// Deadline returns the instant the budget expires; ok is false for unlimited
-// clocks (mirroring context.Context.Deadline).
-func (c Clock) Deadline() (deadline time.Time, ok bool) {
-	if c.budget <= 0 {
-		return time.Time{}, false
-	}
-	return c.start.Add(c.budget), true
 }

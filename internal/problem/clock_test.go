@@ -1,7 +1,6 @@
 package problem
 
 import (
-	"math"
 	"testing"
 	"time"
 )
@@ -10,15 +9,6 @@ func TestClockUnlimited(t *testing.T) {
 	c := StartClock(0) // zero budget = unlimited
 	if c.Expired() {
 		t.Fatal("unlimited clock expired")
-	}
-	if got := c.Remaining(); got != time.Duration(math.MaxInt64) {
-		t.Fatalf("Remaining = %v, want max duration", got)
-	}
-	if _, ok := c.Deadline(); ok {
-		t.Fatal("unlimited clock has a deadline")
-	}
-	if c.Budget() != 0 {
-		t.Fatalf("Budget = %v, want 0", c.Budget())
 	}
 	if c.Elapsed() < 0 {
 		t.Fatal("negative elapsed")
@@ -31,32 +21,11 @@ func TestClockExpired(t *testing.T) {
 	if !c.Expired() {
 		t.Fatal("1ns clock not expired after 1ms")
 	}
-	if got := c.Remaining(); got != 0 {
-		t.Fatalf("Remaining = %v, want 0 (clamped)", got)
-	}
-	dl, ok := c.Deadline()
-	if !ok {
-		t.Fatal("budgeted clock has no deadline")
-	}
-	if !dl.Before(time.Now()) {
-		t.Fatalf("deadline %v should be in the past", dl)
-	}
 }
 
 func TestClockActiveBudget(t *testing.T) {
 	c := StartClock(time.Hour)
 	if c.Expired() {
 		t.Fatal("fresh 1h clock expired")
-	}
-	rem := c.Remaining()
-	if rem <= 0 || rem > time.Hour {
-		t.Fatalf("Remaining = %v, want (0, 1h]", rem)
-	}
-	dl, ok := c.Deadline()
-	if !ok || !dl.After(time.Now()) {
-		t.Fatalf("deadline = %v, ok = %v", dl, ok)
-	}
-	if c.Budget() != time.Hour {
-		t.Fatalf("Budget = %v", c.Budget())
 	}
 }

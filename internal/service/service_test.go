@@ -11,7 +11,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/model"
 	"repro/internal/modelserver"
 	"repro/internal/runlog"
 	"repro/internal/space"
@@ -46,15 +45,7 @@ func buildService(t *testing.T) (*Service, string) {
 		t.Fatal(err)
 	}
 	svc := New(modelserver.New(spc, st, modelserver.Config{Kind: modelserver.GP}))
-	svc.Exact["cores"] = model.Func{D: spc.Dim(), F: func(x []float64) float64 {
-		vals, err := spc.Decode(x)
-		if err != nil {
-			return 0
-		}
-		inst, _ := spc.Get(vals, spark.KnobInstances)
-		c, _ := spc.Get(vals, spark.KnobCores)
-		return inst * c
-	}}
+	svc.Exact["cores"] = spark.CoresModel(spc)
 	return svc, "svc-test"
 }
 
@@ -350,15 +341,7 @@ func buildPipelineService(t *testing.T) (*Service, []string) {
 		}
 	}
 	svc := New(modelserver.New(spc, st, modelserver.Config{Kind: modelserver.GP}))
-	svc.Exact["cores"] = model.Func{D: spc.Dim(), F: func(x []float64) float64 {
-		vals, err := spc.Decode(x)
-		if err != nil {
-			return 0
-		}
-		inst, _ := spc.Get(vals, spark.KnobInstances)
-		c, _ := spc.Get(vals, spark.KnobCores)
-		return inst * c
-	}}
+	svc.Exact["cores"] = spark.CoresModel(spc)
 	return svc, workloads
 }
 

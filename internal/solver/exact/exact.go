@@ -89,8 +89,10 @@ func (s *Solver) Evals() uint64 { return s.ev.Evals() }
 
 var primes = []int{2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89}
 
-// halton returns element i of the Halton sequence in dimension d.
-func halton(i, d int) float64 {
+// Halton returns element i of the Halton sequence in dimension d: the
+// radical inverse of i+1 in the d-th prime base (bases repeat past the 24th
+// dimension).
+func Halton(i, d int) float64 {
 	base := primes[d%len(primes)]
 	f, r := 1.0, 0.0
 	for n := i + 1; n > 0; n /= base {
@@ -160,7 +162,7 @@ func (s *Solver) Solve(co solver.CO, _ int64) (objective.Solution, bool) {
 	x := make([]float64, s.dim)
 	for i := 0; i < s.cfg.Samples; i++ {
 		for d := 0; d < s.dim; d++ {
-			x[d] = halton(i, d)
+			x[d] = Halton(i, d)
 		}
 		try(x)
 	}

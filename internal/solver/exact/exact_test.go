@@ -43,9 +43,9 @@ func TestHaltonProperties(t *testing.T) {
 	n := 1000
 	sum := 0.0
 	for i := 0; i < n; i++ {
-		v := halton(i, 0)
+		v := Halton(i, 0)
 		if v <= 0 || v >= 1 {
-			t.Fatalf("halton(%d,0) = %v out of (0,1)", i, v)
+			t.Fatalf("Halton(%d,0) = %v out of (0,1)", i, v)
 		}
 		sum += v
 	}
@@ -53,7 +53,7 @@ func TestHaltonProperties(t *testing.T) {
 		t.Fatalf("halton mean = %v, want ~0.5", mean)
 	}
 	// Different dimensions use different bases.
-	if halton(5, 0) == halton(5, 1) {
+	if Halton(5, 0) == Halton(5, 1) {
 		t.Fatal("dimensions 0 and 1 should differ")
 	}
 }

@@ -437,10 +437,9 @@ func (s *Solver) roundRow(sc *solveScratch, r int) {
 }
 
 // roundCandidates snaps every start's iterate onto the configuration lattice
-// and evaluates all the rounded candidates in one memoized batched call.
-// Rounded candidates revisit the same lattice points across iterations and
-// starts, so most rows are memo hits; the misses share one batched model pass
-// per objective.
+// and evaluates all the rounded candidates in one memoized batched call. Few
+// rows are memo hits (5–6% of lookups measured under PF-AP and PF-AS); the
+// misses share one batched model pass per objective.
 func (s *Solver) roundCandidates(sc *solveScratch) {
 	for r := 0; r < sc.X.Rows; r++ {
 		s.roundRow(sc, r)

@@ -40,7 +40,6 @@ type Composite struct {
 	Stages []Stage
 
 	stageSpaces []*Space
-	stageIdx    map[string]int
 	// stageVars[i][j] is the flat-space variable index of stage i's j-th
 	// variable (a shared index for tied variables).
 	stageVars [][]int
@@ -87,11 +86,8 @@ func NewComposite(shared []Var, stages []Stage) (*Composite, error) {
 		flat = append(flat, v)
 	}
 
-	c := &Composite{
-		Shared:   shared,
-		Stages:   stages,
-		stageIdx: make(map[string]int, len(stages)),
-	}
+	c := &Composite{Shared: shared, Stages: stages}
+	stageNames := make(map[string]bool, len(stages))
 	// First pass: validate stages and lay out the flat variable list; the
 	// per-variable flat indices are resolved now, the encoded dimensions after
 	// New computes the offsets.
@@ -99,10 +95,10 @@ func NewComposite(shared []Var, stages []Stage) (*Composite, error) {
 		if st.Name == "" {
 			return nil, fmt.Errorf("space: stage %d has no name", si)
 		}
-		if _, dup := c.stageIdx[st.Name]; dup {
+		if stageNames[st.Name] {
 			return nil, fmt.Errorf("space: duplicate stage %q", st.Name)
 		}
-		c.stageIdx[st.Name] = si
+		stageNames[st.Name] = true
 		if len(st.Vars) == 0 {
 			return nil, fmt.Errorf("space: stage %q has no variables", st.Name)
 		}
@@ -154,14 +150,6 @@ func NewComposite(shared []Var, stages []Stage) (*Composite, error) {
 
 // NumStages returns the number of stages.
 func (c *Composite) NumStages() int { return len(c.Stages) }
-
-// StageIndex returns the index of the named stage, or -1.
-func (c *Composite) StageIndex(name string) int {
-	if i, ok := c.stageIdx[name]; ok {
-		return i
-	}
-	return -1
-}
 
 // StageSpace returns stage i's sub-space — the stage's variables in their own
 // order, exactly the space the stage's models are trained on.

@@ -56,9 +56,6 @@ func TestCompositeLayout(t *testing.T) {
 	if c.Lookup(QualifiedName("ml", "batch")) != 4 {
 		t.Fatalf("Lookup(ml.batch) = %d", c.Lookup("ml.batch"))
 	}
-	if c.StageIndex("ml") != 1 || c.StageIndex("nope") != -1 {
-		t.Fatalf("StageIndex wrong: ml=%d nope=%d", c.StageIndex("ml"), c.StageIndex("nope"))
-	}
 	// Stage sub-vectors: etl = [instances, partitions, compress] at flat dims
 	// [0, 2, 3]; ml = [batch, cores, solver×3] at [4, 1, 5, 6, 7].
 	if got := c.StageDims(0); !reflect.DeepEqual(got, []int{0, 2, 3}) {

@@ -16,7 +16,10 @@
 // spot.
 package spark
 
-import "repro/internal/space"
+import (
+	"repro/internal/model"
+	"repro/internal/space"
+)
 
 // Batch knob names — the 12 most important Spark parameters selected in the
 // paper's feature-engineering step (Appendix C-B).
@@ -126,4 +129,19 @@ func DefaultStreamConf(s *space.Space) space.Values {
 	set(KnobCompress, 1)
 	set(KnobMemFraction, 0.6)
 	return vals
+}
+
+// CoresModel is the exact model of the cost-in-cores objective, which is a
+// known function of the knobs (§II-B): it decodes x and returns executor
+// instances × cores per executor, and 0 when x does not decode.
+func CoresModel(spc *space.Space) model.Model {
+	return model.Func{D: spc.Dim(), F: func(x []float64) float64 {
+		vals, err := spc.Decode(x)
+		if err != nil {
+			return 0
+		}
+		inst, _ := spc.Get(vals, KnobInstances)
+		cores, _ := spc.Get(vals, KnobCores)
+		return inst * cores
+	}}
 }
