@@ -42,8 +42,8 @@ var testOnlyExportsAllowed = map[string]string{
 //
 // The check matches identifier tokens by name, without type information, so
 // it misses dead code whose name something else shares: a method named like
-// a type parameter (Matrix.T beside every [T any]) or like a live method of
-// another type (Matrix.Clone) counts as referenced.
+// a type parameter (a Matrix.T beside every [T any]) or like a live method
+// of another type (a Matrix.Clone beside Point.Clone) counts as referenced.
 func TestNoTestOnlyExports(t *testing.T) {
 	uses := map[string]int{}
 	var decls []exportDecl

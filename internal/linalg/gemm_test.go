@@ -54,7 +54,8 @@ func gemmCase(t *testing.T, rng *rand.Rand, m, kk, n int) {
 		a := randMat(rng, m, kk)
 		b := randMat(rng, v.br, v.bc)
 		c := randMat(rng, m, n)
-		want := c.Clone()
+		want := NewMatrix(c.Rows, c.Cols)
+		copy(want.Data, c.Data)
 		refGemm(a, b, want, v.tb)
 		v.kernel(a, b, c)
 		for i := range c.Data {
@@ -84,7 +85,8 @@ func TestGemmMatchesScalar(t *testing.T) {
 		a := NewMatrix(shape[0], 0)
 		b := NewMatrix(shape[1], 0)
 		c := randMat(rng, shape[0], shape[1])
-		want := c.Clone()
+		want := NewMatrix(c.Rows, c.Cols)
+		copy(want.Data, c.Data)
 		GemmNT(a, b, c)
 		for i := range c.Data {
 			if c.Data[i] != want.Data[i] {
@@ -106,7 +108,8 @@ func TestGemmProperty(t *testing.T) {
 		a := randMat(rng, m, kk)
 		b := randMat(rng, n, kk)
 		c := randMat(rng, m, n)
-		want := c.Clone()
+		want := NewMatrix(c.Rows, c.Cols)
+		copy(want.Data, c.Data)
 		refGemm(a, b, want, true)
 		GemmNT(a, b, c)
 		for i := range c.Data {

@@ -21,11 +21,6 @@ func TestMatrixBasics(t *testing.T) {
 	if row[1] != 5 {
 		t.Fatalf("Row(1)[1] = %v, want 5", row[1])
 	}
-	c := m.Clone()
-	c.Set(0, 0, 42)
-	if m.At(0, 0) != 1 {
-		t.Fatal("Clone is not a deep copy")
-	}
 }
 
 func TestNewMatrixFromPanics(t *testing.T) {

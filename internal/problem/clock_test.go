@@ -21,6 +21,9 @@ func TestClockExpired(t *testing.T) {
 	if !c.Expired() {
 		t.Fatal("1ns clock not expired after 1ms")
 	}
+	if c.Elapsed() <= 0 {
+		t.Fatal("elapsed not positive after 1ms")
+	}
 }
 
 func TestClockActiveBudget(t *testing.T) {

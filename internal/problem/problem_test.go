@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/model"
 	"repro/internal/objective"
@@ -206,20 +205,5 @@ func TestObjectiveView(t *testing.T) {
 	}
 	if e.Evals() == 0 {
 		t.Fatal("view calls must count")
-	}
-}
-
-func TestClock(t *testing.T) {
-	c := StartClock(0)
-	if c.Expired() {
-		t.Fatal("unlimited clock expired")
-	}
-	c2 := StartClock(time.Nanosecond)
-	time.Sleep(time.Millisecond)
-	if !c2.Expired() {
-		t.Fatal("budgeted clock did not expire")
-	}
-	if c.Elapsed() <= 0 {
-		t.Fatal("elapsed not positive")
 	}
 }

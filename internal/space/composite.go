@@ -90,7 +90,7 @@ func NewComposite(shared []Var, stages []Stage) (*Composite, error) {
 	stageNames := make(map[string]bool, len(stages))
 	// First pass: validate stages and lay out the flat variable list; the
 	// per-variable flat indices are resolved now, the encoded dimensions after
-	// New computes the offsets.
+	// New lays out the encoding.
 	for si, st := range stages {
 		if st.Name == "" {
 			return nil, fmt.Errorf("space: stage %d has no name", si)
@@ -138,9 +138,9 @@ func NewComposite(shared []Var, stages []Stage) (*Composite, error) {
 	for si := range stages {
 		var dims []int
 		for _, fi := range c.stageVars[si] {
-			off := spc.offsets[fi]
-			for d := 0; d < spc.Vars[fi].width(); d++ {
-				dims = append(dims, off+d)
+			vc := &spc.codecs[fi]
+			for d := 0; d < vc.width; d++ {
+				dims = append(dims, vc.off+d)
 			}
 		}
 		c.stageDims = append(c.stageDims, dims)

@@ -211,7 +211,8 @@ func inDomain(v Var, raw float64) bool {
 }
 
 // FuzzCompositeRoundTrip decodes any point of a composite's solver space
-// and checks that the values lie in their knobs' domains, that Round lands
+// and checks that Decode and Round give the reference codec's bits, that the
+// values lie in their knobs' domains, that Round lands
 // on a point decoding to the same values, and that each stage's Gather and
 // StageValues agree with the stage sub-space's own Encode and Decode. The
 // input holds one coordinate per encoded dimension (missing ones are 0.5):
@@ -225,6 +226,7 @@ func FuzzCompositeRoundTrip(f *testing.F) {
 	f.Add(append([]byte{0, 0, 0, 0, 0, 0, 0, 0xf0, 0x7f, 1, 128}, bytes.Repeat([]byte{1, 43}, 8)...))
 	f.Add(append([]byte{0, 0, 0, 0, 0, 0, 0, 0xf0, 0xff, 0, 1, 0, 0, 0, 0, 0, 0, 0x80}, bytes.Repeat([]byte{1, 212}, 8)...))
 	c := fuzzComposite(f)
+	ref := NewReferenceCodec(c.Space)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		x := make([]float64, c.Dim())
 		for d := range x {
@@ -245,6 +247,9 @@ func FuzzCompositeRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if want := ref.Decode(x); !SameBits(vals, want) {
+			t.Fatalf("Decode(%v) = %v, reference %v", x, vals, want)
+		}
 		for i, v := range c.Vars {
 			if !inDomain(v, float64(vals[i])) {
 				t.Fatalf("%s decodes to %v, outside its domain (x = %v)", v.Name, vals[i], x)
@@ -253,6 +258,9 @@ func FuzzCompositeRoundTrip(f *testing.F) {
 		rx, err := c.Round(x)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if want := ref.Round(x); !SameBits(rx, want) {
+			t.Fatalf("Round(%v) = %v, reference %v", x, rx, want)
 		}
 		rvals, err := c.Decode(rx)
 		if err != nil {

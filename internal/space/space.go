@@ -39,38 +39,43 @@ type Var struct {
 	Log bool
 }
 
-// width returns the number of encoded dimensions the variable occupies.
-func (v Var) width() int {
-	if v.Kind == Categorical {
-		return len(v.Levels)
-	}
-	return 1
-}
-
 // Space is an ordered collection of variables with a fixed encoding layout.
 type Space struct {
-	Vars    []Var
-	offsets []int
-	// logMin[i] and logSpan[i] cache log(Min) and log(Max)-log(Min) of
-	// log-scale variable i, so the encode/decode hot paths (MOGD rounds every
-	// start's iterate each Adam step) never recompute them.
-	logMin, logSpan []float64
-	dim             int
-	index           map[string]int // name → first Vars index, resolved at New time
+	Vars []Var
+	// codecs[i] is variable i's entry in the encoding table, read by every
+	// encode, decode and round (MOGD rounds every start's iterate each Adam
+	// step, and the server's cores objective decodes each probe point).
+	codecs []codec
+	dim    int
+	index  map[string]int // name → first Vars index, resolved at New time
+}
+
+// codec is one variable's encoding: where its block of the encoded vector
+// starts and how wide it is, and the constants its normalization reads, so
+// the hot paths never recompute Max−Min or the log bounds.
+type codec struct {
+	kind       Kind
+	log        bool
+	off, width int
+	min, max   float64
+	span       float64 // max − min
+	// logMin and logSpan are log(min) and log(max) − log(min) of a
+	// log-scale variable.
+	logMin, logSpan float64
 }
 
 // New validates the variable definitions and computes the encoding layout.
 func New(vars []Var) (*Space, error) {
 	s := &Space{
-		Vars:    vars,
-		index:   make(map[string]int, len(vars)),
-		logMin:  make([]float64, len(vars)),
-		logSpan: make([]float64, len(vars)),
+		Vars:   vars,
+		codecs: make([]codec, len(vars)),
+		index:  make(map[string]int, len(vars)),
 	}
 	for i, v := range vars {
 		if v.Name == "" {
 			return nil, fmt.Errorf("space: variable %d has no name", i)
 		}
+		c := codec{kind: v.Kind, log: v.Log, off: s.dim, width: 1, min: v.Min, max: v.Max, span: v.Max - v.Min}
 		switch v.Kind {
 		case Continuous, Integer:
 			if v.Max < v.Min {
@@ -80,22 +85,23 @@ func New(vars []Var) (*Space, error) {
 				return nil, fmt.Errorf("space: %s requests log scale with Min <= 0", v.Name)
 			}
 			if v.Log {
-				s.logMin[i] = math.Log(v.Min)
-				s.logSpan[i] = math.Log(v.Max) - s.logMin[i]
+				c.logMin = math.Log(v.Min)
+				c.logSpan = math.Log(v.Max) - c.logMin
 			}
 		case Boolean:
 		case Categorical:
 			if len(v.Levels) < 2 {
 				return nil, fmt.Errorf("space: %s needs at least 2 levels", v.Name)
 			}
+			c.width = len(v.Levels)
 		default:
 			return nil, fmt.Errorf("space: %s has unknown kind %d", v.Name, v.Kind)
 		}
 		if _, dup := s.index[v.Name]; !dup {
 			s.index[v.Name] = i
 		}
-		s.offsets = append(s.offsets, s.dim)
-		s.dim += v.width()
+		s.codecs[i] = c
+		s.dim += c.width
 	}
 	return s, nil
 }
@@ -150,22 +156,28 @@ func (s *Space) EncodeInto(dst []float64, vals Values) error {
 
 // encodeVar writes variable i's encoding of raw into its block of x.
 func (s *Space) encodeVar(x []float64, i int, raw float64) error {
-	v := &s.Vars[i]
-	off := s.offsets[i]
-	switch v.Kind {
+	c := &s.codecs[i]
+	switch c.kind {
 	case Continuous, Integer:
-		x[off] = s.normalize(i, raw)
+		switch {
+		case c.max == c.min:
+			x[c.off] = 0
+		case c.log:
+			x[c.off] = linalg.Clamp((math.Log(raw)-c.logMin)/c.logSpan, 0, 1)
+		default:
+			x[c.off] = linalg.Clamp((raw-c.min)/c.span, 0, 1)
+		}
 	case Boolean:
 		if raw != 0 && raw != 1 {
-			return fmt.Errorf("space: %s boolean value %v not in {0,1}", v.Name, raw)
+			return fmt.Errorf("space: %s boolean value %v not in {0,1}", s.Vars[i].Name, raw)
 		}
-		x[off] = raw
+		x[c.off] = raw
 	case Categorical:
 		idx := int(raw)
-		if float64(idx) != raw || idx < 0 || idx >= len(v.Levels) {
-			return fmt.Errorf("space: %s categorical index %v out of range", v.Name, raw)
+		if float64(idx) != raw || idx < 0 || idx >= c.width {
+			return fmt.Errorf("space: %s categorical index %v out of range", s.Vars[i].Name, raw)
 		}
-		block := x[off : off+len(v.Levels)]
+		block := x[c.off : c.off+c.width]
 		for j := range block {
 			block[j] = 0
 		}
@@ -174,31 +186,31 @@ func (s *Space) encodeVar(x []float64, i int, raw float64) error {
 	return nil
 }
 
-func (s *Space) normalize(i int, raw float64) float64 {
-	v := &s.Vars[i]
-	if v.Max == v.Min {
-		return 0
-	}
-	if v.Log {
-		return linalg.Clamp((math.Log(raw)-s.logMin[i])/s.logSpan[i], 0, 1)
-	}
-	return linalg.Clamp((raw-v.Min)/(v.Max-v.Min), 0, 1)
-}
-
-func (s *Space) denormalize(i int, u float64) float64 {
-	v := &s.Vars[i]
-	u = linalg.Clamp(u, 0, 1)
-	if v.Log {
-		return math.Exp(s.logMin[i] + u*s.logSpan[i])
-	}
-	return v.Min + u*(v.Max-v.Min)
-}
+// decodeStack is the number of values Decode decodes into on its caller's
+// stack; it covers the Spark knob spaces.
+const decodeStack = 16
 
 // Decode maps a point of the continuous solver space back to a valid raw
 // assignment: integers are rounded to the closest value, booleans snapped to
 // the nearer of {0,1}, and categorical groups resolved by argmax (§IV-B).
+//
+// Decode is small enough to inline, so a caller that only reads the result
+// of a space of up to 16 variables allocates nothing: the values live in an
+// array on the caller's stack, which the compiler moves to the heap only
+// when the caller keeps them.
 func (s *Space) Decode(x []float64) (Values, error) {
-	vals := make(Values, len(s.Vars))
+	var buf [decodeStack]Value
+	return s.decode(&buf, x)
+}
+
+// decode is Decode writing into buf when the space fits it.
+func (s *Space) decode(buf *[decodeStack]Value, x []float64) (Values, error) {
+	var vals Values
+	if n := len(s.codecs); n <= len(buf) {
+		vals = buf[:n:n]
+	} else {
+		vals = make(Values, n)
+	}
 	if err := s.DecodeInto(vals, x); err != nil {
 		return nil, err
 	}
@@ -211,10 +223,10 @@ func (s *Space) DecodeInto(dst Values, x []float64) error {
 	if len(x) != s.dim {
 		return fmt.Errorf("space: Decode got %d dims, want %d", len(x), s.dim)
 	}
-	if len(dst) != len(s.Vars) {
-		return fmt.Errorf("space: Decode got %d output values for %d variables", len(dst), len(s.Vars))
+	if len(dst) != len(s.codecs) {
+		return fmt.Errorf("space: Decode got %d output values for %d variables", len(dst), len(s.codecs))
 	}
-	for i := range s.Vars {
+	for i := range s.codecs {
 		dst[i] = s.decodeVar(x, i)
 	}
 	return nil
@@ -222,25 +234,33 @@ func (s *Space) DecodeInto(dst Values, x []float64) error {
 
 // decodeVar returns variable i's raw value at x.
 func (s *Space) decodeVar(x []float64, i int) Value {
-	v := &s.Vars[i]
-	off := s.offsets[i]
-	switch v.Kind {
-	case Continuous:
-		// Min + u·(Max−Min) can round past Max (0.3 + 1·0.6 is
+	c := &s.codecs[i]
+	switch c.kind {
+	case Continuous, Integer:
+		u := linalg.Clamp(x[c.off], 0, 1)
+		var raw float64
+		if c.log {
+			raw = math.Exp(c.logMin + u*c.logSpan)
+		} else {
+			raw = c.min + u*c.span
+		}
+		// min + u·span can round past max (0.3 + 1·0.6 is
 		// 0.9000000000000001), so the value is clamped like an integer's.
-		return Value(linalg.Clamp(s.denormalize(i, x[off]), v.Min, v.Max))
-	case Integer:
-		return Value(math.Round(linalg.Clamp(s.denormalize(i, x[off]), v.Min, v.Max)))
+		raw = linalg.Clamp(raw, c.min, c.max)
+		if c.kind == Integer {
+			raw = math.Round(raw)
+		}
+		return Value(raw)
 	case Boolean:
-		if x[off] >= 0.5 {
+		if x[c.off] >= 0.5 {
 			return 1
 		}
 		return 0
 	case Categorical:
 		best, bestV := 0, math.Inf(-1)
-		for j := 0; j < len(v.Levels); j++ {
-			if x[off+j] > bestV {
-				best, bestV = j, x[off+j]
+		for j, v := range x[c.off : c.off+c.width] {
+			if v > bestV {
+				best, bestV = j, v
 			}
 		}
 		return Value(best)
@@ -270,7 +290,7 @@ func (s *Space) RoundInto(dst, x []float64) error {
 	if len(dst) != s.dim {
 		return fmt.Errorf("space: Round got a %d-dim output, want %d", len(dst), s.dim)
 	}
-	for i := range s.Vars {
+	for i := range s.codecs {
 		// A decoded value is always in its variable's domain, so the encode
 		// cannot fail.
 		_ = s.encodeVar(dst, i, float64(s.decodeVar(x, i)))

@@ -16,10 +16,7 @@
 // spot.
 package spark
 
-import (
-	"repro/internal/model"
-	"repro/internal/space"
-)
+import "repro/internal/space"
 
 // Batch knob names — the 12 most important Spark parameters selected in the
 // paper's feature-engineering step (Appendix C-B).
@@ -131,17 +128,29 @@ func DefaultStreamConf(s *space.Space) space.Values {
 	return vals
 }
 
-// CoresModel is the exact model of the cost-in-cores objective, which is a
-// known function of the knobs (§II-B): it decodes x and returns executor
-// instances × cores per executor, and 0 when x does not decode.
-func CoresModel(spc *space.Space) model.Model {
-	return model.Func{D: spc.Dim(), F: func(x []float64) float64 {
-		vals, err := spc.Decode(x)
-		if err != nil {
-			return 0
-		}
-		inst, _ := spc.Get(vals, KnobInstances)
-		cores, _ := spc.Get(vals, KnobCores)
-		return inst * cores
-	}}
+// CoresModel returns the exact model of the cost-in-cores objective, which
+// is a known function of the knobs (§II-B).
+func CoresModel(spc *space.Space) Cores { return Cores{spc} }
+
+// Cores is the cost-in-cores objective: it decodes x and returns executor
+// instances × cores per executor, and 0 when x does not decode. It is a
+// named type rather than a closure: a caller that inlines a constructor
+// gets its own copy of the closure, and that copy calls Space.Decode out of
+// line, so the decoded values escape to the heap. In Predict, Decode
+// inlines and they stay on the stack; MOGD's numeric gradient calls
+// Predict 2·D+1 times per start per step.
+type Cores struct{ spc *space.Space }
+
+// Dim implements model.Model.
+func (m Cores) Dim() int { return m.spc.Dim() }
+
+// Predict implements model.Model.
+func (m Cores) Predict(x []float64) float64 {
+	vals, err := m.spc.Decode(x)
+	if err != nil {
+		return 0
+	}
+	inst, _ := m.spc.Get(vals, KnobInstances)
+	cores, _ := m.spc.Get(vals, KnobCores)
+	return inst * cores
 }

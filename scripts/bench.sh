@@ -27,6 +27,9 @@
 #                        overhead, expected ~1% time and 0 extra allocs)
 #   internal/space       Lookup / LookupLinearRef / Get  (name->index map vs
 #                        the old linear scan under the Get hot path)
+#   internal/spark       CoresValueGrad  (the exact cores objective's value
+#                        and numeric gradient over the 12-knob batch space:
+#                        25 decodes, as MOGD runs it per start per step)
 #   internal/telemetry   SpanStartEnd / SpanStartEndOff  (span open+End on
 #                        the solve hot path; must stay 0 allocs/op) /
 #                        TracerEvents  (one run's events read from a full
@@ -63,6 +66,7 @@ go test -run '^$' -bench 'GEMM' -benchmem -benchtime 1s ./internal/linalg/ >>"$R
 go test -run '^$' -bench 'Predict|ValueGrad|Fit' -benchmem -benchtime 1s ./internal/model/dnn/ >>"$RAW"
 go test -run '^$' -bench 'Evaluator|EvalBatch|Composite' -benchmem -benchtime 1s ./internal/problem/ >>"$RAW"
 go test -run '^$' -bench 'Lookup|Get' -benchmem -benchtime 1s ./internal/space/ >>"$RAW"
+go test -run '^$' -bench 'CoresValueGrad' -benchmem -benchtime 1s ./internal/spark/ >>"$RAW"
 go test -run '^$' -bench 'Span|TracerEvents' -benchmem -benchtime 1s ./internal/telemetry/ >>"$RAW"
 go test -run '^$' -bench 'ClipToBox' -benchmem -benchtime 1s ./internal/metrics/ >>"$RAW"
 go test -run '^$' -bench 'MOGD' -benchmem -benchtime 1s ./internal/solver/mogd/ >>"$RAW"

@@ -37,6 +37,8 @@ fi
 # informational until its first scripts/bench.sh recording), the span
 # open+End pair (must stay allocation-free), the tracer's read of one run
 # from a full ring (every /optimize makes two; informational until its first
+# scripts/bench.sh recording), the cores objective's numeric gradient over
+# the batch space (CoresValueGrad: 25 decodes; informational until its first
 # scripts/bench.sh recording), the MOGD solver hot path, the
 # Progressive Frontier loops (SequentialCold/ParallelCold: PF-AS and PF-AP on
 # a fresh solver every iteration), the serving cache's lease / insert /
@@ -44,7 +46,7 @@ fi
 # answer, cache hits included, pays it; informational until its first
 # scripts/bench.sh recording), and the calibration ledger's window update and
 # append (the /observe hot path — the append must stay off the disk write).
-TRACKED='GEMM ValueGradBatch Fit PredictVar PredictVar2x64 EvaluatorValueGrad EvaluatorValueGradTelemetry EvaluatorMemoHit EvalBatch CompositeEval SpanStartEnd TracerEvents MOGDSolve MOGDSolveSerial MOGDSolveBatch SequentialCold ParallelCold ServingCacheHit ServingCacheInsert CoalescedDispatch RegistryAppend CalibWindowAdd CalibLedgerAppend'
+TRACKED='GEMM ValueGradBatch Fit PredictVar PredictVar2x64 EvaluatorValueGrad EvaluatorValueGradTelemetry EvaluatorMemoHit EvalBatch CompositeEval SpanStartEnd TracerEvents CoresValueGrad MOGDSolve MOGDSolveSerial MOGDSolveBatch SequentialCold ParallelCold ServingCacheHit ServingCacheInsert CoalescedDispatch RegistryAppend CalibWindowAdd CalibLedgerAppend'
 
 RAW=$(mktemp)
 trap 'rm -f "$RAW"' EXIT
@@ -53,6 +55,7 @@ go test -run '^$' -bench 'GEMM' -benchmem -benchtime "$BENCHTIME" ./internal/lin
 go test -run '^$' -bench 'ValueGradBatch|PredictVar|Fit' -benchmem -benchtime "$BENCHTIME" ./internal/model/dnn/ >>"$RAW"
 go test -run '^$' -bench 'Evaluator|EvalBatch|Composite' -benchmem -benchtime "$BENCHTIME" ./internal/problem/ >>"$RAW"
 go test -run '^$' -bench 'SpanStartEnd$|TracerEvents' -benchmem -benchtime "$BENCHTIME" ./internal/telemetry/ >>"$RAW"
+go test -run '^$' -bench 'CoresValueGrad' -benchmem -benchtime "$BENCHTIME" ./internal/spark/ >>"$RAW"
 go test -run '^$' -bench 'MOGD' -benchmem -benchtime "$BENCHTIME" ./internal/solver/mogd/ >>"$RAW"
 go test -run '^$' -bench 'Cold' -benchmem -benchtime "$BENCHTIME" ./internal/core/ >>"$RAW"
 go test -run '^$' -bench 'Serving|Coalesced' -benchmem -benchtime "$BENCHTIME" ./internal/serving/ >>"$RAW"

@@ -11,9 +11,10 @@
 #      registry, calibration ledger, HTTP service incl. the sharded serving
 #      cache and the /observe loop, watchdog)
 #   4. full test suite
-#   5. benchmark smoke: one iteration of the MOGD benchmarks and of the cold
-#      Progressive Frontier benchmarks, so a broken benchmark harness fails
-#      CI instead of the next perf investigation
+#   5. benchmark smoke: one iteration of the MOGD benchmarks, of the cold
+#      Progressive Frontier benchmarks and of the cores objective's numeric
+#      gradient, so a broken benchmark harness fails CI instead of the next
+#      perf investigation
 #   6. fuzz smoke: 10s of FuzzJournalReopen over the durable journal's crash
 #      repair (the run registry, calibration ledger and alert log), 10s of
 #      FuzzLabelValue over the metric series label round trip the watchdog's
@@ -38,6 +39,7 @@ go test -race ./internal/linalg/... ./internal/solver/... ./internal/model/... .
 go test ./...
 go test -run '^$' -bench MOGD -benchtime 1x ./internal/solver/mogd/
 go test -run '^$' -bench Cold -benchtime 1x ./internal/core/
+go test -run '^$' -bench CoresValueGrad -benchtime 1x ./internal/spark/
 go test -run '^$' -fuzz FuzzJournalReopen -fuzztime 10s ./internal/runlog/
 go test -run '^$' -fuzz FuzzLabelValue -fuzztime 10s ./internal/telemetry/
 go test -run '^$' -fuzz FuzzClipToBox -fuzztime 10s ./internal/metrics/
