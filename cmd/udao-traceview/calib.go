@@ -178,14 +178,14 @@ func calibDrift(pairs []calib.Pair, objective string) []driftBucket {
 	return out
 }
 
-// calibFlags marks series the live watchdog rules would alert on, judged
-// against the rules' thresholds.
+// calibFlags marks series the live watchdog rules would alert on, judged by
+// the rules themselves.
 func calibFlags(st calib.ObjectiveStats) string {
 	var flags []string
-	if st.Pairs >= watch.CalibMinPairs && st.MAPE >= watch.CalibMAPEMax {
+	if _, drifted := watch.CalibDrift(st); drifted {
 		flags = append(flags, "DRIFT")
 	}
-	if st.CoveragePairs >= watch.CalibMinPairs && st.Coverage != calib.CoverageUnknown && st.Coverage < watch.CalibCoverageFloor {
+	if _, collapsed := watch.CoverageCollapse(st); collapsed {
 		flags = append(flags, "LOW-COVERAGE")
 	}
 	return strings.Join(flags, ",")

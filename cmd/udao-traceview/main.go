@@ -24,8 +24,8 @@
 //
 // For runs recorded with span-level tracing the per-run report shows an
 // exact per-phase timeline (self time per phase from the span tree rooted
-// at the run's root span); older traces without span IDs fall back to the
-// heuristic scope grouping.
+// at the run's root span); older traces without span IDs get a one-line
+// note instead.
 package main
 
 import (
@@ -182,9 +182,7 @@ func runReport(out io.Writer, recs []runlog.Record, events []telemetry.Event, id
 	}
 
 	if rec.TraceRunID != "" && len(events) > 0 {
-		if !spanTimeline(out, events, rec) {
-			phaseBreakdown(out, events, rec.TraceRunID)
-		}
+		spanTimeline(out, events, rec)
 	}
 	return nil
 }
@@ -197,9 +195,9 @@ func runReport(out io.Writer, recs []runlog.Record, events []telemetry.Event, id
 // record's root span ID carves this request's subtree out of a trace run
 // shared by several requests against one cached optimizer.
 //
-// Returns false when the sink carries no span events for the run (a pre-span
-// sink); the caller then falls back to the heuristic scope grouping.
-func spanTimeline(out io.Writer, events []telemetry.Event, rec *runlog.Record) bool {
+// A run without events in the sink, or whose events carry no span of this
+// request (a sink written before span tracing), gets a one-line note instead.
+func spanTimeline(out io.Writer, events []telemetry.Event, rec *runlog.Record) {
 	var runEvents []telemetry.Event
 	spans := 0
 	for _, e := range events {
@@ -211,12 +209,14 @@ func spanTimeline(out io.Writer, events []telemetry.Event, rec *runlog.Record) b
 			spans++
 		}
 	}
-	if spans == 0 {
-		return false
+	if len(runEvents) == 0 {
+		fmt.Fprintf(out, "\nno trace events for run %s in the sink (ring may have rotated past it)\n", rec.TraceRunID)
+		return
 	}
 	rows, total := telemetry.PhaseBreakdown(runEvents, rec.RootSpan)
 	if len(rows) == 0 {
-		return false
+		fmt.Fprintf(out, "\nno phase timeline: the sink's %d trace events for run %s carry no spans of this request\n", len(runEvents), rec.TraceRunID)
+		return
 	}
 	fmt.Fprintf(out, "\nper-phase timeline (%d spans; self times sum to %s of %s recorded wall time)\n",
 		spans, fmtSec(total.Seconds()), fmtSec(rec.SolveSec))
@@ -229,72 +229,6 @@ func spanTimeline(out io.Writer, events []telemetry.Event, rec *runlog.Record) b
 		bar := strings.Repeat("#", int(frac*24+0.5))
 		fmt.Fprintf(out, "  %-12s %6d %10s %10s %5.1f%%  %s\n",
 			r.Phase, r.Spans, fmtSec(r.Total.Seconds()), fmtSec(r.Self.Seconds()), 100*frac, bar)
-	}
-	return true
-}
-
-// phaseBreakdown groups the run's trace events by scope and reports where
-// the wall-clock went. Only events carrying a duration contribute time;
-// durationless events (probes, progress reports) still count.
-func phaseBreakdown(out io.Writer, events []telemetry.Event, traceRun string) {
-	type phase struct {
-		scope  string
-		count  int
-		total  time.Duration
-		names  map[string]int
-		maxDur time.Duration
-		maxEv  string
-	}
-	byScope := map[string]*phase{}
-	matched := 0
-	for _, e := range events {
-		if e.Run != traceRun {
-			continue
-		}
-		matched++
-		p := byScope[e.Scope]
-		if p == nil {
-			p = &phase{scope: e.Scope, names: map[string]int{}}
-			byScope[e.Scope] = p
-		}
-		p.count++
-		p.names[e.Name]++
-		p.total += e.Dur
-		if e.Dur > p.maxDur {
-			p.maxDur = e.Dur
-			p.maxEv = e.Name
-			if e.Detail != "" {
-				p.maxEv += " (" + e.Detail + ")"
-			}
-		}
-	}
-	if matched == 0 {
-		fmt.Fprintf(out, "\nno trace events for run %s in the sink (ring may have rotated past it)\n", traceRun)
-		return
-	}
-	phases := make([]*phase, 0, len(byScope))
-	for _, p := range byScope {
-		phases = append(phases, p)
-	}
-	sort.Slice(phases, func(i, j int) bool {
-		if phases[i].total != phases[j].total {
-			return phases[i].total > phases[j].total
-		}
-		return phases[i].scope < phases[j].scope
-	})
-	fmt.Fprintf(out, "\nper-phase time breakdown (%d trace events)\n", matched)
-	fmt.Fprintf(out, "  %-8s %7s %10s  %s\n", "scope", "events", "time", "slowest / names")
-	for _, p := range phases {
-		names := make([]string, 0, len(p.names))
-		for n, c := range p.names {
-			names = append(names, fmt.Sprintf("%s×%d", n, c))
-		}
-		sort.Strings(names)
-		detail := strings.Join(names, " ")
-		if p.maxEv != "" && p.maxDur > 0 {
-			detail = fmt.Sprintf("max %s %s | %s", fmtSec(p.maxDur.Seconds()), p.maxEv, detail)
-		}
-		fmt.Fprintf(out, "  %-8s %7d %10s  %s\n", p.scope, p.count, fmtSec(p.total.Seconds()), detail)
 	}
 }
 

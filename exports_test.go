@@ -1,28 +1,29 @@
 package udao
 
 import (
-	"fmt"
 	"go/ast"
 	"go/parser"
-	"go/scanner"
 	"go/token"
 	"io/fs"
-	"os"
+	"path"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 )
 
+// modulePath is the import path of the module at the repository root;
+// servbench/ is its own module, repro/servbench, beside it.
+const modulePath = "repro"
+
 // testOnlyExportsAllowed lists the exported internal/ declarations that no
-// non-test program file names, each with the reason it stays. A method that
-// the standard library calls through an interface is never named by the
+// non-test program file refers to, each with the reason it stays. A method
+// that the standard library calls through an interface is never named by the
 // program that relies on it; the other entries are tools that tests use to
 // check behaviour the programs keep.
 var testOnlyExportsAllowed = map[string]string{
 	"core.rectQueue.Less":              "container/heap calls it (heap.Interface)",
-	"model/dnn.Net.MarshalJSON":        "encoding/json calls it (json.Marshaler)",
-	"model/dnn.Net.UnmarshalJSON":      "encoding/json calls it (json.Unmarshaler)",
 	"serving.ShedError.Unwrap":         "errors.Is and errors.As call it",
 	"objective.Rect.Contains":          "the PF-S completeness property test checks coverage with it",
 	"space.Composite.Gather":           "the pipeline test and FuzzCompositeRoundTrip check stage round trips with it",
@@ -32,66 +33,58 @@ var testOnlyExportsAllowed = map[string]string{
 	"solver/mogd.Solver.CacheNearHits": "the near warm-start tests count warm-started probes with it",
 	"model/analytic.PaperExample":      "Fig. 3(e)'s models, a fixture for the tests of five packages",
 	"model/analytic.PaperExample2D":    "Fig. 3(f)'s models, a fixture for the tests of seven packages",
+	"problem.NewComposite":             "the conformance suite and the composite tests build pipeline problems with it; udao.NewPipelineOptimizer routes its stages through RoutedObjective instead",
+	"trace.Load":                       "it reads back the trace file that cmd/tracegen writes",
 }
 
-// TestNoTestOnlyExports fails when an exported top-level declaration or
-// method under internal/ is named only in its own declaration: no non-test
-// file of the module or of servbench/ refers to it, so only tests could reach
-// it. Such code is either dead or a test tool; a tool needs an entry above
-// with its reason.
+// TestNoTestOnlyExports fails when an exported declaration under internal/
+// is referred to by no non-test file of the module or of servbench/, so only
+// tests could reach it. Such code is either dead or a test tool; a tool needs
+// an entry above with its reason.
 //
-// The check matches identifier tokens by name, without type information, so
-// it misses dead code whose name something else shares: a method named like
-// a type parameter (a Matrix.T beside every [T any]) or like a live method
-// of another type (a Matrix.Clone beside Point.Clone) counts as referenced.
+// Top-level names are resolved by package, without type information: a
+// reference is pkg.Name through an import of the declaring package, or a
+// bare Name in a non-test file of that package. A declaration's own name and
+// a method's receiver are not references, so a Fit that only tests call is
+// found beside a live gp.Fit. A bare identifier counts whatever it names: a
+// local variable or struct-literal key spelled like a top-level name of its
+// own package still refers to it here.
+//
+// Methods are matched by name alone, because a call through an interface
+// never names the concrete method: one is live when its name occurs more
+// often than exported internal/ declarations bear it. So a method whose name
+// a live method of another type shares (a Matrix.Clone beside Point.Clone)
+// still counts as referenced.
 func TestNoTestOnlyExports(t *testing.T) {
-	uses := map[string]int{}
-	var decls []exportDecl
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			name := d.Name()
-			if path != "." && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		src, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		if err := countIdents(path, src, uses); err != nil {
-			return err
-		}
-		if rel, ok := strings.CutPrefix(filepath.ToSlash(path), "internal/"); ok {
-			ds, err := exportedDecls(path, src)
-			if err != nil {
-				return err
-			}
-			pkg := filepath.ToSlash(filepath.Dir(rel))
-			for _, d := range ds {
-				d.key = pkg + "." + d.key
-				decls = append(decls, d)
-			}
-		}
-		return nil
-	})
+	files, err := parseSources(".")
 	if err != nil {
 		t.Fatal(err)
 	}
+	idents := map[string]int{}
+	refs := map[string]bool{}
+	var decls []exportDecl
 	declared := map[string]int{}
-	for _, d := range decls {
-		declared[d.name]++
+	for _, f := range files {
+		ast.Inspect(f.ast, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok {
+				idents[id.Name]++
+			}
+			return true
+		})
+		addReferences(f, refs)
+		if rel, ok := strings.CutPrefix(f.pkg, modulePath+"/internal/"); ok {
+			for _, d := range exportedDecls(f.ast) {
+				declared[d.name]++
+				d.key = rel + "." + d.key
+				d.ref = f.pkg + "." + d.name
+				decls = append(decls, d)
+			}
+		}
 	}
 	var unused []string
 	allowed := map[string]bool{}
 	for _, d := range decls {
-		if uses[d.name] > declared[d.name] {
+		if d.method && idents[d.name] > declared[d.name] || !d.method && refs[d.ref] {
 			continue
 		}
 		if _, ok := testOnlyExportsAllowed[d.key]; ok {
@@ -102,7 +95,7 @@ func TestNoTestOnlyExports(t *testing.T) {
 	}
 	if len(unused) > 0 {
 		sort.Strings(unused)
-		t.Errorf("exported declarations named only in their own declaration (delete them, or allow one with its reason):\n\t%s",
+		t.Errorf("exported declarations no program refers to (delete them, or allow one with its reason):\n\t%s",
 			strings.Join(unused, "\n\t"))
 	}
 	for key := range testOnlyExportsAllowed {
@@ -112,46 +105,125 @@ func TestNoTestOnlyExports(t *testing.T) {
 	}
 }
 
-// exportDecl is one exported declaration: its bare name, which the token
-// count matches, and key, "Name" or "Recv.Name" for a method.
-type exportDecl struct{ name, key string }
+// sourceFile is one parsed non-test Go file and its package's import path.
+type sourceFile struct {
+	pkg string
+	ast *ast.File
+}
 
-// countIdents adds one to uses for every identifier token in src.
-func countIdents(path string, src []byte, uses map[string]int) error {
-	var s scanner.Scanner
-	s.Init(token.NewFileSet().AddFile(path, -1, len(src)), src, nil, 0)
-	for {
-		_, tok, lit := s.Scan()
-		if tok == token.EOF {
-			break
+// parseSources parses every non-test Go file under root, skipping testdata
+// and hidden or underscored directories.
+func parseSources(root string) ([]sourceFile, error) {
+	var files []sourceFile
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
 		}
-		if tok == token.IDENT {
-			uses[lit]++
+		if d.IsDir() {
+			name := d.Name()
+			if p != root && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
 		}
+		if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		files = append(files, sourceFile{pkg: path.Join(modulePath, filepath.ToSlash(filepath.Dir(p))), ast: f})
+		return nil
+	})
+	return files, err
+}
+
+// addReferences adds to refs every top-level name that f refers to, as
+// "importpath.Name": a selector through one of f's imports, or a bare
+// identifier, which names something of f's own package. Declared names,
+// method receivers and the field or method of a selector on a value are not
+// references. An import without a local name is known by the last element
+// of its path, which every package of the module is named after.
+func addReferences(f sourceFile, refs map[string]bool) {
+	imports := map[string]string{} // local name → import path
+	for _, imp := range f.ast.Imports {
+		p, _ := strconv.Unquote(imp.Path.Value)
+		name := path.Base(p)
+		if imp.Name != nil {
+			name = imp.Name.Name
+		}
+		imports[name] = p
 	}
-	if s.ErrorCount > 0 {
-		return fmt.Errorf("%s: %d scan errors", path, s.ErrorCount)
+	var visit func(ast.Node) bool
+	visit = func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.ImportSpec:
+			return false
+		case *ast.FuncDecl:
+			ast.Inspect(n.Type, visit)
+			if n.Body != nil {
+				ast.Inspect(n.Body, visit)
+			}
+			return false
+		case *ast.TypeSpec:
+			if n.TypeParams != nil {
+				ast.Inspect(n.TypeParams, visit)
+			}
+			ast.Inspect(n.Type, visit)
+			return false
+		case *ast.ValueSpec:
+			if n.Type != nil {
+				ast.Inspect(n.Type, visit)
+			}
+			for _, v := range n.Values {
+				ast.Inspect(v, visit)
+			}
+			return false
+		case *ast.Field:
+			ast.Inspect(n.Type, visit)
+			return false
+		case *ast.SelectorExpr:
+			if x, ok := n.X.(*ast.Ident); ok {
+				if p, ok := imports[x.Name]; ok {
+					refs[p+"."+n.Sel.Name] = true
+					return false
+				}
+			}
+			ast.Inspect(n.X, visit)
+			return false
+		case *ast.Ident:
+			refs[f.pkg+"."+n.Name] = true
+		}
+		return true
 	}
-	return nil
+	for _, d := range f.ast.Decls {
+		ast.Inspect(d, visit)
+	}
+}
+
+// exportDecl is one exported declaration: its bare name; key, "Name" or
+// "Recv.Name" for a method, which the allowlist and the failure name after
+// the package; and for a top-level name, ref, its "importpath.Name".
+type exportDecl struct {
+	name, key, ref string
+	method         bool
 }
 
 // exportedDecls lists the exported top-level types, functions, constants,
-// variables and methods that src declares.
-func exportedDecls(path string, src []byte) ([]exportDecl, error) {
-	f, err := parser.ParseFile(token.NewFileSet(), path, src, parser.SkipObjectResolution)
-	if err != nil {
-		return nil, err
-	}
+// variables and methods that f declares.
+func exportedDecls(f *ast.File) []exportDecl {
 	var out []exportDecl
 	add := func(id *ast.Ident, recv string) {
 		if !id.IsExported() {
 			return
 		}
-		key := id.Name
+		d := exportDecl{name: id.Name, key: id.Name}
 		if recv != "" {
-			key = recv + "." + key
+			d.key, d.method = recv+"."+id.Name, true
 		}
-		out = append(out, exportDecl{name: id.Name, key: key})
+		out = append(out, d)
 	}
 	for _, decl := range f.Decls {
 		switch decl := decl.(type) {
@@ -174,7 +246,7 @@ func exportedDecls(path string, src []byte) ([]exportDecl, error) {
 			}
 		}
 	}
-	return out, nil
+	return out
 }
 
 // recvTypeName returns the type name of a method receiver, without pointer

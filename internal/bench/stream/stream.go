@@ -13,7 +13,6 @@ package stream
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math"
 	"math/rand"
 
@@ -62,17 +61,8 @@ type Workload struct {
 	Tmpl     Template
 }
 
-// Workloads generates the 63-workload suite by cycling templates with
-// per-workload cost and record-size jitter.
-func Workloads() []Workload {
-	out := make([]Workload, 0, NumWorkloads)
-	for id := 0; id < NumWorkloads; id++ {
-		out = append(out, ByID(id))
-	}
-	return out
-}
-
-// ByID returns streaming workload id (0..62).
+// ByID returns streaming workload id (0..62). The suite cycles the templates
+// with per-workload cost and record-size jitter.
 func ByID(id int) Workload {
 	if id < 0 || id >= NumWorkloads {
 		panic(fmt.Sprintf("stream: workload %d out of range", id))
@@ -147,7 +137,7 @@ func Run(w Workload, spc *space.Space, conf space.Values, cl spark.Cluster, seed
 	mapTasks := blocks
 	reduceTasks := parallelism
 
-	rng := rand.New(rand.NewSource(seed ^ int64(hash(w.Tmpl.Name, conf))))
+	rng := rand.New(rand.NewSource(seed ^ int64(spark.ConfHash(w.Tmpl.Name, conf))))
 	noise := math.Exp(rng.NormFloat64() * cl.NoiseStd)
 
 	// Map phase: per-record CPU over blocks, 60/40 split map/reduce.
@@ -213,18 +203,4 @@ func Run(w Workload, spc *space.Space, conf space.Values, cl spark.Cluster, seed
 		m.Throughput = rate * interval / proc
 	}
 	return m, nil
-}
-
-func hash(name string, conf space.Values) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(name))
-	for _, v := range conf {
-		u := math.Float64bits(float64(v))
-		var b [8]byte
-		for i := 0; i < 8; i++ {
-			b[i] = byte(u >> (8 * i))
-		}
-		h.Write(b[:])
-	}
-	return h.Sum64()
 }

@@ -36,15 +36,11 @@ func set(t *testing.T, spc *space.Space, conf space.Values, name string, v float
 }
 
 func TestSuite(t *testing.T) {
-	ws := Workloads()
-	if len(ws) != NumWorkloads {
-		t.Fatalf("workloads = %d", len(ws))
-	}
 	if len(Templates()) != NumTemplates {
 		t.Fatalf("templates = %d", len(Templates()))
 	}
-	for i, w := range ws {
-		if w.ID != i {
+	for i := 0; i < NumWorkloads; i++ {
+		if w := ByID(i); w.ID != i {
 			t.Fatalf("workload %d has ID %d", i, w.ID)
 		}
 	}

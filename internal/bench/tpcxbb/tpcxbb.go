@@ -149,27 +149,14 @@ type Workload struct {
 	Flow     *spark.Dataflow
 }
 
-// Workloads generates the full 258-workload suite: the templates are cycled
-// and each instance scales the input size log-uniformly over ~1.5 orders of
+// ByID returns workload id (0..257). The suite cycles the templates, and
+// each instance scales the input size log-uniformly over ~1.5 orders of
 // magnitude, yielding the paper's 2-orders-of-magnitude latency spread. The
 // first 58 are the offline set.
-func Workloads() []Workload {
-	out := make([]Workload, 0, NumWorkloads)
-	for id := 0; id < NumWorkloads; id++ {
-		out = append(out, workload(id))
-	}
-	return out
-}
-
-// ByID returns workload id (0..257).
 func ByID(id int) Workload {
 	if id < 0 || id >= NumWorkloads {
 		panic(fmt.Sprintf("tpcxbb: workload %d out of range", id))
 	}
-	return workload(id)
-}
-
-func workload(id int) Workload {
 	tmpl := (id % NumTemplates) + 1
 	rng := rand.New(rand.NewSource(int64(id)*104729 + 17))
 	// Base cardinality per template family, scaled log-uniformly.

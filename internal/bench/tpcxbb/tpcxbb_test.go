@@ -40,12 +40,9 @@ func TestTemplateOutOfRangePanics(t *testing.T) {
 }
 
 func TestWorkloadSuite(t *testing.T) {
-	ws := Workloads()
-	if len(ws) != NumWorkloads {
-		t.Fatalf("workloads = %d", len(ws))
-	}
 	offline := 0
-	for i, w := range ws {
+	for i := 0; i < NumWorkloads; i++ {
+		w := ByID(i)
 		if w.ID != i {
 			t.Fatalf("workload %d has ID %d", i, w.ID)
 		}

@@ -4,9 +4,11 @@
 //
 // The implementation is self-contained: forward pass, backpropagation with
 // respect to both weights (for training) and inputs (the gradient the MOGD
-// solver consumes), Adam updates, mini-batching, incremental fine-tuning from
-// a checkpoint, and Monte-Carlo-dropout predictive uncertainty (the paper's
-// Bayesian approximation for DNNs [9]).
+// solver consumes), Adam updates, mini-batching, incremental fine-tuning of a
+// trained network in memory, and Monte-Carlo-dropout predictive uncertainty
+// (the paper's Bayesian approximation for DNNs [9]). The paper's model server
+// also checkpoints the weights; here trained networks live in memory only,
+// so a Net has no serialized form.
 //
 // Mini-batch training, batched inference and the MC-dropout samples run on
 // the blocked GEMM kernels of internal/linalg, one GEMM per layer, and are
@@ -15,7 +17,6 @@
 package dnn
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
@@ -328,7 +329,7 @@ func (n *Net) PredictVar(x []float64) (mean, variance float64) {
 
 // Fit trains the network on (X, y) from its current weights; calling Fit on
 // a freshly constructed Net is full training, calling it again with new data
-// is the paper's incremental fine-tuning from the latest checkpoint. It
+// is the paper's incremental fine-tuning of the latest weights. It
 // returns the final epoch's mean squared error on standardized targets.
 func (n *Net) Fit(X [][]float64, y []float64) float64 {
 	if len(X) != len(y) || len(X) == 0 {
@@ -503,47 +504,3 @@ var (
 	_ model.ValueGradienter = (*Net)(nil)
 	_ model.Uncertain       = (*Net)(nil)
 )
-
-// checkpoint is the serialized form of a Net (the model server's "best model
-// weights" checkpoint, §V).
-type checkpoint struct {
-	InDim   int         `json:"in_dim"`
-	Cfg     Config      `json:"cfg"`
-	Weights [][]float64 `json:"weights"`
-	Biases  [][]float64 `json:"biases"`
-	YMean   float64     `json:"y_mean"`
-	YStd    float64     `json:"y_std"`
-	AdamT   int         `json:"adam_t"`
-}
-
-// MarshalJSON serializes the network weights for checkpointing.
-func (n *Net) MarshalJSON() ([]byte, error) {
-	cp := checkpoint{InDim: n.InDim, Cfg: n.Cfg, YMean: n.YMean, YStd: n.YStd, AdamT: n.adamT}
-	for _, l := range n.Layers {
-		cp.Weights = append(cp.Weights, append([]float64(nil), l.W...))
-		cp.Biases = append(cp.Biases, append([]float64(nil), l.B...))
-	}
-	return json.Marshal(cp)
-}
-
-// UnmarshalJSON restores a network from a checkpoint.
-func (n *Net) UnmarshalJSON(data []byte) error {
-	var cp checkpoint
-	if err := json.Unmarshal(data, &cp); err != nil {
-		return err
-	}
-	restored := New(cp.InDim, cp.Cfg)
-	if len(cp.Weights) != len(restored.Layers) {
-		return fmt.Errorf("dnn: checkpoint has %d layers, expected %d", len(cp.Weights), len(restored.Layers))
-	}
-	for i, l := range restored.Layers {
-		if len(cp.Weights[i]) != len(l.W) || len(cp.Biases[i]) != len(l.B) {
-			return fmt.Errorf("dnn: checkpoint layer %d shape mismatch", i)
-		}
-		copy(l.W, cp.Weights[i])
-		copy(l.B, cp.Biases[i])
-	}
-	restored.YMean, restored.YStd, restored.adamT = cp.YMean, cp.YStd, cp.AdamT
-	*n = *restored
-	return nil
-}

@@ -1,7 +1,6 @@
 package dnn
 
 import (
-	"encoding/json"
 	"math"
 	"math/rand"
 	"sync"
@@ -132,38 +131,6 @@ func testMSE(n *Net, X [][]float64, y []float64) float64 {
 		s += d * d
 	}
 	return s / float64(len(X))
-}
-
-func TestCheckpointRoundTrip(t *testing.T) {
-	X, y := makeData(60, 9)
-	n := New(2, Config{Hidden: []int{16, 8}, Epochs: 40, Seed: 9})
-	n.Fit(X, y)
-	blob, err := json.Marshal(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back Net
-	if err := json.Unmarshal(blob, &back); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 20; i++ {
-		x := []float64{float64(i) / 20, 1 - float64(i)/20}
-		if a, b := n.Predict(x), back.Predict(x); math.Abs(a-b) > 1e-12 {
-			t.Fatalf("checkpoint round trip changed prediction: %v vs %v", a, b)
-		}
-	}
-	// Restored net can continue training (Adam state cleared but adamT kept).
-	back.Fit(X, y)
-}
-
-func TestUnmarshalRejectsCorrupt(t *testing.T) {
-	var n Net
-	if err := json.Unmarshal([]byte(`{"in_dim":2,"cfg":{"Hidden":[4]},"weights":[[1,2]],"biases":[[0]]}`), &n); err == nil {
-		t.Fatal("expected error for wrong layer count")
-	}
-	if err := json.Unmarshal([]byte(`not json`), &n); err == nil {
-		t.Fatal("expected error for invalid JSON")
-	}
 }
 
 func TestFitPanicsOnBadInput(t *testing.T) {

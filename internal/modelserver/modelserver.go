@@ -1,10 +1,11 @@
 // Package modelserver implements the paper's model server (§V): it turns
 // collected traces into per-(workload, objective) predictive models — GPs in
-// the OtterTune comparison, DNNs for the headline results, or handcrafted
-// models registered directly — retrains when large trace updates arrive,
-// fine-tunes incrementally on small updates, checkpoints DNN weights, and
-// exposes the models to the MOO process over HTTP/JSON (the paper's
-// "network sockets" interface).
+// the OtterTune comparison, DNNs for the headline results — retrains when
+// large trace updates arrive, fine-tunes incrementally on small updates, and
+// answers model requests over HTTP/JSON (POST /predict, the paper's "network
+// sockets" interface). The paper's handcrafted models and its DNN weight
+// checkpoints are not reproduced: every program here trains GP or DNN
+// models from traces and keeps them in memory.
 //
 // The paper runs training asynchronously in the background; the library
 // collapses that to training-on-demand with caching, which preserves the
@@ -13,15 +14,11 @@
 package modelserver
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"net/http"
-	"os"
-	"path/filepath"
 	"sync"
 	"time"
 
@@ -44,10 +41,6 @@ type Kind int
 const (
 	GP Kind = iota
 	DNN
-	// Handcrafted uses the Config.FitHandcrafted factory — the paper's
-	// first modeling option (§II-B), e.g. Ernest-style regression from
-	// internal/model/ernest.
-	Handcrafted
 )
 
 // Config controls training.
@@ -63,12 +56,6 @@ type Config struct {
 	RetrainThreshold int
 	// FineTuneEpochs bounds incremental DNN updates (default 30).
 	FineTuneEpochs int
-	// CheckpointDir, when set, persists DNN weights per (workload,
-	// objective) and restores them on construction.
-	CheckpointDir string
-	// FitHandcrafted builds a handcrafted regression model from training
-	// data; required when Kind is Handcrafted.
-	FitHandcrafted func(X [][]float64, y []float64) (model.Model, error)
 	// LogTargets trains GP/DNN models on log(y) and exponentiates
 	// predictions, keeping extrapolations positive — appropriate for
 	// latency, cost and throughput objectives, whose cluster noise is
@@ -196,7 +183,7 @@ func (s *Server) Model(workload, objective string) (model.Model, error) {
 	if err != nil {
 		return nil, err
 	}
-	logScale := s.cfg.LogTargets && s.cfg.Kind != Handcrafted
+	logScale := s.cfg.LogTargets
 	if logScale {
 		for _, v := range y {
 			if v <= 0 {
@@ -213,15 +200,9 @@ func (s *Server) Model(workload, objective string) (model.Model, error) {
 		y = ly
 	}
 	var m model.Model
-	switch s.cfg.Kind {
-	case DNN:
-		m, err = s.trainDNN(k, cached, X, y)
-	case Handcrafted:
-		if s.cfg.FitHandcrafted == nil {
-			return nil, fmt.Errorf("modelserver: Handcrafted kind requires Config.FitHandcrafted")
-		}
-		m, err = s.cfg.FitHandcrafted(X, y)
-	default:
+	if s.cfg.Kind == DNN {
+		m = s.trainDNN(k, cached, X, y)
+	} else {
 		m, err = gp.Fit(X, y, s.cfg.GPCfg)
 	}
 	if err != nil {
@@ -242,78 +223,30 @@ func (s *Server) Model(workload, objective string) (model.Model, error) {
 	return m, nil
 }
 
-func (s *Server) trainDNN(k string, cached *trainedModel, X [][]float64, y []float64) (model.Model, error) {
-	var net *dnn.Net
-	grown := len(X)
-	if cached != nil {
-		grown = len(X) - cached.atCount
-	}
-	if cached != nil && grown < s.cfg.RetrainThreshold {
-		// Small update: fine-tune from the latest checkpoint (unwrapping the
+func (s *Server) trainDNN(k string, cached *trainedModel, X [][]float64, y []float64) model.Model {
+	if cached != nil && len(X)-cached.atCount < s.cfg.RetrainThreshold {
+		// Small update: fine-tune the cached network in place (unwrapping the
 		// log-target wrapper when present).
-		old, ok := cached.m.(*dnn.Net)
+		net, ok := cached.m.(*dnn.Net)
 		if !ok {
 			if e, isExp := cached.m.(model.Exp); isExp {
-				old, ok = e.M.(*dnn.Net)
+				net, ok = e.M.(*dnn.Net)
 			}
 		}
 		if ok {
-			net = old
 			saveEpochs := net.Cfg.Epochs
 			net.Cfg.Epochs = s.cfg.FineTuneEpochs
 			net.Fit(X, y)
 			net.Cfg.Epochs = saveEpochs
-			if err := s.checkpoint(k, net); err != nil {
-				return nil, err
-			}
-			return net, nil
+			return net
 		}
 	}
-	// Full retrain (or first training). Restore a checkpoint as a warm
-	// start when one exists.
+	// Full retrain (or first training).
 	cfg := s.cfg.DNNCfg
 	cfg.Seed = int64(len(k)) // deterministic per (workload, objective)
-	net = dnn.New(len(X[0]), cfg)
-	if blob, err := s.loadCheckpoint(k); err == nil {
-		var restored dnn.Net
-		if json.Unmarshal(blob, &restored) == nil && restored.InDim == len(X[0]) {
-			net = &restored
-		}
-	}
+	net := dnn.New(len(X[0]), cfg)
 	net.Fit(X, y)
-	if err := s.checkpoint(k, net); err != nil {
-		return nil, err
-	}
-	return net, nil
-}
-
-func (s *Server) checkpointPath(k string) string {
-	h := 0
-	for _, c := range k {
-		h = h*31 + int(c)
-	}
-	if h < 0 {
-		h = -h
-	}
-	return filepath.Join(s.cfg.CheckpointDir, fmt.Sprintf("ckpt-%d.json", h))
-}
-
-func (s *Server) checkpoint(k string, net *dnn.Net) error {
-	if s.cfg.CheckpointDir == "" {
-		return nil
-	}
-	blob, err := json.Marshal(net)
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(s.checkpointPath(k), blob, 0o644)
-}
-
-func (s *Server) loadCheckpoint(k string) ([]byte, error) {
-	if s.cfg.CheckpointDir == "" {
-		return nil, os.ErrNotExist
-	}
-	return os.ReadFile(s.checkpointPath(k))
+	return net
 }
 
 // Models returns one model per objective name, in order.
@@ -422,50 +355,3 @@ func writeJSON(w http.ResponseWriter, v interface{}) {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 	}
 }
-
-// RemoteModel is a model.Model backed by a model server over HTTP — the
-// client side of the socket interface. Failed requests yield NaN
-// predictions, which the caller's feasibility checks reject.
-type RemoteModel struct {
-	URL       string // base URL, e.g. http://127.0.0.1:8080
-	Workload  string
-	Objective string
-	D         int
-	Client    *http.Client
-}
-
-// Dim implements model.Model.
-func (r *RemoteModel) Dim() int { return r.D }
-
-// Predict implements model.Model.
-func (r *RemoteModel) Predict(x []float64) float64 {
-	m, _ := r.PredictVar(x)
-	return m
-}
-
-// PredictVar implements model.Uncertain.
-func (r *RemoteModel) PredictVar(x []float64) (float64, float64) {
-	client := r.Client
-	if client == nil {
-		client = http.DefaultClient
-	}
-	blob, err := json.Marshal(predictRequest{Workload: r.Workload, Objective: r.Objective, X: x})
-	if err != nil {
-		return math.NaN(), 0
-	}
-	resp, err := client.Post(r.URL+"/predict", "application/json", bytesReader(blob))
-	if err != nil {
-		return math.NaN(), 0
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return math.NaN(), 0
-	}
-	var pr predictResponse
-	if err := json.NewDecoder(resp.Body).Decode(&pr); err != nil {
-		return math.NaN(), 0
-	}
-	return pr.Mean, pr.Variance
-}
-
-func bytesReader(b []byte) io.Reader { return bytes.NewReader(b) }

@@ -1,15 +1,15 @@
 package modelserver
 
 import (
-	"math"
+	"bytes"
+	"encoding/json"
 	"math/rand"
+	"net/http"
 	"net/http/httptest"
-	"os"
 	"testing"
 
 	"repro/internal/model"
 	"repro/internal/model/dnn"
-	"repro/internal/model/ernest"
 	"repro/internal/space"
 	"repro/internal/spark"
 	"repro/internal/trace"
@@ -118,41 +118,12 @@ func TestModels(t *testing.T) {
 	}
 }
 
-func TestCheckpointPersistence(t *testing.T) {
-	dir := t.TempDir()
-	spc, st := buildStore(t, 30)
-	srv := New(spc, st, Config{Kind: DNN, DNNCfg: dnn.Config{Hidden: []int{16}, Epochs: 40}, CheckpointDir: dir})
-	m, err := srv.Model("w0", "latency")
-	if err != nil {
-		t.Fatal(err)
-	}
-	files, _ := os.ReadDir(dir)
-	if len(files) == 0 {
-		t.Fatal("no checkpoint written")
-	}
-	// A fresh server warm-starts from the checkpoint; with epochs the
-	// restored model trains further but should remain close.
-	srv2 := New(spc, st, Config{Kind: DNN, DNNCfg: dnn.Config{Hidden: []int{16}, Epochs: 1}, CheckpointDir: dir})
-	m2, err := srv2.Model("w0", "latency")
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := make([]float64, spc.Dim())
-	for i := range x {
-		x[i] = 0.5
-	}
-	if a, b := m.Predict(x), m2.Predict(x); math.Abs(a-b) > math.Abs(a)*0.5+1 {
-		t.Fatalf("restored model far from checkpointed: %v vs %v", a, b)
-	}
-}
-
 func TestHTTPInterface(t *testing.T) {
 	spc, st := buildStore(t, 40)
 	srv := New(spc, st, Config{Kind: GP})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	remote := &RemoteModel{URL: ts.URL, Workload: "w0", Objective: "latency", D: spc.Dim()}
 	local, err := srv.Model("w0", "latency")
 	if err != nil {
 		t.Fatal(err)
@@ -161,63 +132,57 @@ func TestHTTPInterface(t *testing.T) {
 	for i := range x {
 		x[i] = 0.4
 	}
-	if a, b := remote.Predict(x), local.Predict(x); math.Abs(a-b) > 1e-9 {
-		t.Fatalf("remote %v != local %v", a, b)
+	predict := func(workload string, x []float64) (int, predictResponse) {
+		t.Helper()
+		blob, err := json.Marshal(predictRequest{Workload: workload, Objective: "latency", X: x})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(ts.URL+"/predict", "application/json", bytes.NewReader(blob))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var pr predictResponse
+		if resp.StatusCode == http.StatusOK {
+			if err := json.NewDecoder(resp.Body).Decode(&pr); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return resp.StatusCode, pr
 	}
-	mu, v := remote.PredictVar(x)
-	if math.IsNaN(mu) || v < 0 {
-		t.Fatalf("PredictVar = %v, %v", mu, v)
+	code, pr := predict("w0", x)
+	if code != http.StatusOK {
+		t.Fatalf("POST /predict = %d", code)
 	}
-	var _ model.Uncertain = remote
+	mu, v := local.(model.Uncertain).PredictVar(x)
+	if pr.Mean != mu || pr.Variance != v {
+		t.Fatalf("served (%v, %v), local (%v, %v)", pr.Mean, pr.Variance, mu, v)
+	}
+	if v < 0 {
+		t.Fatalf("variance %v < 0", v)
+	}
 
-	// Error paths yield NaN rather than panicking.
-	bad := &RemoteModel{URL: ts.URL, Workload: "nope", Objective: "latency", D: spc.Dim()}
-	if !math.IsNaN(bad.Predict(x)) {
-		t.Fatal("unknown workload should predict NaN")
+	// Error paths map to HTTP statuses.
+	if code, _ := predict("nope", x); code != http.StatusNotFound {
+		t.Fatalf("unknown workload: status %d, want 404", code)
 	}
-	short := &RemoteModel{URL: ts.URL, Workload: "w0", Objective: "latency", D: 2}
-	if !math.IsNaN(short.Predict([]float64{0.1, 0.2})) {
-		t.Fatal("dim mismatch should predict NaN")
+	if code, _ := predict("w0", []float64{0.1, 0.2}); code != http.StatusBadRequest {
+		t.Fatalf("dim mismatch: status %d, want 400", code)
 	}
-	down := &RemoteModel{URL: "http://127.0.0.1:1", Workload: "w0", Objective: "latency", D: spc.Dim()}
-	if !math.IsNaN(down.Predict(x)) {
-		t.Fatal("unreachable server should predict NaN")
+	resp, err := http.Get(ts.URL + "/predict")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusMethodNotAllowed {
+		t.Fatalf("GET /predict: status %d, want 405", resp.StatusCode)
 	}
 }
 
 func TestWMAPEEmpty(t *testing.T) {
 	if w := WMAPE(model.Func{D: 1, F: func(x []float64) float64 { return 1 }}, nil, "latency"); w != 0 {
 		t.Fatalf("empty WMAPE = %v", w)
-	}
-}
-
-func TestHandcraftedKind(t *testing.T) {
-	spc, st := buildStore(t, 40)
-	cores := func(x []float64) float64 {
-		vals, err := spc.Decode(x)
-		if err != nil {
-			return 1
-		}
-		inst, _ := spc.Get(vals, spark.KnobInstances)
-		c, _ := spc.Get(vals, spark.KnobCores)
-		return inst * c
-	}
-	srv := New(spc, st, Config{Kind: Handcrafted, FitHandcrafted: func(X [][]float64, y []float64) (model.Model, error) {
-		return ernest.Fit(X, y, spc.Dim(), cores)
-	}})
-	m, err := srv.Model("w0", "latency")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A resource-only model over a 12-knob workload is coarse; it should
-	// still land within 60% WMAPE and preserve ordering by cores.
-	if w := WMAPE(m, st.ForWorkload("w0"), "latency"); w > 0.6 {
-		t.Fatalf("handcrafted WMAPE = %v", w)
-	}
-	// Missing factory errors out.
-	bad := New(spc, st, Config{Kind: Handcrafted})
-	if _, err := bad.Model("w0", "latency"); err == nil {
-		t.Fatal("expected error without FitHandcrafted")
 	}
 }
 

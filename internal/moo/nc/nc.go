@@ -108,7 +108,7 @@ func planeWeights(n, k int) [][]float64 {
 	var out [][]float64
 	if k == 2 {
 		for i := 0; i < n; i++ {
-			a := float64(i) / float64(maxInt(n-1, 1))
+			a := float64(i) / float64(max(n-1, 1))
 			out = append(out, []float64{a, 1 - a})
 		}
 		return out
@@ -295,11 +295,4 @@ func clamp01(v float64) float64 {
 		return 1
 	}
 	return v
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

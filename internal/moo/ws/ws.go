@@ -169,10 +169,3 @@ func (s *weighted) ValueGrad(x, grad []float64) (float64, []float64) {
 	}
 	return v, out
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

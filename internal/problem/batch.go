@@ -131,7 +131,6 @@ func (e *Evaluator) EvalRows(X, F *linalg.Matrix, sc *BatchScratch) int {
 		for i, r := range sc.miss {
 			if len(e.memo) >= e.opts.MemoCap {
 				e.memo = make(map[string]objective.Point)
-				e.memoFlush++
 			}
 			e.memo[sc.keys[i]] = objective.Point(F.Row(r)).Clone()
 		}

@@ -84,12 +84,11 @@ type Evaluator struct {
 	// pass, enabling EvalBatch's matrix path.
 	allBatch bool
 
-	evals     atomic.Uint64
-	memoHits  atomic.Uint64
-	memoMiss  atomic.Uint64
-	memoMu    sync.RWMutex
-	memo      map[string]objective.Point
-	memoFlush uint64 // wholesale clears (cache pressure diagnostics)
+	evals    atomic.Uint64
+	memoHits atomic.Uint64
+	memoMiss atomic.Uint64
+	memoMu   sync.RWMutex
+	memo     map[string]objective.Point
 
 	// Telemetry mirrors (nil when Options.Telemetry is nil). The counter
 	// pointers are resolved once at construction so the hot path never takes
@@ -202,7 +201,6 @@ func (e *Evaluator) EvalInto(x []float64, f objective.Point) {
 	e.memoMu.Lock()
 	if len(e.memo) >= e.opts.MemoCap {
 		e.memo = make(map[string]objective.Point)
-		e.memoFlush++
 	}
 	e.memo[key] = stored
 	e.memoMu.Unlock()

@@ -247,7 +247,7 @@ func TestObserveLoopTripsDriftAlert(t *testing.T) {
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
 
-	// Ten pairs clear the minimum of watch.CalibMinPairs; varied weights make
+	// Ten pairs clear calib_drift's minimum of 8; varied weights make
 	// every request after the first a hit on the same frontier.
 	for i := 0; i < 10; i++ {
 		w := 0.05 + 0.09*float64(i)

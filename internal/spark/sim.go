@@ -131,7 +131,7 @@ func Run(df *Dataflow, spc *space.Space, conf space.Values, cl Cluster, seed int
 		return Metrics{}, fmt.Errorf("spark: configuration allocates no cores")
 	}
 
-	rng := rand.New(rand.NewSource(seed ^ int64(confHash(df.Name, conf))))
+	rng := rand.New(rand.NewSource(seed ^ int64(ConfHash(df.Name, conf))))
 	c := df.compile(broadcastMB)
 
 	// Columnar batch-size efficiency: too-small batches pay per-batch
@@ -291,9 +291,10 @@ func Run(df *Dataflow, spc *space.Space, conf space.Values, cl Cluster, seed int
 	return out, nil
 }
 
-// confHash derives a stable 64-bit hash from the workload name and the
-// configuration so noise is deterministic per (workload, config).
-func confHash(name string, conf space.Values) uint64 {
+// ConfHash derives a stable 64-bit hash from the workload name and the
+// configuration so noise is deterministic per (workload, config). The
+// streaming simulator seeds its noise with it too.
+func ConfHash(name string, conf space.Values) uint64 {
 	h := fnv.New64a()
 	h.Write([]byte(name))
 	for _, v := range conf {

@@ -36,12 +36,12 @@
 //     (8) evictions — the working set no longer fits and every miss pays a
 //     full rebuild.
 //   - calib_drift: per workload+objective, the calibration ledger's rolling
-//     MAPE — predictions vs observed outcomes — reached CalibMAPEMax (0.35)
-//     with >= CalibMinPairs (8) pairs in the window: the model has drifted
+//     MAPE — predictions vs observed outcomes — reached calibMAPEMax (0.35)
+//     with >= calibMinPairs (8) pairs in the window: the model has drifted
 //     from the workload it was trained on and needs retraining.
 //   - coverage_collapse: per workload+objective, the fraction of outcomes
 //     inside the model's own z·sigma uncertainty interval fell below
-//     CalibCoverageFloor (0.5) over >= CalibMinPairs std-bearing pairs — the
+//     calibCoverageFloor (0.5) over >= calibMinPairs std-bearing pairs — the
 //     model is not just wrong, it is confidently wrong, so the §IV-B.3
 //     uncertainty-aware optimization can no longer trust its variance.
 //
@@ -86,8 +86,8 @@ type Alert struct {
 	Bundle string `json:"bundle,omitempty"`
 }
 
-// Rule thresholds. The calibration ones are exported: udao-traceview calib
-// flags its offline report against the same values.
+// Rule thresholds. udao-traceview calib judges its offline report by the
+// calibration ones through CalibDrift and CoverageCollapse.
 const (
 	sloBurnThreshold = 0.5 // slo_burn: breached fraction of the window's solves
 	sloBurnMin       = 4   // slo_burn: solves in the window before it is judged
@@ -101,9 +101,9 @@ const (
 	shedBurstMin       = 20   // shed_burst: requests in the window before it is judged
 	cacheThrashMin     = 8    // cache_thrash: LRU evictions in the window
 
-	CalibMAPEMax       = 0.35 // calib_drift: rolling MAPE ceiling
-	CalibMinPairs      = 8    // pairs in a window before it is judged
-	CalibCoverageFloor = 0.5  // coverage_collapse: interval coverage floor
+	calibMAPEMax       = 0.35 // calib_drift: rolling MAPE ceiling
+	calibMinPairs      = 8    // pairs in a window before it is judged
+	calibCoverageFloor = 0.5  // coverage_collapse: interval coverage floor
 )
 
 // Config tunes a Watchdog. Telemetry is required; everything else has a
@@ -553,29 +553,47 @@ func (w *Watchdog) traceRunOf(runID string) string {
 	return ""
 }
 
+// CalibDrift judges one calibration series by the calib_drift rule: judged
+// when its window holds at least calibMinPairs pairs, violated when it is
+// judged and its rolling MAPE reached calibMAPEMax.
+func CalibDrift(st calib.ObjectiveStats) (judged, violated bool) {
+	judged = st.Pairs >= calibMinPairs
+	return judged, judged && st.MAPE >= calibMAPEMax
+}
+
+// CoverageCollapse judges one calibration series by the coverage_collapse
+// rule: judged when at least calibMinPairs of its window's pairs carry a
+// predictive std, violated when it is judged and the share of outcomes
+// inside the model's interval fell below calibCoverageFloor.
+func CoverageCollapse(st calib.ObjectiveStats) (judged, violated bool) {
+	judged = st.CoveragePairs >= calibMinPairs && st.Coverage != calib.CoverageUnknown
+	return judged, judged && st.Coverage < calibCoverageFloor
+}
+
 // ruleCalibDrift: per workload+objective, the rolling-window MAPE of
-// predictions against observed outcomes reached CalibMAPEMax. The
+// predictions against observed outcomes reached calibMAPEMax. The
 // total pair count is the edge evidence — a drifted window alerts once per
 // newly observed outcome batch, not once per sweep.
 func (w *Watchdog) ruleCalibDrift() []Alert {
 	var out []Alert
 	for _, wl := range w.cfg.Calib.Workloads() {
 		for _, st := range w.cfg.Calib.Calibration(wl) {
-			if st.Pairs < CalibMinPairs {
+			judged, drifted := CalibDrift(st)
+			if !judged {
 				continue
 			}
-			if !w.latch("calibdrift|"+wl+"|"+st.Objective, st.MAPE >= CalibMAPEMax, fmt.Sprintf("%d", st.Total)) {
+			if !w.latch("calibdrift|"+wl+"|"+st.Objective, drifted, fmt.Sprintf("%d", st.Total)) {
 				continue
 			}
 			sev := "warning"
-			if st.MAPE >= 2*CalibMAPEMax {
+			if st.MAPE >= 2*calibMAPEMax {
 				sev = "critical"
 			}
 			out = append(out, Alert{
 				Rule: "calib_drift", Severity: sev, Workload: wl,
-				Value: st.MAPE, Threshold: CalibMAPEMax,
+				Value: st.MAPE, Threshold: calibMAPEMax,
 				RunRecord: st.LastRun, TraceRun: w.traceRunOf(st.LastRun),
-				Summary: fmt.Sprintf("workload %q: %s predictions off by %.0f%% MAPE over the last %d observed outcomes (bias %+.0f%%, ceiling %.0f%%) — the model has drifted; retrain from fresh traces", wl, st.Objective, 100*st.MAPE, st.Pairs, 100*st.Bias, 100*CalibMAPEMax),
+				Summary: fmt.Sprintf("workload %q: %s predictions off by %.0f%% MAPE over the last %d observed outcomes (bias %+.0f%%, ceiling %.0f%%) — the model has drifted; retrain from fresh traces", wl, st.Objective, 100*st.MAPE, st.Pairs, 100*st.Bias, 100*calibMAPEMax),
 			})
 		}
 	}
@@ -590,21 +608,22 @@ func (w *Watchdog) ruleCoverageCollapse() []Alert {
 	var out []Alert
 	for _, wl := range w.cfg.Calib.Workloads() {
 		for _, st := range w.cfg.Calib.Calibration(wl) {
-			if st.CoveragePairs < CalibMinPairs || st.Coverage == calib.CoverageUnknown {
+			judged, collapsed := CoverageCollapse(st)
+			if !judged {
 				continue
 			}
-			if !w.latch("calibcov|"+wl+"|"+st.Objective, st.Coverage < CalibCoverageFloor, fmt.Sprintf("%d", st.Total)) {
+			if !w.latch("calibcov|"+wl+"|"+st.Objective, collapsed, fmt.Sprintf("%d", st.Total)) {
 				continue
 			}
 			sev := "warning"
-			if st.Coverage < CalibCoverageFloor/2 {
+			if st.Coverage < calibCoverageFloor/2 {
 				sev = "critical"
 			}
 			out = append(out, Alert{
 				Rule: "coverage_collapse", Severity: sev, Workload: wl,
-				Value: st.Coverage, Threshold: CalibCoverageFloor,
+				Value: st.Coverage, Threshold: calibCoverageFloor,
 				RunRecord: st.LastRun, TraceRun: w.traceRunOf(st.LastRun),
-				Summary: fmt.Sprintf("workload %q: only %.0f%% of %d observed %s outcomes fell inside the model's uncertainty interval (floor %.0f%%) — predictive variance is underestimating the true error", wl, 100*st.Coverage, st.CoveragePairs, st.Objective, 100*CalibCoverageFloor),
+				Summary: fmt.Sprintf("workload %q: only %.0f%% of %d observed %s outcomes fell inside the model's uncertainty interval (floor %.0f%%) — predictive variance is underestimating the true error", wl, 100*st.Coverage, st.CoveragePairs, st.Objective, 100*calibCoverageFloor),
 			})
 		}
 	}

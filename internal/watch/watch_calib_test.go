@@ -42,7 +42,7 @@ func TestCalibDriftAlert(t *testing.T) {
 		}
 	}
 
-	// 7 heavily biased pairs: under CalibMinPairs (8), no alert yet.
+	// 7 heavily biased pairs: under calibMinPairs (8), no alert yet.
 	observe(7, 25) // rel err (25-10)/25 = 0.6 >= 0.35
 	if got := w.EvalOnce(); len(got) != 0 {
 		t.Fatalf("sweep under min pairs raised %+v", got)

@@ -173,6 +173,45 @@ func TestSubcacheCollapseAndLatencyAnomaly(t *testing.T) {
 	}
 }
 
+func TestEvalStallAlert(t *testing.T) {
+	tel := telemetry.New()
+	clock := newClock()
+	w := newWatchdog(t, Config{Telemetry: tel, Now: clock.now})
+
+	evals := tel.Metrics.Counter(telemetry.MetricModelEvals)
+	solves := tel.Metrics.Counter(telemetry.MetricMOGDSolves)
+	window := func(dEvals, dSolves uint64) []Alert {
+		evals.Add(dEvals)
+		solves.Add(dSolves)
+		clock.tick(15 * time.Second)
+		return w.EvalOnce()
+	}
+
+	w.EvalOnce() // baseline
+	// Healthy windows establish the eval-rate EWMA (100/s).
+	for i := 0; i < 4; i++ {
+		if got := window(1500, 2); len(got) != 0 {
+			t.Fatalf("healthy window %d raised %v", i, got)
+		}
+	}
+	// Idle: no solves ran, so a zero eval rate is no stall.
+	if got := window(0, 0); len(got) != 0 {
+		t.Fatalf("idle window raised %v", got)
+	}
+	// Solves ran but the model-pass rate fell to 1/s.
+	raised := window(15, 2)
+	if len(raised) != 1 || raised[0].Rule != "eval_stall" || raised[0].Severity != "warning" {
+		t.Fatalf("want one eval_stall warning, got %+v", raised)
+	}
+	if raised[0].Value != 1 || raised[0].Threshold != 100/ewmaDeviation {
+		t.Fatalf("rate %v against threshold %v, want 1 against %v", raised[0].Value, raised[0].Threshold, 100/ewmaDeviation)
+	}
+	// No new solves: nothing to judge, no re-fire.
+	if got := window(0, 0); len(got) != 0 {
+		t.Fatalf("sweep without solves raised %v", got)
+	}
+}
+
 func TestShedBurstAlert(t *testing.T) {
 	tel := telemetry.New()
 	clock := newClock()

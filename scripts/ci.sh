@@ -10,7 +10,10 @@
 #      suites, and the observability layer (telemetry registry + spans, run
 #      registry, calibration ledger, HTTP service incl. the sharded serving
 #      cache and the /observe loop, watchdog)
-#   4. full test suite
+#   4. full test suite, then go vet and the tests of servbench/, a module of
+#      its own that go test ./... does not reach: they fail when code that
+#      servbench restates changes (TestRestatedSourceUnchanged) or an
+#      internal API it imports moves
 #   5. benchmark smoke: one iteration of the MOGD benchmarks, of the cold
 #      Progressive Frontier benchmarks and of the cores objective's numeric
 #      gradient, so a broken benchmark harness fails CI instead of the next
@@ -37,6 +40,7 @@ go vet ./...
 go build ./...
 go test -race ./internal/linalg/... ./internal/solver/... ./internal/model/... ./internal/core/... ./internal/problem/... ./internal/space/... ./internal/recommend/... ./internal/conformance/... ./internal/telemetry/... ./internal/runlog/... ./internal/calib/... ./internal/watch/... ./internal/serving/... ./internal/service/...
 go test ./...
+(cd servbench && go vet . && go test .)
 go test -run '^$' -bench MOGD -benchtime 1x ./internal/solver/mogd/
 go test -run '^$' -bench Cold -benchtime 1x ./internal/core/
 go test -run '^$' -bench CoresValueGrad -benchtime 1x ./internal/spark/
