@@ -55,33 +55,13 @@ func main() {
 			name = w.Tmpl.Name
 			spc = spark.StreamSpace()
 			center = spark.DefaultStreamConf(spc)
-			runner = func(conf space.Values, s int64) (map[string]float64, []float64, error) {
-				m, err := stream.Run(w, spc, conf, cluster, s)
-				if err != nil {
-					return nil, nil, err
-				}
-				return map[string]float64{
-					"latency":    m.LatencySec,
-					"throughput": m.Throughput,
-					"cores":      m.Cores,
-				}, m.TraceVector(), nil
-			}
+			runner = stream.Runner(w, spc, cluster)
 		default:
 			w := tpcxbb.ByID(id)
 			name = w.Flow.Name
 			spc = spark.BatchSpace()
 			center = spark.DefaultBatchConf(spc)
-			runner = func(conf space.Values, s int64) (map[string]float64, []float64, error) {
-				m, err := spark.Run(w.Flow, spc, conf, cluster, s)
-				if err != nil {
-					return nil, nil, err
-				}
-				return map[string]float64{
-					"latency": m.LatencySec,
-					"cores":   m.Cores,
-					"cost2":   m.Cost2(),
-				}, m.TraceVector(), nil
-			}
+			runner = spark.Runner(w.Flow, spc, cluster)
 		}
 		rng := rand.New(rand.NewSource(*seed + int64(id)*31))
 		confs, err := trace.HeuristicSample(spc, center, *samples, rng)

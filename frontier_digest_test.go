@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/model"
@@ -153,5 +154,66 @@ func TestFrontierDigestPipeline(t *testing.T) {
 	}
 	if got := frontierDigest(t, opt, []string{"latency", "cores"}, 4); got != digestPipeline {
 		t.Fatalf("frontier digest %s, want %s", got, digestPipeline)
+	}
+}
+
+// TestExpandSplitsMatchOneExpand pins §IV-A's incremental property at the
+// facade on the cold-dnn serving shape: a frontier grown over several Expand
+// calls is, bit for bit, the one a single Expand of the summed budget
+// computes — every plan's configuration and objectives, the uncertain
+// fraction and the probes spent.
+func TestExpandSplitsMatchOneExpand(t *testing.T) {
+	spc := spark.BatchSpace()
+	objs := []Objective{
+		{Name: "latency", Model: digestDNN(spc, 3, 400)},
+		{Name: "cores", Model: spark.CoresModel(spc)},
+	}
+	type outcome struct {
+		plans  []Plan
+		unc    float64
+		probes int
+	}
+	run := func(steps ...int) outcome {
+		t.Helper()
+		opt, err := NewOptimizer(spc, objs, Options{Seed: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out outcome
+		for _, n := range steps {
+			if out.plans, err = opt.Expand(n); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if out.unc, err = opt.UncertainSpace(); err != nil {
+			t.Fatal(err)
+		}
+		out.probes = opt.Probes()
+		return out
+	}
+	bits := func(p Plan) []uint64 {
+		out := []uint64{math.Float64bits(p.Objectives["latency"]), math.Float64bits(p.Objectives["cores"])}
+		for _, v := range p.X {
+			out = append(out, math.Float64bits(v))
+		}
+		return out
+	}
+	want := run(30)
+	t.Logf("Expand(30): %d plans, uncertain %.6f, %d probes", len(want.plans), want.unc, want.probes)
+	for name, steps := range map[string][]int{
+		"15+15": {15, 15},
+		"10×3":  {10, 10, 10},
+		"16+14": {16, 14},
+	} {
+		got := run(steps...)
+		if len(got.plans) != len(want.plans) || math.Float64bits(got.unc) != math.Float64bits(want.unc) || got.probes != want.probes {
+			t.Fatalf("%s: %d plans, uncertain %v, %d probes; one Expand(30) gives %d, %v, %d",
+				name, len(got.plans), got.unc, got.probes, len(want.plans), want.unc, want.probes)
+		}
+		for i, p := range got.plans {
+			if q := want.plans[i]; !slices.Equal(bits(p), bits(q)) {
+				t.Fatalf("%s: plan %d is %v %v, one Expand(30) gives %v %v", name, i, p.X, p.Objectives, q.X, q.Objectives)
+			}
+		}
 	}
 }

@@ -56,9 +56,7 @@ func Templates() []Template {
 
 // Workload is one parameterized streaming job.
 type Workload struct {
-	ID       int
-	Template int // 0..5
-	Tmpl     Template
+	Tmpl Template
 }
 
 // ByID returns streaming workload id (0..62). The suite cycles the templates
@@ -75,7 +73,7 @@ func ByID(id int) Workload {
 	t.MemPerRecord *= 0.7 + 0.6*rng.Float64()
 	t.RecordBytes *= 0.8 + 0.4*rng.Float64()
 	t.Name = fmt.Sprintf("%s-w%02d", t.Name, id)
-	return Workload{ID: id, Template: ti, Tmpl: t}
+	return Workload{Tmpl: t}
 }
 
 // Metrics is the outcome of running a streaming workload at steady state.
@@ -102,6 +100,18 @@ func (m Metrics) TraceVector() []float64 {
 		stable = 1
 	}
 	return []float64{m.LatencySec, m.Throughput, m.Cores, m.ProcSec, stable, m.SpillMB, m.NetMB}
+}
+
+// Runner returns a trace.Runner for w on cluster cl: each run records
+// latency, throughput and cores, and the run's TraceVector.
+func Runner(w Workload, spc *space.Space, cl spark.Cluster) func(space.Values, int64) (map[string]float64, []float64, error) {
+	return func(conf space.Values, seed int64) (map[string]float64, []float64, error) {
+		m, err := Run(w, spc, conf, cl, seed)
+		if err != nil {
+			return nil, nil, err
+		}
+		return map[string]float64{"latency": m.LatencySec, "throughput": m.Throughput, "cores": m.Cores}, m.TraceVector(), nil
+	}
 }
 
 // Run simulates the workload at steady state under the configuration.

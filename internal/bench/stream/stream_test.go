@@ -1,8 +1,10 @@
 package stream
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -40,8 +42,8 @@ func TestSuite(t *testing.T) {
 		t.Fatalf("templates = %d", len(Templates()))
 	}
 	for i := 0; i < NumWorkloads; i++ {
-		if w := ByID(i); w.ID != i {
-			t.Fatalf("workload %d has ID %d", i, w.ID)
+		if w, suffix := ByID(i), fmt.Sprintf("-w%02d", i); !strings.HasSuffix(w.Tmpl.Name, suffix) {
+			t.Fatalf("workload %d is named %q, want the suffix %q", i, w.Tmpl.Name, suffix)
 		}
 	}
 	// Determinism of generation.

@@ -25,9 +25,6 @@ const NumTemplates = 30
 // NumWorkloads is the parameterized workload count (58 offline + 200 online).
 const NumWorkloads = 258
 
-// NumOffline is the number of workloads reserved for intensive sampling.
-const NumOffline = 58
-
 // TemplateKind labels the three TPCx-BB task families.
 type TemplateKind int
 
@@ -143,16 +140,13 @@ func mlTemplate(name string, t int, rows, rowBytes float64, rng *rand.Rand) *spa
 
 // Workload identifies one parameterized instance of a template.
 type Workload struct {
-	ID       int  // 0..257
-	Template int  // 1..30
-	Offline  bool // reserved for intensive sampling
+	Template int // 1..30
 	Flow     *spark.Dataflow
 }
 
 // ByID returns workload id (0..257). The suite cycles the templates, and
 // each instance scales the input size log-uniformly over ~1.5 orders of
-// magnitude, yielding the paper's 2-orders-of-magnitude latency spread. The
-// first 58 are the offline set.
+// magnitude, yielding the paper's 2-orders-of-magnitude latency spread.
 func ByID(id int) Workload {
 	if id < 0 || id >= NumWorkloads {
 		panic(fmt.Sprintf("tpcxbb: workload %d out of range", id))
@@ -169,7 +163,7 @@ func ByID(id int) Workload {
 	}
 	scale := math.Pow(10, -1+2.3*rng.Float64()) // 0.1x .. 20x
 	rows := base * scale
-	w := Workload{ID: id, Template: tmpl, Offline: id < NumOffline, Flow: Template(tmpl, rows)}
+	w := Workload{Template: tmpl, Flow: Template(tmpl, rows)}
 	w.Flow.Name = fmt.Sprintf("%s-w%03d", w.Flow.Name, id)
 	return w
 }

@@ -1,8 +1,10 @@
 package tpcxbb
 
 import (
+	"fmt"
 	"math"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/spark"
@@ -40,21 +42,14 @@ func TestTemplateOutOfRangePanics(t *testing.T) {
 }
 
 func TestWorkloadSuite(t *testing.T) {
-	offline := 0
 	for i := 0; i < NumWorkloads; i++ {
 		w := ByID(i)
-		if w.ID != i {
-			t.Fatalf("workload %d has ID %d", i, w.ID)
-		}
-		if w.Offline {
-			offline++
+		if suffix := fmt.Sprintf("-w%03d", i); !strings.HasSuffix(w.Flow.Name, suffix) {
+			t.Fatalf("workload %d is named %q, want the suffix %q", i, w.Flow.Name, suffix)
 		}
 		if err := w.Flow.Validate(); err != nil {
 			t.Fatalf("workload %d invalid: %v", i, err)
 		}
-	}
-	if offline != NumOffline {
-		t.Fatalf("offline workloads = %d, want %d", offline, NumOffline)
 	}
 }
 

@@ -97,8 +97,8 @@ type Options struct {
 
 // Ledger is the durable prediction–outcome ledger plus the in-memory rolling
 // calibration windows. The embedded journal provides Err (the calibration
-// half of the service's readiness gate), Sync, Close and Path. Safe for
-// concurrent use.
+// half of the service's readiness gate), Sync and Close. Safe for concurrent
+// use.
 type Ledger struct {
 	*runlog.Journal[Pair]
 	window int

@@ -323,7 +323,8 @@ func TestTelemetrySeries(t *testing.T) {
 }
 
 func TestConcurrentObserve(t *testing.T) {
-	l := openTestLedger(t, t.TempDir(), Options{Window: 16})
+	dir := t.TempDir()
+	l := openTestLedger(t, dir, Options{Window: 16})
 	var wg sync.WaitGroup
 	const workers, each = 8, 25
 	for w := 0; w < workers; w++ {
@@ -351,7 +352,7 @@ func TestConcurrentObserve(t *testing.T) {
 		t.Fatalf("Len = %d, want %d", l.Len(), workers*each)
 	}
 	// Every pair got a distinct ID and reached disk.
-	prs, err := Load(l.Path())
+	prs, err := Load(filepath.Join(dir, "calib.jsonl"))
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}

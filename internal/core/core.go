@@ -56,9 +56,6 @@ type Options struct {
 	// TimeBudget stops the run after the given wall-clock duration; zero
 	// means no time limit.
 	TimeBudget time.Duration
-	// Target is the objective index minimized by each Middle Point Probe
-	// (Definition III.3 allows any choice). Default 0.
-	Target int
 	// Grid is l, the per-dimension grid degree of PF-AP (default 2).
 	Grid int
 	// Lower and Upper are the user's optional value constraints
@@ -97,7 +94,6 @@ type Snapshot struct {
 	Evals         uint64               // model passes by the solver's evaluator (0 if untracked)
 	Elapsed       time.Duration        // wall-clock since the run started
 	UncertainFrac float64              // remaining uncertain space / initial volume
-	FrontierSize  int                  // Pareto points found so far (pre-filter)
 	Frontier      []objective.Solution // dominance-filtered frontier so far
 }
 
@@ -197,11 +193,15 @@ func initialRect(plans []objective.Solution) (objective.Rect, bool) {
 	return objective.Rect{Utopia: utopia, Nadir: nadir}, true
 }
 
+// probeTarget is the objective index each Middle Point Probe minimizes;
+// Definition III.3 allows any choice.
+const probeTarget = 0
+
 // middleCO builds the Middle Point Probe CO problem of Definition III.3 for
 // a hyperrectangle: minimize the target within [Utopia, (Utopia+Nadir)/2].
-func middleCO(rect objective.Rect, target int) solver.CO {
+func middleCO(rect objective.Rect) solver.CO {
 	return solver.CO{
-		Target: target,
+		Target: probeTarget,
 		Lo:     rect.Utopia.Clone(),
 		Hi:     rect.Middle(),
 	}
@@ -304,7 +304,6 @@ func (r *run) report() {
 		Evals:         evals,
 		Elapsed:       time.Since(r.start),
 		UncertainFrac: r.uncertainFrac(),
-		FrontierSize:  len(r.plans),
 		Frontier:      objective.Filter(r.plans),
 	})
 }
@@ -355,9 +354,9 @@ func (r *run) observe() {
 // rectangle (Proposition A.1) that subdivides it, or proves the rectangle
 // holds no feasible point at all and it can be discarded. This keeps failed
 // probes from fragmenting empty regions indefinitely.
-func fullCO(rect objective.Rect, target int) solver.CO {
+func fullCO(rect objective.Rect) solver.CO {
 	return solver.CO{
-		Target: target,
+		Target: probeTarget,
 		Lo:     rect.Utopia.Clone(),
 		Hi:     rect.Nadir.Clone(),
 	}
@@ -419,13 +418,13 @@ func Parallel(s solver.Solver, opt Options) ([]objective.Solution, error) {
 // fallback) on the largest queued hyperrectangle.
 func (r *run) stepSequential() {
 	it := r.pop()
-	co := middleCO(it.rect, r.opt.Target)
+	co := middleCO(it.rect)
 	sol, found := r.s.Solve(co, r.opt.Seed+int64(r.probes)*1_000_003)
 	r.probes++
 	if !found {
 		// The lower half-box is empty; fall back to probing the whole
 		// rectangle before giving up on it.
-		sol, found = r.s.Solve(fullCO(it.rect, r.opt.Target), r.opt.Seed+int64(r.probes)*1_000_003+1)
+		sol, found = r.s.Solve(fullCO(it.rect), r.opt.Seed+int64(r.probes)*1_000_003+1)
 		r.probes++
 	}
 	if found {
@@ -445,7 +444,7 @@ func (r *run) stepParallel() {
 	cells := it.rect.GridCells(r.opt.Grid)
 	cos := r.cos[:0]
 	for _, c := range cells {
-		cos = append(cos, middleCO(c, r.opt.Target))
+		cos = append(cos, middleCO(c))
 	}
 	r.cos = cos
 	results := r.s.SolveBatch(cos, r.opt.Seed+int64(r.probes)*1_000_003)
@@ -456,7 +455,7 @@ func (r *run) stepParallel() {
 	for i, res := range results {
 		if !res.OK {
 			retryIdx = append(retryIdx, i)
-			retryCOs = append(retryCOs, fullCO(cells[i], r.opt.Target))
+			retryCOs = append(retryCOs, fullCO(cells[i]))
 		}
 	}
 	r.retryIdx, r.retryCOs = retryIdx, retryCOs

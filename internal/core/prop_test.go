@@ -163,7 +163,7 @@ func TestPropA3FailedProbeMeansEmpty(t *testing.T) {
 				u[d], n[d] = math.Min(a, b), math.Max(a, b)
 			}
 			sub := objective.Rect{Utopia: u, Nadir: n}
-			co := middleCO(sub, 0)
+			co := middleCO(sub)
 			_, found := s.Solve(co, 0)
 			if !found {
 				// The half-box must contain no true Pareto point.

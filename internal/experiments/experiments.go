@@ -120,21 +120,6 @@ type Setup struct {
 	ExpertConf space.Values
 }
 
-// batchRunner builds a trace.Runner for a batch workload.
-func (l *Lab) batchRunner(w tpcxbb.Workload, spc *space.Space) trace.Runner {
-	return func(conf space.Values, seed int64) (map[string]float64, []float64, error) {
-		m, err := spark.Run(w.Flow, spc, conf, l.Cluster, seed)
-		if err != nil {
-			return nil, nil, err
-		}
-		return map[string]float64{
-			ObjLatency: m.LatencySec,
-			ObjCores:   m.Cores,
-			ObjCost2:   m.Cost2(),
-		}, m.TraceVector(), nil
-	}
-}
-
 // BatchSetup returns (cached) models and plumbing for batch workload id with
 // objectives (latency, cores). secondCost2 replaces cores with the learned
 // composite cost2 objective.
@@ -149,7 +134,7 @@ func (l *Lab) BatchSetup(id int, kind ModelKind, useCost2 bool) (*Setup, error) 
 
 	w := tpcxbb.ByID(id)
 	spc := spark.BatchSpace()
-	runner := l.batchRunner(w, spc)
+	runner := spark.Runner(w.Flow, spc, l.Cluster)
 
 	st := trace.NewStore()
 	rng := rand.New(rand.NewSource(l.Seed + int64(id)*97))
@@ -223,17 +208,7 @@ func (l *Lab) StreamSetup(id int, kind ModelKind, threeD bool) (*Setup, error) {
 
 	w := stream.ByID(id)
 	spc := spark.StreamSpace()
-	runner := func(conf space.Values, seed int64) (map[string]float64, []float64, error) {
-		m, err := stream.Run(w, spc, conf, l.Cluster, seed)
-		if err != nil {
-			return nil, nil, err
-		}
-		return map[string]float64{
-			ObjLatency:    m.LatencySec,
-			ObjThroughput: m.Throughput,
-			ObjCores:      m.Cores,
-		}, m.TraceVector(), nil
-	}
+	runner := stream.Runner(w, spc, l.Cluster)
 
 	st := trace.NewStore()
 	rng := rand.New(rand.NewSource(l.Seed + int64(id)*89 + 7))

@@ -20,17 +20,12 @@ import (
 // OtterTune (Expts 3–5, Fig. 6 and Fig. 9).
 type E2ERow struct {
 	Workload string
-	Weights  [2]float64
-	// Configurations recommended by each system.
-	UdaoConf, OtterConf space.Values
 	// Model-predicted (latency, cost) at the recommendations.
 	UdaoPred, OtterPred objective.Point
 	// Measured (latency, cost) on the simulator.
 	UdaoActual, OtterActual objective.Point
 	// ExpertActual is the manual expert configuration's measurement.
 	ExpertActual objective.Point
-	// DefaultLatency classifies the workload for workload-aware WUN.
-	DefaultLatency float64
 }
 
 // historyFor assembles OtterTune's historical traces: the three sibling
@@ -136,16 +131,12 @@ func (l *Lab) EndToEnd(ids []int, kind ModelKind, useCost2 bool, weights [2]floa
 		}
 
 		rows = append(rows, E2ERow{
-			Workload:       setup.Workload,
-			Weights:        weights,
-			UdaoConf:       udaoConf,
-			OtterConf:      otterConf,
-			UdaoPred:       udaoPred,
-			OtterPred:      otterPred,
-			UdaoActual:     udaoActual,
-			OtterActual:    otterActual,
-			ExpertActual:   expertActual,
-			DefaultLatency: defPoint[0],
+			Workload:     setup.Workload,
+			UdaoPred:     udaoPred,
+			OtterPred:    otterPred,
+			UdaoActual:   udaoActual,
+			OtterActual:  otterActual,
+			ExpertActual: expertActual,
 		})
 	}
 	return rows, nil
@@ -174,10 +165,9 @@ func WriteFig6(w io.Writer, rows []E2ERow, measured bool) {
 // benchmark under each system and the reduction UDAO achieves — the paper's
 // 26%–49% headline.
 type Fig6Summary struct {
-	UdaoTotalLat, OtterTotalLat   float64
-	UdaoTotalCost, OtterTotalCost float64
-	ReductionPct                  float64
-	Dominated                     int // jobs where UDAO beats OtterTune in both objectives
+	UdaoTotalLat, OtterTotalLat float64
+	ReductionPct                float64
+	Dominated                   int // jobs where UDAO beats OtterTune in both objectives
 }
 
 // Summarize computes the aggregate over measured values.
@@ -186,8 +176,6 @@ func Summarize(rows []E2ERow) Fig6Summary {
 	for _, r := range rows {
 		s.UdaoTotalLat += r.UdaoActual[0]
 		s.OtterTotalLat += r.OtterActual[0]
-		s.UdaoTotalCost += r.UdaoActual[1]
-		s.OtterTotalCost += r.OtterActual[1]
 		if r.UdaoActual[0] < r.OtterActual[0] && r.UdaoActual[1] <= r.OtterActual[1] {
 			s.Dominated++
 		}

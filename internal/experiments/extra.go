@@ -9,7 +9,6 @@ import (
 	"repro/internal/objective"
 	"repro/internal/recommend"
 	"repro/internal/solver/mogd"
-	"repro/internal/space"
 )
 
 // KnobRank is one knob's importance ranking (Appendix C-A).
@@ -73,7 +72,6 @@ func WriteKnobRanks(w io.Writer, ranks []KnobRank) {
 type StrategyRow struct {
 	Strategy string
 	F        objective.Point
-	Conf     space.Values
 }
 
 // CompareStrategies computes one Pareto frontier and reports what every
@@ -127,11 +125,7 @@ func (l *Lab) CompareStrategies(setup *Setup, seed int64) ([]StrategyRow, error)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: strategy %s: %w", p.name, err)
 		}
-		conf, err := setup.Space.Decode(sol.X)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, StrategyRow{Strategy: p.name, F: sol.F, Conf: conf})
+		rows = append(rows, StrategyRow{Strategy: p.name, F: sol.F})
 	}
 	return rows, nil
 }

@@ -30,8 +30,6 @@ import (
 // Config controls network shape and training.
 type Config struct {
 	Hidden  []int   // hidden layer widths; paper's largest model is 4×128
-	LR      float64 // Adam learning rate (default 1e-3)
-	L2      float64 // L2 weight decay (default 1e-4)
 	Epochs  int     // training epochs (default 200)
 	Batch   int     // mini-batch size (default 32)
 	Dropout float64 // MC-dropout rate for uncertainty (default 0.05)
@@ -39,15 +37,15 @@ type Config struct {
 	Seed    int64   // rng seed for init and shuffling
 }
 
+// Training constants: the Adam learning rate and the L2 weight decay.
+const (
+	lr = 1e-3
+	l2 = 1e-4
+)
+
 func (c *Config) defaults() {
 	if len(c.Hidden) == 0 {
 		c.Hidden = []int{64, 64}
-	}
-	if c.LR == 0 {
-		c.LR = 1e-3
-	}
-	if c.L2 == 0 {
-		c.L2 = 1e-4
 	}
 	if c.Epochs == 0 {
 		c.Epochs = 200
@@ -471,16 +469,16 @@ func (n *Net) step(X [][]float64, ys []float64, batch []int, ts *trainScratch) f
 	for li, l := range n.Layers {
 		gW, gB := ts.gW[li].Data, ts.gB[li]
 		for j := range l.W {
-			g := gW[j] + n.Cfg.L2*l.W[j]
+			g := gW[j] + l2*l.W[j]
 			l.mW[j] = b1*l.mW[j] + (1-b1)*g
 			l.vW[j] = b2*l.vW[j] + (1-b2)*g*g
-			l.W[j] -= n.Cfg.LR * (l.mW[j] / bc1) / (math.Sqrt(l.vW[j]/bc2) + eps)
+			l.W[j] -= lr * (l.mW[j] / bc1) / (math.Sqrt(l.vW[j]/bc2) + eps)
 		}
 		for j := range l.B {
 			g := gB[j]
 			l.mB[j] = b1*l.mB[j] + (1-b1)*g
 			l.vB[j] = b2*l.vB[j] + (1-b2)*g*g
-			l.B[j] -= n.Cfg.LR * (l.mB[j] / bc1) / (math.Sqrt(l.vB[j]/bc2) + eps)
+			l.B[j] -= lr * (l.mB[j] / bc1) / (math.Sqrt(l.vB[j]/bc2) + eps)
 		}
 	}
 	return sse

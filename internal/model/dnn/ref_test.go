@@ -147,16 +147,16 @@ func refStep(n *Net, X [][]float64, ys []float64, batch []int) float64 {
 	bc2 := 1 - math.Pow(b2, t)
 	for li, l := range n.Layers {
 		for j := range l.W {
-			g := gW[li][j] + n.Cfg.L2*l.W[j]
+			g := gW[li][j] + l2*l.W[j]
 			l.mW[j] = b1*l.mW[j] + (1-b1)*g
 			l.vW[j] = b2*l.vW[j] + (1-b2)*g*g
-			l.W[j] -= n.Cfg.LR * (l.mW[j] / bc1) / (math.Sqrt(l.vW[j]/bc2) + eps)
+			l.W[j] -= lr * (l.mW[j] / bc1) / (math.Sqrt(l.vW[j]/bc2) + eps)
 		}
 		for j := range l.B {
 			g := gB[li][j]
 			l.mB[j] = b1*l.mB[j] + (1-b1)*g
 			l.vB[j] = b2*l.vB[j] + (1-b2)*g*g
-			l.B[j] -= n.Cfg.LR * (l.mB[j] / bc1) / (math.Sqrt(l.vB[j]/bc2) + eps)
+			l.B[j] -= lr * (l.mB[j] / bc1) / (math.Sqrt(l.vB[j]/bc2) + eps)
 		}
 	}
 	return sse

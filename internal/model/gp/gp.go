@@ -16,33 +16,26 @@ import (
 	"repro/internal/model"
 )
 
-// Config controls kernel initialization and MLE training.
+// Config controls MLE training.
 type Config struct {
-	// InitLength is the initial per-dimension lengthscale (default 0.5,
-	// appropriate for inputs normalized to [0,1]).
-	InitLength float64
-	// NoiseFloor is the minimum observation noise std as a fraction of the
-	// target std (default 0.05), keeping the kernel matrix well conditioned.
-	NoiseFloor float64
 	// MLEIters is the number of Adam steps on the log marginal likelihood
-	// (default 80; 0 keeps the initial hyperparameters).
+	// (default 80; a negative count keeps the initial hyperparameters).
 	MLEIters int
-	// LR is the Adam learning rate for MLE (default 0.05).
-	LR float64
 }
 
+// Fitting constants: the initial per-dimension lengthscale, for inputs
+// normalized to [0,1]; the minimum observation noise std as a fraction of
+// the target std, which keeps the kernel matrix well conditioned; and the
+// Adam learning rate of the MLE.
+const (
+	initLength = 0.5
+	noiseFloor = 0.05
+	mleLR      = 0.05
+)
+
 func (c *Config) defaults() {
-	if c.InitLength == 0 {
-		c.InitLength = 0.5
-	}
-	if c.NoiseFloor == 0 {
-		c.NoiseFloor = 0.05
-	}
 	if c.MLEIters == 0 {
 		c.MLEIters = 80
-	}
-	if c.LR == 0 {
-		c.LR = 0.05
 	}
 }
 
@@ -91,11 +84,11 @@ func Fit(X [][]float64, y []float64, cfg Config) (*GP, error) {
 		dim:    d,
 		logSF2: 2 * math.Log(ystd),
 		logL:   make([]float64, d),
-		logSN2: 2 * math.Log(cfg.NoiseFloor*ystd),
+		logSN2: 2 * math.Log(noiseFloor*ystd),
 		yMean:  linalg.Mean(y),
 	}
 	for i := range g.logL {
-		g.logL[i] = math.Log(cfg.InitLength)
+		g.logL[i] = math.Log(initLength)
 	}
 	if cfg.MLEIters > 0 {
 		g.mle(y, cfg)
@@ -207,7 +200,7 @@ func (g *GP) mle(y []float64, cfg Config) {
 			gp := grad[p]
 			m[p] = b1*m[p] + (1-b1)*gp
 			v[p] = b2*v[p] + (1-b2)*gp*gp
-			step := cfg.LR * (m[p] / (1 - math.Pow(b1, t))) / (math.Sqrt(v[p]/(1-math.Pow(b2, t))) + eps)
+			step := mleLR * (m[p] / (1 - math.Pow(b1, t))) / (math.Sqrt(v[p]/(1-math.Pow(b2, t))) + eps)
 			g.setThetaAt(p, g.thetaAt(p)+step) // ascent
 		}
 		// Keep hyperparameters in a sane box.

@@ -69,9 +69,10 @@ func EnsureValueGrad(m Model) ValueGradienter {
 // the finite difference acts as a subgradient choice).
 type NumericGradient struct {
 	M Model
-	// H is the finite-difference step; 0 means the default 1e-5.
-	H float64
 }
+
+// fdStep is NumericGradient's finite-difference step.
+const fdStep = 1e-5
 
 // Dim implements Model.
 func (n NumericGradient) Dim() int { return n.M.Dim() }
@@ -90,14 +91,10 @@ func (n NumericGradient) ValueGrad(x, grad []float64) (float64, []float64) {
 }
 
 func (n NumericGradient) gradientInto(x, g []float64) {
-	h := n.H
-	if h == 0 {
-		h = 1e-5
-	}
 	xp := linalg.CopyVec(x)
 	for i := range x {
-		lo := linalg.Clamp(x[i]-h, 0, 1)
-		hi := linalg.Clamp(x[i]+h, 0, 1)
+		lo := linalg.Clamp(x[i]-fdStep, 0, 1)
+		hi := linalg.Clamp(x[i]+fdStep, 0, 1)
 		if hi == lo {
 			g[i] = 0
 			continue

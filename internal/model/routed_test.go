@@ -106,7 +106,7 @@ func TestRoutedGradientNumeric(t *testing.T) {
 	r := routedFixture(t)
 	x := []float64{0.3, 0.6, 0.1, 0.8, 0.5, 0.9}
 	_, got := r.ValueGrad(x, nil)
-	_, num := NumericGradient{M: Func{D: r.D, F: r.Predict}, H: 1e-6}.ValueGrad(x, nil)
+	_, num := NumericGradient{M: Func{D: r.D, F: r.Predict}}.ValueGrad(x, nil)
 	for d := range got {
 		if math.Abs(got[d]-num[d]) > 1e-4 {
 			t.Fatalf("gradient[%d] = %v, numeric %v", d, got[d], num[d])

@@ -1,11 +1,12 @@
 // Package modelserver implements the paper's model server (§V): it turns
 // collected traces into per-(workload, objective) predictive models — GPs in
-// the OtterTune comparison, DNNs for the headline results — retrains when
-// large trace updates arrive, fine-tunes incrementally on small updates, and
-// answers model requests over HTTP/JSON (POST /predict, the paper's "network
-// sockets" interface). The paper's handcrafted models and its DNN weight
-// checkpoints are not reproduced: every program here trains GP or DNN
-// models from traces and keeps them in memory.
+// the OtterTune comparison, DNNs for the headline results — retrains from
+// scratch when a workload's trace count changes, and answers model requests
+// over HTTP/JSON (POST /predict, the paper's "network sockets" interface).
+// The paper's handcrafted models, its small-update fine-tuning and its DNN
+// weight checkpoints are not reproduced: every program here collects its
+// traces before the first model request, trains GP or DNN models from them
+// and keeps them in memory.
 //
 // The paper runs training asynchronously in the background; the library
 // collapses that to training-on-demand with caching, which preserves the
@@ -50,12 +51,6 @@ type Config struct {
 	DNNCfg dnn.Config
 	// GPCfg configures GP hyperparameter learning.
 	GPCfg gp.Config
-	// RetrainThreshold is the trace-count growth that triggers a full
-	// retrain instead of incremental fine-tuning (paper: ~5000 new traces
-	// retrain, ~1000 fine-tune; scaled down by default to 50).
-	RetrainThreshold int
-	// FineTuneEpochs bounds incremental DNN updates (default 30).
-	FineTuneEpochs int
 	// LogTargets trains GP/DNN models on log(y) and exponentiates
 	// predictions, keeping extrapolations positive — appropriate for
 	// latency, cost and throughput objectives, whose cluster noise is
@@ -63,17 +58,11 @@ type Config struct {
 	// to the raw scale automatically.
 	LogTargets bool
 	// Telemetry, when non-nil, counts trainings, records training latency,
-	// and emits a trace event per (re)train or fine-tune.
+	// and emits a trace event per training.
 	Telemetry *telemetry.Telemetry
 }
 
 func (c *Config) defaults() {
-	if c.RetrainThreshold == 0 {
-		c.RetrainThreshold = 50
-	}
-	if c.FineTuneEpochs == 0 {
-		c.FineTuneEpochs = 30
-	}
 	if len(c.DNNCfg.Hidden) == 0 {
 		c.DNNCfg.Hidden = []int{64, 64}
 	}
@@ -133,9 +122,6 @@ func New(spc *space.Space, store *trace.Store, cfg Config) *Server {
 	return s
 }
 
-// Store exposes the underlying trace store (for collection).
-func (s *Server) Store() *trace.Store { return s.store }
-
 // Ping reports whether the model server can answer model requests: the trace
 // store and decision space it trains over must be attached. The service's
 // /readyz gate calls it — in the paper's deployment the model server is a
@@ -162,8 +148,8 @@ func (s *Server) Space() *space.Space { return s.spc }
 func key(workload, objective string) string { return workload + "\x00" + objective }
 
 // Model returns the model for (workload, objective), training it from the
-// current traces on first use, fine-tuning after small trace updates, and
-// fully retraining after large ones.
+// current traces on first use and again whenever the workload's trace count
+// has changed since.
 func (s *Server) Model(workload, objective string) (model.Model, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -201,7 +187,7 @@ func (s *Server) Model(workload, objective string) (model.Model, error) {
 	}
 	var m model.Model
 	if s.cfg.Kind == DNN {
-		m = s.trainDNN(k, cached, X, y)
+		m = trainDNN(k, X, y, s.cfg.DNNCfg)
 	} else {
 		m, err = gp.Fit(X, y, s.cfg.GPCfg)
 	}
@@ -223,43 +209,12 @@ func (s *Server) Model(workload, objective string) (model.Model, error) {
 	return m, nil
 }
 
-func (s *Server) trainDNN(k string, cached *trainedModel, X [][]float64, y []float64) model.Model {
-	if cached != nil && len(X)-cached.atCount < s.cfg.RetrainThreshold {
-		// Small update: fine-tune the cached network in place (unwrapping the
-		// log-target wrapper when present).
-		net, ok := cached.m.(*dnn.Net)
-		if !ok {
-			if e, isExp := cached.m.(model.Exp); isExp {
-				net, ok = e.M.(*dnn.Net)
-			}
-		}
-		if ok {
-			saveEpochs := net.Cfg.Epochs
-			net.Cfg.Epochs = s.cfg.FineTuneEpochs
-			net.Fit(X, y)
-			net.Cfg.Epochs = saveEpochs
-			return net
-		}
-	}
-	// Full retrain (or first training).
-	cfg := s.cfg.DNNCfg
+// trainDNN trains a new network for key k on (X, y).
+func trainDNN(k string, X [][]float64, y []float64, cfg dnn.Config) *dnn.Net {
 	cfg.Seed = int64(len(k)) // deterministic per (workload, objective)
 	net := dnn.New(len(X[0]), cfg)
 	net.Fit(X, y)
 	return net
-}
-
-// Models returns one model per objective name, in order.
-func (s *Server) Models(workload string, objectives []string) ([]model.Model, error) {
-	out := make([]model.Model, 0, len(objectives))
-	for _, o := range objectives {
-		m, err := s.Model(workload, o)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, m)
-	}
-	return out, nil
 }
 
 func dataset(entries []trace.Entry, objective string, dim int) ([][]float64, []float64, error) {

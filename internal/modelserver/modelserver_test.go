@@ -6,12 +6,14 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
 
 	"repro/internal/model"
 	"repro/internal/model/dnn"
 	"repro/internal/space"
 	"repro/internal/spark"
+	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
 
@@ -87,34 +89,70 @@ func TestMissingWorkloadAndObjective(t *testing.T) {
 	}
 }
 
-func TestIncrementalFineTune(t *testing.T) {
+// trainings reads the server's training counter.
+func trainings(tel *telemetry.Telemetry) uint64 {
+	return tel.Metrics.Counter(telemetry.MetricModelTrainings).Value()
+}
+
+func TestChangedTraceCountRetrains(t *testing.T) {
 	spc, st := buildStore(t, 40)
-	srv := New(spc, st, Config{Kind: DNN, DNNCfg: dnn.Config{Hidden: []int{32}, Epochs: 60}, RetrainThreshold: 50})
+	tel := telemetry.New()
+	srv := New(spc, st, Config{Kind: DNN, DNNCfg: dnn.Config{Hidden: []int{32}, Epochs: 60}, Telemetry: tel})
 	m1, err := srv.Model("w0", "latency")
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Small update: 5 new traces → fine-tune the same network in place.
+	if m, err := srv.Model("w0", "latency"); err != nil || m != m1 || trainings(tel) != 1 {
+		t.Fatalf("unchanged trace count: model %p (first %p), %v, trainings %d; want the cached model and 1 training", m, m1, err, trainings(tel))
+	}
+	// Five more traces: the network is trained again from scratch, and the
+	// model handed out before stays as it was.
 	for _, e := range st.ForWorkload("w0")[:5] {
-		e2 := e
-		e2.Objectives = map[string]float64{"latency": e.Objectives["latency"], "cores": e.Objectives["cores"]}
-		st.Add(e2)
+		st.Add(e)
 	}
 	m2, err := srv.Model("w0", "latency")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m1.(*dnn.Net) != m2.(*dnn.Net) {
-		t.Fatal("small update should fine-tune the existing network")
+	if m2 == m1 || trainings(tel) != 2 {
+		t.Fatalf("changed trace count: same model %v, trainings %d; want a new model and 2 trainings", m2 == m1, trainings(tel))
+	}
+	if m, err := srv.Model("w0", "latency"); err != nil || m != m2 || trainings(tel) != 2 {
+		t.Fatalf("after the retrain: model %p (retrained %p), %v, trainings %d", m, m2, err, trainings(tel))
 	}
 }
 
-func TestModels(t *testing.T) {
+// TestConcurrentModel asks for two keys from eight goroutines at once: each
+// key is trained once and all its callers share that model.
+func TestConcurrentModel(t *testing.T) {
 	spc, st := buildStore(t, 30)
-	srv := New(spc, st, Config{Kind: GP})
-	ms, err := srv.Models("w0", []string{"latency", "cores"})
-	if err != nil || len(ms) != 2 {
-		t.Fatalf("Models = %v, %v", ms, err)
+	tel := telemetry.New()
+	srv := New(spc, st, Config{Kind: GP, Telemetry: tel})
+	objectives := []string{"latency", "cores"}
+	got := make([]model.Model, 8)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			m, err := srv.Model("w0", objectives[i%2])
+			if err != nil {
+				t.Error(err)
+			}
+			got[i] = m
+		}()
+	}
+	wg.Wait()
+	if n := trainings(tel); n != 2 {
+		t.Fatalf("trainings = %d, want 2", n)
+	}
+	for i := 2; i < len(got); i++ {
+		if got[i] == nil || got[i] != got[i%2] {
+			t.Fatalf("caller %d of %s got %p, caller %d got %p", i, objectives[i%2], got[i], i%2, got[i%2])
+		}
+	}
+	if got[0] == got[1] {
+		t.Fatal("latency and cores share one model")
 	}
 }
 
@@ -215,22 +253,13 @@ func TestLogTargets(t *testing.T) {
 	if mean, v := u.PredictVar(x); mean <= 0 || v < 0 {
 		t.Fatalf("PredictVar = %v, %v", mean, v)
 	}
-	// DNN fine-tune path still works under LogTargets.
-	srvD := New(spc, st, Config{Kind: DNN, DNNCfg: dnn.Config{Hidden: []int{24}, Epochs: 40}, LogTargets: true, RetrainThreshold: 50})
-	m1, err := srvD.Model("w0", "latency")
+	// A log-target DNN wraps its network the same way.
+	srvD := New(spc, st, Config{Kind: DNN, DNNCfg: dnn.Config{Hidden: []int{24}, Epochs: 40}, LogTargets: true})
+	mD, err := srvD.Model("w0", "latency")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range st.ForWorkload("w0")[:3] {
-		st.Add(e)
-	}
-	m2, err := srvD.Model("w0", "latency")
-	if err != nil {
-		t.Fatal(err)
-	}
-	n1 := m1.(model.Exp).M.(*dnn.Net)
-	n2 := m2.(model.Exp).M.(*dnn.Net)
-	if n1 != n2 {
-		t.Fatal("log-target DNN small update should fine-tune in place")
+	if _, ok := mD.(model.Exp).M.(*dnn.Net); !ok {
+		t.Fatalf("log-target DNN model is %T, want model.Exp over *dnn.Net", mD)
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"math/rand"
 	"sort"
 
+	"repro/internal/linalg"
 	"repro/internal/model"
 	"repro/internal/moo"
 	"repro/internal/objective"
@@ -40,17 +41,19 @@ type Method struct {
 	// substantial number of generations before its front is meaningful,
 	// regardless of how few points were requested.
 	MinGens int
-	// EtaC and EtaM are the SBX and polynomial-mutation distribution
-	// indices (defaults 15 and 20).
-	EtaC, EtaM float64
-	// PMut is the per-gene mutation probability (default 1/D).
-	PMut float64
 }
+
+// etaC and etaM are the SBX and polynomial-mutation distribution indices.
+// A gene mutates with probability 1/D.
+const (
+	etaC = 15.0
+	etaM = 20.0
+)
 
 // Name implements moo.Method.
 func (m *Method) Name() string { return "Evo" }
 
-func (m *Method) defaults(points, dim int) {
+func (m *Method) defaults(points int) {
 	if m.Pop == 0 {
 		m.Pop = points
 		if m.Pop < 20 {
@@ -66,15 +69,6 @@ func (m *Method) defaults(points, dim int) {
 	if m.MinGens == 0 {
 		m.MinGens = 50
 	}
-	if m.EtaC == 0 {
-		m.EtaC = 15
-	}
-	if m.EtaM == 0 {
-		m.EtaM = 20
-	}
-	if m.PMut == 0 {
-		m.PMut = 1 / float64(dim)
-	}
 }
 
 type indiv struct {
@@ -86,13 +80,13 @@ type indiv struct {
 
 // Run implements moo.Method.
 func (m *Method) Run(opt moo.Options) ([]objective.Solution, error) {
-	tr := opt.Track().Named(m.Name())
+	tr := opt.Track()
 	ev, err := moo.Evaluator(m.Evaluator, m.Objectives)
 	if err != nil {
 		return nil, err
 	}
 	dim := ev.Dim()
-	m.defaults(opt.Points, dim)
+	m.defaults(opt.Points)
 	rng := rand.New(rand.NewSource(opt.Seed))
 
 	// Evaluate a whole cohort through the evaluator's batch path: one worker
@@ -129,9 +123,9 @@ func (m *Method) Run(opt moo.Options) ([]objective.Solution, error) {
 		for len(offspring) < m.Pop {
 			p1 := tournament(pop, rng)
 			p2 := tournament(pop, rng)
-			c1, c2 := m.sbx(p1.x, p2.x, rng)
-			m.mutate(c1, rng)
-			m.mutate(c2, rng)
+			c1, c2 := sbx(p1.x, p2.x, rng)
+			mutate(c1, rng)
+			mutate(c2, rng)
 			offspring = append(offspring, c1, c2)
 		}
 		pop = survive(append(pop, evalCohort(offspring)...), m.Pop)
@@ -247,7 +241,7 @@ func tournament(pop []indiv, rng *rand.Rand) indiv {
 }
 
 // sbx is simulated binary crossover clipped to [0,1].
-func (m *Method) sbx(p1, p2 []float64, rng *rand.Rand) ([]float64, []float64) {
+func sbx(p1, p2 []float64, rng *rand.Rand) ([]float64, []float64) {
 	d := len(p1)
 	c1 := make([]float64, d)
 	c2 := make([]float64, d)
@@ -256,12 +250,12 @@ func (m *Method) sbx(p1, p2 []float64, rng *rand.Rand) ([]float64, []float64) {
 			u := rng.Float64()
 			var beta float64
 			if u <= 0.5 {
-				beta = math.Pow(2*u, 1/(m.EtaC+1))
+				beta = math.Pow(2*u, 1/(etaC+1))
 			} else {
-				beta = math.Pow(1/(2*(1-u)), 1/(m.EtaC+1))
+				beta = math.Pow(1/(2*(1-u)), 1/(etaC+1))
 			}
-			c1[i] = clamp01(0.5 * ((1+beta)*p1[i] + (1-beta)*p2[i]))
-			c2[i] = clamp01(0.5 * ((1-beta)*p1[i] + (1+beta)*p2[i]))
+			c1[i] = linalg.Clamp(0.5*((1+beta)*p1[i]+(1-beta)*p2[i]), 0, 1)
+			c2[i] = linalg.Clamp(0.5*((1-beta)*p1[i]+(1+beta)*p2[i]), 0, 1)
 		} else {
 			c1[i], c2[i] = p1[i], p2[i]
 		}
@@ -270,28 +264,19 @@ func (m *Method) sbx(p1, p2 []float64, rng *rand.Rand) ([]float64, []float64) {
 }
 
 // mutate applies polynomial mutation in place.
-func (m *Method) mutate(x []float64, rng *rand.Rand) {
+func mutate(x []float64, rng *rand.Rand) {
+	pMut := 1 / float64(len(x))
 	for i := range x {
-		if rng.Float64() >= m.PMut {
+		if rng.Float64() >= pMut {
 			continue
 		}
 		u := rng.Float64()
 		var delta float64
 		if u < 0.5 {
-			delta = math.Pow(2*u, 1/(m.EtaM+1)) - 1
+			delta = math.Pow(2*u, 1/(etaM+1)) - 1
 		} else {
-			delta = 1 - math.Pow(2*(1-u), 1/(m.EtaM+1))
+			delta = 1 - math.Pow(2*(1-u), 1/(etaM+1))
 		}
-		x[i] = clamp01(x[i] + delta)
+		x[i] = linalg.Clamp(x[i]+delta, 0, 1)
 	}
-}
-
-func clamp01(v float64) float64 {
-	if v < 0 {
-		return 0
-	}
-	if v > 1 {
-		return 1
-	}
-	return v
 }

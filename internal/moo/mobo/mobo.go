@@ -96,7 +96,7 @@ func (m *Method) defaults(d int) {
 
 // Run implements moo.Method.
 func (m *Method) Run(opt moo.Options) ([]objective.Solution, error) {
-	tr := opt.Track().Named(m.Name())
+	tr := opt.Track()
 	ev, err := moo.Evaluator(m.Evaluator, m.Objectives)
 	if err != nil {
 		return nil, err

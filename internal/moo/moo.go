@@ -17,10 +17,10 @@ import (
 	"math/rand"
 	"time"
 
+	"repro/internal/linalg"
 	"repro/internal/model"
 	"repro/internal/objective"
 	"repro/internal/problem"
-	"repro/internal/telemetry"
 )
 
 // Options controls a baseline run.
@@ -41,11 +41,6 @@ type Options struct {
 	// the time budget cut the run short — so observers always see the
 	// terminal state.
 	OnProgress func(elapsed time.Duration, frontier []objective.Solution)
-	// Telemetry, when non-nil, records frontier-progress trace events and the
-	// run's terminal summary through the shared Tracker, under RunID.
-	Telemetry *telemetry.Telemetry
-	// RunID labels emitted trace events; Track derives one when empty.
-	RunID string
 }
 
 // Method approximates the Pareto frontier of a set of objective models over
@@ -57,88 +52,34 @@ type Method interface {
 	Run(opt Options) ([]objective.Solution, error)
 }
 
-// Tracker is the shared TimeBudget/OnProgress/Telemetry plumbing of Options,
+// Tracker is the shared TimeBudget/OnProgress plumbing of Options,
 // implementing the contract documented there so the four baselines cannot
-// drift apart. Obtain one per Run via Options.Track; instrumenting the
-// Tracker instruments all four methods at once.
+// drift apart. Obtain one per Run via Options.Track.
 type Tracker struct {
-	clock   problem.Clock
-	cb      func(elapsed time.Duration, frontier []objective.Solution)
-	tracer  *telemetry.Tracer
-	runID   string
-	label   string
-	reports int
+	clock problem.Clock
+	cb    func(elapsed time.Duration, frontier []objective.Solution)
 }
 
 // Track starts the run's clock and returns its tracker.
 func (o Options) Track() *Tracker {
-	t := &Tracker{
-		clock: problem.StartClock(o.TimeBudget),
-		cb:    o.OnProgress,
-		runID: o.RunID,
-	}
-	if o.Telemetry != nil {
-		t.tracer = o.Telemetry.Trace
-		if t.runID == "" {
-			t.runID = o.Telemetry.NextRunID("moo")
-		}
-	}
-	return t
-}
-
-// Named records the method's display name ("WS", "NC", ...) on trace events
-// and returns the tracker, so Runs start with opt.Track().Named(m.Name()).
-func (t *Tracker) Named(label string) *Tracker {
-	t.label = label
-	return t
+	return &Tracker{clock: problem.StartClock(o.TimeBudget), cb: o.OnProgress}
 }
 
 // Expired reports whether the time budget is exhausted.
 func (t *Tracker) Expired() bool { return t.clock.Expired() }
 
-// Elapsed returns the wall-clock time since Run started.
-func (t *Tracker) Elapsed() time.Duration { return t.clock.Elapsed() }
-
-// Report emits a progress callback with the current frontier estimate, and —
-// because frontier changes can be frequent — a verbose-level trace event.
+// Report emits a progress callback with the current frontier estimate.
 func (t *Tracker) Report(frontier []objective.Solution) {
-	t.reports++
 	if t.cb != nil {
 		t.cb(t.clock.Elapsed(), frontier)
 	}
-	if t.tracer.Enabled(telemetry.LevelVerbose) {
-		t.tracer.Emit(telemetry.LevelVerbose, telemetry.Event{
-			Run: t.runID, Scope: "moo", Name: "progress", Detail: t.label,
-			Dur:   t.clock.Elapsed(),
-			Attrs: map[string]float64{"frontier": float64(len(frontier))},
-		})
-	}
 }
 
-// Finish emits the mandatory final callback, a run-level trace event
-// summarizing the run, and returns the frontier, so a Run can end with
-// "return tr.Finish(front), nil".
+// Finish emits the mandatory final callback and returns the frontier, so a
+// Run can end with "return tr.Finish(front), nil".
 func (t *Tracker) Finish(frontier []objective.Solution) []objective.Solution {
 	t.Report(frontier)
-	if t.tracer.Enabled(telemetry.LevelRun) {
-		t.tracer.Emit(telemetry.LevelRun, telemetry.Event{
-			Run: t.runID, Scope: "moo", Name: "run", Detail: t.label,
-			Dur: t.clock.Elapsed(),
-			Attrs: map[string]float64{
-				"frontier": float64(len(frontier)),
-				"reports":  float64(t.reports),
-				"expired":  expiredAttr(t.clock.Expired()),
-			},
-		})
-	}
 	return frontier
-}
-
-func expiredAttr(b bool) float64 {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // Evaluator returns ev when non-nil and otherwise builds a fresh evaluator
@@ -206,7 +147,7 @@ func MinimizeSingle(m model.Model, starts, iters int, lr float64, rng *rand.Rand
 				mA[d] = b1*mA[d] + (1-b1)*gv
 				vA[d] = b2*vA[d] + (1-b2)*gv*gv
 				step := lr * (mA[d] / c1) / (math.Sqrt(vA[d]/c2) + eps)
-				x[d] = clamp01(x[d] - step)
+				x[d] = linalg.Clamp(x[d]-step, 0, 1)
 			}
 		}
 		f, _ := vg.ValueGrad(x, grad)
@@ -228,14 +169,4 @@ func Anchors(ev *problem.Evaluator, starts, iters int, lr float64, rng *rand.Ran
 	}
 	utopia, nadir = objective.Bounds(refs)
 	return sols, utopia, nadir
-}
-
-func clamp01(v float64) float64 {
-	if v < 0 {
-		return 0
-	}
-	if v > 1 {
-		return 1
-	}
-	return v
 }

@@ -15,6 +15,7 @@ import (
 	"math"
 	"math/rand"
 
+	"repro/internal/linalg"
 	"repro/internal/model"
 	"repro/internal/moo"
 	"repro/internal/objective"
@@ -29,10 +30,14 @@ type Method struct {
 	// evaluation counter across methods.
 	Evaluator     *problem.Evaluator
 	Starts, Iters int
-	LR            float64
-	// Penalty is the constraint-violation weight (default 50).
-	Penalty float64
 }
+
+// Inner solver constants: the Adam learning rate and the weight of a
+// constraint violation.
+const (
+	lr      = 0.05
+	penalty = 50
+)
 
 // Name implements moo.Method.
 func (m *Method) Name() string { return "NC" }
@@ -44,25 +49,19 @@ func (m *Method) defaults() {
 	if m.Iters == 0 {
 		m.Iters = 150
 	}
-	if m.LR == 0 {
-		m.LR = 0.05
-	}
-	if m.Penalty == 0 {
-		m.Penalty = 50
-	}
 }
 
 // Run implements moo.Method.
 func (m *Method) Run(opt moo.Options) ([]objective.Solution, error) {
 	m.defaults()
-	tr := opt.Track().Named(m.Name())
+	tr := opt.Track()
 	ev, err := moo.Evaluator(m.Evaluator, m.Objectives)
 	if err != nil {
 		return nil, err
 	}
 	rng := rand.New(rand.NewSource(opt.Seed))
 	k := ev.NumObjectives()
-	anchorSols, utopia, nadir := moo.Anchors(ev, m.Starts, m.Iters, m.LR, rng)
+	anchorSols, utopia, nadir := moo.Anchors(ev, m.Starts, m.Iters, lr, rng)
 
 	// Normalized anchor points.
 	anchors := make([]objective.Point, k)
@@ -234,7 +233,7 @@ func (s *subSolver) solve(xp objective.Point, rng *rand.Rand) ([]float64, bool) 
 				}
 				if viol > 0 {
 					for d := 0; d < k; d++ {
-						s.coeff[d] += 2 * s.m.Penalty * viol * n[d]
+						s.coeff[d] += 2 * penalty * viol * n[d]
 					}
 				}
 			}
@@ -258,8 +257,8 @@ func (s *subSolver) solve(xp objective.Point, rng *rand.Rand) ([]float64, bool) 
 				gv := s.grad[d]
 				s.mA[d] = b1*s.mA[d] + (1-b1)*gv
 				s.vA[d] = b2*s.vA[d] + (1-b2)*gv*gv
-				step := s.m.LR * (s.mA[d] / c1) / (math.Sqrt(s.vA[d]/c2) + eps)
-				s.x[d] = clamp01(s.x[d] - step)
+				step := lr * (s.mA[d] / c1) / (math.Sqrt(s.vA[d]/c2) + eps)
+				s.x[d] = linalg.Clamp(s.x[d]-step, 0, 1)
 			}
 		}
 		// Accept only constraint-satisfying finishes.
@@ -285,14 +284,4 @@ func (s *subSolver) solve(xp objective.Point, rng *rand.Rand) ([]float64, bool) 
 		return nil, false
 	}
 	return append([]float64(nil), bestX...), true
-}
-
-func clamp01(v float64) float64 {
-	if v < 0 {
-		return 0
-	}
-	if v > 1 {
-		return 1
-	}
-	return v
 }

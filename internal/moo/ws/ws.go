@@ -26,8 +26,10 @@ type Method struct {
 	// vector (defaults 8 and 150; WS needs generous effort per scalarized
 	// problem, which is what makes it slow end-to-end).
 	Starts, Iters int
-	LR            float64
 }
+
+// lr is the inner solver's Adam learning rate.
+const lr = 0.05
 
 // Name implements moo.Method.
 func (m *Method) Name() string { return "WS" }
@@ -38,9 +40,6 @@ func (m *Method) defaults() {
 	}
 	if m.Iters == 0 {
 		m.Iters = 150
-	}
-	if m.LR == 0 {
-		m.LR = 0.05
 	}
 }
 
@@ -96,14 +95,14 @@ func count(h, k int) int {
 // objectives normalized by the anchor-point box so weights are comparable.
 func (m *Method) Run(opt moo.Options) ([]objective.Solution, error) {
 	m.defaults()
-	tr := opt.Track().Named(m.Name())
+	tr := opt.Track()
 	ev, err := moo.Evaluator(m.Evaluator, m.Objectives)
 	if err != nil {
 		return nil, err
 	}
 	rng := rand.New(rand.NewSource(opt.Seed))
 	k := ev.NumObjectives()
-	anchorSols, utopia, nadir := moo.Anchors(ev, m.Starts, m.Iters, m.LR, rng)
+	anchorSols, utopia, nadir := moo.Anchors(ev, m.Starts, m.Iters, lr, rng)
 
 	var found []objective.Solution
 	found = append(found, anchorSols...)
@@ -115,7 +114,7 @@ func (m *Method) Run(opt moo.Options) ([]objective.Solution, error) {
 			break
 		}
 		scalar.w = w
-		x, _ := moo.MinimizeSingle(scalar, m.Starts, m.Iters, m.LR, rng)
+		x, _ := moo.MinimizeSingle(scalar, m.Starts, m.Iters, lr, rng)
 		found = append(found, objective.Solution{F: ev.Eval(x), X: x})
 		tr.Report(objective.Filter(found))
 	}

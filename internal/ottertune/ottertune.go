@@ -32,18 +32,16 @@ type Tuner struct {
 	GPCfg   gp.Config
 	// Candidates is the GP-search budget (default 2048).
 	Candidates int
-	// RefineSteps is the per-dimension resolution of the local coordinate
-	// refinement around the best candidate (default 16).
-	RefineSteps int
-	Seed        int64
+	Seed       int64
 }
+
+// refineSteps is the per-dimension resolution of the local coordinate
+// refinement around the best candidate.
+const refineSteps = 16
 
 func (t *Tuner) defaults() {
 	if t.Candidates == 0 {
 		t.Candidates = 2048
-	}
-	if t.RefineSteps == 0 {
-		t.RefineSteps = 16
 	}
 }
 
@@ -237,8 +235,8 @@ func (t *Tuner) RecommendMaximize(obs []trace.Entry, objectives []string, weight
 	for pass := 0; pass < 2; pass++ {
 		for d := 0; d < t.Spc.Dim(); d++ {
 			base := append([]float64(nil), bestX...)
-			for step := 0; step <= t.RefineSteps; step++ {
-				base[d] = float64(step) / float64(t.RefineSteps)
+			for step := 0; step <= refineSteps; step++ {
+				base[d] = float64(step) / refineSteps
 				try(base)
 			}
 		}

@@ -56,8 +56,8 @@ func TestNewCompositeProblem(t *testing.T) {
 	if p.Dim() != c.Dim() {
 		t.Fatalf("problem dim %d != composite dim %d", p.Dim(), c.Dim())
 	}
-	if p.NumObjectives() != 2 {
-		t.Fatalf("NumObjectives = %d", p.NumObjectives())
+	if len(p.Objectives) != 2 {
+		t.Fatalf("%d objectives, want 2", len(p.Objectives))
 	}
 	if p.Space != c.Space {
 		t.Fatal("problem space is not the composite's flat space")

@@ -66,15 +66,3 @@ func MustNew(objs []model.Model, spc *space.Space) *Problem {
 
 // Dim returns the encoded decision-space dimensionality D.
 func (p *Problem) Dim() int { return p.Objectives[0].Dim() }
-
-// NumObjectives returns k.
-func (p *Problem) NumObjectives() int { return len(p.Objectives) }
-
-// Round snaps a continuous point onto the configuration lattice when a space
-// is configured, and returns x unchanged otherwise.
-func (p *Problem) Round(x []float64) ([]float64, error) {
-	if p.Space == nil {
-		return x, nil
-	}
-	return p.Space.Round(x)
-}

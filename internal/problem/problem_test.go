@@ -36,8 +36,8 @@ func TestNewValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Dim() != 2 || p.NumObjectives() != 2 {
-		t.Fatalf("dim=%d k=%d", p.Dim(), p.NumObjectives())
+	if p.Dim() != 2 || len(p.Objectives) != 2 {
+		t.Fatalf("dim=%d k=%d", p.Dim(), len(p.Objectives))
 	}
 }
 

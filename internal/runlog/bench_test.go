@@ -51,8 +51,10 @@ func hitRecord() Record {
 // registry is replaced every 16Ki appends, off the clock, to bound memory.
 func BenchmarkRegistryAppend(b *testing.B) {
 	dir := b.TempDir()
+	var path string
 	open := func(k int) *Registry {
-		reg, err := Open(filepath.Join(dir, fmt.Sprintf("runs-%d.jsonl", k)), Options{MaxBytes: 1 << 20, Keep: 1})
+		path = filepath.Join(dir, fmt.Sprintf("runs-%d.jsonl", k))
+		reg, err := Open(path, Options{MaxBytes: 1 << 20, Keep: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -68,7 +70,7 @@ func BenchmarkRegistryAppend(b *testing.B) {
 			if err := reg.Close(); err != nil {
 				b.Fatal(err)
 			}
-			for _, p := range []string{reg.Path(), RotatedPath(reg.Path(), 1)} {
+			for _, p := range []string{path, RotatedPath(path, 1)} {
 				if err := os.Remove(p); err != nil && !os.IsNotExist(err) {
 					b.Fatal(err)
 				}

@@ -316,6 +316,3 @@ func (j *Journal[T]) Close() error {
 	}
 	return err
 }
-
-// Path returns the journal's active file path.
-func (j *Journal[T]) Path() string { return j.path }

@@ -28,7 +28,6 @@ package runlog
 
 import (
 	"math"
-	"sort"
 	"sync"
 	"time"
 
@@ -348,18 +347,6 @@ func (r *Registry) List(workload string, since time.Time, limit int) []Record {
 	if limit > 0 && len(out) > limit {
 		out = out[len(out)-limit:]
 	}
-	return out
-}
-
-// Workloads returns the distinct workloads with recorded runs, sorted.
-func (r *Registry) Workloads() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.byWorkload))
-	for w := range r.byWorkload {
-		out = append(out, w)
-	}
-	sort.Strings(out)
 	return out
 }
 

@@ -103,8 +103,8 @@ func TestAppendGetAndQuality(t *testing.T) {
 	if l := reg.List("", time.Time{}, 2); len(l) != 2 || l[1].ID != c.ID {
 		t.Fatalf("List limit: %+v", l)
 	}
-	if w := reg.Workloads(); len(w) != 2 || w[0] != "q1" || w[1] != "q2" {
-		t.Fatalf("Workloads = %v", w)
+	if l := reg.List("q2", time.Time{}, 0); len(l) != 1 || l[0].ID != c.ID {
+		t.Fatalf("List(q2) = %+v", l)
 	}
 }
 
@@ -313,7 +313,8 @@ func TestRotationBoundsFileAndKeepsIndex(t *testing.T) {
 
 func TestRecordsMarshalWithoutNaN(t *testing.T) {
 	dir := t.TempDir()
-	reg, err := Open(filepath.Join(dir, "runs.jsonl"), Options{Now: testClock()})
+	path := filepath.Join(dir, "runs.jsonl")
+	reg, err := Open(path, Options{Now: testClock()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +331,7 @@ func TestRecordsMarshalWithoutNaN(t *testing.T) {
 	if err := reg.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	data, err := os.ReadFile(reg.Path())
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}

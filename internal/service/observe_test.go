@@ -15,15 +15,15 @@ import (
 	"repro/internal/calib"
 )
 
-// buildCalibService is buildObservableService plus a calibration ledger — the
-// full observe loop, minus the watchdog.
-func buildCalibService(t *testing.T, opts calib.Options) (*Service, string, *calib.Ledger) {
+// buildCalibService is buildObservableService plus a calibration ledger at
+// dir/calib.jsonl — the full observe loop, minus the watchdog.
+func buildCalibService(t *testing.T, dir string, opts calib.Options) (*Service, string, *calib.Ledger) {
 	t.Helper()
 	svc, wl, _ := buildObservableService(t)
 	if opts.Telemetry == nil {
 		opts.Telemetry = svc.Telemetry
 	}
-	led, err := calib.Open(filepath.Join(t.TempDir(), "calib.jsonl"), opts)
+	led, err := calib.Open(filepath.Join(dir, "calib.jsonl"), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func postObserve(t *testing.T, url string, req ObserveRequest, wantStatus int) *
 }
 
 func TestObserveEndToEnd(t *testing.T) {
-	svc, wl, led := buildCalibService(t, calib.Options{})
+	svc, wl, led := buildCalibService(t, t.TempDir(), calib.Options{})
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
 
@@ -103,7 +103,7 @@ func TestObserveEndToEnd(t *testing.T) {
 // TestObserveUnknownRunLeavesLedgerIntact pins the 404 contract: a
 // misdirected outcome must not append anything.
 func TestObserveUnknownRunLeavesLedgerIntact(t *testing.T) {
-	svc, wl, led := buildCalibService(t, calib.Options{})
+	svc, wl, led := buildCalibService(t, t.TempDir(), calib.Options{})
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
 
@@ -130,7 +130,8 @@ func TestObserveUnknownRunLeavesLedgerIntact(t *testing.T) {
 // forces ledger rotation mid-stream; afterwards every accepted pair must be
 // readable from disk with distinct IDs.
 func TestObserveOptimizeConcurrent(t *testing.T) {
-	svc, wl, led := buildCalibService(t, calib.Options{MaxBytes: 4096, Keep: 64})
+	dir := t.TempDir()
+	svc, wl, led := buildCalibService(t, dir, calib.Options{MaxBytes: 4096, Keep: 64})
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
 
@@ -205,7 +206,7 @@ func TestObserveOptimizeConcurrent(t *testing.T) {
 	if err := led.Sync(); err != nil {
 		t.Fatalf("ledger write error after concurrent stream: %v", err)
 	}
-	pairs, err := calib.Load(led.Path())
+	pairs, err := calib.Load(filepath.Join(dir, "calib.jsonl"))
 	if err != nil {
 		t.Fatalf("reading rotated ledger back: %v", err)
 	}

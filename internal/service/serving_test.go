@@ -25,6 +25,8 @@ func TestConcurrentSolvesOverlap(t *testing.T) {
 	svc, workloads := buildPipelineService(t)
 	svc.MaxInflight = 4
 	svc.ShedWait = time.Minute
+	svc.Telemetry = telemetry.New()
+	inflight := svc.Telemetry.Metrics.Gauge(telemetry.MetricServingInflight)
 	var maxInflight atomic.Int64
 	monitorDone := make(chan struct{})
 	stop := make(chan struct{})
@@ -36,7 +38,7 @@ func TestConcurrentSolvesOverlap(t *testing.T) {
 				return
 			case <-time.After(time.Millisecond):
 			}
-			if n := int64(svc.serving().Stats().Inflight); n > maxInflight.Load() {
+			if n := int64(inflight.Value()); n > maxInflight.Load() {
 				maxInflight.Store(n)
 			}
 		}
@@ -142,19 +144,21 @@ func TestOptimizeHammer(t *testing.T) {
 		t.Fatalf("%d requests failed", failures.Load())
 	}
 	st := svc.serving().Stats()
+	m := svc.Telemetry.Metrics
 	total := goroutines * perG
 	if st.Requests != uint64(total) {
 		t.Fatalf("serving saw %d requests, want %d", st.Requests, total)
 	}
-	solves := st.Misses + st.Expands
+	solves := m.Counter(telemetry.MetricServingMisses).Value() + m.Counter(telemetry.MetricServingExpands).Value()
 	if solves != uint64(len(profile)) {
 		t.Fatalf("%d solves for %d distinct keys — identical in-flight requests did not coalesce", solves, len(profile))
 	}
-	if st.Hits+st.Coalesced != uint64(total-len(profile)) {
-		t.Fatalf("hits(%d)+coalesced(%d) != %d", st.Hits, st.Coalesced, total-len(profile))
+	coalesced := m.Counter(telemetry.MetricServingCoalesced).Value()
+	if st.Hits+coalesced != uint64(total-len(profile)) {
+		t.Fatalf("hits(%d)+coalesced(%d) != %d", st.Hits, coalesced, total-len(profile))
 	}
-	if st.Entries != len(profile) || st.Entries > svc.CacheEntries {
-		t.Fatalf("optimizer map holds %d entries for %d keys (cap %d)", st.Entries, len(profile), svc.CacheEntries)
+	if n := int(m.Gauge(telemetry.MetricServingEntries).Value()); n != len(profile) || n > svc.CacheEntries {
+		t.Fatalf("optimizer map holds %d entries for %d keys (cap %d)", n, len(profile), svc.CacheEntries)
 	}
 }
 
@@ -166,6 +170,7 @@ func TestAdmissionSaturationReturns429(t *testing.T) {
 	svc, workloads := buildPipelineService(t)
 	svc.MaxInflight = 1
 	svc.ShedWait = time.Millisecond
+	svc.Telemetry = telemetry.New()
 	srv := httptest.NewServer(svc.Handler())
 	defer srv.Close()
 
@@ -210,8 +215,8 @@ func TestAdmissionSaturationReturns429(t *testing.T) {
 	if ok.Load() == 0 {
 		t.Fatal("every request was shed; the slot holder should have succeeded")
 	}
-	if st := svc.serving().Stats(); st.Shed != uint64(shed.Load()) {
-		t.Fatalf("udao_shed_total mirror %d != %d observed 429s", st.Shed, shed.Load())
+	if n := svc.Telemetry.Metrics.Counter(telemetry.MetricShed).Value(); n != uint64(shed.Load()) {
+		t.Fatalf("%s = %d != %d observed 429s", telemetry.MetricShed, n, shed.Load())
 	}
 	// The shed keys are retryable: once the burst drains, the same requests
 	// must succeed.

@@ -66,8 +66,8 @@ func TestWarmCacheDedupesAndBounds(t *testing.T) {
 	if warmed := s2.WarmCache(0); warmed != 2 {
 		t.Fatalf("WarmCache(0) = %d, want 2 distinct keys", warmed)
 	}
-	if st := s2.serving().Stats(); st.Warmups != 2 {
-		t.Fatalf("warmups = %d, want 2", st.Warmups)
+	if got := s2.Telemetry.Metrics.Counter(telemetry.MetricServingWarmup).Value(); got != 2 {
+		t.Fatalf("%s = %d, want 2", telemetry.MetricServingWarmup, got)
 	}
 
 	// max bounds the keys attempted, newest record first.

@@ -230,8 +230,8 @@ func TestSolveAndExpandRaiseNoAlert(t *testing.T) {
 // fed back over /observe at 2.5x their predictions must end, after one
 // watchdog sweep, in a calib_drift alert with a flight-recorder bundle.
 func TestObserveLoopTripsDriftAlert(t *testing.T) {
-	svc, wl, led := buildCalibService(t, calib.Options{})
 	dir := t.TempDir()
+	svc, wl, led := buildCalibService(t, dir, calib.Options{})
 	wd, err := watch.New(watch.Config{
 		Telemetry: svc.Telemetry,
 		Runs:      svc.Runs,
@@ -264,7 +264,7 @@ func TestObserveLoopTripsDriftAlert(t *testing.T) {
 	if err := led.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if fi, err := os.Stat(led.Path()); err != nil || fi.Size() == 0 {
+	if fi, err := os.Stat(filepath.Join(dir, "calib.jsonl")); err != nil || fi.Size() == 0 {
 		t.Fatalf("calib.jsonl missing or empty: %v", err)
 	}
 	// ...and a calib_drift alert in alerts.jsonl. actual = 2.5x predicted

@@ -199,21 +199,13 @@ type shardElem struct {
 	prev, next *shardElem
 }
 
-// Stats is a point-in-time snapshot of the cache counters, mirrored from
-// the telemetry registry for callers (tests, servbench's traced host)
-// without one.
+// Stats is a point-in-time snapshot of the cache's request and hit counts,
+// for callers without a telemetry registry (servbench's traced host). Every
+// other cache event is counted only in the udao_serving_* and udao_shed_total
+// series.
 type Stats struct {
-	Requests  uint64
-	Hits      uint64
-	Misses    uint64
-	Expands   uint64
-	Coalesced uint64
-	Shed      uint64
-	EvictLRU  uint64
-	EvictTTL  uint64
-	Warmups   uint64
-	Entries   int
-	Inflight  int
+	Requests uint64
+	Hits     uint64
 }
 
 // Cache is the sharded serving cache. All methods are safe for concurrent
@@ -226,13 +218,9 @@ type Cache struct {
 	seed     maphash.Seed
 	sem      chan struct{}
 
-	size     atomic.Int64
-	inflight atomic.Int64
+	size           atomic.Int64
+	requests, hits atomic.Uint64
 
-	requests, hits, misses, expands  atomic.Uint64
-	coalesced, evictLRU, evictTTL    atomic.Uint64
-	shedAdmission, shedCoalesce      atomic.Uint64
-	warmups                          atomic.Uint64
 	telRequests, telHits, telMisses  *telemetry.Counter
 	telExpands, telCoalesced         *telemetry.Counter
 	telEvict, telEvictLRU            *telemetry.Counter
@@ -288,19 +276,7 @@ func NewCache(cfg Config) *Cache {
 
 // Stats snapshots the counters.
 func (c *Cache) Stats() Stats {
-	return Stats{
-		Requests:  c.requests.Load(),
-		Hits:      c.hits.Load(),
-		Misses:    c.misses.Load(),
-		Expands:   c.expands.Load(),
-		Coalesced: c.coalesced.Load(),
-		Shed:      c.shedAdmission.Load() + c.shedCoalesce.Load(),
-		EvictLRU:  c.evictLRU.Load(),
-		EvictTTL:  c.evictTTL.Load(),
-		Warmups:   c.warmups.Load(),
-		Entries:   int(c.size.Load()),
-		Inflight:  int(c.inflight.Load()),
-	}
+	return Stats{Requests: c.requests.Load(), Hits: c.hits.Load()}
 }
 
 // Lease is exclusive access to a cached optimizer, from Acquire until
@@ -311,9 +287,6 @@ type Lease struct {
 
 // Optimizer returns the leased optimizer.
 func (l *Lease) Optimizer() *udao.Optimizer { return l.e.opt }
-
-// Probes reports the solver probes invested into the leased run.
-func (l *Lease) Probes() int { return l.e.probes }
 
 // Release ends the lease.
 func (l *Lease) Release() { l.e.optMu.Unlock() }
@@ -350,7 +323,6 @@ func (c *Cache) Acquire(key string, probes int, build Builder, solve Solver) (*L
 			// grow, so holding optMu the condition still stands.
 			if coalesced {
 				outcome = Coalesced
-				c.coalesced.Add(1)
 				c.telCoalesced.Add(1)
 			}
 			c.count(outcome)
@@ -419,10 +391,8 @@ func (c *Cache) runFlight(e *entry, f *flight, probes int, building bool, build 
 		finish(err)
 		return nil, err
 	}
-	c.inflight.Add(1)
 	c.telInflight.Add(1)
 	release := func() {
-		c.inflight.Add(-1)
 		c.telInflight.Add(-1)
 		if c.sem != nil {
 			<-c.sem
@@ -487,7 +457,6 @@ func (c *Cache) Prime(key string, probes int, build Builder, solve Solver) (bool
 		return false, err
 	}
 	lease.Release()
-	c.warmups.Add(1)
 	c.telWarmup.Add(1)
 	return true, nil
 }
@@ -533,10 +502,8 @@ func (c *Cache) shed(reason string) error {
 	c.telShed.Add(1)
 	switch reason {
 	case ShedAdmission:
-		c.shedAdmission.Add(1)
 		c.telShedAdmission.Add(1)
 	default:
-		c.shedCoalesce.Add(1)
 		c.telShedCoalesc.Add(1)
 	}
 	return &ShedError{Reason: reason, RetryAfter: c.cfg.ShedWait}
@@ -548,10 +515,8 @@ func (c *Cache) count(o Outcome) {
 		c.hits.Add(1)
 		c.telHits.Add(1)
 	case Solved:
-		c.misses.Add(1)
 		c.telMisses.Add(1)
 	case Expanded:
-		c.expands.Add(1)
 		c.telExpands.Add(1)
 	}
 }
@@ -572,7 +537,6 @@ func (c *Cache) lookup(key string, now time.Time) *entry {
 		}
 		sh.remove(el)
 		c.size.Add(-1)
-		c.evictTTL.Add(1)
 		c.telEvict.Add(1)
 		c.telEvictTTL.Add(1)
 	}
@@ -583,7 +547,6 @@ func (c *Cache) lookup(key string, now time.Time) *entry {
 	for len(sh.entries) >= c.perShard {
 		sh.remove(sh.tail)
 		c.size.Add(-1)
-		c.evictLRU.Add(1)
 		c.telEvict.Add(1)
 		c.telEvictLRU.Add(1)
 	}

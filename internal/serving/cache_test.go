@@ -11,6 +11,7 @@ import (
 
 	udao "repro"
 	"repro/internal/model"
+	"repro/internal/telemetry"
 )
 
 // testOptimizer builds a cheap 1-knob optimizer; serving never solves it in
@@ -34,6 +35,11 @@ func testOptimizer(t testing.TB) *udao.Optimizer {
 	return opt
 }
 
+// seriesValue reads one of the cache's telemetry counters.
+func seriesValue(tel *telemetry.Telemetry, series string) uint64 {
+	return tel.Metrics.Counter(series).Value()
+}
+
 func counters(t testing.TB) (build Builder, solve Solver, builds, solves *atomic.Int64) {
 	builds, solves = new(atomic.Int64), new(atomic.Int64)
 	opt := testOptimizer(t)
@@ -43,7 +49,8 @@ func counters(t testing.TB) (build Builder, solve Solver, builds, solves *atomic
 }
 
 func TestAcquireBuildsOnceThenHits(t *testing.T) {
-	c := NewCache(Config{})
+	tel := telemetry.New()
+	c := NewCache(Config{Telemetry: tel})
 	build, solve, builds, solves := counters(t)
 	l, out, err := c.Acquire("k", 10, build, solve)
 	if err != nil {
@@ -66,9 +73,9 @@ func TestAcquireBuildsOnceThenHits(t *testing.T) {
 	if builds.Load() != 1 || solves.Load() != 1 {
 		t.Fatalf("builds=%d solves=%d, want 1 and 1", builds.Load(), solves.Load())
 	}
-	st := c.Stats()
-	if st.Requests != 4 || st.Misses != 1 || st.Hits != 3 {
-		t.Fatalf("stats %+v, want 4 requests, 1 miss, 3 hits", st)
+	st, misses := c.Stats(), seriesValue(tel, telemetry.MetricServingMisses)
+	if st.Requests != 4 || misses != 1 || st.Hits != 3 {
+		t.Fatalf("stats %+v and %d misses, want 4 requests, 1 miss, 3 hits", st, misses)
 	}
 }
 
@@ -77,7 +84,11 @@ func TestIncrementalExpand(t *testing.T) {
 	opt := testOptimizer(t)
 	var deltas []int
 	build := func() (*udao.Optimizer, error) { return opt, nil }
-	solve := func(_ *udao.Optimizer, d int) error { deltas = append(deltas, d); return nil }
+	solve := func(o *udao.Optimizer, d int) error {
+		deltas = append(deltas, d)
+		_, err := o.Expand(d)
+		return err
+	}
 	steps := []struct {
 		probes int
 		want   Outcome
@@ -95,8 +106,8 @@ func TestIncrementalExpand(t *testing.T) {
 		if out != s.want {
 			t.Fatalf("step %d (probes %d): outcome %v, want %v", i, s.probes, out, s.want)
 		}
-		if l.Probes() < s.probes {
-			t.Fatalf("step %d: lease has %d probes invested, want >= %d", i, l.Probes(), s.probes)
+		if n := l.Optimizer().Probes(); n < s.probes {
+			t.Fatalf("step %d: leased optimizer has %d probes invested, want >= %d", i, n, s.probes)
 		}
 		l.Release()
 	}
@@ -106,7 +117,8 @@ func TestIncrementalExpand(t *testing.T) {
 }
 
 func TestCoalescingSingleflight(t *testing.T) {
-	c := NewCache(Config{CoalesceMax: 10 * time.Second})
+	tel := telemetry.New()
+	c := NewCache(Config{CoalesceMax: 10 * time.Second, Telemetry: tel})
 	builds, solves := new(atomic.Int64), new(atomic.Int64)
 	opt := testOptimizer(t)
 	inSolve := make(chan struct{})
@@ -150,13 +162,14 @@ func TestCoalescingSingleflight(t *testing.T) {
 	if coalesced.Load() != waiters {
 		t.Fatalf("%d of %d waiters coalesced, want all", coalesced.Load(), waiters)
 	}
-	if st := c.Stats(); st.Coalesced != waiters {
-		t.Fatalf("stats.Coalesced=%d, want %d", st.Coalesced, waiters)
+	if n := seriesValue(tel, telemetry.MetricServingCoalesced); n != waiters {
+		t.Fatalf("%s = %d, want %d", telemetry.MetricServingCoalesced, n, waiters)
 	}
 }
 
 func TestLRUEvictionBoundsEntries(t *testing.T) {
-	c := NewCache(Config{Entries: 4, Shards: 1})
+	tel := telemetry.New()
+	c := NewCache(Config{Entries: 4, Shards: 1, Telemetry: tel})
 	build, solve, builds, _ := counters(t)
 	for i := 0; i < 16; i++ {
 		l, _, err := c.Acquire(fmt.Sprintf("k%d", i), 5, build, solve)
@@ -165,12 +178,12 @@ func TestLRUEvictionBoundsEntries(t *testing.T) {
 		}
 		l.Release()
 	}
-	st := c.Stats()
-	if st.Entries > 4 {
-		t.Fatalf("%d entries cached, capacity 4", st.Entries)
+	if n := tel.Metrics.Gauge(telemetry.MetricServingEntries).Value(); n > 4 {
+		t.Fatalf("%v entries cached, capacity 4", n)
 	}
-	if st.EvictLRU != 12 {
-		t.Fatalf("EvictLRU=%d, want 12", st.EvictLRU)
+	lru := telemetry.Labeled(telemetry.MetricServingEvictions, "reason", "lru")
+	if n := seriesValue(tel, lru); n != 12 {
+		t.Fatalf("%s = %d, want 12", lru, n)
 	}
 	// k0 was evicted long ago: touching it again is a fresh build.
 	before := builds.Load()
@@ -185,7 +198,8 @@ func TestLRUEvictionBoundsEntries(t *testing.T) {
 }
 
 func TestTTLExpiryRebuilds(t *testing.T) {
-	c := NewCache(Config{TTL: 10 * time.Millisecond})
+	tel := telemetry.New()
+	c := NewCache(Config{TTL: 10 * time.Millisecond, Telemetry: tel})
 	build, solve, builds, _ := counters(t)
 	l, _, err := c.Acquire("k", 5, build, solve)
 	if err != nil {
@@ -201,13 +215,15 @@ func TestTTLExpiryRebuilds(t *testing.T) {
 	if out != Solved || builds.Load() != 2 {
 		t.Fatalf("expired entry served as %v with %d builds, want a rebuild", out, builds.Load())
 	}
-	if st := c.Stats(); st.EvictTTL != 1 {
-		t.Fatalf("EvictTTL=%d, want 1", st.EvictTTL)
+	ttl := telemetry.Labeled(telemetry.MetricServingEvictions, "reason", "ttl")
+	if n := seriesValue(tel, ttl); n != 1 {
+		t.Fatalf("%s = %d, want 1", ttl, n)
 	}
 }
 
 func TestAdmissionShed(t *testing.T) {
-	c := NewCache(Config{MaxInflight: 1, ShedWait: 5 * time.Millisecond})
+	tel := telemetry.New()
+	c := NewCache(Config{MaxInflight: 1, ShedWait: 5 * time.Millisecond, Telemetry: tel})
 	build, _, _, _ := counters(t)
 	inSolve := make(chan struct{})
 	finish := make(chan struct{})
@@ -237,8 +253,8 @@ func TestAdmissionShed(t *testing.T) {
 	}
 	close(finish)
 	<-done
-	if st := c.Stats(); st.Shed != 1 {
-		t.Fatalf("stats.Shed=%d, want 1", st.Shed)
+	if n := seriesValue(tel, telemetry.MetricShed); n != 1 {
+		t.Fatalf("%s = %d, want 1", telemetry.MetricShed, n)
 	}
 }
 

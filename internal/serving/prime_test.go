@@ -5,10 +5,12 @@ import (
 	"testing"
 
 	udao "repro"
+	"repro/internal/telemetry"
 )
 
 func TestPrimeThenAcquireHits(t *testing.T) {
-	c := NewCache(Config{})
+	tel := telemetry.New()
+	c := NewCache(Config{Telemetry: tel})
 	build, solve, builds, solves := counters(t)
 	primed, err := c.Prime("k", 10, build, solve)
 	if err != nil || !primed {
@@ -26,14 +28,16 @@ func TestPrimeThenAcquireHits(t *testing.T) {
 		t.Fatalf("builds=%d solves=%d, want 1 and 1", builds.Load(), solves.Load())
 	}
 	st := c.Stats()
+	warmups, misses := seriesValue(tel, telemetry.MetricServingWarmup), seriesValue(tel, telemetry.MetricServingMisses)
 	// Prime is not a request: only the Acquire shows in the request rates.
-	if st.Warmups != 1 || st.Requests != 1 || st.Hits != 1 || st.Misses != 0 {
-		t.Fatalf("stats %+v, want 1 warmup, 1 request, 1 hit, 0 misses", st)
+	if warmups != 1 || st.Requests != 1 || st.Hits != 1 || misses != 0 {
+		t.Fatalf("stats %+v, %d warmups and %d misses, want 1 warmup, 1 request, 1 hit, 0 misses", st, warmups, misses)
 	}
 }
 
 func TestPrimeIsIdempotent(t *testing.T) {
-	c := NewCache(Config{})
+	tel := telemetry.New()
+	c := NewCache(Config{Telemetry: tel})
 	build, solve, builds, _ := counters(t)
 	if primed, err := c.Prime("k", 10, build, solve); err != nil || !primed {
 		t.Fatalf("first Prime = (%v, %v)", primed, err)
@@ -47,13 +51,14 @@ func TestPrimeIsIdempotent(t *testing.T) {
 	if builds.Load() != 1 {
 		t.Fatalf("builds = %d, want 1", builds.Load())
 	}
-	if st := c.Stats(); st.Warmups != 1 {
-		t.Fatalf("warmups = %d, want 1", st.Warmups)
+	if n := seriesValue(tel, telemetry.MetricServingWarmup); n != 1 {
+		t.Fatalf("warmups = %d, want 1", n)
 	}
 }
 
 func TestPrimeExpandsCoarseEntry(t *testing.T) {
-	c := NewCache(Config{})
+	tel := telemetry.New()
+	c := NewCache(Config{Telemetry: tel})
 	opt := testOptimizer(t)
 	var deltas []int
 	build := func() (*udao.Optimizer, error) { return opt, nil }
@@ -68,21 +73,22 @@ func TestPrimeExpandsCoarseEntry(t *testing.T) {
 	if len(deltas) != 2 || deltas[0] != 10 || deltas[1] != 15 {
 		t.Fatalf("solve deltas = %v, want [10 15]", deltas)
 	}
-	if st := c.Stats(); st.Warmups != 2 {
-		t.Fatalf("warmups = %d, want 2", st.Warmups)
+	if n := seriesValue(tel, telemetry.MetricServingWarmup); n != 2 {
+		t.Fatalf("warmups = %d, want 2", n)
 	}
 }
 
 func TestPrimeBuildErrorIsNotSticky(t *testing.T) {
-	c := NewCache(Config{})
+	tel := telemetry.New()
+	c := NewCache(Config{Telemetry: tel})
 	boom := errors.New("train failed")
 	bad := func() (*udao.Optimizer, error) { return nil, boom }
 	solve := func(_ *udao.Optimizer, _ int) error { return nil }
 	if primed, err := c.Prime("k", 10, bad, solve); primed || !errors.Is(err, boom) {
 		t.Fatalf("Prime with failing build = (%v, %v), want (false, boom)", primed, err)
 	}
-	if st := c.Stats(); st.Warmups != 0 {
-		t.Fatalf("failed prime counted as warmup: %+v", st)
+	if n := seriesValue(tel, telemetry.MetricServingWarmup); n != 0 {
+		t.Fatalf("failed prime counted as %d warmups", n)
 	}
 	// The failed flight must not poison the entry: a later Prime succeeds.
 	build, good, builds, _ := counters(t)

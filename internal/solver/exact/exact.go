@@ -81,9 +81,6 @@ func NewOnEvaluator(ev *problem.Evaluator, cfg Config) (*Solver, error) {
 // NumObjectives implements solver.Solver.
 func (s *Solver) NumObjectives() int { return s.k }
 
-// Evaluator exposes the solver's evaluation seam (counters, memo stats).
-func (s *Solver) Evaluator() *problem.Evaluator { return s.ev }
-
 // Evals reports the model passes performed through the solver's evaluator.
 func (s *Solver) Evals() uint64 { return s.ev.Evals() }
 

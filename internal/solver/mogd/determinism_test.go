@@ -96,9 +96,7 @@ func TestConfigRejectsNegatives(t *testing.T) {
 		{Starts: -1},
 		{Iters: -3},
 		{Workers: -2},
-		{LR: -0.1},
 		{Penalty: -5},
-		{Tol: -1e-6},
 		{Alpha: -1},
 	}
 	for i, cfg := range bad {

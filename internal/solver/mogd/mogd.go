@@ -64,10 +64,8 @@ type Problem struct {
 type Config struct {
 	Starts  int     // multi-start count (default 8; start 0 is the center)
 	Iters   int     // Adam iterations per start (default 100)
-	LR      float64 // Adam learning rate in normalized x-space (default 0.05)
 	Penalty float64 // P of Eq. 3 (default 100)
 	Alpha   float64 // uncertainty multiplier for F̃ = E + α·std (default 0)
-	Tol     float64 // feasibility tolerance on the normalized scale (default 1e-4)
 	Workers int     // max concurrent starts/probes across Solve+SolveBatch (default GOMAXPROCS)
 	Seed    int64
 	// NearStarts, when true, keeps the ε-constraint boxes the solver solved
@@ -99,6 +97,13 @@ type Config struct {
 	RunID     string
 }
 
+// Descent constants: the Adam learning rate in normalized x-space, and the
+// feasibility tolerance on the normalized scale.
+const (
+	adamLR  = 0.05
+	feasTol = 1e-4
+)
+
 // validate rejects explicitly invalid settings; zero stays "default".
 func (c Config) validate() error {
 	switch {
@@ -108,12 +113,8 @@ func (c Config) validate() error {
 		return fmt.Errorf("mogd: Iters must be >= 0 (zero means default), got %d", c.Iters)
 	case c.Workers < 0:
 		return fmt.Errorf("mogd: Workers must be >= 0 (zero means default), got %d", c.Workers)
-	case c.LR < 0 || math.IsNaN(c.LR):
-		return fmt.Errorf("mogd: LR must be >= 0 (zero means default), got %v", c.LR)
 	case c.Penalty < 0 || math.IsNaN(c.Penalty):
 		return fmt.Errorf("mogd: Penalty must be >= 0 (zero means default), got %v", c.Penalty)
-	case c.Tol < 0 || math.IsNaN(c.Tol):
-		return fmt.Errorf("mogd: Tol must be >= 0 (zero means default), got %v", c.Tol)
 	case c.Alpha < 0 || math.IsNaN(c.Alpha):
 		return fmt.Errorf("mogd: Alpha must be >= 0, got %v", c.Alpha)
 	}
@@ -127,14 +128,8 @@ func (c *Config) defaults() {
 	if c.Iters == 0 {
 		c.Iters = 100
 	}
-	if c.LR == 0 {
-		c.LR = 0.05
-	}
 	if c.Penalty == 0 {
 		c.Penalty = 100
-	}
-	if c.Tol == 0 {
-		c.Tol = 1e-4
 	}
 	if c.Workers == 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
@@ -230,14 +225,8 @@ func NewOnEvaluator(ev *problem.Evaluator, cfg Config) (*Solver, error) {
 	return s, nil
 }
 
-// Dim returns the decision-space dimensionality.
-func (s *Solver) Dim() int { return s.dim }
-
 // NumObjectives returns k.
 func (s *Solver) NumObjectives() int { return s.k }
-
-// Evaluator exposes the solver's evaluation seam (counters, memo stats).
-func (s *Solver) Evaluator() *problem.Evaluator { return s.ev }
 
 // Evals reports the model passes performed through the solver's evaluator.
 func (s *Solver) Evals() uint64 { return s.ev.Evals() }
@@ -292,7 +281,7 @@ func (s *Solver) feasible(co solver.CO, f objective.Point) bool {
 		if math.IsInf(lo, -1) || math.IsInf(hi, 1) {
 			span = math.Max(math.Abs(f[j]), 1)
 		}
-		tol := s.cfg.Tol * math.Max(span, 1e-12)
+		tol := feasTol * math.Max(span, 1e-12)
 		if !math.IsInf(lo, -1) && f[j] < lo-tol {
 			return false
 		}
@@ -512,7 +501,7 @@ func (s *Solver) solveAllStarts(co solver.CO, seed int64, snap uint64, sc *solve
 				g := grad[d]
 				m[d] = b1*m[d] + (1-b1)*g
 				v[d] = b2*v[d] + (1-b2)*g*g
-				step := s.cfg.LR * (m[d] / c1) / (math.Sqrt(v[d]/c2) + eps)
+				step := adamLR * (m[d] / c1) / (math.Sqrt(v[d]/c2) + eps)
 				// Clamp to the box: GD may push a variable to the boundary but
 				// never across it (paper §IV-B.1). Inlined so the clamp tally
 				// comes for free; results stay bit-identical.

@@ -16,7 +16,7 @@ import (
 // values satisfy the box within the solver's tolerance.
 func TestSolveRespectsConstraintsProperty(t *testing.T) {
 	lat, cost := analytic.PaperExample2D()
-	s, err := New(Problem{Objectives: []model.Model{lat, cost}}, Config{Seed: 1, Starts: 4, Iters: 60, Tol: 1e-4})
+	s, err := New(Problem{Objectives: []model.Model{lat, cost}}, Config{Seed: 1, Starts: 4, Iters: 60})
 	if err != nil {
 		t.Fatal(err)
 	}

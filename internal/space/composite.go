@@ -34,8 +34,6 @@ type Stage struct {
 // provides the full Encode/Decode/Round/Lookup contract over it.
 type Composite struct {
 	*Space
-	// Shared are the variables tied across all stages (e.g. cluster knobs).
-	Shared []Var
 	// Stages are the stage definitions, in declaration order.
 	Stages []Stage
 
@@ -86,7 +84,7 @@ func NewComposite(shared []Var, stages []Stage) (*Composite, error) {
 		flat = append(flat, v)
 	}
 
-	c := &Composite{Shared: shared, Stages: stages}
+	c := &Composite{Stages: stages}
 	stageNames := make(map[string]bool, len(stages))
 	// First pass: validate stages and lay out the flat variable list; the
 	// per-variable flat indices are resolved now, the encoded dimensions after

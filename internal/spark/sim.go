@@ -9,13 +9,11 @@ import (
 	"repro/internal/space"
 )
 
-// Cluster describes the simulated hardware, defaulting to the paper's
-// testbed: 20 CentOS nodes, 2×16-core Xeon Gold 6130, 768 GB RAM, RAID
-// disks (§VI "Hardware").
+// Cluster describes the simulated hardware's speeds, defaulting to the
+// paper's testbed: 20 CentOS nodes, 2×16-core Xeon Gold 6130, 768 GB RAM,
+// RAID disks (§VI "Hardware"). The simulator checks no capacity: the knob
+// ranges keep a run within 14 executors of 4 cores and 16 GB.
 type Cluster struct {
-	Nodes        int
-	CoresPerNode int
-	MemPerNodeGB float64
 	// CoreSpeed scales CPU time (1.0 = baseline core).
 	CoreSpeed float64
 	// DiskMBps and NetMBps are per-executor effective bandwidths.
@@ -28,27 +26,21 @@ type Cluster struct {
 // DefaultCluster returns the paper-testbed-like cluster.
 func DefaultCluster() Cluster {
 	return Cluster{
-		Nodes:        20,
-		CoresPerNode: 32,
-		MemPerNodeGB: 768,
-		CoreSpeed:    1.0,
-		DiskMBps:     500,
-		NetMBps:      1100,
-		NoiseStd:     0.08,
+		CoreSpeed: 1.0,
+		DiskMBps:  500,
+		NetMBps:   1100,
+		NoiseStd:  0.08,
 	}
 }
 
 // StageMetric is the per-stage slice of a run's trace.
 type StageMetric struct {
-	Stage          int
-	Tasks          int
-	Waves          int
-	TaskSec        float64 // average task duration
-	CPUSec         float64 // total CPU seconds across tasks
-	ShuffleReadMB  float64
-	ShuffleWriteMB float64
-	SpillMB        float64
-	FetchWaitSec   float64 // total fetch wait across tasks
+	Tasks         int
+	TaskSec       float64 // average task duration
+	CPUSec        float64 // total CPU seconds across tasks
+	ShuffleReadMB float64
+	SpillMB       float64
+	FetchWaitSec  float64 // total fetch wait across tasks
 }
 
 // Metrics is the outcome of one simulated job run — the system-level trace
@@ -98,6 +90,18 @@ func (m Metrics) TraceVector() []float64 {
 		}
 	}
 	return out
+}
+
+// Runner returns a trace.Runner for dataflow df on cluster cl: each run
+// records latency, cores and cost2, and the run's TraceVector.
+func Runner(df *Dataflow, spc *space.Space, cl Cluster) func(space.Values, int64) (map[string]float64, []float64, error) {
+	return func(conf space.Values, seed int64) (map[string]float64, []float64, error) {
+		m, err := Run(df, spc, conf, cl, seed)
+		if err != nil {
+			return nil, nil, err
+		}
+		return map[string]float64{"latency": m.LatencySec, "cores": m.Cores, "cost2": m.Cost2()}, m.TraceVector(), nil
+	}
 }
 
 // Run simulates the dataflow under the configuration and returns its trace.
@@ -237,7 +241,6 @@ func Run(df *Dataflow, spc *space.Space, conf space.Values, cl Cluster, seed int
 		// tasks pack tightly, coarse tasks leave cores idle at the tail —
 		// plus per-task driver scheduling overhead. This yields the
 		// workload-dependent parallelism sweet spot Spark exhibits.
-		waves := math.Ceil(tasks / totalCores)
 		schedOverhead := 0.05 + 0.0008*tasks
 		stageSec := tasks*taskSec/totalCores + 0.8*taskSec + schedOverhead + broadcastSec
 
@@ -251,15 +254,12 @@ func Run(df *Dataflow, spc *space.Space, conf space.Values, cl Cluster, seed int
 		finish[st.id] = ready + stageSec
 
 		out.Stages = append(out.Stages, StageMetric{
-			Stage:          st.id,
-			Tasks:          int(tasks),
-			Waves:          int(waves),
-			TaskSec:        taskSec,
-			CPUSec:         cpuSec * tasks,
-			ShuffleReadMB:  shuffleReadMB,
-			ShuffleWriteMB: shuffleWriteMB,
-			SpillMB:        spillMB * tasks,
-			FetchWaitSec:   fetchSec * tasks,
+			Tasks:         int(tasks),
+			TaskSec:       taskSec,
+			CPUSec:        cpuSec * tasks,
+			ShuffleReadMB: shuffleReadMB,
+			SpillMB:       spillMB * tasks,
+			FetchWaitSec:  fetchSec * tasks,
 		})
 		out.ShuffleMB += shuffleReadMB + shuffleWriteMB
 		out.SpillMB += spillMB * tasks

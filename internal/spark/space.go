@@ -130,7 +130,9 @@ func DefaultStreamConf(s *space.Space) space.Values {
 
 // CoresModel returns the exact model of the cost-in-cores objective, which
 // is a known function of the knobs (§II-B).
-func CoresModel(spc *space.Space) Cores { return Cores{spc} }
+func CoresModel(spc *space.Space) Cores {
+	return Cores{spc: spc, inst: spc.Lookup(KnobInstances), cores: spc.Lookup(KnobCores)}
+}
 
 // Cores is the cost-in-cores objective: it decodes x and returns executor
 // instances × cores per executor, and 0 when x does not decode. It is a
@@ -138,8 +140,12 @@ func CoresModel(spc *space.Space) Cores { return Cores{spc} }
 // gets its own copy of the closure, and that copy calls Space.Decode out of
 // line, so the decoded values escape to the heap. In Predict, Decode
 // inlines and they stay on the stack; MOGD's numeric gradient calls
-// Predict 2·D+1 times per start per step.
-type Cores struct{ spc *space.Space }
+// Predict 2·D+1 times per start per step. The two knobs' positions are
+// looked up once, in CoresModel.
+type Cores struct {
+	spc         *space.Space
+	inst, cores int // variable indexes, -1 when the space lacks the knob
+}
 
 // Dim implements model.Model.
 func (m Cores) Dim() int { return m.spc.Dim() }
@@ -150,7 +156,13 @@ func (m Cores) Predict(x []float64) float64 {
 	if err != nil {
 		return 0
 	}
-	inst, _ := m.spc.Get(vals, KnobInstances)
-	cores, _ := m.spc.Get(vals, KnobCores)
-	return inst * cores
+	return knob(vals, m.inst) * knob(vals, m.cores)
+}
+
+// knob returns the raw value at variable index i, and 0 for a missing knob.
+func knob(vals space.Values, i int) float64 {
+	if i < 0 {
+		return 0
+	}
+	return float64(vals[i])
 }

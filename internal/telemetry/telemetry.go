@@ -160,7 +160,7 @@ func (t *Telemetry) registerStandard() {
 	r.Counter(MetricPFProbes, "Progressive Frontier probes issued")
 	r.Counter(MetricPFExpansions, "Progressive Frontier Expand calls completed")
 	r.Gauge(MetricPFUncertain, "uncertain fraction of the last reported PF run")
-	r.Counter(MetricModelTrainings, "model server (re)trainings and fine-tunings")
+	r.Counter(MetricModelTrainings, "model server trainings")
 	r.Histogram(MetricModelTrainTime, "model server training latency in seconds", nil)
 	r.Gauge(MetricFrontierHypervolume, "hypervolume of the last recorded frontier (also per workload)")
 	r.Gauge(MetricFrontierCoverage, "Pareto points of the last recorded frontier (also per workload)")

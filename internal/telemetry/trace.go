@@ -17,9 +17,9 @@ const (
 	// LevelOff records nothing.
 	LevelOff Level = iota
 	// LevelRun (the default) records unit-of-work events: PF probes and
-	// expansions, MOGD solves, moo progress reports, model trainings, HTTP
-	// requests. Roughly hundreds of events per /optimize call — never
-	// per-iteration or per-model-pass, so hot loops stay allocation-free.
+	// expansions, MOGD solves, model trainings, HTTP requests. Roughly
+	// hundreds of events per /optimize call — never per-iteration or
+	// per-model-pass, so hot loops stay allocation-free.
 	LevelRun
 	// LevelVerbose additionally records per-start MOGD trajectories and
 	// evaluator batches.
@@ -86,14 +86,6 @@ func (t *Tracer) SetLevel(l Level) {
 		return
 	}
 	t.level.Store(int32(l))
-}
-
-// Level returns the current sampling level.
-func (t *Tracer) Level() Level {
-	if t == nil {
-		return LevelOff
-	}
-	return Level(t.level.Load())
 }
 
 // Enabled reports whether events at level l are being recorded. This is the

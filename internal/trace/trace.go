@@ -15,6 +15,7 @@ import (
 	"sort"
 	"sync"
 
+	"repro/internal/linalg"
 	"repro/internal/model/gp"
 	"repro/internal/space"
 )
@@ -129,7 +130,7 @@ func HeuristicSample(spc *space.Space, center space.Values, n int, rng *rand.Ran
 			}
 		} else {
 			for d := range x {
-				x[d] = clamp01(cx[d] + 0.25*rng.NormFloat64())
+				x[d] = linalg.Clamp(cx[d]+0.25*rng.NormFloat64(), 0, 1)
 			}
 		}
 		vals, err := spc.Decode(x)
@@ -226,13 +227,3 @@ func expectedImprovement(best, mu, sigma float64) float64 {
 
 func stdNormCDF(z float64) float64 { return 0.5 * math.Erfc(-z/math.Sqrt2) }
 func stdNormPDF(z float64) float64 { return math.Exp(-z*z/2) / math.Sqrt(2*math.Pi) }
-
-func clamp01(v float64) float64 {
-	if v < 0 {
-		return 0
-	}
-	if v > 1 {
-		return 1
-	}
-	return v
-}

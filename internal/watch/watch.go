@@ -113,11 +113,11 @@ type Config struct {
 	// Runs, when non-nil, enables the run-registry rules (hv_drop_streak).
 	Runs *runlog.Registry
 	// AlertPath is the durable alert log (a runlog.Journal, size-rotated like
-	// the run registry's files). Empty disables the durable log — alerts
-	// then live only in the in-memory ring, numbered from alert-000001.
+	// the run registry's files, runlog.DefaultKeep of them kept). Empty
+	// disables the durable log — alerts then live only in the in-memory
+	// ring, numbered from alert-000001.
 	AlertPath     string
 	AlertMaxBytes int64
-	AlertKeep     int
 	// Interval between rule sweeps (default 15s).
 	Interval time.Duration
 
@@ -192,7 +192,7 @@ func New(cfg Config) (*Watchdog, error) {
 		stop:  make(chan struct{}),
 		done:  make(chan struct{}),
 	}
-	opts := runlog.Options{MaxBytes: cfg.AlertMaxBytes, Keep: cfg.AlertKeep}
+	opts := runlog.Options{MaxBytes: cfg.AlertMaxBytes}
 	log, err := runlog.OpenJournal(cfg.AlertPath, "alert", opts, alertID, w.remember)
 	if err != nil {
 		return nil, fmt.Errorf("watch: open alert log: %w", err)

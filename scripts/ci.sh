@@ -6,10 +6,12 @@
 #   3. race-detector pass over the concurrent hot paths (the GEMM kernels,
 #      solver incl. the batched MOGD multi-start path, models, core, the
 #      problem-layer evaluator, the composite space and recommendation
-#      layers), the cross-method conformance suite incl. the composite-space
-#      suites, and the observability layer (telemetry registry + spans, run
-#      registry, calibration ledger, HTTP service incl. the sharded serving
-#      cache and the /observe loop, watchdog)
+#      layers), the model server, whose one lock every concurrent /optimize
+#      trains under, and the trace store it reads, the cross-method
+#      conformance suite incl. the composite-space suites, and the
+#      observability layer (telemetry registry + spans, run registry,
+#      calibration ledger, HTTP service incl. the sharded serving cache and
+#      the /observe loop, watchdog)
 #   4. full test suite, then go vet and the tests of servbench/, a module of
 #      its own that go test ./... does not reach: they fail when code that
 #      servbench restates changes (TestRestatedSourceUnchanged) or an
@@ -38,7 +40,7 @@ fi
 
 go vet ./...
 go build ./...
-go test -race ./internal/linalg/... ./internal/solver/... ./internal/model/... ./internal/core/... ./internal/problem/... ./internal/space/... ./internal/recommend/... ./internal/conformance/... ./internal/telemetry/... ./internal/runlog/... ./internal/calib/... ./internal/watch/... ./internal/serving/... ./internal/service/...
+go test -race ./internal/linalg/... ./internal/solver/... ./internal/model/... ./internal/modelserver/... ./internal/trace/... ./internal/core/... ./internal/problem/... ./internal/space/... ./internal/recommend/... ./internal/conformance/... ./internal/telemetry/... ./internal/runlog/... ./internal/calib/... ./internal/watch/... ./internal/serving/... ./internal/service/...
 go test ./...
 (cd servbench && go vet . && go test .)
 go test -run '^$' -bench MOGD -benchtime 1x ./internal/solver/mogd/
