@@ -52,7 +52,7 @@ func main() {
 		switch *suite {
 		case "stream":
 			w := stream.ByID(id)
-			name = w.Tmpl.Name
+			name = w.Name
 			spc = spark.StreamSpace()
 			center = spark.DefaultStreamConf(spc)
 			runner = stream.Runner(w, spc, cluster)

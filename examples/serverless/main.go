@@ -46,7 +46,7 @@ func loadSpace(rate float64) *udao.Space {
 
 // optimizerForLoad collects traces at the given load, trains a latency
 // model, and returns a ready optimizer over (latency, computing units).
-func optimizerForLoad(w stream.Workload, cluster spark.Cluster, rate float64, seed int64) *udao.Optimizer {
+func optimizerForLoad(w stream.Template, cluster spark.Cluster, rate float64, seed int64) *udao.Optimizer {
 	spc := loadSpace(rate)
 	runner := func(conf space.Values, s int64) (map[string]float64, []float64, error) {
 		m, err := stream.Run(w, spc, conf, cluster, s)
@@ -61,11 +61,11 @@ func optimizerForLoad(w stream.Workload, cluster spark.Cluster, rate float64, se
 	if err != nil {
 		fatal("fatal error", "err", err)
 	}
-	if err := trace.Collect(store, spc, w.Tmpl.Name, confs, runner, seed); err != nil {
+	if err := trace.Collect(store, spc, w.Name, confs, runner, seed); err != nil {
 		fatal("fatal error", "err", err)
 	}
 	server := modelserver.New(spc, store, modelserver.Config{Kind: modelserver.GP, LogTargets: true})
-	latModel, err := server.Model(w.Tmpl.Name, "latency")
+	latModel, err := server.Model(w.Name, "latency")
 	if err != nil {
 		fatal("fatal error", "err", err)
 	}
@@ -83,7 +83,7 @@ func optimizerForLoad(w stream.Workload, cluster spark.Cluster, rate float64, se
 func main() {
 	w := stream.ByID(1) // the funnel-analysis click-stream workload
 	cluster := spark.DefaultCluster()
-	fmt.Printf("serverless workload: %s\n\n", w.Tmpl.Name)
+	fmt.Printf("serverless workload: %s\n\n", w.Name)
 
 	// The day's schedule: (load, preference) per period. Frontiers are
 	// computed once per load level and cached; preference changes answer

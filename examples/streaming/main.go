@@ -30,7 +30,7 @@ func main() {
 	w := stream.ByID(4) // the anomaly-detection UDF workload
 	spc := udao.StreamKnobSpace()
 	cluster := spark.DefaultCluster()
-	fmt.Printf("streaming workload: %s — 3 objectives (latency, throughput, cost), PF-AP l^k grid = 2^3\n\n", w.Tmpl.Name)
+	fmt.Printf("streaming workload: %s — 3 objectives (latency, throughput, cost), PF-AP l^k grid = 2^3\n\n", w.Name)
 
 	runner := func(conf space.Values, seed int64) (map[string]float64, []float64, error) {
 		m, err := stream.Run(w, spc, conf, cluster, seed)
@@ -48,15 +48,15 @@ func main() {
 	if err != nil {
 		fatal("fatal error", "err", err)
 	}
-	if err := trace.Collect(store, spc, w.Tmpl.Name, confs, runner, 1); err != nil {
+	if err := trace.Collect(store, spc, w.Name, confs, runner, 1); err != nil {
 		fatal("fatal error", "err", err)
 	}
 	server := modelserver.New(spc, store, modelserver.Config{Kind: modelserver.GP, LogTargets: true})
-	latModel, err := server.Model(w.Tmpl.Name, "latency")
+	latModel, err := server.Model(w.Name, "latency")
 	if err != nil {
 		fatal("fatal error", "err", err)
 	}
-	thrModel, err := server.Model(w.Tmpl.Name, "throughput")
+	thrModel, err := server.Model(w.Name, "throughput")
 	if err != nil {
 		fatal("fatal error", "err", err)
 	}

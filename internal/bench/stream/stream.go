@@ -54,14 +54,10 @@ func Templates() []Template {
 	}
 }
 
-// Workload is one parameterized streaming job.
-type Workload struct {
-	Tmpl Template
-}
-
-// ByID returns streaming workload id (0..62). The suite cycles the templates
-// with per-workload cost and record-size jitter.
-func ByID(id int) Workload {
+// ByID returns streaming workload id (0..62): a template named after the
+// workload. The suite cycles the templates with per-workload cost and
+// record-size jitter.
+func ByID(id int) Template {
 	if id < 0 || id >= NumWorkloads {
 		panic(fmt.Sprintf("stream: workload %d out of range", id))
 	}
@@ -73,7 +69,7 @@ func ByID(id int) Workload {
 	t.MemPerRecord *= 0.7 + 0.6*rng.Float64()
 	t.RecordBytes *= 0.8 + 0.4*rng.Float64()
 	t.Name = fmt.Sprintf("%s-w%02d", t.Name, id)
-	return Workload{Tmpl: t}
+	return t
 }
 
 // Metrics is the outcome of running a streaming workload at steady state.
@@ -104,7 +100,7 @@ func (m Metrics) TraceVector() []float64 {
 
 // Runner returns a trace.Runner for w on cluster cl: each run records
 // latency, throughput and cores, and the run's TraceVector.
-func Runner(w Workload, spc *space.Space, cl spark.Cluster) func(space.Values, int64) (map[string]float64, []float64, error) {
+func Runner(w Template, spc *space.Space, cl spark.Cluster) func(space.Values, int64) (map[string]float64, []float64, error) {
 	return func(conf space.Values, seed int64) (map[string]float64, []float64, error) {
 		m, err := Run(w, spc, conf, cl, seed)
 		if err != nil {
@@ -116,7 +112,7 @@ func Runner(w Workload, spc *space.Space, cl spark.Cluster) func(space.Values, i
 
 // Run simulates the workload at steady state under the configuration.
 // Deterministic in (workload, conf, seed).
-func Run(w Workload, spc *space.Space, conf space.Values, cl spark.Cluster, seed int64) (Metrics, error) {
+func Run(w Template, spc *space.Space, conf space.Values, cl spark.Cluster, seed int64) (Metrics, error) {
 	get := func(name string, def float64) float64 {
 		v, err := spc.Get(conf, name)
 		if err != nil {
@@ -147,13 +143,13 @@ func Run(w Workload, spc *space.Space, conf space.Values, cl spark.Cluster, seed
 	mapTasks := blocks
 	reduceTasks := parallelism
 
-	rng := rand.New(rand.NewSource(seed ^ int64(spark.ConfHash(w.Tmpl.Name, conf))))
+	rng := rand.New(rand.NewSource(seed ^ int64(spark.ConfHash(w.Name, conf))))
 	noise := math.Exp(rng.NormFloat64() * cl.NoiseStd)
 
 	// Map phase: per-record CPU over blocks, 60/40 split map/reduce.
-	mapCPU := records * w.Tmpl.CPUPerRecord * 0.6 * 1e-6 / cl.CoreSpeed
-	redCPU := records * w.Tmpl.CPUPerRecord * 0.4 * 1e-6 / cl.CoreSpeed
-	if w.Tmpl.ML {
+	mapCPU := records * w.CPUPerRecord * 0.6 * 1e-6 / cl.CoreSpeed
+	redCPU := records * w.CPUPerRecord * 0.4 * 1e-6 / cl.CoreSpeed
+	if w.ML {
 		redCPU *= 3 // iterative model update dominates the reduce side
 	}
 
@@ -169,7 +165,7 @@ func Run(w Workload, spc *space.Space, conf space.Values, cl spark.Cluster, seed
 	mapSec := mapWaves * mapTask
 
 	// Shuffle between map and reduce.
-	shuffleMB := records * w.Tmpl.RecordBytes * w.Tmpl.ShuffleFrac / (1 << 20)
+	shuffleMB := records * w.RecordBytes * w.ShuffleFrac / (1 << 20)
 	if compress {
 		shuffleMB *= 0.35
 		redCPU += records * 0.15 * 1e-6 / cl.CoreSpeed
@@ -180,7 +176,7 @@ func Run(w Workload, spc *space.Space, conf space.Values, cl spark.Cluster, seed
 
 	// Reduce-side memory pressure.
 	availMBPerTask := memGB * 1024 * memFraction / coresPerExec
-	stateMBPerTask := records * w.Tmpl.MemPerRecord / reduceTasks / (1 << 20)
+	stateMBPerTask := records * w.MemPerRecord / reduceTasks / (1 << 20)
 	spillMB := 0.0
 	spillSec := 0.0
 	if stateMBPerTask > availMBPerTask {

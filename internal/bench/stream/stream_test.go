@@ -12,7 +12,7 @@ import (
 	"repro/internal/spark"
 )
 
-func runWith(t *testing.T, w Workload, mutate func(*space.Space, space.Values)) Metrics {
+func runWith(t *testing.T, w Template, mutate func(*space.Space, space.Values)) Metrics {
 	t.Helper()
 	spc := spark.StreamSpace()
 	conf := spark.DefaultStreamConf(spc)
@@ -42,12 +42,12 @@ func TestSuite(t *testing.T) {
 		t.Fatalf("templates = %d", len(Templates()))
 	}
 	for i := 0; i < NumWorkloads; i++ {
-		if w, suffix := ByID(i), fmt.Sprintf("-w%02d", i); !strings.HasSuffix(w.Tmpl.Name, suffix) {
-			t.Fatalf("workload %d is named %q, want the suffix %q", i, w.Tmpl.Name, suffix)
+		if w, suffix := ByID(i), fmt.Sprintf("-w%02d", i); !strings.HasSuffix(w.Name, suffix) {
+			t.Fatalf("workload %d is named %q, want the suffix %q", i, w.Name, suffix)
 		}
 	}
 	// Determinism of generation.
-	if ByID(7).Tmpl.CPUPerRecord != ByID(7).Tmpl.CPUPerRecord {
+	if ByID(7).CPUPerRecord != ByID(7).CPUPerRecord {
 		t.Fatal("workload generation not deterministic")
 	}
 }

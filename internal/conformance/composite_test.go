@@ -114,21 +114,15 @@ func TestCompositeMethodSeedDeterminism(t *testing.T) {
 // evaluator: PF-AP (parallel, mogd) or PF-S (sequential, near-exact).
 func pfFront(t *testing.T, ev *problem.Evaluator, parallel bool, probes int, seed int64) []objective.Solution {
 	t.Helper()
-	var (
-		s interface {
-			NumObjectives() int
-			Solve(co solver.CO, seed int64) (objective.Solution, bool)
-			SolveBatch(cos []solver.CO, seed int64) []solver.Result
-		}
-		err error
-	)
+	var s solver.Solver
 	if parallel {
-		s, err = mogd.NewOnEvaluator(ev, mogd.Config{Starts: 4, Iters: 40, Seed: seed})
+		mg, err := mogd.New(ev, mogd.Config{Starts: 4, Iters: 40, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s = mg
 	} else {
-		s, err = exact.NewOnEvaluator(ev, exact.Config{Samples: 256, Refine: 1, Steps: 8})
-	}
-	if err != nil {
-		t.Fatal(err)
+		s = exact.New(ev, exact.Config{Samples: 256, Refine: 1, Steps: 8})
 	}
 	run := core.NewRun(s, parallel, core.Options{Seed: seed})
 	front, err := run.Expand(probes)

@@ -197,14 +197,11 @@ func TestMethodFinalCallback(t *testing.T) {
 // solversFor builds every solver.Solver over a shared evaluator.
 func solversFor(t *testing.T, ev *problem.Evaluator) map[string]solver.Solver {
 	t.Helper()
-	mg, err := mogd.NewOnEvaluator(ev, mogd.Config{Starts: 3, Iters: 40, Seed: 5})
+	mg, err := mogd.New(ev, mogd.Config{Starts: 3, Iters: 40, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex, err := exact.NewOnEvaluator(ev, exact.Config{Samples: 512, Refine: 1, Steps: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ex := exact.New(ev, exact.Config{Samples: 512, Refine: 1, Steps: 8})
 	return map[string]solver.Solver{"mogd": mg, "exact": ex}
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/model"
 	"repro/internal/model/dnn"
+	"repro/internal/problem"
 	"repro/internal/solver/mogd"
 	"repro/internal/spark"
 )
@@ -16,7 +17,7 @@ import (
 // exact cores objective, which decodes the configuration and has no analytic
 // gradient. The latency net is fitted once to a synthetic surface; training
 // is not part of what the cold benchmarks time.
-func coldProblem(b *testing.B) mogd.Problem {
+func coldProblem(b *testing.B) *problem.Problem {
 	b.Helper()
 	spc := spark.BatchSpace()
 	rng := rand.New(rand.NewSource(1))
@@ -36,40 +37,30 @@ func coldProblem(b *testing.B) mogd.Problem {
 	}
 	net := dnn.New(spc.Dim(), dnn.Config{Hidden: []int{64, 64}, Epochs: 40, Seed: 1})
 	net.Fit(X, y)
-	return mogd.Problem{Objectives: []model.Model{model.Exp{M: net}, spark.CoresModel(spc)}, Space: spc}
+	return problem.MustNew([]model.Model{model.Exp{M: net}, spark.CoresModel(spc)}, spc)
 }
 
-// benchCold runs one PF loop per iteration on a fresh solver — and so a
-// fresh evaluator memo and an empty near-start store — configured like the
-// service's optimizer (default multi-start and iteration budget, near warm
-// starts): the cold path of a new job's first /optimize.
-func benchCold(b *testing.B, pf func(solverLike, Options) error) {
+// benchCold runs one PF loop per iteration on a fresh solver over a fresh
+// evaluator — and so an empty evaluator memo and an empty near-start store —
+// configured like the service's optimizer (default multi-start and iteration
+// budget, near warm starts): the cold path of a new job's first /optimize.
+func benchCold(b *testing.B, parallel bool) {
 	prob := coldProblem(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s, err := mogd.New(prob, mogd.Config{Seed: 1, NearStarts: true})
+		s, err := mogd.New(problem.NewEvaluator(prob, problem.Options{}), mogd.Config{Seed: 1, NearStarts: true})
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := pf(s, Options{Probes: 12, Seed: 1}); err != nil {
+		if _, err := NewRun(s, parallel, Options{Seed: 1}).Expand(12); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 // BenchmarkSequentialCold runs PF-AS cold over the server's objective shape.
-func BenchmarkSequentialCold(b *testing.B) {
-	benchCold(b, func(s solverLike, opt Options) error {
-		_, err := Sequential(s, opt)
-		return err
-	})
-}
+func BenchmarkSequentialCold(b *testing.B) { benchCold(b, false) }
 
 // BenchmarkParallelCold runs PF-AP cold over the server's objective shape.
-func BenchmarkParallelCold(b *testing.B) {
-	benchCold(b, func(s solverLike, opt Options) error {
-		_, err := Parallel(s, opt)
-		return err
-	})
-}
+func BenchmarkParallelCold(b *testing.B) { benchCold(b, true) }

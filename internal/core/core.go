@@ -1,15 +1,16 @@
 // Package core implements the paper's primary contribution: the Progressive
 // Frontier (PF) approach to multi-objective optimization (§III, §IV).
 //
-// The three published variants are all provided:
+// The three published variants are one loop, NewRun(s, parallel,
+// opt).Expand(probes), over the solver it is given:
 //
-//   - PF-S  (Algorithm 1): the deterministic sequential algorithm, realized
-//     by running Sequential with the near-exact solver (internal/solver/exact).
-//   - PF-AS: the approximate sequential algorithm — Sequential with the MOGD
-//     solver (internal/solver/mogd).
-//   - PF-AP: the approximate parallel algorithm (Parallel), which partitions
-//     the hyperrectangle under exploration into an l^k grid and probes every
-//     cell's CO problem simultaneously.
+//   - PF-S  (Algorithm 1): the deterministic sequential algorithm — a
+//     sequential run on the near-exact solver (internal/solver/exact).
+//   - PF-AS: the approximate sequential algorithm — a sequential run on the
+//     MOGD solver (internal/solver/mogd).
+//   - PF-AP: the approximate parallel algorithm — a parallel run, which
+//     partitions the hyperrectangle under exploration into an l^k grid and
+//     probes every cell's CO problem simultaneously.
 //
 // The algorithms are incremental (frontiers only grow as more probes are
 // invested) and uncertainty-aware (the sub-hyperrectangle with the largest
@@ -29,9 +30,6 @@ import (
 	"repro/internal/telemetry"
 )
 
-// solverLike is the solver capability Run needs (= solver.Solver).
-type solverLike = solver.Solver
-
 // ErrNoReferencePoint is returned when a per-objective reference solve finds
 // no feasible configuration, i.e. the user's value constraints are
 // unsatisfiable under the current models.
@@ -48,13 +46,11 @@ const (
 	OrderRandom                   // uniformly random
 )
 
-// Options controls a Progressive Frontier run.
+// Options controls a Progressive Frontier run. The probe budget, M of
+// Algorithm 1, is Expand's argument.
 type Options struct {
-	// Probes is M of Algorithm 1: the total probe budget (including the k
-	// reference-point solves). Default 30.
-	Probes int
-	// TimeBudget stops the run after the given wall-clock duration; zero
-	// means no time limit.
+	// TimeBudget stops each Expand call after the given wall-clock duration;
+	// zero means no time limit.
 	TimeBudget time.Duration
 	// Grid is l, the per-dimension grid degree of PF-AP (default 2).
 	Grid int
@@ -91,21 +87,13 @@ type Options struct {
 // Snapshot reports the state of a PF run after a probe.
 type Snapshot struct {
 	Probes        int                  // probes issued so far
-	Evals         uint64               // model passes by the solver's evaluator (0 if untracked)
+	Evals         uint64               // model passes by the solver's evaluator
 	Elapsed       time.Duration        // wall-clock since the run started
 	UncertainFrac float64              // remaining uncertain space / initial volume
 	Frontier      []objective.Solution // dominance-filtered frontier so far
 }
 
-// evalCounter is the optional capability solvers built on problem.Evaluator
-// expose; snapshots include their model-pass count for the §VI efficiency
-// axis.
-type evalCounter interface{ Evals() uint64 }
-
 func (o *Options) defaults(k int) {
-	if o.Probes == 0 {
-		o.Probes = 30
-	}
 	if o.Grid == 0 {
 		o.Grid = 2
 	}
@@ -207,50 +195,8 @@ func middleCO(rect objective.Rect) solver.CO {
 	}
 }
 
-// run holds shared state for a PF execution.
-type run struct {
-	s       solver.Solver
-	opt     Options
-	start   time.Time
-	initVol float64
-	queue   rectQueue
-	// queueVol caches the sum of queued rectangle volumes, maintained
-	// incrementally by push/pop so every OnProgress snapshot and
-	// Run.UncertainFrac call stops re-summing the heap.
-	queueVol float64
-	plans    []objective.Solution
-	probes   int
-	seq      int
-	rng      *rand.Rand
-	// cos/retryIdx/retryCOs are the parallel step's reusable batch slices.
-	cos      []solver.CO
-	retryIdx []int
-	retryCOs []solver.CO
-
-	// Telemetry instruments (nil when Options.Telemetry is nil).
-	telProbes     *telemetry.Counter
-	telUncertain  *telemetry.Gauge
-	telUncertainW *telemetry.Gauge // per-workload series (nil without Workload)
-	tracer        *telemetry.Tracer
-	lastProbes    int // probes already flushed to telProbes
-}
-
-// newRunState builds the shared state, resolving telemetry instruments once.
-func newRunState(s solver.Solver, opt Options) *run {
-	r := &run{s: s, opt: opt, start: time.Now()}
-	if tel := opt.Telemetry; tel != nil {
-		r.telProbes = tel.Metrics.Counter(telemetry.MetricPFProbes)
-		r.telUncertain = tel.Metrics.Gauge(telemetry.MetricPFUncertain)
-		if opt.Workload != "" {
-			r.telUncertainW = tel.Metrics.Gauge(telemetry.Labeled(telemetry.MetricPFUncertain, "workload", opt.Workload))
-		}
-		r.tracer = tel.Trace
-	}
-	return r
-}
-
 // push enqueues a rectangle unless it is below the resolution cutoff.
-func (r *run) push(rect objective.Rect) {
+func (r *Run) push(rect objective.Rect) {
 	v := rect.Volume()
 	if v <= 0 || v < r.opt.MinRectFrac*r.initVol {
 		return
@@ -272,7 +218,7 @@ func (r *run) push(rect objective.Rect) {
 
 // pop removes and returns the highest-priority rectangle, keeping the cached
 // queue volume in sync.
-func (r *run) pop() rectItem {
+func (r *Run) pop() rectItem {
 	it := heap.Pop(&r.queue).(rectItem)
 	r.queueVol -= it.volume
 	if r.queueVol < 0 || r.queue.Len() == 0 {
@@ -286,29 +232,27 @@ func (r *run) pop() rectItem {
 	return it
 }
 
-func (r *run) expired() bool {
+func (r *Run) expired() bool {
 	return r.opt.TimeBudget > 0 && time.Since(r.start) > r.opt.TimeBudget
 }
 
-func (r *run) report() {
+func (r *Run) report() {
 	r.observe()
 	if r.opt.OnProgress == nil {
 		return
 	}
-	var evals uint64
-	if ec, ok := r.s.(evalCounter); ok {
-		evals = ec.Evals()
-	}
 	r.opt.OnProgress(Snapshot{
 		Probes:        r.probes,
-		Evals:         evals,
+		Evals:         r.s.Evals(),
 		Elapsed:       time.Since(r.start),
 		UncertainFrac: r.uncertainFrac(),
 		Frontier:      objective.Filter(r.plans),
 	})
 }
 
-func (r *run) uncertainFrac() float64 {
+// uncertainFrac is the queued share of the initial volume (0 while there is
+// none) — what snapshots, the gauge and the expand span report.
+func (r *Run) uncertainFrac() float64 {
 	if r.initVol <= 0 {
 		return 0
 	}
@@ -318,7 +262,7 @@ func (r *run) uncertainFrac() float64 {
 // observe flushes the probe counter delta, updates the uncertain-fraction
 // gauge, and appends one point of the run's uncertain-space trajectory to
 // the trace — the per-probe series behind Figs. 4–5.
-func (r *run) observe() {
+func (r *Run) observe() {
 	if r.telProbes == nil {
 		return
 	}
@@ -332,16 +276,12 @@ func (r *run) observe() {
 		r.telUncertainW.Set(frac)
 	}
 	if r.tracer.Enabled(telemetry.LevelRun) {
-		var evals uint64
-		if ec, ok := r.s.(evalCounter); ok {
-			evals = ec.Evals()
-		}
 		r.tracer.Emit(telemetry.LevelRun, telemetry.Event{
 			Run: r.opt.RunID, Scope: "pf", Name: "probe",
 			Dur: time.Since(r.start),
 			Attrs: map[string]float64{
 				"probes": float64(r.probes), "uncertain_frac": frac,
-				"frontier": float64(len(r.plans)), "evals": float64(evals),
+				"frontier": float64(len(r.plans)), "evals": float64(r.s.Evals()),
 				"queued_rects": float64(r.queue.Len()),
 			},
 		})
@@ -393,30 +333,9 @@ func shrinkNoProgress(parent, sub objective.Rect, f objective.Point) objective.R
 	return out
 }
 
-// Sequential runs Algorithm 1 (PF-S with an exact solver, PF-AS with MOGD):
-// iterate Middle Point Probes, always splitting the largest remaining
-// hyperrectangle, until the probe budget, time budget, or the uncertain
-// space is exhausted. The returned frontier is dominance-filtered.
-//
-// For incremental use — growing the frontier across calls as more time is
-// invested (§IV-A property 1) — construct a Run and call Expand repeatedly.
-func Sequential(s solver.Solver, opt Options) ([]objective.Solution, error) {
-	r := NewRun(s, false, opt)
-	return r.Expand(r.opt.Probes)
-}
-
-// Parallel runs PF-AP (§IV-C): the hyperrectangle under exploration is
-// partitioned into an l^k grid whose cells' CO problems are dispatched to
-// the solver simultaneously; each returned Pareto point subdivides its cell
-// and the fragments feed the volume-ordered queue.
-func Parallel(s solver.Solver, opt Options) ([]objective.Solution, error) {
-	r := NewRun(s, true, opt)
-	return r.Expand(r.opt.Probes)
-}
-
 // stepSequential performs one Middle Point Probe (with its full-box
 // fallback) on the largest queued hyperrectangle.
-func (r *run) stepSequential() {
+func (r *Run) stepSequential() {
 	it := r.pop()
 	co := middleCO(it.rect)
 	sol, found := r.s.Solve(co, r.opt.Seed+int64(r.probes)*1_000_003)
@@ -439,7 +358,7 @@ func (r *run) stepSequential() {
 // stepParallel partitions the largest queued hyperrectangle into an l^k grid
 // and probes every cell simultaneously, retrying failed cells once over
 // their full boxes.
-func (r *run) stepParallel() {
+func (r *Run) stepParallel() {
 	it := r.pop()
 	cells := it.rect.GridCells(r.opt.Grid)
 	cos := r.cos[:0]

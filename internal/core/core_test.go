@@ -8,6 +8,7 @@ import (
 	"repro/internal/model"
 	"repro/internal/model/analytic"
 	"repro/internal/objective"
+	"repro/internal/problem"
 	"repro/internal/solver"
 	"repro/internal/solver/exact"
 	"repro/internal/solver/mogd"
@@ -35,20 +36,21 @@ func trueLatticeFrontier() []objective.Point {
 	return out
 }
 
+// newEvaluator builds a fresh evaluation seam over the models.
+func newEvaluator(objs []model.Model, spc *space.Space) *problem.Evaluator {
+	return problem.NewEvaluator(problem.MustNew(objs, spc), problem.Options{})
+}
+
 func exactSolver(t *testing.T) *exact.Solver {
 	t.Helper()
 	objs, spc := latticeProblem()
-	s, err := exact.New(objs, spc, exact.Config{Samples: 512})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s
+	return exact.New(newEvaluator(objs, spc), exact.Config{Samples: 512})
 }
 
 func mogdSolver(t *testing.T) *mogd.Solver {
 	t.Helper()
 	lat, cost := analytic.PaperExample()
-	s, err := mogd.New(mogd.Problem{Objectives: []model.Model{lat, cost}}, mogd.Config{Seed: 1, Starts: 6, Iters: 120})
+	s, err := mogd.New(newEvaluator([]model.Model{lat, cost}, nil), mogd.Config{Seed: 1, Starts: 6, Iters: 120})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +61,7 @@ func mogdSolver(t *testing.T) *mogd.Solver {
 // solver and an ample probe budget recovers the entire finite Pareto set.
 func TestPFSCompleteness2D(t *testing.T) {
 	s := exactSolver(t)
-	front, err := Sequential(s, Options{Probes: 400, MinRectFrac: 1e-9})
+	front, err := NewRun(s, false, Options{MinRectFrac: 1e-9}).Expand(400)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +86,7 @@ func TestPFSCompleteness2D(t *testing.T) {
 // TestPFAPCompleteness2D: the parallel variant finds the same frontier.
 func TestPFAPCompleteness2D(t *testing.T) {
 	s := exactSolver(t)
-	front, err := Parallel(s, Options{Probes: 600, Grid: 2, MinRectFrac: 1e-9})
+	front, err := NewRun(s, true, Options{Grid: 2, MinRectFrac: 1e-9}).Expand(600)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +96,7 @@ func TestPFAPCompleteness2D(t *testing.T) {
 }
 
 func TestFrontierIsMutuallyNonDominated(t *testing.T) {
-	front, err := Sequential(mogdSolver(t), Options{Probes: 20, Seed: 2})
+	front, err := NewRun(mogdSolver(t), false, Options{Seed: 2}).Expand(20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,11 +114,11 @@ func TestFrontierIsMutuallyNonDominated(t *testing.T) {
 // that Evo lacks (paper §I challenge 2 and Fig. 4(e)).
 func TestIncrementalConsistency(t *testing.T) {
 	s := exactSolver(t)
-	small, err := Sequential(s, Options{Probes: 10})
+	small, err := NewRun(s, false, Options{}).Expand(10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	large, err := Sequential(s, Options{Probes: 40})
+	large, err := NewRun(s, false, Options{}).Expand(40)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,12 +141,11 @@ func TestIncrementalConsistency(t *testing.T) {
 
 func TestUncertainSpaceDecreasesMonotonically(t *testing.T) {
 	var fracs []float64
-	_, err := Sequential(exactSolver(t), Options{
-		Probes: 30,
+	_, err := NewRun(exactSolver(t), false, Options{
 		OnProgress: func(snap Snapshot) {
 			fracs = append(fracs, snap.UncertainFrac)
 		},
-	})
+	}).Expand(30)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +167,7 @@ func TestUncertainSpaceDecreasesMonotonically(t *testing.T) {
 
 func TestTimeBudget(t *testing.T) {
 	start := time.Now()
-	_, err := Sequential(exactSolver(t), Options{Probes: 100000, TimeBudget: 50 * time.Millisecond})
+	_, err := NewRun(exactSolver(t), false, Options{TimeBudget: 50 * time.Millisecond}).Expand(100000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,10 +178,9 @@ func TestTimeBudget(t *testing.T) {
 
 func TestProbeBudgetRespected(t *testing.T) {
 	probes := 0
-	_, err := Sequential(exactSolver(t), Options{
-		Probes:     12,
+	_, err := NewRun(exactSolver(t), false, Options{
 		OnProgress: func(s Snapshot) { probes = s.Probes },
-	})
+	}).Expand(12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,11 +191,10 @@ func TestProbeBudgetRespected(t *testing.T) {
 
 func TestGlobalConstraints(t *testing.T) {
 	// Constrain cost to [8, 16]: the frontier must respect the box.
-	front, err := Sequential(exactSolver(t), Options{
-		Probes: 60,
-		Lower:  objective.Point{math.Inf(-1), 8},
-		Upper:  objective.Point{math.Inf(1), 16},
-	})
+	front, err := NewRun(exactSolver(t), false, Options{
+		Lower: objective.Point{math.Inf(-1), 8},
+		Upper: objective.Point{math.Inf(1), 16},
+	}).Expand(60)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,11 +209,10 @@ func TestGlobalConstraints(t *testing.T) {
 }
 
 func TestInfeasibleGlobalConstraints(t *testing.T) {
-	_, err := Sequential(exactSolver(t), Options{
-		Probes: 10,
-		Lower:  objective.Point{0, 0},
-		Upper:  objective.Point{50, 24}, // latency <= 50 unattainable
-	})
+	_, err := NewRun(exactSolver(t), false, Options{
+		Lower: objective.Point{0, 0},
+		Upper: objective.Point{50, 24}, // latency <= 50 unattainable
+	}).Expand(10)
 	if err == nil {
 		t.Fatal("expected ErrNoReferencePoint")
 	}
@@ -228,6 +226,7 @@ func (degenerateSolver) NumObjectives() int { return 2 }
 func (degenerateSolver) Solve(co solver.CO, _ int64) (objective.Solution, bool) {
 	return objective.Solution{F: objective.Point{1, 1}, X: []float64{0}}, true
 }
+func (degenerateSolver) Evals() uint64 { return 0 }
 func (d degenerateSolver) SolveBatch(cos []solver.CO, seed int64) []solver.Result {
 	out := make([]solver.Result, len(cos))
 	for i := range cos {
@@ -238,21 +237,21 @@ func (d degenerateSolver) SolveBatch(cos []solver.CO, seed int64) []solver.Resul
 }
 
 func TestDegenerateFrontier(t *testing.T) {
-	front, err := Sequential(degenerateSolver{}, Options{Probes: 10})
+	front, err := NewRun(degenerateSolver{}, false, Options{}).Expand(10)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(front) != 1 {
 		t.Fatalf("degenerate frontier has %d points, want 1", len(front))
 	}
-	front, err = Parallel(degenerateSolver{}, Options{Probes: 10})
+	front, err = NewRun(degenerateSolver{}, true, Options{}).Expand(10)
 	if err != nil || len(front) != 1 {
 		t.Fatalf("parallel degenerate frontier = %v, %v", front, err)
 	}
 }
 
 func TestPFASWithMOGD(t *testing.T) {
-	front, err := Sequential(mogdSolver(t), Options{Probes: 15, Seed: 3})
+	front, err := NewRun(mogdSolver(t), false, Options{Seed: 3}).Expand(15)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +270,7 @@ func TestPFASWithMOGD(t *testing.T) {
 }
 
 func TestPFAPWithMOGD(t *testing.T) {
-	front, err := Parallel(mogdSolver(t), Options{Probes: 30, Grid: 2, Seed: 4})
+	front, err := NewRun(mogdSolver(t), true, Options{Grid: 2, Seed: 4}).Expand(30)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,13 +283,13 @@ func TestParallelMoreProbesPerRound(t *testing.T) {
 	// With grid degree 3 in 2D, each round issues 9 probes.
 	var perRound []int
 	prev := 0
-	_, err := Parallel(exactSolver(t), Options{
-		Probes: 40, Grid: 3,
+	_, err := NewRun(exactSolver(t), true, Options{
+		Grid: 3,
 		OnProgress: func(s Snapshot) {
 			perRound = append(perRound, s.Probes-prev)
 			prev = s.Probes
 		},
-	})
+	}).Expand(40)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +313,7 @@ func threeDProblem(t *testing.T) *mogd.Solver {
 	}}
 	cost := model.Func{D: 2, F: func(x []float64) float64 { return 1 + 23*x[0] }}
 	io := model.Func{D: 2, F: func(x []float64) float64 { return 10 + 90*x[1] }}
-	s, err := mogd.New(mogd.Problem{Objectives: []model.Model{lat, cost, io}},
+	s, err := mogd.New(newEvaluator([]model.Model{lat, cost, io}, nil),
 		mogd.Config{Seed: 5, Starts: 6, Iters: 100})
 	if err != nil {
 		t.Fatal(err)
@@ -327,9 +326,9 @@ func TestPF3DObjectives(t *testing.T) {
 		var front []objective.Solution
 		var err error
 		if parallel {
-			front, err = Parallel(threeDProblem(t), Options{Probes: 40, Grid: 2, Seed: 6})
+			front, err = NewRun(threeDProblem(t), true, Options{Grid: 2, Seed: 6}).Expand(40)
 		} else {
-			front, err = Sequential(threeDProblem(t), Options{Probes: 30, Seed: 6})
+			front, err = NewRun(threeDProblem(t), false, Options{Seed: 6}).Expand(30)
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -352,10 +351,10 @@ func TestPF3DObjectives(t *testing.T) {
 
 func TestPF3DUncertainSpaceShrinks(t *testing.T) {
 	var fracs []float64
-	_, err := Parallel(threeDProblem(t), Options{
-		Probes: 60, Grid: 2, Seed: 7,
+	_, err := NewRun(threeDProblem(t), true, Options{
+		Grid: 2, Seed: 7,
 		OnProgress: func(s Snapshot) { fracs = append(fracs, s.UncertainFrac) },
-	})
+	}).Expand(60)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -68,11 +68,8 @@ func randomLattice(seed int64) ([]model.Model, *space.Space, []objective.Point) 
 func TestPFSCompletenessRandomInstances(t *testing.T) {
 	f := func(seed int64) bool {
 		models, spc, truth := randomLattice(seed)
-		s, err := exact.New(models, spc, exact.Config{Samples: 256})
-		if err != nil {
-			return false
-		}
-		front, err := Sequential(s, Options{Probes: 300, MinRectFrac: 1e-9})
+		s := exact.New(newEvaluator(models, spc), exact.Config{Samples: 256})
+		front, err := NewRun(s, false, Options{MinRectFrac: 1e-9}).Expand(300)
 		if err != nil {
 			return false
 		}
@@ -104,10 +101,7 @@ func TestPFSCompletenessRandomInstances(t *testing.T) {
 func TestPropA5NoParetoOutsideInitialRect(t *testing.T) {
 	f := func(seed int64) bool {
 		models, spc, truth := randomLattice(seed)
-		s, err := exact.New(models, spc, exact.Config{Samples: 256})
-		if err != nil {
-			return false
-		}
+		s := exact.New(newEvaluator(models, spc), exact.Config{Samples: 256})
 		plans, err := referencePoints(s, Options{
 			Lower: objective.Point{math.Inf(-1), math.Inf(-1)},
 			Upper: objective.Point{math.Inf(1), math.Inf(1)},
@@ -137,10 +131,7 @@ func TestPropA5NoParetoOutsideInitialRect(t *testing.T) {
 func TestPropA3FailedProbeMeansEmpty(t *testing.T) {
 	f := func(seed int64) bool {
 		models, spc, truth := randomLattice(seed)
-		s, err := exact.New(models, spc, exact.Config{Samples: 256})
-		if err != nil {
-			return false
-		}
+		s := exact.New(newEvaluator(models, spc), exact.Config{Samples: 256})
 		plans, err := referencePoints(s, Options{
 			Lower: objective.Point{math.Inf(-1), math.Inf(-1)},
 			Upper: objective.Point{math.Inf(1), math.Inf(1)},

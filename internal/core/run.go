@@ -1,10 +1,12 @@
 package core
 
 import (
+	"math/rand"
 	"time"
 
 	"repro/internal/metrics"
 	"repro/internal/objective"
+	"repro/internal/solver"
 	"repro/internal/telemetry"
 )
 
@@ -14,18 +16,42 @@ import (
 // afterwards n3 points, and so on". The frontier only ever grows across
 // Expand calls (consistency), and probing order stays uncertainty-aware.
 type Run struct {
-	s        solverLike
+	s        solver.Solver
 	opt      Options
 	parallel bool
-	st       *run
 	budget   int
-	started  bool
+	// started marks that the first Expand ran its reference-point solves;
+	// the probing state below is meaningful only from then on.
+	started bool
 	// degenerate marks a frontier that collapsed to a single point during
 	// initialization; further expansion is a no-op.
 	degenerate bool
 	// history records one ExpandStep per Expand call — the incremental
 	// trajectory the run registry persists and udao-traceview replays.
 	history []ExpandStep
+
+	start   time.Time // start of the current Expand call
+	initVol float64
+	queue   rectQueue
+	// queueVol caches the sum of queued rectangle volumes, maintained
+	// incrementally by push/pop so every OnProgress snapshot and
+	// UncertainFrac call stops re-summing the heap.
+	queueVol float64
+	plans    []objective.Solution
+	probes   int
+	seq      int
+	rng      *rand.Rand
+	// cos/retryIdx/retryCOs are the parallel step's reusable batch slices.
+	cos      []solver.CO
+	retryIdx []int
+	retryCOs []solver.CO
+
+	// Telemetry instruments (nil when Options.Telemetry is nil).
+	telProbes     *telemetry.Counter
+	telUncertain  *telemetry.Gauge
+	telUncertainW *telemetry.Gauge // per-workload series (nil without Workload)
+	tracer        *telemetry.Tracer
+	lastProbes    int // probes already flushed to telProbes
 }
 
 // ExpandStep summarizes one Expand call of a run: the probes it invested,
@@ -44,12 +70,21 @@ type ExpandStep struct {
 	Elapsed       time.Duration
 }
 
-// NewRun prepares a resumable run; no probes are issued until Expand.
-// Options.Probes is ignored by Expand (each call carries its own budget);
-// Options.TimeBudget applies to each Expand call separately.
-func NewRun(s solverLike, parallel bool, opt Options) *Run {
+// NewRun prepares a resumable run, resolving its telemetry instruments once;
+// no probes are issued until Expand. Each Expand call carries its own probe
+// budget, and Options.TimeBudget applies to each call separately.
+func NewRun(s solver.Solver, parallel bool, opt Options) *Run {
 	opt.defaults(s.NumObjectives())
-	return &Run{s: s, opt: opt, parallel: parallel}
+	r := &Run{s: s, opt: opt, parallel: parallel}
+	if tel := opt.Telemetry; tel != nil {
+		r.telProbes = tel.Metrics.Counter(telemetry.MetricPFProbes)
+		r.telUncertain = tel.Metrics.Gauge(telemetry.MetricPFUncertain)
+		if opt.Workload != "" {
+			r.telUncertainW = tel.Metrics.Gauge(telemetry.Labeled(telemetry.MetricPFUncertain, "workload", opt.Workload))
+		}
+		r.tracer = tel.Trace
+	}
+	return r
 }
 
 // Expand invests `probes` additional solver probes (the k reference-point
@@ -57,59 +92,53 @@ func NewRun(s solverLike, parallel bool, opt Options) *Run {
 // dominance-filtered frontier found so far. The budget is checked between
 // steps, so the final step may overshoot by its own probe count (one
 // fallback probe sequentially, one cell batch in parallel mode).
-func (u *Run) Expand(probes int) ([]objective.Solution, error) {
-	u.budget += probes
-	s := u.s
+func (r *Run) Expand(probes int) ([]objective.Solution, error) {
+	r.budget += probes
 	t0 := time.Now()
-	startProbes := 0
-	if u.st != nil {
-		startProbes = u.st.probes
-	}
+	startProbes := r.probes
 	// One span per Expand call, nested under the request's root span (if
 	// any); the solver's per-solve spans nest under it in turn.
 	var span telemetry.Span
-	if tel := u.opt.Telemetry; tel != nil {
-		span = tel.Trace.StartSpan(telemetry.LevelRun, u.opt.RunID, u.opt.ParentSpan, "pf", "expand")
-		if ss, ok := s.(spanScoped); ok {
+	if tel := r.opt.Telemetry; tel != nil {
+		span = tel.Trace.StartSpan(telemetry.LevelRun, r.opt.RunID, r.opt.ParentSpan, "pf", "expand")
+		if ss, ok := r.s.(spanScoped); ok {
 			ss.SetParentSpan(span.ID())
 		}
 	}
-	if !u.started {
-		u.started = true
-		u.st = newRunState(s, u.opt)
-		plans, err := referencePoints(s, u.opt)
+	// Each Expand gets a fresh wall-clock budget.
+	r.start = time.Now()
+	if !r.started {
+		r.started = true
+		plans, err := referencePoints(r.s, r.opt)
 		if err != nil {
 			span.End("error", nil)
 			return nil, err
 		}
-		u.st.plans = plans
-		u.st.probes = s.NumObjectives()
+		r.plans = plans
+		r.probes = r.s.NumObjectives()
 		rect, ok := initialRect(plans)
 		if !ok {
-			u.degenerate = true
-			u.finishExpand(t0, startProbes, span)
-			return u.Frontier(), nil
+			r.degenerate = true
+			r.finishExpand(t0, startProbes, span)
+			return r.Frontier(), nil
 		}
-		u.st.initVol = rect.Volume()
-		u.st.push(rect)
-		u.st.report()
-	} else {
-		// Each Expand gets a fresh wall-clock budget.
-		u.st.start = time.Now()
+		r.initVol = rect.Volume()
+		r.push(rect)
+		r.report()
 	}
-	if u.degenerate {
+	if r.degenerate {
 		span.End("degenerate", nil)
-		return u.Frontier(), nil
+		return r.Frontier(), nil
 	}
-	for u.st.queue.Len() > 0 && u.st.probes < u.budget && !u.st.expired() {
-		if u.parallel {
-			u.st.stepParallel()
+	for r.queue.Len() > 0 && r.probes < r.budget && !r.expired() {
+		if r.parallel {
+			r.stepParallel()
 		} else {
-			u.st.stepSequential()
+			r.stepSequential()
 		}
 	}
-	u.finishExpand(t0, startProbes, span)
-	return u.Frontier(), nil
+	r.finishExpand(t0, startProbes, span)
+	return r.Frontier(), nil
 }
 
 // spanScoped is the optional solver capability Run uses to nest the solver's
@@ -119,57 +148,53 @@ type spanScoped interface{ SetParentSpan(id uint64) }
 // SetParentSpan re-parents the spans of subsequent Expand calls — the service
 // calls this per request so a cached run's timing lands under the right
 // request root.
-func (u *Run) SetParentSpan(id uint64) { u.opt.ParentSpan = id }
+func (r *Run) SetParentSpan(id uint64) { r.opt.ParentSpan = id }
 
 // finishExpand closes one Expand call: it appends the step to the run's
 // history and, with telemetry attached, ends the expand span — the probes
 // invested, the resulting frontier size and the uncertain space left.
-func (u *Run) finishExpand(t0 time.Time, startProbes int, span telemetry.Span) {
-	st := u.st
-	if st == nil {
-		return
-	}
-	front := objective.Filter(st.plans)
+func (r *Run) finishExpand(t0 time.Time, startProbes int, span telemetry.Span) {
+	front := objective.Filter(r.plans)
 	frontier := len(front)
-	all := make([]objective.Point, len(st.plans))
-	for i := range st.plans {
-		all[i] = st.plans[i].F
+	all := make([]objective.Point, len(r.plans))
+	for i := range r.plans {
+		all[i] = r.plans[i].F
 	}
 	pts := make([]objective.Point, len(front))
 	for i := range front {
 		pts[i] = front[i].F
 	}
 	utopia, nadir := objective.Bounds(all)
-	u.history = append(u.history, ExpandStep{
-		Probes:        st.probes - startProbes,
-		TotalProbes:   st.probes,
+	r.history = append(r.history, ExpandStep{
+		Probes:        r.probes - startProbes,
+		TotalProbes:   r.probes,
 		Frontier:      frontier,
 		Hypervolume:   metrics.Hypervolume(pts, utopia, nadir),
-		UncertainFrac: u.UncertainFrac(),
+		UncertainFrac: r.UncertainFrac(),
 		Elapsed:       time.Since(t0),
 	})
-	if st.telProbes == nil {
+	if r.telProbes == nil {
 		return
 	}
-	st.observe() // flush any probes issued since the last report
-	if tel := u.opt.Telemetry; tel != nil {
+	r.observe() // flush any probes issued since the last report
+	if tel := r.opt.Telemetry; tel != nil {
 		tel.Metrics.Counter(telemetry.MetricPFExpansions).Add(1)
 	}
 	span.End("", map[string]float64{
-		"probes":         float64(st.probes - startProbes),
-		"total_probes":   float64(st.probes),
+		"probes":         float64(r.probes - startProbes),
+		"total_probes":   float64(r.probes),
 		"frontier":       float64(frontier),
-		"uncertain_frac": st.uncertainFrac(),
-		"degenerate":     boolAttr(u.degenerate),
+		"uncertain_frac": r.uncertainFrac(),
+		"degenerate":     boolAttr(r.degenerate),
 	})
 }
 
 // History returns one step per Expand call so far (a copy) — the §IV-A
 // incremental trajectory: frontier size and uncertain fraction after each
 // additional probe investment.
-func (u *Run) History() []ExpandStep {
-	out := make([]ExpandStep, len(u.history))
-	copy(out, u.history)
+func (r *Run) History() []ExpandStep {
+	out := make([]ExpandStep, len(r.history))
+	copy(out, r.history)
 	return out
 }
 
@@ -180,48 +205,30 @@ func boolAttr(b bool) float64 {
 	return 0
 }
 
-// Frontier returns the current dominance-filtered Pareto set.
-func (u *Run) Frontier() []objective.Solution {
-	if u.st == nil {
+// Frontier returns the current dominance-filtered Pareto set (nil before the
+// first Expand).
+func (r *Run) Frontier() []objective.Solution {
+	if !r.started {
 		return nil
 	}
-	return objective.Filter(u.st.plans)
+	return objective.Filter(r.plans)
 }
 
 // Probes returns the number of solver probes issued so far.
-func (u *Run) Probes() int {
-	if u.st == nil {
-		return 0
-	}
-	return u.st.probes
-}
-
-// Evals returns the solver's model-pass count when the solver exposes one
-// (solvers built on problem.Evaluator do), and 0 otherwise.
-func (u *Run) Evals() uint64 {
-	if ec, ok := u.s.(evalCounter); ok {
-		return ec.Evals()
-	}
-	return 0
-}
+func (r *Run) Probes() int { return r.probes }
 
 // UncertainFrac returns the fraction of the initial hyperrectangle volume
-// still unresolved (1 before initialization, 0 when exhausted).
-func (u *Run) UncertainFrac() float64 {
-	if u.st == nil || u.st.initVol == 0 {
-		if u.degenerate {
-			return 0
-		}
+// still unresolved (1 before initialization and after a failed
+// reference-point solve, 0 when exhausted).
+func (r *Run) UncertainFrac() float64 {
+	if r.initVol == 0 && !r.degenerate {
 		return 1
 	}
-	return u.st.queueVol / u.st.initVol
+	return r.uncertainFrac()
 }
 
 // Exhausted reports whether the uncertain space is fully resolved: further
 // Expand calls cannot find new Pareto points.
-func (u *Run) Exhausted() bool {
-	if u.degenerate {
-		return true
-	}
-	return u.st != nil && u.st.queue.Len() == 0
+func (r *Run) Exhausted() bool {
+	return r.degenerate || r.started && r.queue.Len() == 0
 }

@@ -12,7 +12,7 @@ import (
 // against a fresh heap re-sum at every step — the invariant report() and
 // Run.UncertainFrac now rely on.
 func TestQueueVolumeCacheConsistency(t *testing.T) {
-	r := &run{opt: Options{}, initVol: 1}
+	r := &Run{initVol: 1}
 	check := func(stage string) {
 		t.Helper()
 		want := r.queue.totalVolume()

@@ -42,13 +42,8 @@ func (l *Lab) AblationQueueOrder(setup *Setup, probes int, seed int64) ([]Ablati
 		name  string
 		order core.ProbeOrder
 	}{{"volume(paper)", core.OrderVolume}, {"fifo", core.OrderFIFO}, {"random", core.OrderRandom}} {
-		s, err := mogd.New(mogd.Problem{Objectives: setup.Models, Space: setup.Space},
-			mogd.Config{Starts: 6, Iters: 80, Seed: seed})
-		if err != nil {
-			return nil, err
-		}
 		start := time.Now()
-		front, err := core.Sequential(s, core.Options{Probes: probes, Seed: seed, Order: v.order})
+		front, err := setup.pf(false, probes, 0, core.Options{Seed: seed, Order: v.order})
 		if err != nil {
 			return nil, err
 		}
@@ -72,8 +67,7 @@ func (l *Lab) AblationMultiStart(setup *Setup, starts []int, seed int64) ([]Abla
 	co := solver.CO{Target: 0, Lo: lo, Hi: hi}
 	var rows []AblationRow
 	for _, st := range starts {
-		s, err := mogd.New(mogd.Problem{Objectives: setup.Models, Space: setup.Space},
-			mogd.Config{Starts: st, Iters: 80, Seed: seed})
+		s, err := mogd.New(setup.evaluator(0), mogd.Config{Starts: st, Iters: 80, Seed: seed})
 		if err != nil {
 			return nil, err
 		}
@@ -93,14 +87,9 @@ func (l *Lab) AblationMultiStart(setup *Setup, starts []int, seed int64) ([]Abla
 func (l *Lab) AblationGridDegree(setup *Setup, degrees []int, probes int, seed int64) ([]AblationRow, error) {
 	var rows []AblationRow
 	for _, g := range degrees {
-		s, err := mogd.New(mogd.Problem{Objectives: setup.Models, Space: setup.Space},
-			mogd.Config{Starts: 6, Iters: 80, Seed: seed})
-		if err != nil {
-			return nil, err
-		}
 		issued := 0
 		start := time.Now()
-		front, err := core.Parallel(s, core.Options{Probes: probes, Grid: g, Seed: seed,
+		front, err := setup.pf(true, probes, 0, core.Options{Grid: g, Seed: seed,
 			OnProgress: func(sn core.Snapshot) { issued = sn.Probes }})
 		if err != nil {
 			return nil, err
@@ -117,13 +106,8 @@ func (l *Lab) AblationGridDegree(setup *Setup, degrees []int, probes int, seed i
 func (l *Lab) AblationUncertaintyAlpha(setup *Setup, alphas []float64, seed int64) ([]AblationRow, error) {
 	var rows []AblationRow
 	for _, a := range alphas {
-		s, err := mogd.New(mogd.Problem{Objectives: setup.Models, Space: setup.Space},
-			mogd.Config{Starts: 6, Iters: 80, Alpha: a, Seed: seed})
-		if err != nil {
-			return nil, err
-		}
 		start := time.Now()
-		front, err := core.Parallel(s, core.Options{Probes: 20, Seed: seed})
+		front, err := setup.pf(true, 20, a, core.Options{Seed: seed})
 		if err != nil {
 			return nil, err
 		}
@@ -172,8 +156,7 @@ func (l *Lab) AblationPenalty(setup *Setup, penalties []float64, seed int64) ([]
 	}
 	var rows []AblationRow
 	for _, p := range penalties {
-		s, err := mogd.New(mogd.Problem{Objectives: setup.Models, Space: setup.Space},
-			mogd.Config{Starts: 6, Iters: 80, Penalty: p, Seed: seed})
+		s, err := mogd.New(setup.evaluator(0), mogd.Config{Starts: 6, Iters: 80, Penalty: p, Seed: seed})
 		if err != nil {
 			return nil, err
 		}

@@ -120,6 +120,26 @@ type Setup struct {
 	ExpertConf space.Values
 }
 
+// evaluator builds a fresh evaluation seam over the setup's models and
+// lattice, with uncertainty multiplier alpha. Every run gets its own: an
+// empty memo and evaluation count, and — with α > 0, where MC-dropout values
+// depend on call order — values independent of the methods run before it.
+func (s *Setup) evaluator(alpha float64) *problem.Evaluator {
+	return problem.NewEvaluator(problem.MustNew(s.Models, s.Space), problem.Options{Alpha: alpha})
+}
+
+// pf runs one Progressive Frontier computation to the probe budget — PF-AP
+// when parallel, PF-AS otherwise — over MOGD with the harness's search
+// effort (6 starts × 80 Adam iterations, seeded like the run) on a fresh
+// evaluator with uncertainty multiplier alpha.
+func (s *Setup) pf(parallel bool, probes int, alpha float64, opt core.Options) ([]objective.Solution, error) {
+	mg, err := mogd.New(s.evaluator(alpha), mogd.Config{Starts: 6, Iters: 80, Seed: opt.Seed})
+	if err != nil {
+		return nil, err
+	}
+	return core.NewRun(mg, parallel, opt).Expand(probes)
+}
+
 // BatchSetup returns (cached) models and plumbing for batch workload id with
 // objectives (latency, cores). secondCost2 replaces cores with the learned
 // composite cost2 objective.
@@ -216,7 +236,7 @@ func (l *Lab) StreamSetup(id int, kind ModelKind, threeD bool) (*Setup, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := trace.Collect(st, spc, w.Tmpl.Name, confs, runner, l.Seed); err != nil {
+	if err := trace.Collect(st, spc, w.Name, confs, runner, l.Seed); err != nil {
 		return nil, err
 	}
 
@@ -225,11 +245,11 @@ func (l *Lab) StreamSetup(id int, kind ModelKind, threeD bool) (*Setup, error) {
 		msKind = modelserver.DNN
 	}
 	srv := modelserver.New(spc, st, modelserver.Config{Kind: msKind, DNNCfg: l.DNNCfg, GPCfg: l.GPCfg, LogTargets: true})
-	latModel, err := srv.Model(w.Tmpl.Name, ObjLatency)
+	latModel, err := srv.Model(w.Name, ObjLatency)
 	if err != nil {
 		return nil, err
 	}
-	thrModel, err := srv.Model(w.Tmpl.Name, ObjThroughput)
+	thrModel, err := srv.Model(w.Name, ObjThroughput)
 	if err != nil {
 		return nil, err
 	}
@@ -242,11 +262,11 @@ func (l *Lab) StreamSetup(id int, kind ModelKind, threeD bool) (*Setup, error) {
 	}
 
 	setup := &Setup{
-		Workload:    w.Tmpl.Name,
+		Workload:    w.Name,
 		Space:       spc,
 		Models:      models,
 		Names:       names,
-		Entries:     st.ForWorkload(w.Tmpl.Name),
+		Entries:     st.ForWorkload(w.Name),
 		DefaultConf: spark.DefaultStreamConf(spc),
 	}
 	setup.Utopia, setup.Nadir = modelBox(models, spc, 256)
@@ -331,21 +351,14 @@ func solutionsToPoints(sols []objective.Solution) []objective.Point {
 // RunPF runs PF-AP (parallel=true) or PF-AS on the setup, recording the
 // uncertain-space trajectory against the setup's shared box.
 func (l *Lab) RunPF(setup *Setup, parallel bool, probes int, seed int64) (MethodResult, error) {
-	solver, err := mogd.New(
-		mogd.Problem{Objectives: setup.Models, Space: setup.Space},
-		mogd.Config{Starts: 6, Iters: 80, Seed: seed},
-	)
-	if err != nil {
-		return MethodResult{}, err
-	}
 	name := "PF-AS"
 	if parallel {
 		name = "PF-AP"
 	}
 	res := MethodResult{Method: name}
-	opt := core.Options{
-		Probes: probes,
-		Seed:   seed,
+	start := time.Now()
+	front, err := setup.pf(parallel, probes, 0, core.Options{
+		Seed: seed,
 		OnProgress: func(s core.Snapshot) {
 			u := metrics.UncertainFraction(solutionsToPoints(s.Frontier), setup.Utopia, setup.Nadir)
 			res.Series = append(res.Series, SeriesPoint{Elapsed: s.Elapsed, Uncertain: u, Points: len(s.Frontier)})
@@ -353,14 +366,7 @@ func (l *Lab) RunPF(setup *Setup, parallel bool, probes int, seed int64) (Method
 				res.TimeToFirst = s.Elapsed
 			}
 		},
-	}
-	start := time.Now()
-	var front []objective.Solution
-	if parallel {
-		front, err = core.Parallel(solver, opt)
-	} else {
-		front, err = core.Sequential(solver, opt)
-	}
+	})
 	if err != nil {
 		return MethodResult{}, err
 	}

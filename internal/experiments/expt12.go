@@ -29,19 +29,20 @@ const (
 // AllMethods lists every comparable method in presentation order.
 var AllMethods = []string{MethodPFAP, MethodPFAS, MethodWS, MethodNC, MethodEvo, MethodQEHVI, MethodPESM}
 
-// baseline constructs a moo baseline by name over the setup's models.
+// baseline constructs a moo baseline by name on a fresh evaluator over the
+// setup's models.
 func (l *Lab) baseline(setup *Setup, name string) moo.Method {
 	switch name {
 	case MethodWS:
-		return &ws.Method{Objectives: setup.Models}
+		return &ws.Method{Evaluator: setup.evaluator(0)}
 	case MethodNC:
-		return &nc.Method{Objectives: setup.Models}
+		return &nc.Method{Evaluator: setup.evaluator(0)}
 	case MethodEvo:
-		return &evo.Method{Objectives: setup.Models}
+		return &evo.Method{Evaluator: setup.evaluator(0)}
 	case MethodQEHVI:
-		return &mobo.Method{Objectives: setup.Models, Acq: mobo.QEHVI}
+		return &mobo.Method{Evaluator: setup.evaluator(0), Acq: mobo.QEHVI}
 	case MethodPESM:
-		return &mobo.Method{Objectives: setup.Models, Acq: mobo.PESM}
+		return &mobo.Method{Evaluator: setup.evaluator(0), Acq: mobo.PESM}
 	}
 	return nil
 }

@@ -11,7 +11,6 @@ import (
 	"repro/internal/objective"
 	"repro/internal/ottertune"
 	"repro/internal/recommend"
-	"repro/internal/solver/mogd"
 	"repro/internal/space"
 	"repro/internal/trace"
 )
@@ -49,14 +48,7 @@ func (l *Lab) historyFor(id int, kind ModelKind, useCost2 bool) (*trace.Store, e
 // udaoRecommend runs PF-AP over the setup's models and picks a plan with
 // workload-aware WUN.
 func (l *Lab) udaoRecommend(setup *Setup, weights [2]float64, class recommend.WorkloadClass, seed int64) (space.Values, objective.Point, error) {
-	solver, err := mogd.New(
-		mogd.Problem{Objectives: setup.Models, Space: setup.Space},
-		mogd.Config{Starts: 6, Iters: 80, Seed: seed},
-	)
-	if err != nil {
-		return nil, nil, err
-	}
-	front, err := core.Parallel(solver, core.Options{Probes: 30, Seed: seed})
+	front, err := setup.pf(true, 30, 0, core.Options{Seed: seed})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -284,14 +276,7 @@ func (l *Lab) StreamEndToEnd(ids []int, weights [2]float64, seed int64) ([]Strea
 		if err != nil {
 			return nil, err
 		}
-		solver, err := mogd.New(
-			mogd.Problem{Objectives: setup.Models, Space: setup.Space},
-			mogd.Config{Starts: 6, Iters: 80, Seed: seed + int64(id)},
-		)
-		if err != nil {
-			return nil, err
-		}
-		front, err := core.Parallel(solver, core.Options{Probes: 30, Seed: seed + int64(id)})
+		front, err := setup.pf(true, 30, 0, core.Options{Seed: seed + int64(id)})
 		if err != nil {
 			return nil, err
 		}

@@ -8,7 +8,6 @@ import (
 	"repro/internal/feature"
 	"repro/internal/objective"
 	"repro/internal/recommend"
-	"repro/internal/solver/mogd"
 )
 
 // KnobRank is one knob's importance ranking (Appendix C-A).
@@ -78,14 +77,7 @@ type StrategyRow struct {
 // selection strategy of §V/Appendix B recommends from it, under balanced
 // external weights.
 func (l *Lab) CompareStrategies(setup *Setup, seed int64) ([]StrategyRow, error) {
-	solver, err := mogd.New(
-		mogd.Problem{Objectives: setup.Models, Space: setup.Space},
-		mogd.Config{Starts: 6, Iters: 80, Seed: seed},
-	)
-	if err != nil {
-		return nil, err
-	}
-	front, err := core.Parallel(solver, core.Options{Probes: 40, Seed: seed})
+	front, err := setup.pf(true, 40, 0, core.Options{Seed: seed})
 	if err != nil {
 		return nil, err
 	}

@@ -93,7 +93,7 @@ func (l *Lab) SolverComparison(setup *Setup, kind ModelKind, seed int64) ([]Solv
 	co := solver.CO{Target: 0, Lo: lo, Hi: hi}
 
 	var rows []SolverRow
-	mg, err := mogd.New(mogd.Problem{Objectives: setup.Models, Space: setup.Space}, mogd.Config{Seed: seed})
+	mg, err := mogd.New(setup.evaluator(0), mogd.Config{Seed: seed})
 	if err != nil {
 		return nil, err
 	}
@@ -104,10 +104,7 @@ func (l *Lab) SolverComparison(setup *Setup, kind ModelKind, seed int64) ([]Solv
 	// The exact reference gets a deep search budget befitting its Knitro
 	// role: thorough enough to approach the global optimum, orders of
 	// magnitude slower than MOGD.
-	ex, err := exact.New(setup.Models, setup.Space, exact.Config{Samples: 262144, Refine: 6, Steps: 48})
-	if err != nil {
-		return nil, err
-	}
+	ex := exact.New(setup.evaluator(0), exact.Config{Samples: 262144, Refine: 6, Steps: 48})
 	start = time.Now()
 	sol, ok = ex.Solve(co, seed)
 	rows = append(rows, SolverRow{ModelKind: kind.String(), Solver: "Exact", TimePerCO: time.Since(start), Objective: objOrNaN(sol.F, ok), Feasible: ok})

@@ -15,7 +15,6 @@ import (
 	"sort"
 
 	"repro/internal/linalg"
-	"repro/internal/model"
 	"repro/internal/moo"
 	"repro/internal/objective"
 	"repro/internal/problem"
@@ -23,11 +22,9 @@ import (
 
 // Method is the NSGA-II baseline.
 type Method struct {
-	Objectives []model.Model
-	// Evaluator, when non-nil, is used instead of building one over
-	// Objectives — injected by callers that share a memo cache and
-	// evaluation counter across methods. Whole generations are evaluated
-	// through its batch path.
+	// Evaluator is the problem the method optimizes; its memo cache and
+	// evaluation counter are shared with the caller. Whole generations are
+	// evaluated through its batch path.
 	Evaluator *problem.Evaluator
 	// Pop is the population size. Zero sizes the population to the
 	// requested point count (min 20, rounded up to even): NSGA-II's final
@@ -81,10 +78,7 @@ type indiv struct {
 // Run implements moo.Method.
 func (m *Method) Run(opt moo.Options) ([]objective.Solution, error) {
 	tr := opt.Track()
-	ev, err := moo.Evaluator(m.Evaluator, m.Objectives)
-	if err != nil {
-		return nil, err
-	}
+	ev := m.Evaluator
 	dim := ev.Dim()
 	m.defaults(opt.Points)
 	rng := rand.New(rand.NewSource(opt.Seed))

@@ -9,11 +9,17 @@ import (
 	"repro/internal/model/analytic"
 	"repro/internal/moo"
 	"repro/internal/objective"
+	"repro/internal/problem"
 )
 
-func method() *Method {
+// paperEvaluator builds a fresh evaluator over Fig. 3(f)'s models.
+func paperEvaluator() *problem.Evaluator {
 	lat, cost := analytic.PaperExample2D()
-	return &Method{Objectives: []model.Model{lat, cost}, Pop: 30}
+	return problem.NewEvaluator(problem.MustNew([]model.Model{lat, cost}, nil), problem.Options{})
+}
+
+func method() *Method {
+	return &Method{Evaluator: paperEvaluator(), Pop: 30}
 }
 
 func TestRunProducesNonDominatedFront(t *testing.T) {
@@ -112,8 +118,7 @@ func TestProgressAndTimeBudget(t *testing.T) {
 }
 
 func TestOddPopulationRoundedUp(t *testing.T) {
-	lat, cost := analytic.PaperExample2D()
-	m := &Method{Objectives: []model.Model{lat, cost}, Pop: 7}
+	m := &Method{Evaluator: paperEvaluator(), Pop: 7}
 	if _, err := m.Run(moo.Options{Points: 2, Seed: 9}); err != nil {
 		t.Fatal(err)
 	}

@@ -21,7 +21,6 @@ import (
 	"math"
 	"math/rand"
 
-	"repro/internal/model"
 	"repro/internal/model/gp"
 	"repro/internal/moo"
 	"repro/internal/objective"
@@ -39,12 +38,10 @@ const (
 
 // Method is a MOBO baseline.
 type Method struct {
-	Objectives []model.Model
-	// Evaluator, when non-nil, is used instead of building one over
-	// Objectives — injected by callers that share a memo cache and
-	// evaluation counter across methods. Only true-function observations go
-	// through it; the GP surrogates' own posterior queries do not (they are
-	// not evaluations of the problem).
+	// Evaluator is the problem the method optimizes; its memo cache and
+	// evaluation counter are shared with the caller. Only true-function
+	// observations go through it; the GP surrogates' own posterior queries
+	// do not (they are not evaluations of the problem).
 	Evaluator *problem.Evaluator
 	Acq       Acquisition
 	// Init is the initial random design size (default 2D+1).
@@ -97,10 +94,7 @@ func (m *Method) defaults(d int) {
 // Run implements moo.Method.
 func (m *Method) Run(opt moo.Options) ([]objective.Solution, error) {
 	tr := opt.Track()
-	ev, err := moo.Evaluator(m.Evaluator, m.Objectives)
-	if err != nil {
-		return nil, err
-	}
+	ev := m.Evaluator
 	dim := ev.Dim()
 	k := ev.NumObjectives()
 	m.defaults(dim)

@@ -9,11 +9,17 @@ import (
 	"repro/internal/model/analytic"
 	"repro/internal/moo"
 	"repro/internal/objective"
+	"repro/internal/problem"
 )
 
-func method(acq Acquisition) *Method {
+// paperEvaluator builds a fresh evaluator over Fig. 3(f)'s models.
+func paperEvaluator() *problem.Evaluator {
 	lat, cost := analytic.PaperExample2D()
-	return &Method{Objectives: []model.Model{lat, cost}, Acq: acq, Candidates: 64, MCSamples: 16, GPIters: 5}
+	return problem.NewEvaluator(problem.MustNew([]model.Model{lat, cost}, nil), problem.Options{})
+}
+
+func method(acq Acquisition) *Method {
+	return &Method{Evaluator: paperEvaluator(), Acq: acq, Candidates: 64, MCSamples: 16, GPIters: 5}
 }
 
 func TestQEHVIFindsFrontier(t *testing.T) {
@@ -55,17 +61,16 @@ func TestPESMRuns(t *testing.T) {
 // time per returned point than qEHVI (Fig. 4(d): 362s vs 48s to the first
 // Pareto set).
 func TestPESMSlowerThanQEHVI(t *testing.T) {
-	lat, cost := analytic.PaperExample2D()
-	q := &Method{Objectives: []model.Model{lat, cost}, Acq: QEHVI}
-	p := &Method{Objectives: []model.Model{lat, cost}, Acq: PESM}
+	q := &Method{Evaluator: paperEvaluator(), Acq: QEHVI}
+	p := &Method{Evaluator: paperEvaluator(), Acq: PESM}
 	tq := timed(t, q, 5)
 	tp := timed(t, p, 5)
 	if tp <= tq {
 		t.Logf("warning: PESM (%v) not slower than qEHVI (%v) on this machine", tp, tq)
 	}
 	// At minimum PESM's configured MC budget must exceed qEHVI's.
-	q.defaults(lat.Dim())
-	p.defaults(lat.Dim())
+	q.defaults(q.Evaluator.Dim())
+	p.defaults(p.Evaluator.Dim())
 	if p.MCSamples <= q.MCSamples || p.Candidates <= q.Candidates {
 		t.Fatal("PESM must be configured with a larger MC budget than qEHVI")
 	}

@@ -6,10 +6,10 @@
 // Frontier algorithms live in internal/core and are adapted to this
 // interface by the experiment harness.
 //
-// All methods evaluate objectives exclusively through a problem.Evaluator —
-// the repository-wide evaluation seam — so they inherit the fused
-// value+gradient hot path, batch evaluation, memoization, and a comparable
-// evaluation count.
+// Every method is built on the problem.Evaluator its caller hands it — the
+// repository-wide evaluation seam, and the methods' one input — so they
+// inherit the fused value+gradient hot path, batch evaluation, memoization,
+// and a comparable evaluation count.
 package moo
 
 import (
@@ -82,20 +82,51 @@ func (t *Tracker) Finish(frontier []objective.Solution) []objective.Solution {
 	return frontier
 }
 
-// Evaluator returns ev when non-nil and otherwise builds a fresh evaluator
-// over the models — the migration shim that lets Method structs accept an
-// injected evaluator (sharing its memo cache and counters with the caller)
-// while keeping plain model-list construction working.
-func Evaluator(ev *problem.Evaluator, objs []model.Model) (*problem.Evaluator, error) {
-	if ev != nil {
-		return ev, nil
+// SimplexWeights enumerates n weight vectors on the unit simplex in k
+// dimensions — WS's scalarization weights and NC's utopia-plane
+// combinations: a uniform sweep in 2D, and in higher dimensions the first n
+// points of the smallest simplex lattice of degree h with C(h+k-1, k-1) >= n.
+func SimplexWeights(n, k int) [][]float64 {
+	var out [][]float64
+	if k == 2 {
+		for i := 0; i < n; i++ {
+			w := float64(i) / float64(max(n-1, 1))
+			out = append(out, []float64{w, 1 - w})
+		}
+		return out
 	}
-	p, err := problem.New(objs, nil)
-	if err != nil {
-		return nil, err
+	h := 1
+	for simplexCount(h, k) < n {
+		h++
 	}
-	return problem.NewEvaluator(p, problem.Options{}), nil
+	var rec func(prefix []float64, left, dims int)
+	rec = func(prefix []float64, left, dims int) {
+		if len(out) >= n {
+			return
+		}
+		if dims == 1 {
+			out = append(out, append(append([]float64(nil), prefix...), float64(left)/float64(h)))
+			return
+		}
+		for v := 0; v <= left; v++ {
+			rec(append(prefix, float64(v)/float64(h)), left-v, dims-1)
+		}
+	}
+	rec(nil, h, k)
+	return out
 }
+
+// simplexCount is C(h+k-1, k-1), the size of the degree-h lattice.
+func simplexCount(h, k int) int {
+	n := 1
+	for i := 1; i <= k-1; i++ {
+		n = n * (h + i) / i
+	}
+	return n
+}
+
+// lr is the Adam learning rate of MinimizeSingle.
+const lr = 0.05
 
 // MinimizeSingle runs multi-start Adam on one objective over [0,1]^D — the
 // anchor-point subroutine shared by WS and NC (the individual minima that
@@ -106,7 +137,7 @@ func Evaluator(ev *problem.Evaluator, objs []model.Model) (*problem.Evaluator, e
 // point seen anywhere on a trajectory — not just its endpoint — becomes the
 // start's candidate. All per-iteration buffers are hoisted, so the inner
 // loop does not allocate.
-func MinimizeSingle(m model.Model, starts, iters int, lr float64, rng *rand.Rand) ([]float64, float64) {
+func MinimizeSingle(m model.Model, starts, iters int, rng *rand.Rand) ([]float64, float64) {
 	vg := model.EnsureValueGrad(m)
 	dim := m.Dim()
 	bestX := make([]float64, dim)
@@ -158,11 +189,11 @@ func MinimizeSingle(m model.Model, starts, iters int, lr float64, rng *rand.Rand
 
 // Anchors computes the k per-objective minima and the resulting global
 // Utopia/Nadir box over the anchor points, evaluating through ev.
-func Anchors(ev *problem.Evaluator, starts, iters int, lr float64, rng *rand.Rand) (sols []objective.Solution, utopia, nadir objective.Point) {
+func Anchors(ev *problem.Evaluator, starts, iters int, rng *rand.Rand) (sols []objective.Solution, utopia, nadir objective.Point) {
 	k := ev.NumObjectives()
 	refs := make([]objective.Point, 0, k)
 	for j := 0; j < k; j++ {
-		x, _ := MinimizeSingle(ev.Objective(j), starts, iters, lr, rng)
+		x, _ := MinimizeSingle(ev.Objective(j), starts, iters, rng)
 		f := ev.Eval(x)
 		sols = append(sols, objective.Solution{F: f, X: x})
 		refs = append(refs, f)

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/model"
 	"repro/internal/model/analytic"
+	"repro/internal/problem"
 )
 
 func TestMinimizeSingleQuadratic(t *testing.T) {
@@ -14,7 +15,7 @@ func TestMinimizeSingleQuadratic(t *testing.T) {
 		return (x[0]-0.3)*(x[0]-0.3) + (x[1]-0.7)*(x[1]-0.7)
 	}}
 	rng := rand.New(rand.NewSource(1))
-	x, f := MinimizeSingle(m, 4, 200, 0.05, rng)
+	x, f := MinimizeSingle(m, 4, 200, rng)
 	if f > 1e-3 {
 		t.Fatalf("minimum value = %v, want ~0", f)
 	}
@@ -27,7 +28,7 @@ func TestMinimizeSingleBoundary(t *testing.T) {
 	// Minimum at the box corner.
 	m := model.Func{D: 1, F: func(x []float64) float64 { return x[0] }}
 	rng := rand.New(rand.NewSource(2))
-	x, f := MinimizeSingle(m, 4, 200, 0.05, rng)
+	x, f := MinimizeSingle(m, 4, 200, rng)
 	if x[0] > 0.01 || f > 0.01 {
 		t.Fatalf("boundary minimum: x=%v f=%v, want ~0", x, f)
 	}
@@ -35,12 +36,9 @@ func TestMinimizeSingleBoundary(t *testing.T) {
 
 func TestAnchors(t *testing.T) {
 	lat, cost := analytic.PaperExample()
-	ev, err := Evaluator(nil, []model.Model{lat, cost})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ev := problem.NewEvaluator(problem.MustNew([]model.Model{lat, cost}, nil), problem.Options{})
 	rng := rand.New(rand.NewSource(3))
-	sols, utopia, nadir := Anchors(ev, 6, 200, 0.05, rng)
+	sols, utopia, nadir := Anchors(ev, 6, 200, rng)
 	if len(sols) != 2 {
 		t.Fatalf("anchors = %d, want 2", len(sols))
 	}
@@ -56,17 +54,29 @@ func TestAnchors(t *testing.T) {
 	}
 }
 
-func TestEvaluatorShim(t *testing.T) {
-	lat, cost := analytic.PaperExample()
-	ev, err := Evaluator(nil, []model.Model{lat, cost})
-	if err != nil {
-		t.Fatal(err)
+// TestSimplexWeights checks the lattice WS and NC share: exactly n weight
+// vectors of k non-negative entries summing to one, the 2D sweep running
+// from one axis to the other.
+func TestSimplexWeights(t *testing.T) {
+	for _, c := range []struct{ n, k int }{{5, 2}, {1, 2}, {10, 3}, {12, 3}, {20, 4}} {
+		ws := SimplexWeights(c.n, c.k)
+		if len(ws) != c.n {
+			t.Fatalf("n=%d k=%d: %d weight vectors", c.n, c.k, len(ws))
+		}
+		for _, w := range ws {
+			sum := 0.0
+			for _, v := range w {
+				if v < 0 || v > 1 {
+					t.Fatalf("n=%d k=%d: weight %v leaves [0,1]", c.n, c.k, w)
+				}
+				sum += v
+			}
+			if len(w) != c.k || math.Abs(sum-1) > 1e-9 {
+				t.Fatalf("n=%d k=%d: weight %v is not on the unit simplex", c.n, c.k, w)
+			}
+		}
 	}
-	if got, err := Evaluator(ev, nil); err != nil || got != ev {
-		t.Fatalf("shim must pass through an injected evaluator (got %p, want %p, err %v)", got, ev, err)
-	}
-	f := ev.Eval([]float64{1})
-	if f[0] != 100 || f[1] != 24 {
-		t.Fatalf("Eval = %v", f)
+	if w := SimplexWeights(5, 2); w[0][0] != 0 || w[4][0] != 1 {
+		t.Fatalf("2D sweep runs %v .. %v, want (0,1) .. (1,0)", w[0], w[4])
 	}
 }

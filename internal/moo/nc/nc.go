@@ -16,7 +16,6 @@ import (
 	"math/rand"
 
 	"repro/internal/linalg"
-	"repro/internal/model"
 	"repro/internal/moo"
 	"repro/internal/objective"
 	"repro/internal/problem"
@@ -24,15 +23,13 @@ import (
 
 // Method is the Normalized Normal Constraint baseline.
 type Method struct {
-	Objectives []model.Model
-	// Evaluator, when non-nil, is used instead of building one over
-	// Objectives — injected by callers that share a memo cache and
-	// evaluation counter across methods.
+	// Evaluator is the problem the method optimizes; its memo cache and
+	// evaluation counter are shared with the caller.
 	Evaluator     *problem.Evaluator
 	Starts, Iters int
 }
 
-// Inner solver constants: the Adam learning rate and the weight of a
+// Penalty solver constants: the Adam learning rate and the weight of a
 // constraint violation.
 const (
 	lr      = 0.05
@@ -55,13 +52,10 @@ func (m *Method) defaults() {
 func (m *Method) Run(opt moo.Options) ([]objective.Solution, error) {
 	m.defaults()
 	tr := opt.Track()
-	ev, err := moo.Evaluator(m.Evaluator, m.Objectives)
-	if err != nil {
-		return nil, err
-	}
+	ev := m.Evaluator
 	rng := rand.New(rand.NewSource(opt.Seed))
 	k := ev.NumObjectives()
-	anchorSols, utopia, nadir := moo.Anchors(ev, m.Starts, m.Iters, lr, rng)
+	anchorSols, utopia, nadir := moo.Anchors(ev, m.Starts, m.Iters, rng)
 
 	// Normalized anchor points.
 	anchors := make([]objective.Point, k)
@@ -82,7 +76,7 @@ func (m *Method) Run(opt moo.Options) ([]objective.Solution, error) {
 	tr.Report(objective.Filter(found))
 
 	sub := m.newSubSolver(ev, normals, utopia, nadir)
-	for _, lambda := range planeWeights(opt.Points, k) {
+	for _, lambda := range moo.SimplexWeights(opt.Points, k) {
 		if tr.Expired() {
 			break
 		}
@@ -99,47 +93,6 @@ func (m *Method) Run(opt moo.Options) ([]objective.Solution, error) {
 		tr.Report(objective.Filter(found))
 	}
 	return tr.Finish(objective.Filter(found)), nil
-}
-
-// planeWeights enumerates n convex-combination weights over the k anchors —
-// even spacing in 2D, a simplex lattice in higher dimensions.
-func planeWeights(n, k int) [][]float64 {
-	var out [][]float64
-	if k == 2 {
-		for i := 0; i < n; i++ {
-			a := float64(i) / float64(max(n-1, 1))
-			out = append(out, []float64{a, 1 - a})
-		}
-		return out
-	}
-	h := 1
-	for simplexCount(h, k) < n {
-		h++
-	}
-	var rec func(prefix []float64, left, dims int)
-	rec = func(prefix []float64, left, dims int) {
-		if len(out) >= n {
-			return
-		}
-		if dims == 1 {
-			w := append(append([]float64(nil), prefix...), float64(left)/float64(h))
-			out = append(out, w)
-			return
-		}
-		for v := 0; v <= left; v++ {
-			rec(append(prefix, float64(v)/float64(h)), left-v, dims-1)
-		}
-	}
-	rec(nil, h, k)
-	return out
-}
-
-func simplexCount(h, k int) int {
-	n := 1
-	for i := 1; i <= k-1; i++ {
-		n = n * (h + i) / i
-	}
-	return n
 }
 
 // subSolver holds the shared geometry and reusable buffers for the

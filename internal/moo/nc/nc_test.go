@@ -9,11 +9,13 @@ import (
 	"repro/internal/model/analytic"
 	"repro/internal/moo"
 	"repro/internal/objective"
+	"repro/internal/problem"
 )
 
 func method() *Method {
 	lat, cost := analytic.PaperExample2D()
-	return &Method{Objectives: []model.Model{lat, cost}, Starts: 4, Iters: 100}
+	ev := problem.NewEvaluator(problem.MustNew([]model.Model{lat, cost}, nil), problem.Options{})
+	return &Method{Evaluator: ev, Starts: 4, Iters: 100}
 }
 
 func TestRunProducesNonDominatedSet(t *testing.T) {
@@ -78,8 +80,10 @@ func TestProgressAndTimeBudget(t *testing.T) {
 	}
 }
 
+// TestPlaneWeights3D checks the utopia-plane combinations Run solves from
+// in 3D: at least n of them, each summing to 1.
 func TestPlaneWeights3D(t *testing.T) {
-	ws := planeWeights(12, 3)
+	ws := moo.SimplexWeights(12, 3)
 	if len(ws) < 12 {
 		t.Fatalf("3D plane weights = %d", len(ws))
 	}

@@ -17,19 +17,14 @@ import (
 
 // Method is the Weighted Sum baseline.
 type Method struct {
-	Objectives []model.Model
-	// Evaluator, when non-nil, is used instead of building one over
-	// Objectives — injected by callers that share a memo cache and
-	// evaluation counter across methods.
+	// Evaluator is the problem the method optimizes; its memo cache and
+	// evaluation counter are shared with the caller.
 	Evaluator *problem.Evaluator
 	// Starts and Iters control the inner gradient-descent solver per weight
 	// vector (defaults 8 and 150; WS needs generous effort per scalarized
 	// problem, which is what makes it slow end-to-end).
 	Starts, Iters int
 }
-
-// lr is the inner solver's Adam learning rate.
-const lr = 0.05
 
 // Name implements moo.Method.
 func (m *Method) Name() string { return "WS" }
@@ -43,78 +38,27 @@ func (m *Method) defaults() {
 	}
 }
 
-// weightVectors enumerates `n` weight vectors on the unit simplex: a uniform
-// sweep in 2D and a triangular lattice in higher dimensions.
-func weightVectors(n, k int) [][]float64 {
-	var out [][]float64
-	if k == 2 {
-		for i := 0; i < n; i++ {
-			w := float64(i) / float64(max(n-1, 1))
-			out = append(out, []float64{w, 1 - w})
-		}
-		return out
-	}
-	// Simplex lattice: choose the smallest lattice degree h with
-	// C(h+k-1, k-1) >= n, then emit the first n lattice points.
-	h := 1
-	for count(h, k) < n {
-		h++
-	}
-	var rec func(prefix []int, left, dims int)
-	rec = func(prefix []int, left, dims int) {
-		if len(out) >= n {
-			return
-		}
-		if dims == 1 {
-			w := make([]float64, 0, k)
-			for _, p := range prefix {
-				w = append(w, float64(p)/float64(h))
-			}
-			w = append(w, float64(left)/float64(h))
-			out = append(out, w)
-			return
-		}
-		for v := 0; v <= left; v++ {
-			rec(append(prefix, v), left-v, dims-1)
-		}
-	}
-	rec(nil, h, k)
-	return out
-}
-
-func count(h, k int) int {
-	// C(h+k-1, k-1)
-	n := 1
-	for i := 1; i <= k-1; i++ {
-		n = n * (h + i) / i
-	}
-	return n
-}
-
 // Run implements moo.Method: one scalarized solve per weight vector, with
 // objectives normalized by the anchor-point box so weights are comparable.
 func (m *Method) Run(opt moo.Options) ([]objective.Solution, error) {
 	m.defaults()
 	tr := opt.Track()
-	ev, err := moo.Evaluator(m.Evaluator, m.Objectives)
-	if err != nil {
-		return nil, err
-	}
+	ev := m.Evaluator
 	rng := rand.New(rand.NewSource(opt.Seed))
 	k := ev.NumObjectives()
-	anchorSols, utopia, nadir := moo.Anchors(ev, m.Starts, m.Iters, lr, rng)
+	anchorSols, utopia, nadir := moo.Anchors(ev, m.Starts, m.Iters, rng)
 
 	var found []objective.Solution
 	found = append(found, anchorSols...)
 	tr.Report(objective.Filter(found))
 
 	scalar := &weighted{ev: ev, utopia: utopia, nadir: nadir, gbuf: make([]float64, ev.Dim())}
-	for _, w := range weightVectors(opt.Points, k) {
+	for _, w := range moo.SimplexWeights(opt.Points, k) {
 		if tr.Expired() {
 			break
 		}
 		scalar.w = w
-		x, _ := moo.MinimizeSingle(scalar, m.Starts, m.Iters, lr, rng)
+		x, _ := moo.MinimizeSingle(scalar, m.Starts, m.Iters, rng)
 		found = append(found, objective.Solution{F: ev.Eval(x), X: x})
 		tr.Report(objective.Filter(found))
 	}

@@ -9,11 +9,17 @@ import (
 	"repro/internal/model/analytic"
 	"repro/internal/moo"
 	"repro/internal/objective"
+	"repro/internal/problem"
 )
+
+// newEvaluator builds a fresh evaluation seam over the models.
+func newEvaluator(objs ...model.Model) *problem.Evaluator {
+	return problem.NewEvaluator(problem.MustNew(objs, nil), problem.Options{})
+}
 
 func method() *Method {
 	lat, cost := analytic.PaperExample2D()
-	return &Method{Objectives: []model.Model{lat, cost}, Starts: 4, Iters: 100}
+	return &Method{Evaluator: newEvaluator(lat, cost), Starts: 4, Iters: 100}
 }
 
 func TestRunProducesNonDominatedSet(t *testing.T) {
@@ -42,7 +48,7 @@ func TestPoorCoverage(t *testing.T) {
 	// unreachable by any weight vector.
 	f1 := model.Func{D: 1, F: func(x []float64) float64 { return x[0] }}
 	f2 := model.Func{D: 1, F: func(x []float64) float64 { return 1 - x[0]*x[0] }}
-	m := &Method{Objectives: []model.Model{f1, f2}, Starts: 6, Iters: 150}
+	m := &Method{Evaluator: newEvaluator(f1, f2), Starts: 6, Iters: 150}
 	front, err := m.Run(moo.Options{Points: 10, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -99,8 +105,10 @@ func TestTimeBudget(t *testing.T) {
 	}
 }
 
+// TestWeightVectors checks the scalarization weights Run sweeps: n vectors
+// in 2D and at least n in 3D, each summing to 1.
 func TestWeightVectors(t *testing.T) {
-	w2 := weightVectors(5, 2)
+	w2 := moo.SimplexWeights(5, 2)
 	if len(w2) != 5 {
 		t.Fatalf("2D weights = %d", len(w2))
 	}
@@ -109,7 +117,7 @@ func TestWeightVectors(t *testing.T) {
 			t.Fatalf("bad weight vector %v", w)
 		}
 	}
-	w3 := weightVectors(10, 3)
+	w3 := moo.SimplexWeights(10, 3)
 	if len(w3) < 10 {
 		t.Fatalf("3D weights = %d, want >= 10", len(w3))
 	}

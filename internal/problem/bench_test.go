@@ -58,28 +58,10 @@ func BenchmarkEvaluatorMemoMiss(b *testing.B) {
 }
 
 // BenchmarkEvalBatch measures the worker-pool batch path on a 64-point batch
-// of distinct points (memo disabled so the model cost is visible).
+// of distinct points (memo disabled so the model cost is visible). The pool
+// is GOMAXPROCS wide, so -cpu 1 gives the serial scaling reference.
 func BenchmarkEvalBatch(b *testing.B) {
 	e := benchEvaluator(b, Options{MemoCap: -1})
-	xs := make([][]float64, 64)
-	for i := range xs {
-		x := benchPoint()
-		x[0] = float64(i) / 64
-		xs[i] = x
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if out := e.EvalBatch(xs); len(out) != len(xs) {
-			b.Fatal("bad batch")
-		}
-	}
-}
-
-// BenchmarkEvalBatchSerial is EvalBatch pinned to one worker, the scaling
-// reference for BenchmarkEvalBatch.
-func BenchmarkEvalBatchSerial(b *testing.B) {
-	e := benchEvaluator(b, Options{MemoCap: -1, Workers: 1})
 	xs := make([][]float64, 64)
 	for i := range xs {
 		x := benchPoint()

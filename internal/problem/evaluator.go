@@ -15,8 +15,6 @@ import (
 
 // Options tunes an Evaluator.
 type Options struct {
-	// Workers bounds EvalBatch concurrency (default GOMAXPROCS).
-	Workers int
 	// Alpha is the uncertainty multiplier of §IV-B.3: objective values are
 	// reported as F̃ = E[F] + α·std[F] for models with predictive variance.
 	// Gradients remain the mean gradients (the paper's documented
@@ -39,19 +37,16 @@ type Options struct {
 }
 
 func (o *Options) defaults() {
-	if o.Workers == 0 {
-		o.Workers = runtime.GOMAXPROCS(0)
-	}
 	if o.MemoCap == 0 {
 		o.MemoCap = 1 << 15
 	}
 }
 
 // Evaluator is the only gateway between optimizer code and objective models.
-// It owns the fused value+gradient hot path, a worker pool for batch
-// evaluation, a per-problem memoization cache keyed by the encoded point, and
-// an atomic evaluation counter, so every optimizer built on it reports a
-// comparable evaluation count (the paper's §VI efficiency axis).
+// It owns the fused value+gradient hot path, a GOMAXPROCS-wide worker pool
+// for batch evaluation, a per-problem memoization cache keyed by the encoded
+// point, and an atomic evaluation counter, so every optimizer built on it
+// reports a comparable evaluation count (the paper's §VI efficiency axis).
 //
 // Semantics:
 //
@@ -71,6 +66,8 @@ func (o *Options) defaults() {
 type Evaluator struct {
 	prob *Problem
 	opts Options
+	// workers bounds EvalBatch's pool: GOMAXPROCS at construction.
+	workers int
 	// vgs fuses each objective's value+gradient evaluation.
 	vgs []model.ValueGradienter
 	// eff holds the objective used for reported values: the conservative
@@ -106,7 +103,7 @@ type Evaluator struct {
 // NewEvaluator builds an evaluator over the problem.
 func NewEvaluator(p *Problem, opts Options) *Evaluator {
 	opts.defaults()
-	e := &Evaluator{prob: p, opts: opts}
+	e := &Evaluator{prob: p, opts: opts, workers: runtime.GOMAXPROCS(0)}
 	for _, m := range p.Objectives {
 		e.vgs = append(e.vgs, model.EnsureValueGrad(m))
 		if opts.Alpha > 0 {
@@ -266,7 +263,7 @@ func (e *Evaluator) EvalBatch(xs [][]float64) []objective.Point {
 	if e.allBatch {
 		return e.evalBatchMatrix(xs)
 	}
-	workers := e.opts.Workers
+	workers := e.workers
 	if workers > len(xs) {
 		workers = len(xs)
 	}

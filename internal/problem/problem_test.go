@@ -3,6 +3,7 @@ package problem
 import (
 	"math"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -57,7 +58,7 @@ func TestEvalMatchesModels(t *testing.T) {
 func TestMemoization(t *testing.T) {
 	calls := 0
 	counting := model.Func{D: 1, F: func(x []float64) float64 { calls++; return x[0] }}
-	e := NewEvaluator(MustNew([]model.Model{counting}, nil), Options{Workers: 1})
+	e := NewEvaluator(MustNew([]model.Model{counting}, nil), Options{})
 	x := []float64{0.5}
 	f1 := e.Eval(x)
 	f2 := e.Eval(x)
@@ -94,7 +95,7 @@ func TestMemoDisabled(t *testing.T) {
 }
 
 func TestMemoCapFlush(t *testing.T) {
-	e := NewEvaluator(MustNew([]model.Model{lin()}, nil), Options{MemoCap: 4, Workers: 1})
+	e := NewEvaluator(MustNew([]model.Model{lin()}, nil), Options{MemoCap: 4})
 	for i := 0; i < 32; i++ {
 		e.Eval([]float64{float64(i) / 32, 0})
 	}
@@ -111,10 +112,17 @@ func TestMemoCapFlush(t *testing.T) {
 	}
 }
 
+// withProcs builds an evaluator under GOMAXPROCS procs, so its batch pool is
+// procs wide whatever the machine.
+func withProcs(procs int, p *Problem, opts Options) *Evaluator {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	return NewEvaluator(p, opts)
+}
+
 func TestEvalBatchDeterministicOrder(t *testing.T) {
 	p := MustNew([]model.Model{quad(), lin()}, nil)
-	seq := NewEvaluator(p, Options{Workers: 1, MemoCap: -1})
-	par := NewEvaluator(p, Options{Workers: 8, MemoCap: -1})
+	seq := withProcs(1, p, Options{MemoCap: -1})
+	par := withProcs(8, p, Options{MemoCap: -1})
 	xs := make([][]float64, 100)
 	for i := range xs {
 		xs[i] = []float64{float64(i) / 100, float64(99-i) / 100}
@@ -131,7 +139,7 @@ func TestEvalBatchDeterministicOrder(t *testing.T) {
 
 func TestEvalBatchConcurrentWithMemo(t *testing.T) {
 	p := MustNew([]model.Model{quad(), lin()}, nil)
-	e := NewEvaluator(p, Options{Workers: 8})
+	e := withProcs(8, p, Options{})
 	xs := make([][]float64, 64)
 	for i := range xs {
 		xs[i] = []float64{float64(i%8) / 8, 0.5} // heavy key repetition

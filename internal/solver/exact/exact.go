@@ -22,7 +22,6 @@ import (
 	"runtime"
 	"sync"
 
-	"repro/internal/model"
 	"repro/internal/objective"
 	"repro/internal/problem"
 	"repro/internal/solver"
@@ -61,27 +60,18 @@ type Solver struct {
 	k   int
 }
 
-// New validates the models and builds a solver with its own evaluator.
-func New(objs []model.Model, spc *space.Space, cfg Config) (*Solver, error) {
-	p, err := problem.New(objs, spc)
-	if err != nil {
-		return nil, fmt.Errorf("exact: %w", err)
-	}
+// New builds a solver on the evaluator, which owns the models and the
+// rounding lattice; sharing it shares the memo cache and evaluation counter
+// with the caller's other optimizers.
+func New(ev *problem.Evaluator, cfg Config) *Solver {
 	cfg.defaults()
-	return NewOnEvaluator(problem.NewEvaluator(p, problem.Options{Workers: cfg.Workers}), cfg)
-}
-
-// NewOnEvaluator builds a solver on an existing evaluator, sharing its memo
-// cache and evaluation counter with the caller's other optimizers.
-func NewOnEvaluator(ev *problem.Evaluator, cfg Config) (*Solver, error) {
-	cfg.defaults()
-	return &Solver{ev: ev, spc: ev.Problem().Space, cfg: cfg, dim: ev.Dim(), k: ev.NumObjectives()}, nil
+	return &Solver{ev: ev, spc: ev.Problem().Space, cfg: cfg, dim: ev.Dim(), k: ev.NumObjectives()}
 }
 
 // NumObjectives implements solver.Solver.
 func (s *Solver) NumObjectives() int { return s.k }
 
-// Evals reports the model passes performed through the solver's evaluator.
+// Evals implements solver.Solver.
 func (s *Solver) Evals() uint64 { return s.ev.Evals() }
 
 var primes = []int{2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89}

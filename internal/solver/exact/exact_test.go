@@ -6,36 +6,19 @@ import (
 
 	"repro/internal/model"
 	"repro/internal/model/analytic"
+	"repro/internal/problem"
 	"repro/internal/solver"
 	"repro/internal/space"
 )
 
-func paperSolver(t *testing.T) *Solver {
-	t.Helper()
-	lat, cost := analytic.PaperExample()
-	s, err := New([]model.Model{lat, cost}, nil, Config{Samples: 512})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s
+// newSolver builds a solver over a fresh evaluator on the models.
+func newSolver(objs []model.Model, spc *space.Space, cfg Config) *Solver {
+	return New(problem.NewEvaluator(problem.MustNew(objs, spc), problem.Options{}), cfg)
 }
 
-func TestNewValidation(t *testing.T) {
-	if _, err := New(nil, nil, Config{}); err == nil {
-		t.Fatal("expected error for no objectives")
-	}
-	lat, _ := analytic.PaperExample()
-	bad := model.Func{D: 2, F: func(x []float64) float64 { return 0 }}
-	if _, err := New([]model.Model{lat, bad}, nil, Config{}); err == nil {
-		t.Fatal("expected error for dim mismatch")
-	}
-	spc := space.MustNew([]space.Var{
-		{Name: "a", Kind: space.Continuous, Min: 0, Max: 1},
-		{Name: "b", Kind: space.Continuous, Min: 0, Max: 1},
-	})
-	if _, err := New([]model.Model{lat}, spc, Config{}); err == nil {
-		t.Fatal("expected error for space dim mismatch")
-	}
+func paperSolver(t *testing.T) *Solver {
+	lat, cost := analytic.PaperExample()
+	return newSolver([]model.Model{lat, cost}, nil, Config{Samples: 512})
 }
 
 func TestHaltonProperties(t *testing.T) {
@@ -97,10 +80,7 @@ func TestLatticeSnapping(t *testing.T) {
 		return math.Max(100, 2400/(1+23*x[0]))
 	}}
 	cost := model.Func{D: 1, F: func(x []float64) float64 { return 1 + 23*x[0] }}
-	s, err := New([]model.Model{lat, cost}, spc, Config{Samples: 256})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newSolver([]model.Model{lat, cost}, spc, Config{Samples: 256})
 	sol, ok := s.Solve(solver.CO{Target: 0, Lo: []float64{100, 8}, Hi: []float64{200, 16}}, 0)
 	if !ok {
 		t.Fatal("no solution")
@@ -136,7 +116,7 @@ func TestSolveBatch(t *testing.T) {
 		t.Fatalf("batch feasibility wrong: %v %v %v", out[0].OK, out[1].OK, out[2].OK)
 	}
 	// Single worker path.
-	s2, _ := New(s.ev.Problem().Objectives, nil, Config{Samples: 128, Workers: 1})
+	s2 := New(problem.NewEvaluator(s.ev.Problem(), problem.Options{}), Config{Samples: 128, Workers: 1})
 	out2 := s2.SolveBatch(cos[:1], 0)
 	if !out2[0].OK {
 		t.Fatal("single worker batch failed")

@@ -16,11 +16,7 @@ func benchSolver(b *testing.B, cfg Config) *Solver {
 	b.Helper()
 	lat := dnn.New(12, dnn.Config{Hidden: []int{64, 64}, Seed: 1})
 	cost := dnn.New(12, dnn.Config{Hidden: []int{64, 64}, Seed: 2})
-	s, err := New(Problem{Objectives: []model.Model{lat, cost}}, cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return s
+	return newSolver(b, []model.Model{lat, cost}, nil, cfg)
 }
 
 func benchCO() solver.CO {

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/model"
 	"repro/internal/model/analytic"
+	"repro/internal/problem"
 	"repro/internal/solver"
 )
 
@@ -16,11 +17,7 @@ func multiDimSolver(t *testing.T, workers int, seed int64) *Solver {
 	t.Helper()
 	lat := analytic.Latency{D: 4, MaxExec: 8, MaxCores: 3, Serial: 20, Work: 2400, Shuffle: 6}
 	cost := analytic.CoreCost{D: 4, MaxExec: 8, MaxCores: 3}
-	s, err := New(Problem{Objectives: []model.Model{lat, cost}}, Config{Seed: seed, Workers: workers})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s
+	return newSolver(t, []model.Model{lat, cost}, nil, Config{Seed: seed, Workers: workers})
 }
 
 // TestSolveIndependentOfWorkers proves the concurrency contract: the solution
@@ -91,20 +88,19 @@ func TestSolveBatchOrderUnderConcurrency(t *testing.T) {
 // "use the default", negative (or NaN) settings are configuration errors.
 func TestConfigRejectsNegatives(t *testing.T) {
 	lat, cost := analytic.PaperExample()
-	prob := Problem{Objectives: []model.Model{lat, cost}}
+	ev := problem.NewEvaluator(problem.MustNew([]model.Model{lat, cost}, nil), problem.Options{})
 	bad := []Config{
 		{Starts: -1},
 		{Iters: -3},
 		{Workers: -2},
 		{Penalty: -5},
-		{Alpha: -1},
 	}
 	for i, cfg := range bad {
-		if _, err := New(prob, cfg); err == nil {
+		if _, err := New(ev, cfg); err == nil {
 			t.Errorf("config %d (%+v): expected validation error", i, cfg)
 		}
 	}
-	if _, err := New(prob, Config{}); err != nil {
+	if _, err := New(ev, Config{}); err != nil {
 		t.Fatalf("all-zero config must be valid, got %v", err)
 	}
 }

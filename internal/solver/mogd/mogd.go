@@ -44,7 +44,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/linalg"
-	"repro/internal/model"
 	"repro/internal/objective"
 	"repro/internal/problem"
 	"repro/internal/solver"
@@ -52,20 +51,13 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Problem couples the k objective models with an optional configuration
-// lattice used to round solutions to deployable configurations.
-type Problem struct {
-	Objectives []model.Model
-	Space      *space.Space // optional; nil keeps solutions continuous
-}
-
 // Config tunes the solver. For every field, zero means "use the default";
-// negative values are rejected by New.
+// negative values are rejected by New. The uncertainty multiplier α of
+// §IV-B.3 is the evaluator's (problem.Options.Alpha).
 type Config struct {
 	Starts  int     // multi-start count (default 8; start 0 is the center)
 	Iters   int     // Adam iterations per start (default 100)
 	Penalty float64 // P of Eq. 3 (default 100)
-	Alpha   float64 // uncertainty multiplier for F̃ = E + α·std (default 0)
 	Workers int     // max concurrent starts/probes across Solve+SolveBatch (default GOMAXPROCS)
 	Seed    int64
 	// NearStarts, when true, keeps the ε-constraint boxes the solver solved
@@ -115,8 +107,6 @@ func (c Config) validate() error {
 		return fmt.Errorf("mogd: Workers must be >= 0 (zero means default), got %d", c.Workers)
 	case c.Penalty < 0 || math.IsNaN(c.Penalty):
 		return fmt.Errorf("mogd: Penalty must be >= 0 (zero means default), got %v", c.Penalty)
-	case c.Alpha < 0 || math.IsNaN(c.Alpha):
-		return fmt.Errorf("mogd: Alpha must be >= 0, got %v", c.Alpha)
 	}
 	return nil
 }
@@ -136,8 +126,8 @@ func (c *Config) defaults() {
 	}
 }
 
-// Solver solves CO problems over a fixed Problem. It is safe for concurrent
-// use as long as the underlying models are.
+// Solver solves CO problems over its evaluator's problem. It is safe for
+// concurrent use as long as the underlying models are.
 type Solver struct {
 	// ev is the single gateway to the objective models: fused
 	// value+gradient passes, memoized lattice evaluations, and the shared
@@ -176,27 +166,10 @@ type Solver struct {
 	parentSpan atomic.Uint64
 }
 
-// New validates the problem and configuration and builds a solver with its
-// own evaluator (Alpha and Workers taken from cfg).
-func New(prob Problem, cfg Config) (*Solver, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	p, err := problem.New(prob.Objectives, prob.Space)
-	if err != nil {
-		return nil, fmt.Errorf("mogd: %w", err)
-	}
-	cfg.defaults()
-	ev := problem.NewEvaluator(p, problem.Options{Workers: cfg.Workers, Alpha: cfg.Alpha})
-	return NewOnEvaluator(ev, cfg)
-}
-
-// NewOnEvaluator builds a solver on an existing evaluator — callers that run
-// several optimizers over one problem (udao.Optimizer, the experiment
-// harness) share its memo cache and evaluation counter this way. The
-// evaluator's Alpha governs uncertainty handling; cfg.Alpha is only used when
-// New constructs the evaluator itself.
-func NewOnEvaluator(ev *problem.Evaluator, cfg Config) (*Solver, error) {
+// New validates the configuration and builds a solver on the evaluator,
+// which owns the models, the lattice, α and the memo cache; callers that run
+// several optimizers over one problem share its counters this way.
+func New(ev *problem.Evaluator, cfg Config) (*Solver, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
@@ -228,7 +201,7 @@ func NewOnEvaluator(ev *problem.Evaluator, cfg Config) (*Solver, error) {
 // NumObjectives returns k.
 func (s *Solver) NumObjectives() int { return s.k }
 
-// Evals reports the model passes performed through the solver's evaluator.
+// Evals implements solver.Solver.
 func (s *Solver) Evals() uint64 { return s.ev.Evals() }
 
 // solveScratch holds one Solve's batched buffers: the multi-start iterate

@@ -6,37 +6,28 @@ import (
 
 	"repro/internal/model"
 	"repro/internal/model/analytic"
+	"repro/internal/problem"
 	"repro/internal/solver"
 	"repro/internal/space"
 )
 
 func inf() (float64, float64) { return math.Inf(-1), math.Inf(1) }
 
-// paperProblem builds the running TPCx-BB Q2 example of Fig. 2: latency and
-// cost over a single #cores variable.
-func paperProblem(t *testing.T, cfg Config) *Solver {
+// newSolver builds a solver over a fresh evaluator on the models.
+func newSolver(t testing.TB, objs []model.Model, spc *space.Space, cfg Config) *Solver {
 	t.Helper()
-	lat, cost := analytic.PaperExample()
-	s, err := New(Problem{Objectives: []model.Model{lat, cost}}, cfg)
+	s, err := New(problem.NewEvaluator(problem.MustNew(objs, spc), problem.Options{}), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return s
 }
 
-func TestNewValidation(t *testing.T) {
-	if _, err := New(Problem{}, Config{}); err == nil {
-		t.Fatal("expected error for no objectives")
-	}
-	lat, _ := analytic.PaperExample()
-	bad := model.Func{D: 3, F: func(x []float64) float64 { return 0 }}
-	if _, err := New(Problem{Objectives: []model.Model{lat, bad}}, Config{}); err == nil {
-		t.Fatal("expected error for dim mismatch")
-	}
-	spc := space.MustNew([]space.Var{{Name: "a", Kind: space.Continuous, Min: 0, Max: 1}, {Name: "b", Kind: space.Continuous, Min: 0, Max: 1}})
-	if _, err := New(Problem{Objectives: []model.Model{lat}, Space: spc}, Config{}); err == nil {
-		t.Fatal("expected error for space dim mismatch")
-	}
+// paperProblem builds the running TPCx-BB Q2 example of Fig. 2: latency and
+// cost over a single #cores variable.
+func paperProblem(t *testing.T, cfg Config) *Solver {
+	lat, cost := analytic.PaperExample()
+	return newSolver(t, []model.Model{lat, cost}, nil, cfg)
 }
 
 func TestSingleObjectiveMinimization(t *testing.T) {
@@ -111,10 +102,7 @@ func TestSolveWithSpaceRoundsToLattice(t *testing.T) {
 		return math.Max(100, 2400/cores)
 	}}
 	cost := model.Func{D: 1, F: func(x []float64) float64 { return 1 + 23*x[0] }}
-	s, err := New(Problem{Objectives: []model.Model{lat, cost}, Space: spc}, Config{Seed: 6, Starts: 12, Iters: 200})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newSolver(t, []model.Model{lat, cost}, spc, Config{Seed: 6, Starts: 12, Iters: 200})
 	sol, ok := s.Solve(solver.CO{Target: 0, Lo: []float64{100, 8}, Hi: []float64{200, 16}}, 6)
 	if !ok {
 		t.Fatal("no solution")
@@ -186,7 +174,8 @@ func (u uncertainModel) PredictVar(x []float64) (float64, float64) {
 func TestUncertaintyAwareObjective(t *testing.T) {
 	m := uncertainModel{}
 	cost := model.Func{D: 1, F: func(x []float64) float64 { return 1 + x[0] }}
-	s, err := New(Problem{Objectives: []model.Model{m, cost}}, Config{Seed: 10, Alpha: 2})
+	ev := problem.NewEvaluator(problem.MustNew([]model.Model{m, cost}, nil), problem.Options{Alpha: 2})
+	s, err := New(ev, Config{Seed: 10})
 	if err != nil {
 		t.Fatal(err)
 	}

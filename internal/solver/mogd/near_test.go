@@ -14,11 +14,7 @@ func nearSolver(t *testing.T, workers int, seed int64) *Solver {
 	t.Helper()
 	lat := analytic.Latency{D: 4, MaxExec: 8, MaxCores: 3, Serial: 20, Work: 2400, Shuffle: 6}
 	cost := analytic.CoreCost{D: 4, MaxExec: 8, MaxCores: 3}
-	s, err := New(Problem{Objectives: []model.Model{lat, cost}}, Config{Seed: seed, Workers: workers, NearStarts: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s
+	return newSolver(t, []model.Model{lat, cost}, nil, Config{Seed: seed, Workers: workers, NearStarts: true})
 }
 
 func nearBatch(shift float64, n int) []solver.CO {

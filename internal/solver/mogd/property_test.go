@@ -16,10 +16,7 @@ import (
 // values satisfy the box within the solver's tolerance.
 func TestSolveRespectsConstraintsProperty(t *testing.T) {
 	lat, cost := analytic.PaperExample2D()
-	s, err := New(Problem{Objectives: []model.Model{lat, cost}}, Config{Seed: 1, Starts: 4, Iters: 60})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newSolver(t, []model.Model{lat, cost}, nil, Config{Seed: 1, Starts: 4, Iters: 60})
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		// Random sub-box of the known objective ranges lat [100,2400],
@@ -47,10 +44,7 @@ func TestSolveRespectsConstraintsProperty(t *testing.T) {
 // TestSolutionsStayInBox: returned decision vectors always live in [0,1]^D.
 func TestSolutionsStayInBox(t *testing.T) {
 	lat, cost := analytic.PaperExample2D()
-	s, err := New(Problem{Objectives: []model.Model{lat, cost}}, Config{Seed: 2, Starts: 4, Iters: 60})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newSolver(t, []model.Model{lat, cost}, nil, Config{Seed: 2, Starts: 4, Iters: 60})
 	f := func(seed int64) bool {
 		sol, ok := s.Minimize(int(uint64(seed)%2), seed)
 		if !ok {
@@ -72,10 +66,7 @@ func TestSolutionsStayInBox(t *testing.T) {
 // the achieved optimum (sanity of the constrained search).
 func TestTighterBoxesNeverBeatLooser(t *testing.T) {
 	lat, cost := analytic.PaperExample2D()
-	s, err := New(Problem{Objectives: []model.Model{lat, cost}}, Config{Seed: 3, Starts: 8, Iters: 120})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newSolver(t, []model.Model{lat, cost}, nil, Config{Seed: 3, Starts: 8, Iters: 120})
 	loose, okLoose := s.Solve(solver.CO{Target: 0, Lo: []float64{100, 1}, Hi: []float64{2400, 24}}, 3)
 	tight, okTight := s.Solve(solver.CO{Target: 0, Lo: []float64{100, 1}, Hi: []float64{2400, 12}}, 3)
 	if !okLoose || !okTight {

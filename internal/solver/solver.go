@@ -32,4 +32,7 @@ type Solver interface {
 	// SolveBatch solves several CO problems, possibly concurrently,
 	// returning results in input order (the PF-AP fan-out).
 	SolveBatch(cos []CO, seed int64) []Result
+	// Evals reports the model passes performed so far through the solver's
+	// evaluator — the §VI efficiency axis PF snapshots carry.
+	Evals() uint64
 }

@@ -83,7 +83,8 @@ type Options struct {
 	// Grid is PF-AP's per-dimension grid degree l (default 2).
 	Grid int
 	// Alpha is the model-uncertainty multiplier for F̃ = E[F] + α·std[F]
-	// (§IV-B.3); zero uses plain means.
+	// (§IV-B.3); zero uses plain means. NewOptimizer rejects negative and
+	// NaN values.
 	Alpha float64
 	// Starts and Iters tune the MOGD solver's multi-start gradient descent.
 	Starts, Iters int
@@ -166,6 +167,9 @@ func NewOptimizer(spc *Space, objs []Objective, opt Options) (*Optimizer, error)
 			return nil, fmt.Errorf("udao: objective %q model dim %d != space dim %d (objective %d)", o.Name, o.Model.Dim(), spc.Dim(), i)
 		}
 	}
+	if opt.Alpha < 0 || math.IsNaN(opt.Alpha) {
+		return nil, fmt.Errorf("udao: Alpha must be >= 0, got %v", opt.Alpha)
+	}
 	if opt.Telemetry != nil && opt.RunID == "" {
 		opt.RunID = opt.Telemetry.NextRunID("opt")
 	}
@@ -244,11 +248,7 @@ func (o *Optimizer) Expand(probes int) ([]Plan, error) {
 			ParentSpan: o.parentSpan,
 		}
 		copt.Lower, copt.Upper = o.bounds()
-		var s interface {
-			NumObjectives() int
-			Solve(co solver.CO, seed int64) (objective.Solution, bool)
-			SolveBatch(cos []solver.CO, seed int64) []solver.Result
-		}
+		var s solver.Solver
 		ev, err := o.evaluator()
 		if err != nil {
 			return nil, err
@@ -256,7 +256,7 @@ func (o *Optimizer) Expand(probes int) ([]Plan, error) {
 		parallel := false
 		switch o.opt.Algorithm {
 		case PFS:
-			s, err = exact.NewOnEvaluator(ev, exact.Config{})
+			s = exact.New(ev, exact.Config{})
 		case PFAS:
 			s, err = o.mogdSolver(ev)
 		default:
@@ -292,7 +292,7 @@ func (o *Optimizer) mogdSolver(ev *problem.Evaluator) (*mogd.Solver, error) {
 	// NearStarts: the PF loop's batches revisit neighbouring ε-constraint
 	// boxes across expands, which is exactly the access pattern the near
 	// warm-start exploits.
-	return mogd.NewOnEvaluator(ev, mogd.Config{Starts: o.opt.Starts, Iters: o.opt.Iters, Alpha: o.opt.Alpha, Seed: o.opt.Seed, NearStarts: true, Telemetry: o.opt.Telemetry, RunID: o.opt.RunID})
+	return mogd.New(ev, mogd.Config{Starts: o.opt.Starts, Iters: o.opt.Iters, Seed: o.opt.Seed, NearStarts: true, Telemetry: o.opt.Telemetry, RunID: o.opt.RunID})
 }
 
 // FrontierPoints returns the cached frontier as minimization-oriented

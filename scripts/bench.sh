@@ -18,9 +18,10 @@
 #                        Fit (a fresh net trained at the server's shape:
 #                        12→64→64→1, 60 samples, 200 epochs, batch 32)
 #   internal/problem     EvaluatorMemoHit[Telemetry] / EvaluatorMemoMiss /
-#                        EvaluatorValueGrad[Telemetry] / EvalBatch[Serial] /
-#                        CompositeEval / CompositeValueGrad (the stage-wise
-#                        pipeline evaluation seam)
+#                        EvaluatorValueGrad[Telemetry] / EvalBatch (its pool
+#                        is GOMAXPROCS wide; -cpu 1 gives the serial
+#                        reference) / CompositeEval / CompositeValueGrad (the
+#                        stage-wise pipeline evaluation seam)
 #                        (the *Telemetry variants run with the full metrics
 #                        registry + tracer attached at default sampling; the
 #                        diff against their plain twins is the telemetry
@@ -38,11 +39,12 @@
 #                        normalization and dedup, at a served frontier's size
 #                        and a large one)
 #   internal/solver/mogd MOGDSolve / MOGDSolveSerial / MOGDSolveBatch
-#   internal/moo/ws, nc  WSRun / NCRun  (baseline inner loops)
+#   internal/moo/ws, nc  WSRun / NCRun  (baseline inner loops, a fresh
+#                        evaluator per run)
 #   internal/core        SequentialCold / ParallelCold  (PF-AS / PF-AP on a
-#                        fresh solver per iteration over the server's
-#                        objective shape, DNN latency + the exact cores
-#                        objective: the cold solve of a new job)
+#                        fresh solver and evaluator per iteration over the
+#                        server's objective shape, DNN latency + the exact
+#                        cores objective: the cold solve of a new job)
 #   internal/serving     ServingCacheHit / ServingCacheInsert /
 #                        CoalescedDispatch  (the serving cache's steady-state
 #                        lease path, eviction churn, and singleflight dispatch)

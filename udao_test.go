@@ -42,6 +42,14 @@ func TestNewOptimizerValidation(t *testing.T) {
 	if _, err := NewOptimizer(spc, []Objective{{Name: "x", Model: bad}}, Options{}); err == nil {
 		t.Fatal("dim mismatch accepted")
 	}
+	// α is range-checked once, whichever solver the algorithm selects.
+	for _, alg := range []Algorithm{PFAP, PFAS, PFS} {
+		for _, alpha := range []float64{-1, math.NaN()} {
+			if _, err := NewOptimizer(spc, objs, Options{Algorithm: alg, Alpha: alpha}); err == nil {
+				t.Fatalf("algorithm %d accepted Alpha %v", alg, alpha)
+			}
+		}
+	}
 }
 
 func TestParetoFrontierPFAP(t *testing.T) {
