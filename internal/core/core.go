@@ -245,18 +245,9 @@ func (r *Run) report() {
 		Probes:        r.probes,
 		Evals:         r.s.Evals(),
 		Elapsed:       time.Since(r.start),
-		UncertainFrac: r.uncertainFrac(),
+		UncertainFrac: r.UncertainFrac(),
 		Frontier:      objective.Filter(r.plans),
 	})
-}
-
-// uncertainFrac is the queued share of the initial volume (0 while there is
-// none) — what snapshots, the gauge and the expand span report.
-func (r *Run) uncertainFrac() float64 {
-	if r.initVol <= 0 {
-		return 0
-	}
-	return r.queueVol / r.initVol
 }
 
 // observe flushes the probe counter delta, updates the uncertain-fraction
@@ -270,7 +261,7 @@ func (r *Run) observe() {
 		r.telProbes.Add(uint64(d))
 		r.lastProbes = r.probes
 	}
-	frac := r.uncertainFrac()
+	frac := r.UncertainFrac()
 	r.telUncertain.Set(frac)
 	if r.telUncertainW != nil {
 		r.telUncertainW.Set(frac)

@@ -184,7 +184,7 @@ func (r *Run) finishExpand(t0 time.Time, startProbes int, span telemetry.Span) {
 		"probes":         float64(r.probes - startProbes),
 		"total_probes":   float64(r.probes),
 		"frontier":       float64(frontier),
-		"uncertain_frac": r.uncertainFrac(),
+		"uncertain_frac": r.UncertainFrac(),
 		"degenerate":     boolAttr(r.degenerate),
 	})
 }
@@ -218,13 +218,18 @@ func (r *Run) Frontier() []objective.Solution {
 func (r *Run) Probes() int { return r.probes }
 
 // UncertainFrac returns the fraction of the initial hyperrectangle volume
-// still unresolved (1 before initialization and after a failed
-// reference-point solve, 0 when exhausted).
+// still unresolved: 1 before initialization and after a failed
+// reference-point solve, 0 when exhausted or degenerate. Snapshots, the
+// uncertain-fraction gauge, probe events, expand spans and History all
+// report this one value.
 func (r *Run) UncertainFrac() float64 {
-	if r.initVol == 0 && !r.degenerate {
+	switch {
+	case r.degenerate:
+		return 0
+	case r.initVol <= 0:
 		return 1
 	}
-	return r.uncertainFrac()
+	return r.queueVol / r.initVol
 }
 
 // Exhausted reports whether the uncertain space is fully resolved: further

@@ -5,7 +5,7 @@ import (
 	"unsafe"
 )
 
-// Blocked GEMM kernels — the matrix hot path under the batched DNN passes
+// GEMM kernels — the matrix hot path under the batched DNN passes
 // (internal/model/dnn: mini-batch training, MC-dropout sampling, and the
 // forward/backward pass) and everything built on them (model training in the
 // model server, batched MOGD multi-start, population evaluation in the moo
@@ -16,18 +16,47 @@ import (
 //	GemmNN:  C += A·B   (the batched backward pass: deltas times weights)
 //	GemmNT:  C += A·Bᵀ  (the batched forward pass: inputs times weightsᵀ)
 //
-// Determinism contract: every output element C[i,j] is a running sum that
-// starts from the value already stored in C and adds its products in strictly
-// ascending k order — exactly the order the scalar loops in model/dnn use.
-// Register tiling therefore draws its instruction-level parallelism from
-// *independent* output elements (2×4 / 4×2 tiles of accumulator chains), never
-// from splitting one element's sum, so the batched pass stays bit-identical
-// to the scalar pass. Zero operands are not skipped (a skipped ±0 term can
-// flip the sign of a zero sum); equality of results is float equality, under
-// which -0 == +0.
+// Both share one front end: each A row's nonzero entries, index and value,
+// are gathered once, at most gatherChunk columns at a time, into a list on
+// the stack. Each kernel then runs 1×8 register tiles of C (1×4 and 1×1
+// tails) over that list in ascending k, so a ±0 element of A costs nothing.
+// In a DNN pass such an element is a ReLU output that did not fire, a
+// dropped-out unit or a masked delta: about 40% of the hidden-layer values
+// in MOGD's passes and in training. Instruction-level parallelism comes from
+// independent output elements, never from splitting one element's sum. The
+// package comment states the determinism contract this keeps.
 //
 // The kernels panic on dimension mismatches and on aliasing: C must not share
 // memory with A or B (an aliased accumulator would read half-updated values).
+
+// gatherChunk bounds the A columns one gather covers, so the nonzero list
+// of a row chunk fits in a fixed array on the kernel's stack.
+const gatherChunk = 128
+
+// nonzeros is one A row chunk's gathered nonzero entries: column offsets
+// within the chunk and their values, in ascending column order.
+type nonzeros struct {
+	k [gatherChunk]int32
+	v [gatherChunk]float64
+}
+
+// gather fills z with the nonzero entries among the first gatherChunk
+// elements of row and returns them as two equal-length slices. The store is
+// unconditional and only the count depends on the element, so a zero costs
+// no branch. The count never exceeds the column, so masking it changes no
+// index; it only spares the bounds checks.
+func (z *nonzeros) gather(row []float64) ([]int32, []float64) {
+	row = row[:min(len(row), gatherChunk)]
+	n := 0
+	for k, v := range row {
+		z.k[n&(gatherChunk-1)] = int32(k)
+		z.v[n&(gatherChunk-1)] = v
+		if v != 0 {
+			n++
+		}
+	}
+	return z.k[:n], z.v[:n]
+}
 
 // overlap reports whether the two slices share any backing memory.
 func overlap(a, b []float64) bool {
@@ -55,119 +84,135 @@ func checkGemm(name string, am, an, bm, bn, cm, cn int, a, b, c *Matrix) {
 
 // GemmNT computes C += A·Bᵀ for row-major A (m×K), B (n×K), C (m×n). This is
 // the layout of a dense-layer forward pass: activations (batch×in) times a
-// weight matrix stored out×in. Each C[i,j] accumulates dot(A row i, B row j)
-// in ascending k order on top of C's prior value (the bias, in the DNN case).
+// weight matrix stored out×in. Each C[i,j] accumulates A row i's nonzero
+// products with B row j in ascending k order on top of C's prior value (the
+// bias, in the DNN case).
 func GemmNT(a, b, c *Matrix) {
 	m, kk, n := a.Rows, a.Cols, b.Rows
 	checkGemm("GemmNT", m, kk, b.Cols, n, c.Rows, c.Cols, a, b, c)
-	if kk == 0 {
-		return
-	}
-	i := 0
-	// 4×2 register tile: eight independent accumulator chains per k step.
-	for ; i+4 <= m; i += 4 {
-		a0 := a.Row(i)[:kk]
-		a1 := a.Row(i + 1)[:kk]
-		a2 := a.Row(i + 2)[:kk]
-		a3 := a.Row(i + 3)[:kk]
-		c0, c1, c2, c3 := c.Row(i), c.Row(i+1), c.Row(i+2), c.Row(i+3)
-		j := 0
-		for ; j+2 <= n; j += 2 {
-			b0 := b.Row(j)[:kk]
-			b1 := b.Row(j + 1)[:kk]
-			s00, s01 := c0[j], c0[j+1]
-			s10, s11 := c1[j], c1[j+1]
-			s20, s21 := c2[j], c2[j+1]
-			s30, s31 := c3[j], c3[j+1]
-			for k := 0; k < kk; k++ {
-				av0, av1, av2, av3 := a0[k], a1[k], a2[k], a3[k]
-				bv0, bv1 := b0[k], b1[k]
-				s00 += av0 * bv0
-				s01 += av0 * bv1
-				s10 += av1 * bv0
-				s11 += av1 * bv1
-				s20 += av2 * bv0
-				s21 += av2 * bv1
-				s30 += av3 * bv0
-				s31 += av3 * bv1
+	var z nonzeros
+	for i := 0; i < m; i++ {
+		arow := a.Row(i)
+		crow := c.Row(i)[:n]
+		for k0 := 0; k0 < kk; k0 += gatherChunk {
+			k1 := min(k0+gatherChunk, kk)
+			ks, vs := z.gather(arow[k0:k1])
+			if len(ks) == 0 {
+				continue
 			}
-			c0[j], c0[j+1] = s00, s01
-			c1[j], c1[j+1] = s10, s11
-			c2[j], c2[j+1] = s20, s21
-			c3[j], c3[j+1] = s30, s31
-		}
-		for ; j < n; j++ {
-			brow := b.Row(j)[:kk]
-			s0, s1, s2, s3 := c0[j], c1[j], c2[j], c3[j]
-			for k := 0; k < kk; k++ {
-				bv := brow[k]
-				s0 += a0[k] * bv
-				s1 += a1[k] * bv
-				s2 += a2[k] * bv
-				s3 += a3[k] * bv
+			vs = vs[:len(ks)]
+			j := 0
+			// 1×8 register tile: eight B rows, eight independent sums. The
+			// rows are read at stride K through two slices of four rows
+			// each; with one bounds check per load, every product is added
+			// as soon as it is loaded, which keeps the tile's base pointers
+			// and accumulators in registers.
+			for ; j+8 <= n; j += 8 {
+				lo := b.Data[j*kk+k0 : (j+3)*kk+k1]
+				hi := b.Data[(j+4)*kk+k0 : (j+7)*kk+k1]
+				cj := crow[j : j+8]
+				s0, s1, s2, s3 := cj[0], cj[1], cj[2], cj[3]
+				s4, s5, s6, s7 := cj[4], cj[5], cj[6], cj[7]
+				for p, k := range ks {
+					av, k := vs[p], int(k)
+					s0 += av * lo[k]
+					s4 += av * hi[k]
+					s1 += av * lo[k+kk]
+					s5 += av * hi[k+kk]
+					s2 += av * lo[k+2*kk]
+					s6 += av * hi[k+2*kk]
+					s3 += av * lo[k+3*kk]
+					s7 += av * hi[k+3*kk]
+				}
+				cj[0], cj[1], cj[2], cj[3] = s0, s1, s2, s3
+				cj[4], cj[5], cj[6], cj[7] = s4, s5, s6, s7
 			}
-			c0[j], c1[j], c2[j], c3[j] = s0, s1, s2, s3
-		}
-	}
-	for ; i < m; i++ {
-		arow := a.Row(i)[:kk]
-		crow := c.Row(i)
-		j := 0
-		for ; j+2 <= n; j += 2 {
-			b0 := b.Row(j)[:kk]
-			b1 := b.Row(j + 1)[:kk]
-			s0, s1 := crow[j], crow[j+1]
-			for k := 0; k < kk; k++ {
-				av := arow[k]
-				s0 += av * b0[k]
-				s1 += av * b1[k]
+			for ; j+4 <= n; j += 4 {
+				bt := b.Data[j*kk+k0 : (j+3)*kk+k1]
+				cj := crow[j : j+4]
+				s0, s1, s2, s3 := cj[0], cj[1], cj[2], cj[3]
+				for p, k := range ks {
+					av, k := vs[p], int(k)
+					s0 += av * bt[k]
+					s1 += av * bt[k+kk]
+					s2 += av * bt[k+2*kk]
+					s3 += av * bt[k+3*kk]
+				}
+				cj[0], cj[1], cj[2], cj[3] = s0, s1, s2, s3
 			}
-			crow[j], crow[j+1] = s0, s1
-		}
-		for ; j < n; j++ {
-			brow := b.Row(j)[:kk]
-			s := crow[j]
-			for k := 0; k < kk; k++ {
-				s += arow[k] * brow[k]
+			for ; j < n; j++ {
+				brow := b.Row(j)[k0:k1]
+				s := crow[j]
+				for p, k := range ks {
+					s += vs[p] * brow[k]
+				}
+				crow[j] = s
 			}
-			crow[j] = s
 		}
 	}
 }
 
 // GemmNN computes C += A·B for row-major A (m×K), B (K×n), C (m×n). This is
 // the layout of backpropagation through a dense layer: output deltas
-// (batch×out) times the weight matrix (out×in). The i-k-j loop order streams
-// B rows while keeping each C[i,j]'s accumulation in ascending k order.
+// (batch×out) times the weight matrix (out×in), and of the weight gradient:
+// the transposed deltas (out×batch) times the layer inputs (batch×in). Each
+// C[i,j] accumulates A row i's nonzero products with B column j in ascending
+// k order on top of C's prior value.
 func GemmNN(a, b, c *Matrix) {
-	m, kk, n := a.Rows, a.Cols, b.Rows
-	checkGemm("GemmNN", m, kk, kk, b.Cols, c.Rows, c.Cols, a, b, c)
-	_ = n
-	nn := b.Cols
-	i := 0
-	// Two A rows per pass: each B row load feeds two accumulator rows.
-	for ; i+2 <= m; i += 2 {
-		a0 := a.Row(i)[:kk]
-		a1 := a.Row(i + 1)[:kk]
-		c0 := c.Row(i)[:nn]
-		c1 := c.Row(i + 1)[:nn]
-		for k := 0; k < kk; k++ {
-			av0, av1 := a0[k], a1[k]
-			brow := b.Row(k)[:nn]
-			for j, bv := range brow {
-				c0[j] += av0 * bv
-				c1[j] += av1 * bv
+	m, kk, n := a.Rows, a.Cols, b.Cols
+	checkGemm("GemmNN", m, kk, b.Rows, n, c.Rows, c.Cols, a, b, c)
+	var z nonzeros
+	for i := 0; i < m; i++ {
+		arow := a.Row(i)
+		crow := c.Row(i)[:n]
+		for k0 := 0; k0 < kk; k0 += gatherChunk {
+			ks, vs := z.gather(arow[k0:])
+			if len(ks) == 0 {
+				continue
 			}
-		}
-	}
-	for ; i < m; i++ {
-		arow := a.Row(i)[:kk]
-		crow := c.Row(i)[:nn]
-		for k := 0; k < kk; k++ {
-			av := arow[k]
-			brow := b.Row(k)[:nn]
-			for j, bv := range brow {
-				crow[j] += av * bv
+			vs = vs[:len(ks)]
+			bk := b.Data[k0*n:]
+			j := 0
+			// 1×8 register tile: eight adjacent columns of each B row, read
+			// four at a time through two slices, as in GemmNT.
+			for ; j+8 <= n; j += 8 {
+				lo, hi := bk[j:], bk[j+4:]
+				cj := crow[j : j+8]
+				s0, s1, s2, s3 := cj[0], cj[1], cj[2], cj[3]
+				s4, s5, s6, s7 := cj[4], cj[5], cj[6], cj[7]
+				for p, k := range ks {
+					av, o := vs[p], int(k)*n
+					s0 += av * lo[o]
+					s4 += av * hi[o]
+					s1 += av * lo[o+1]
+					s5 += av * hi[o+1]
+					s2 += av * lo[o+2]
+					s6 += av * hi[o+2]
+					s3 += av * lo[o+3]
+					s7 += av * hi[o+3]
+				}
+				cj[0], cj[1], cj[2], cj[3] = s0, s1, s2, s3
+				cj[4], cj[5], cj[6], cj[7] = s4, s5, s6, s7
+			}
+			for ; j+4 <= n; j += 4 {
+				bt := bk[j:]
+				cj := crow[j : j+4]
+				s0, s1, s2, s3 := cj[0], cj[1], cj[2], cj[3]
+				for p, k := range ks {
+					av, o := vs[p], int(k)*n
+					s0 += av * bt[o]
+					s1 += av * bt[o+1]
+					s2 += av * bt[o+2]
+					s3 += av * bt[o+3]
+				}
+				cj[0], cj[1], cj[2], cj[3] = s0, s1, s2, s3
+			}
+			for ; j < n; j++ {
+				s := crow[j]
+				for p, k := range ks {
+					s += vs[p] * bk[int(k)*n+j]
+				}
+				crow[j] = s
 			}
 		}
 	}

@@ -4,10 +4,25 @@
 //
 // It is deliberately minimal: dense row-major matrices, Cholesky
 // factorization, and triangular solves are all the Gaussian-process posterior
-// and the coordinate-descent LASSO need, and the blocked GEMM kernels
-// (gemm.go) carry the DNN's training, inference and MC-dropout passes.
-// Everything is float64 and allocation-conscious so GP retraining inside
-// benchmarks stays cheap.
+// and the coordinate-descent LASSO need, and the GEMM kernels (gemm.go)
+// carry the DNN's training, inference and MC-dropout passes. Everything is
+// float64 and allocation-conscious so GP retraining inside benchmarks stays
+// cheap.
+//
+// GEMM determinism contract: GemmNT and GemmNN turn every element C[i,j]
+// into a running sum that starts from the value already stored in C and adds
+// its products in strictly ascending k order, skipping each product whose A
+// element is ±0. The result is bit-identical to the ascending-k reference
+// that adds every product whenever no element of C is −0 and every element
+// of B is finite. The reason: a skipped product is then ±0, and x + (±0) = x
+// unless x is −0; a sum that does not start at −0 never becomes −0 (in
+// round-to-nearest only −0 + −0 is −0), so each skipped term is exactly the
+// identity. Outside the condition the results differ: the reference's
+// −0 + (+0) gives +0 where the kernels leave −0, and 0·∞ gives NaN where the
+// kernels skip it. The DNN callers meet the condition by construction. C
+// starts from a bias or from a buffer cleared to +0; a bias starts at +0,
+// and Adam's b − u gives −0 only when b already is −0; weights and
+// activations are finite.
 package linalg
 
 import (
@@ -161,13 +176,6 @@ func Scale(alpha float64, v []float64) {
 	for i := range v {
 		v[i] *= alpha
 	}
-}
-
-// CopyVec returns a copy of v.
-func CopyVec(v []float64) []float64 {
-	out := make([]float64, len(v))
-	copy(out, v)
-	return out
 }
 
 // Mean returns the arithmetic mean of v (0 for empty input).

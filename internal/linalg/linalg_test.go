@@ -131,11 +131,6 @@ func TestAXPYScaleCopy(t *testing.T) {
 	if y[0] != 6 || y[1] != 12 {
 		t.Fatalf("Scale = %v", y)
 	}
-	c := CopyVec(y)
-	c[0] = -1
-	if y[0] != 6 {
-		t.Fatal("CopyVec aliases input")
-	}
 }
 
 func TestMeanStd(t *testing.T) {
@@ -173,7 +168,7 @@ func TestDotProperties(t *testing.T) {
 		if !almostEq(Dot(a, b), Dot(b, a), 1e-6*(1+math.Abs(Dot(a, b)))) {
 			return false
 		}
-		a2 := CopyVec(a)
+		a2 := append([]float64(nil), a...)
 		Scale(2, a2)
 		return almostEq(Dot(a2, b), 2*Dot(a, b), 1e-6*(1+math.Abs(Dot(a, b))))
 	}

@@ -3,6 +3,7 @@ package model
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/linalg"
 )
@@ -68,11 +69,23 @@ type BatchForwarder interface {
 
 // eagerGrad is the fallback continuation for models without a split batched
 // pass: gradients were computed eagerly at forward time (exactly what the
-// scalar fused path does) and are copied out on demand.
-type eagerGrad struct{ g *linalg.Matrix }
+// scalar fused path does) and are copied out on demand. Handles are pooled
+// with their gradient matrix and the numeric-gradient wrapper a model
+// without ValueGrad runs through, and return to the pool on Done, so a
+// steady-state fallback pass allocates nothing.
+type eagerGrad struct {
+	g  linalg.Matrix
+	ng NumericGradient
+}
+
+var eagerGrads = sync.Pool{New: func() any { return new(eagerGrad) }}
 
 func (e *eagerGrad) Grad(G *linalg.Matrix) { copy(G.Data, e.g.Data) }
-func (e *eagerGrad) Done()                 {}
+
+func (e *eagerGrad) Done() {
+	e.ng.M = nil // the pool must not keep the model alive
+	eagerGrads.Put(e)
+}
 
 // ForwardBatch evaluates values for every row of X with a deferred gradient
 // continuation, using the model's native split pass when it has one and an
@@ -82,12 +95,22 @@ func ForwardBatch(m Model, X *linalg.Matrix, y []float64) BatchGrad {
 		return bf.ForwardBatch(X, y)
 	}
 	checkBatch(m, X, y)
-	g := linalg.NewMatrix(X.Rows, X.Cols)
-	vg := EnsureValueGrad(m)
-	for r := 0; r < X.Rows; r++ {
-		y[r], _ = vg.ValueGrad(X.Row(r), g.Row(r))
+	e := eagerGrads.Get().(*eagerGrad)
+	n := X.Rows * X.Cols
+	if cap(e.g.Data) < n {
+		e.g.Data = make([]float64, n)
 	}
-	return &eagerGrad{g: g}
+	e.g = linalg.Matrix{Rows: X.Rows, Cols: X.Cols, Data: e.g.Data[:n]}
+	// EnsureValueGrad's wrapper, held in the handle so it is not boxed anew.
+	vg, ok := m.(ValueGradienter)
+	if !ok {
+		e.ng.M = m
+		vg = &e.ng
+	}
+	for r := 0; r < X.Rows; r++ {
+		y[r], _ = vg.ValueGrad(X.Row(r), e.g.Row(r))
+	}
+	return e
 }
 
 // negGrad flips the sign of the wrapped continuation's gradients.

@@ -14,12 +14,14 @@ import (
 // as one GEMM instead of n vector passes. Bit-parity with the scalar path is
 // structural, not approximate — the kernels in internal/linalg accumulate
 // every output element in ascending-k order starting from the preloaded bias
-// (forward) or a zeroed buffer (backward), the exact summation order of
-// forward/inputGrad, so row r of a batch equals the scalar result for that
-// input under float equality. (The scalar backward skips d == 0 terms where
-// the GEMM adds them; a ±0 addend never changes a sum under float equality,
-// and a sum that starts at +0 never becomes −0, so it does not change that
-// sum's bits either.)
+// (forward) or a buffer cleared to +0 (backward), the exact summation order
+// of forward/inputGrad, so row r of a batch equals the scalar result for
+// that input bit for bit. The kernels skip the products of zero activations
+// (ReLU outputs that did not fire) and of zero deltas. The scalar backward
+// skips zero deltas too; the scalar forward adds the zero activations'
+// products, and a ±0 addend cannot change the bits of a sum that starts at a
+// bias or at +0, since such a sum is never −0 (the linalg package comment
+// states the contract).
 
 // batchScratch holds the per-call matrices of one batched pass. All backing
 // slices grow to the largest batch seen and are reused via the Net's bpool,

@@ -11,7 +11,7 @@
 // so a Net has no serialized form.
 //
 // Mini-batch training, batched inference and the MC-dropout samples run on
-// the blocked GEMM kernels of internal/linalg, one GEMM per layer, and are
+// the GEMM kernels of internal/linalg, one GEMM per layer, and are
 // bit-identical to per-sample scalar loops (see batch.go); single-point
 // Predict and ValueGrad keep the scalar loops.
 package dnn
@@ -376,12 +376,13 @@ func (n *Net) Fit(X [][]float64, y []float64) float64 {
 
 // trainScratch holds one Fit's mini-batch buffers: a pooled batch scratch for
 // the forward activations and the delta ping-pong, the packed batch rows,
-// the transposes the weight-gradient GEMM reads, and each layer's gradients.
+// the transposed deltas the weight-gradient GEMM reads, and each layer's
+// gradients.
 type trainScratch struct {
 	*batchScratch
-	x, dT, inT linalg.Matrix
-	gW         []linalg.Matrix // per layer: Out×In
-	gB         [][]float64     // per layer: Out
+	x, dT linalg.Matrix
+	gW    []linalg.Matrix // per layer: Out×In
+	gB    [][]float64     // per layer: Out
 }
 
 func (n *Net) newTrainScratch() *trainScratch {
@@ -411,10 +412,9 @@ func transposeInto(dst, m *linalg.Matrix) *linalg.Matrix {
 // step performs one Adam update on a mini-batch and returns the batch SSE.
 // The batch moves through each layer as one GEMM, and every sum keeps the
 // order of a per-sample loop: SSE and bias gradients add the samples in batch
-// order, and the weight-gradient GEMM's k index is the sample, ascending from
-// a zeroed buffer. That loop skips the products of zero deltas, which the
-// kernels add; a ±0 term cannot change a sum that starts at +0 (see
-// batch.go), so the update is bit-identical to it.
+// order, and the weight-gradient GEMM (the transposed deltas times the layer
+// inputs) runs its k index over the samples, ascending from a buffer cleared
+// to +0. Like that loop, the kernels skip the products of zero deltas.
 func (n *Net) step(X [][]float64, ys []float64, batch []int, ts *trainScratch) float64 {
 	b := len(batch)
 	xb := view(&ts.x, b, n.InDim)
@@ -451,7 +451,7 @@ func (n *Net) step(X [][]float64, ys []float64, batch []int, ts *trainScratch) f
 		}
 		gW := &ts.gW[li]
 		clear(gW.Data)
-		linalg.GemmNT(transposeInto(&ts.dT, cur), transposeInto(&ts.inT, in), gW)
+		linalg.GemmNN(transposeInto(&ts.dT, cur), in, gW)
 		// The input layer's deltas feed nothing, so they are not computed.
 		if li > 0 {
 			d := view(nxt, b, l.In)

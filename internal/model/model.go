@@ -10,6 +10,7 @@ package model
 
 import (
 	"math"
+	"sync"
 
 	"repro/internal/linalg"
 )
@@ -90,8 +91,13 @@ func (n NumericGradient) ValueGrad(x, grad []float64) (float64, []float64) {
 	return n.M.Predict(x), out
 }
 
+// probes recycles NumericGradient's probe vectors, so a numeric ValueGrad
+// allocates nothing at steady state.
+var probes = sync.Pool{New: func() any { return new([]float64) }}
+
 func (n NumericGradient) gradientInto(x, g []float64) {
-	xp := linalg.CopyVec(x)
+	buf := probes.Get().(*[]float64)
+	xp := append((*buf)[:0], x...)
 	for i := range x {
 		lo := linalg.Clamp(x[i]-fdStep, 0, 1)
 		hi := linalg.Clamp(x[i]+fdStep, 0, 1)
@@ -106,6 +112,8 @@ func (n NumericGradient) gradientInto(x, g []float64) {
 		xp[i] = x[i]
 		g[i] = (fp - fm) / (hi - lo)
 	}
+	*buf = xp
+	probes.Put(buf)
 }
 
 // Func adapts a plain function into a Model; used for handcrafted models and

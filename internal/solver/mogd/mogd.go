@@ -18,7 +18,7 @@
 // Hot path: all model access goes through a problem.Evaluator. One Solve
 // advances ALL multi-starts together — each Adam iteration packs the start
 // iterates into a Starts×D matrix and evaluates every objective with one
-// batched forward pass (one blocked GEMM per layer, see internal/linalg),
+// batched forward pass (one GEMM per layer, see internal/linalg),
 // deferring each objective's backward pass behind a model.BatchGrad
 // continuation that is skipped entirely when the objective's loss coefficient
 // is zero on every row (constraints strictly inside their box contribute no

@@ -86,7 +86,8 @@ type Options struct {
 	// (§IV-B.3); zero uses plain means. NewOptimizer rejects negative and
 	// NaN values.
 	Alpha float64
-	// Starts and Iters tune the MOGD solver's multi-start gradient descent.
+	// Starts and Iters tune the MOGD solver's multi-start gradient descent
+	// (zero uses its defaults). NewOptimizer rejects negative values.
 	Starts, Iters int
 	// WorkloadClass, when set together with the WUN strategy, enables the
 	// workload-aware internal weights of §V.
@@ -169,6 +170,9 @@ func NewOptimizer(spc *Space, objs []Objective, opt Options) (*Optimizer, error)
 	}
 	if opt.Alpha < 0 || math.IsNaN(opt.Alpha) {
 		return nil, fmt.Errorf("udao: Alpha must be >= 0, got %v", opt.Alpha)
+	}
+	if opt.Starts < 0 || opt.Iters < 0 {
+		return nil, fmt.Errorf("udao: Starts and Iters must be >= 0, got %d and %d", opt.Starts, opt.Iters)
 	}
 	if opt.Telemetry != nil && opt.RunID == "" {
 		opt.RunID = opt.Telemetry.NextRunID("opt")

@@ -10,7 +10,10 @@
 # regressions show up as a diff. Delete the file to start a fresh history.
 #
 # Covered benchmarks:
-#   internal/linalg      GEMM / GEMMScalarRef  (blocked kernel vs reference)
+#   internal/linalg      GEMM / GEMMReLU / GEMMScalarRef  (the NT kernel on
+#                        dense A and on A with 45% zeros, the share of ReLU
+#                        outputs that did not fire in MOGD's hidden layers,
+#                        vs the reference triple loop)
 #   internal/model/dnn   Predict / ValueGrad / PredictVar (4×128) /
 #                        PredictVar2x64 (MC dropout at the server's shape) /
 #                        ValueGradBatch (the split batched pass MOGD runs:

@@ -28,8 +28,11 @@ if [ ! -f "$BASE" ]; then
     exit 1
 fi
 
-# Tracked benchmarks: the blocked GEMM kernel, the split batched DNN pass
-# (ValueGradBatch: ForwardBatch, Grad, Done, as MOGD runs it), DNN training
+# Tracked benchmarks: the GEMM kernel on dense A (GEMM) and on A with the
+# 45% zeros of MOGD's hidden-layer passes, which the kernel skips (GEMMReLU;
+# informational until its first scripts/bench.sh recording), the split
+# batched DNN pass (ValueGradBatch: ForwardBatch, Grad, Done, as MOGD runs
+# it), DNN training
 # at the server's shape (Fit; informational until its first scripts/bench.sh
 # recording) and MC-dropout uncertainty (PredictVar at 4×128, and
 # PredictVar2x64 at the server's shape, informational until recorded), the
@@ -46,7 +49,7 @@ fi
 # answer, cache hits included, pays it; informational until its first
 # scripts/bench.sh recording), and the calibration ledger's window update and
 # append (the /observe hot path — the append must stay off the disk write).
-TRACKED='GEMM ValueGradBatch Fit PredictVar PredictVar2x64 EvaluatorValueGrad EvaluatorValueGradTelemetry EvaluatorMemoHit EvalBatch CompositeEval SpanStartEnd TracerEvents CoresValueGrad MOGDSolve MOGDSolveSerial MOGDSolveBatch SequentialCold ParallelCold ServingCacheHit ServingCacheInsert CoalescedDispatch RegistryAppend CalibWindowAdd CalibLedgerAppend'
+TRACKED='GEMM GEMMReLU ValueGradBatch Fit PredictVar PredictVar2x64 EvaluatorValueGrad EvaluatorValueGradTelemetry EvaluatorMemoHit EvalBatch CompositeEval SpanStartEnd TracerEvents CoresValueGrad MOGDSolve MOGDSolveSerial MOGDSolveBatch SequentialCold ParallelCold ServingCacheHit ServingCacheInsert CoalescedDispatch RegistryAppend CalibWindowAdd CalibLedgerAppend'
 
 RAW=$(mktemp)
 trap 'rm -f "$RAW"' EXIT

@@ -27,8 +27,10 @@
 #      FuzzLabelValue over the metric series label round trip the watchdog's
 #      per-workload rules read, 10s of FuzzClipToBox, the quality
 #      measures' point dedup against its reference, degenerate boxes
-#      included, and 10s of FuzzCompositeRoundTrip over a stage-wise
-#      space's Decode/Round/Gather round trips
+#      included, 10s of FuzzCompositeRoundTrip over a stage-wise space's
+#      Decode/Round/Gather round trips, and 10s of FuzzGemm, both GEMM
+#      kernels against the reference triple loop on shapes and zero
+#      patterns of A the fuzzer picks
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -52,5 +54,6 @@ go test -run '^$' -fuzz FuzzJournalReopen -fuzztime 10s ./internal/runlog/
 go test -run '^$' -fuzz FuzzLabelValue -fuzztime 10s ./internal/telemetry/
 go test -run '^$' -fuzz FuzzClipToBox -fuzztime 10s ./internal/metrics/
 go test -run '^$' -fuzz FuzzCompositeRoundTrip -fuzztime 10s ./internal/space/
+go test -run '^$' -fuzz FuzzGemm -fuzztime 10s ./internal/linalg/
 
 echo "ci: all gates passed"

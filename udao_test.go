@@ -8,6 +8,7 @@ import (
 	"repro/internal/model"
 	"repro/internal/model/analytic"
 	"repro/internal/recommend"
+	"repro/internal/telemetry"
 )
 
 // coresSpace is a 1-knob space over #cores with the paper's Fig. 2 models.
@@ -42,13 +43,61 @@ func TestNewOptimizerValidation(t *testing.T) {
 	if _, err := NewOptimizer(spc, []Objective{{Name: "x", Model: bad}}, Options{}); err == nil {
 		t.Fatal("dim mismatch accepted")
 	}
-	// α is range-checked once, whichever solver the algorithm selects.
+	// α, Starts and Iters are range-checked once, whichever solver the
+	// algorithm selects (PF-S's exact solver reads neither count).
 	for _, alg := range []Algorithm{PFAP, PFAS, PFS} {
 		for _, alpha := range []float64{-1, math.NaN()} {
 			if _, err := NewOptimizer(spc, objs, Options{Algorithm: alg, Alpha: alpha}); err == nil {
 				t.Fatalf("algorithm %d accepted Alpha %v", alg, alpha)
 			}
 		}
+		if _, err := NewOptimizer(spc, objs, Options{Algorithm: alg, Starts: -1}); err == nil {
+			t.Fatalf("algorithm %d accepted Starts -1", alg)
+		}
+		if _, err := NewOptimizer(spc, objs, Options{Algorithm: alg, Iters: -1}); err == nil {
+			t.Fatalf("algorithm %d accepted Iters -1", alg)
+		}
+	}
+}
+
+// TestUncertainFracAfterFailedReference runs PF-S with a latency bound no
+// configuration meets, so the reference-point solve fails. A later Expand
+// resolves nothing, and every reader must report the same uncertain
+// fraction, 1: the run's History, the udao_pf_uncertain_frac gauge, the
+// probe event and the expand span.
+func TestUncertainFracAfterFailedReference(t *testing.T) {
+	spc, objs := coresProblem(t)
+	objs[0].Upper = 50 // latency is at least 100 everywhere
+	tel := telemetry.New()
+	opt, err := NewOptimizer(spc, objs, Options{Algorithm: PFS, Probes: 10, Seed: 1, Telemetry: tel})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := opt.ParetoFrontier(); err == nil {
+		t.Fatal("reference-point solve under an unattainable bound succeeded")
+	}
+	if front, err := opt.Expand(5); err != nil || len(front) != 0 {
+		t.Fatalf("Expand after the failed solve: %d plans, err %v; want 0 plans, nil", len(front), err)
+	}
+	hist := opt.ExpandHistory()
+	if len(hist) != 1 || hist[0].UncertainFrac != 1 {
+		t.Fatalf("history %+v, want one step with UncertainFrac 1", hist)
+	}
+	if g := tel.Metrics.Gauge(telemetry.MetricPFUncertain).Value(); g != 1 {
+		t.Errorf("%s gauge = %v, want 1", telemetry.MetricPFUncertain, g)
+	}
+	seen := map[string]bool{}
+	for _, ev := range tel.Trace.Events(opt.RunID()) {
+		if ev.Scope != "pf" || (ev.Name != "probe" && ev.Name != "expand") || ev.Detail == "error" {
+			continue
+		}
+		seen[ev.Name] = true
+		if u := ev.Attrs["uncertain_frac"]; u != 1 {
+			t.Errorf("pf %s event reports uncertain_frac %v, want 1", ev.Name, u)
+		}
+	}
+	if !seen["probe"] || !seen["expand"] {
+		t.Errorf("events seen %v, want a probe event and an expand span", seen)
 	}
 }
 
