@@ -3,29 +3,29 @@ package dnn
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 
 	"repro/internal/linalg"
 	"repro/internal/model"
 )
 
-// Batched passes: a multi-start cohort (inference), a training mini-batch
+// Every pass of the Net runs here: one input (Predict, ValueGrad), a
+// multi-start cohort (PredictBatch, ForwardBatch), a training mini-batch
 // (step) or a set of MC-dropout samples (PredictVar) moves through each layer
-// as one GEMM instead of n vector passes. Bit-parity with the scalar path is
-// structural, not approximate — the kernels in internal/linalg accumulate
-// every output element in ascending-k order starting from the preloaded bias
-// (forward) or a buffer cleared to +0 (backward), the exact summation order
-// of forward/inputGrad, so row r of a batch equals the scalar result for
-// that input bit for bit. The kernels skip the products of zero activations
-// (ReLU outputs that did not fire) and of zero deltas. The scalar backward
-// skips zero deltas too; the scalar forward adds the zero activations'
-// products, and a ±0 addend cannot change the bits of a sum that starts at a
-// bias or at +0, since such a sum is never −0 (the linalg package comment
-// states the contract).
+// as one GEMM. Bit-parity with a per-sample scalar loop (the references in
+// ref_test.go) is structural, not approximate — the kernels in internal/linalg
+// accumulate every output element in ascending-k order starting from the
+// preloaded bias (forward) or a buffer cleared to +0 (backward), the exact
+// summation order of that loop, so row r of a batch equals the scalar result
+// for that input bit for bit. The kernels skip the products of zero
+// activations (ReLU outputs that did not fire, ±0 inputs) and of zero deltas.
+// The scalar backward skips zero deltas too; the scalar forward adds the zero
+// activations' products, and a ±0 addend cannot change the bits of a sum that
+// starts at a bias or at +0, since such a sum is never −0 (the linalg package
+// comment states the contract).
 
-// batchScratch holds the per-call matrices of one batched pass. All backing
-// slices grow to the largest batch seen and are reused via the Net's bpool,
-// so steady-state batched inference allocates nothing.
+// batchScratch holds the per-call matrices of one pass. All backing slices
+// grow to the largest batch seen and are reused via the Net's pool, so
+// steady-state inference allocates nothing, one row or many.
 type batchScratch struct {
 	acts []*linalg.Matrix // per layer: n×Out post-activations
 	wv   []*linalg.Matrix // per layer: Out×In view of the layer weights
@@ -67,15 +67,15 @@ func view(m *linalg.Matrix, r, c int) *linalg.Matrix {
 }
 
 func (n *Net) getBatchScratch() *batchScratch {
-	if n.bpool == nil {
+	if n.pool == nil {
 		return n.newBatchScratch()
 	}
-	return n.bpool.Get().(*batchScratch)
+	return n.pool.Get().(*batchScratch)
 }
 
 func (n *Net) putBatchScratch(sc *batchScratch) {
-	if n.bpool != nil {
-		n.bpool.Put(sc)
+	if n.pool != nil {
+		n.pool.Put(sc)
 	}
 }
 
@@ -205,9 +205,3 @@ var (
 	_ model.BatchPredictor = (*Net)(nil)
 	_ model.BatchForwarder = (*Net)(nil)
 )
-
-// ensureBPool lazily builds the batch-scratch pool; split out so New stays in
-// dnn.go while the batched path owns its pool setup.
-func (n *Net) ensureBPool() *sync.Pool {
-	return &sync.Pool{New: func() interface{} { return n.newBatchScratch() }}
-}

@@ -1,6 +1,7 @@
 package dnn
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -44,8 +45,8 @@ func splitPass(m model.Model, X *linalg.Matrix, y []float64, G *linalg.Matrix) {
 }
 
 // TestBatchBitIdentical asserts the acceptance criterion directly: every row
-// of the batched passes — including a batch of size 1 — equals the scalar
-// Predict/ValueGrad bit-for-bit under float equality.
+// of the batched passes — including a batch of size 1 — equals both the
+// one-row Predict/ValueGrad and the scalar references bit for bit.
 func TestBatchBitIdentical(t *testing.T) {
 	const dim = 12
 	n := trainedNet(t, dim)
@@ -59,65 +60,58 @@ func TestBatchBitIdentical(t *testing.T) {
 		n.PredictBatch(X, yp)
 		grad := make([]float64, dim)
 		for r := 0; r < rows; r++ {
+			want, wantG := refValueGrad(n, X.Row(r))
 			v, g := n.ValueGrad(X.Row(r), grad)
-			if y[r] != v || yp[r] != v {
-				t.Fatalf("rows=%d row %d: batch value %v / %v, scalar %v", rows, r, y[r], yp[r], v)
-			}
-			for j := 0; j < dim; j++ {
-				if G.At(r, j) != g[j] {
-					t.Fatalf("rows=%d row %d: batch grad[%d]=%v, scalar %v", rows, r, j, G.At(r, j), g[j])
-				}
-			}
+			what := fmt.Sprintf("rows=%d row %d", rows, r)
+			sameBits(t, what+" (split, PredictBatch, ValueGrad) values", []float64{y[r], yp[r], v}, []float64{want, want, want})
+			sameBits(t, what+" split gradient", G.Row(r), wantG)
+			sameBits(t, what+" ValueGrad gradient", g, wantG)
 		}
 	}
 }
 
 // TestBatchFallbacksAndWrappers checks the model-package batch helpers: the
 // generic per-row fallback, and the Negated/Exp forwarding paths staying
-// bit-identical to their scalar counterparts.
+// bit-identical to their scalar counterparts, both over the Net itself and
+// over the scalar references (refNet).
 func TestBatchFallbacksAndWrappers(t *testing.T) {
 	const dim = 5
 	n := trainedNet(t, dim)
 	rng := rand.New(rand.NewSource(11))
 	X := randBatch(rng, 7, dim)
 
-	check := func(name string, m model.Model) {
+	check := func(name string, m, ref model.Model) {
 		t.Helper()
 		y := make([]float64, X.Rows)
 		G := linalg.NewMatrix(X.Rows, dim)
 		splitPass(m, X, y, G)
-		vg := model.EnsureValueGrad(m)
-		for r := 0; r < X.Rows; r++ {
-			v, g := vg.ValueGrad(X.Row(r), nil)
-			if y[r] != v {
-				t.Fatalf("%s row %d: batch value %v, scalar %v", name, r, y[r], v)
-			}
-			for j := range g {
-				if G.At(r, j) != g[j] {
-					t.Fatalf("%s row %d grad[%d]: batch %v, scalar %v", name, r, j, G.At(r, j), g[j])
-				}
-			}
-		}
 		yp := make([]float64, X.Rows)
 		model.PredictBatch(m, X, yp)
+		vg, refVG := model.EnsureValueGrad(m), model.EnsureValueGrad(ref)
 		for r := 0; r < X.Rows; r++ {
-			if want := m.Predict(X.Row(r)); yp[r] != want {
-				t.Fatalf("%s row %d: PredictBatch %v, scalar %v", name, r, yp[r], want)
-			}
+			v, g := vg.ValueGrad(X.Row(r), nil)
+			rv, rg := refVG.ValueGrad(X.Row(r), nil)
+			what := fmt.Sprintf("%s row %d", name, r)
+			sameBits(t, what+" (batch, scalar, reference) values", []float64{y[r], v, rv}, []float64{rv, rv, rv})
+			sameBits(t, what+" batch gradient", G.Row(r), rg)
+			sameBits(t, what+" scalar gradient", g, rg)
+			p, rp := m.Predict(X.Row(r)), ref.Predict(X.Row(r))
+			sameBits(t, what+" (PredictBatch, Predict) values", []float64{yp[r], p}, []float64{rp, rp})
 		}
 	}
 
-	check("dnn", n)
-	check("negated-dnn", model.Negated{M: n})
-	check("exp-dnn", model.Exp{M: n})
+	check("dnn", n, refNet{n})
+	check("negated-dnn", model.Negated{M: n}, model.Negated{M: refNet{n}})
+	check("exp-dnn", model.Exp{M: n}, model.Exp{M: refNet{n}})
 	// A model with no native batch path exercises the per-row fallback.
-	check("func-fallback", model.Func{D: dim, F: func(x []float64) float64 {
+	f := model.Func{D: dim, F: func(x []float64) float64 {
 		s := 0.0
 		for _, v := range x {
 			s += v * v
 		}
 		return s
-	}})
+	}}
+	check("func-fallback", f, f)
 }
 
 func TestBatchShapeGuards(t *testing.T) {
@@ -164,8 +158,8 @@ func BenchmarkValueGradBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkValueGradScalarLoop is the same workload through the per-point
-// scalar path, kept as the batching-speedup reference.
+// BenchmarkValueGradScalarLoop is the same workload as eight one-row
+// ValueGrad passes, kept as the batching-speedup reference.
 func BenchmarkValueGradScalarLoop(b *testing.B) {
 	const dim, rows = 12, 8
 	n := trainedNet(b, dim)

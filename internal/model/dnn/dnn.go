@@ -10,10 +10,10 @@
 // also checkpoints the weights; here trained networks live in memory only,
 // so a Net has no serialized form.
 //
-// Mini-batch training, batched inference and the MC-dropout samples run on
-// the GEMM kernels of internal/linalg, one GEMM per layer, and are
-// bit-identical to per-sample scalar loops (see batch.go); single-point
-// Predict and ValueGrad keep the scalar loops.
+// Every pass runs on the GEMM kernels of internal/linalg, one GEMM per
+// layer: mini-batch training, batched inference, the MC-dropout samples, and
+// single-point Predict and ValueGrad as one-row passes. Each is bit-identical
+// to a per-sample scalar loop (see batch.go).
 package dnn
 
 import (
@@ -80,51 +80,13 @@ type Net struct {
 	YMean, YStd float64
 	adamT       int
 	mcCounter   int64
-	// pool recycles forward/backprop scratch between calls so the inference
-	// paths (Predict/ValueGrad/PredictVar) run allocation-free after
-	// warm-up. It is per-Net (buffer shapes depend on the layer widths) and
-	// makes those paths safe for concurrent callers. A zero-value or
-	// hand-assembled Net (nil pool) falls back to per-call allocation.
+	// pool recycles pass scratch (see batch.go) between calls so every
+	// inference path (Predict, ValueGrad, PredictBatch, ForwardBatch,
+	// PredictVar) runs allocation-free after warm-up. It is per-Net (buffer
+	// shapes depend on the layer widths) and makes those paths safe for
+	// concurrent callers. A zero-value or hand-assembled Net (nil pool) falls
+	// back to per-call allocation.
 	pool *sync.Pool
-	// bpool recycles batched-pass scratch matrices (see batch.go) with the
-	// same contract: per-Net, concurrent-safe, nil falls back to allocation.
-	bpool *sync.Pool
-}
-
-// scratch holds the per-call buffers of one forward/backprop pass.
-type scratch struct {
-	// acts[li] is layer li's post-activation (length Layers[li].Out); the
-	// input itself is not stored (backprop reads it from the caller's x).
-	acts [][]float64
-	// bufA/bufB are ping-pong delta buffers sized to the widest layer.
-	bufA, bufB []float64
-}
-
-func (n *Net) newScratch() *scratch {
-	s := &scratch{acts: make([][]float64, len(n.Layers))}
-	maxW := n.InDim
-	for li, l := range n.Layers {
-		s.acts[li] = make([]float64, l.Out)
-		if l.Out > maxW {
-			maxW = l.Out
-		}
-	}
-	s.bufA = make([]float64, maxW)
-	s.bufB = make([]float64, maxW)
-	return s
-}
-
-func (n *Net) getScratch() *scratch {
-	if n.pool == nil {
-		return n.newScratch()
-	}
-	return n.pool.Get().(*scratch)
-}
-
-func (n *Net) putScratch(s *scratch) {
-	if n.pool != nil {
-		n.pool.Put(s)
-	}
 }
 
 // New creates a network with Glorot-uniform initialization.
@@ -149,101 +111,40 @@ func New(inDim int, cfg Config) *Net {
 		l.vB = make([]float64, len(l.B))
 		n.Layers = append(n.Layers, l)
 	}
-	n.pool = &sync.Pool{New: func() interface{} { return n.newScratch() }}
-	n.bpool = n.ensureBPool()
+	n.pool = &sync.Pool{New: func() interface{} { return n.newBatchScratch() }}
 	return n
 }
 
 // Dim implements model.Model.
 func (n *Net) Dim() int { return n.InDim }
 
-// forward runs the network over sc's activation buffers, returning the
-// standardized output. It allocates nothing.
-func (n *Net) forward(x []float64, sc *scratch) float64 {
-	a := x
-	for li, l := range n.Layers {
-		z := sc.acts[li]
-		for o := 0; o < l.Out; o++ {
-			s := l.B[o]
-			row := l.W[o*l.In : (o+1)*l.In]
-			for i, v := range a {
-				s += row[i] * v
-			}
-			if l.ReLU && s < 0 {
-				s = 0
-			}
-			z[o] = s
-		}
-		a = z
-	}
-	return a[0]
-}
-
-// inputGrad backprops ∂Ψ/∂x through sc's stored activations (a forward pass
-// over the same x must have just run on sc), writing the raw-scale gradient
-// into grad. It allocates nothing.
-func (n *Net) inputGrad(sc *scratch, grad []float64) {
-	// cur holds the delta over the current layer's outputs; nxt receives the
-	// delta over its inputs (ping-pong buffers sized to the widest layer).
-	cur, nxt := sc.bufA, sc.bufB
-	cur[0] = n.YStd
-	for li := len(n.Layers) - 1; li >= 0; li-- {
-		l := n.Layers[li]
-		post := sc.acts[li]
-		// Backprop through ReLU: zero gradient where the unit was inactive.
-		if l.ReLU {
-			for o := 0; o < l.Out; o++ {
-				if post[o] <= 0 {
-					cur[o] = 0
-				}
-			}
-		}
-		dst := nxt
-		if li == 0 {
-			dst = grad
-		}
-		for i := 0; i < l.In; i++ {
-			dst[i] = 0
-		}
-		for o := 0; o < l.Out; o++ {
-			d := cur[o]
-			if d == 0 {
-				continue
-			}
-			row := l.W[o*l.In : (o+1)*l.In]
-			for i, w := range row {
-				dst[i] += d * w
-			}
-		}
-		cur, nxt = dst, cur
-	}
-}
-
-// Predict implements model.Model; it is safe for concurrent use and
-// allocation-free after pool warm-up.
+// Predict implements model.Model: x moves through forwardBatch as a one-row
+// matrix. Safe for concurrent use; allocation-free after pool warm-up.
 func (n *Net) Predict(x []float64) float64 {
 	if len(x) != n.InDim {
 		panic(fmt.Sprintf("dnn: input length %d != %d", len(x), n.InDim))
 	}
-	sc := n.getScratch()
-	out := n.forward(x, sc)
-	n.putScratch(sc)
-	return out*n.YStd + n.YMean
+	sc := n.getBatchScratch()
+	in := linalg.Matrix{Rows: 1, Cols: n.InDim, Data: x}
+	y := n.forwardBatch(&in, sc).Data[0]
+	n.putBatchScratch(sc)
+	return y*n.YStd + n.YMean
 }
 
-// ValueGrad implements model.ValueGradienter: the analytic ∂Ψ/∂x via
-// backprop through the activations of the one forward pass that also yields
-// the value. Safe for concurrent use; allocation-free when grad has length
-// Dim().
+// ValueGrad implements model.ValueGradienter: the analytic ∂Ψ/∂x by
+// inputGradBatch through the activations of the one-row forward pass that
+// also yields the value. Safe for concurrent use; allocation-free when grad
+// has length Dim().
 func (n *Net) ValueGrad(x, grad []float64) (float64, []float64) {
 	if len(x) != n.InDim {
 		panic(fmt.Sprintf("dnn: input length %d != %d", len(x), n.InDim))
 	}
 	out := model.GradBuf(grad, n.InDim)
-	sc := n.getScratch()
-	y := n.forward(x, sc)
-	n.inputGrad(sc, out)
-	n.putScratch(sc)
+	sc := n.getBatchScratch()
+	in := linalg.Matrix{Rows: 1, Cols: n.InDim, Data: x}
+	y := n.forwardBatch(&in, sc).Data[0]
+	n.inputGradBatch(sc, 1, &linalg.Matrix{Rows: 1, Cols: n.InDim, Data: out})
+	n.putBatchScratch(sc)
 	return y*n.YStd + n.YMean, out
 }
 

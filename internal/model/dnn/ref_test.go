@@ -11,9 +11,10 @@ import (
 	"repro/internal/linalg"
 )
 
-// The per-sample training step and MC-dropout loop that step and PredictVar
-// replaced, kept as references: the GEMM paths must reproduce them bit for
-// bit.
+// The scalar forward pass and input-gradient backprop, and the per-sample
+// training step and MC-dropout loop built on them, kept as references: the
+// GEMM paths (Predict, ValueGrad, the batched passes, step and PredictVar)
+// must reproduce them bit for bit.
 
 // refForward is the scalar forward pass over acts; a non-nil mask applies its
 // keep/drop multipliers to the ReLU layers' units (nil rows elsewhere).
@@ -42,6 +43,76 @@ func refForward(n *Net, x []float64, acts, mask [][]float64) float64 {
 	}
 	return a[0]
 }
+
+// refInputGrad backprops ∂Ψ/∂x through acts, the activations refForward
+// (no mask) just stored for the same x, writing the raw-scale gradient into
+// grad.
+func refInputGrad(n *Net, acts [][]float64, grad []float64) {
+	maxW := n.InDim
+	for _, l := range n.Layers {
+		if l.Out > maxW {
+			maxW = l.Out
+		}
+	}
+	// cur holds the delta over the current layer's outputs; nxt receives the
+	// delta over its inputs (ping-pong buffers sized to the widest layer).
+	cur, nxt := make([]float64, maxW), make([]float64, maxW)
+	cur[0] = n.YStd
+	for li := len(n.Layers) - 1; li >= 0; li-- {
+		l := n.Layers[li]
+		post := acts[li]
+		// Backprop through ReLU: zero gradient where the unit was inactive.
+		if l.ReLU {
+			for o := 0; o < l.Out; o++ {
+				if post[o] <= 0 {
+					cur[o] = 0
+				}
+			}
+		}
+		dst := nxt
+		if li == 0 {
+			dst = grad
+		}
+		for i := 0; i < l.In; i++ {
+			dst[i] = 0
+		}
+		for o := 0; o < l.Out; o++ {
+			d := cur[o]
+			if d == 0 {
+				continue
+			}
+			row := l.W[o*l.In : (o+1)*l.In]
+			for i, w := range row {
+				dst[i] += d * w
+			}
+		}
+		cur, nxt = dst, cur
+	}
+}
+
+// refValueGrad is Predict's value and ValueGrad's gradient through the
+// scalar references.
+func refValueGrad(n *Net, x []float64) (float64, []float64) {
+	acts := refActs(n)
+	y := refForward(n, x, acts, nil)
+	grad := make([]float64, n.InDim)
+	refInputGrad(n, acts, grad)
+	return y*n.YStd + n.YMean, grad
+}
+
+// refNet serves a Net through the scalar references, with no batch path of
+// its own, so the model package's wrappers and per-row fallbacks run on the
+// reference arithmetic.
+type refNet struct{ n *Net }
+
+func (r refNet) Dim() int { return r.n.InDim }
+
+func (r refNet) Predict(x []float64) float64 {
+	v, _ := refValueGrad(r.n, x)
+	return v
+}
+
+func (r refNet) ValueGrad(x, _ []float64) (float64, []float64) { return refValueGrad(r.n, x) }
 
 func refActs(n *Net) [][]float64 {
 	acts := make([][]float64, len(n.Layers))
@@ -303,6 +374,75 @@ func TestFitMatchesReference(t *testing.T) {
 	}
 }
 
+// refInputs returns the all-+0, all-−0 and all-1 inputs, then count inputs
+// whose entries are +0, −0, 1 or uniform in [-1, 1] with equal odds: the
+// kernels skip ±0 entries that the scalar loops multiply.
+func refInputs(rng *rand.Rand, dim, count int) [][]float64 {
+	negZero := math.Copysign(0, -1)
+	xs := make([][]float64, 0, count+3)
+	for _, v := range []float64{0, negZero, 1} {
+		x := make([]float64, dim)
+		for i := range x {
+			x[i] = v
+		}
+		xs = append(xs, x)
+	}
+	for k := 0; k < count; k++ {
+		x := make([]float64, dim)
+		for i := range x {
+			switch rng.Intn(4) {
+			case 0:
+				x[i] = 0
+			case 1:
+				x[i] = negZero
+			case 2:
+				x[i] = 1
+			default:
+				x[i] = 2*rng.Float64() - 1
+			}
+		}
+		xs = append(xs, x)
+	}
+	return xs
+}
+
+// TestPredictValueGradMatchReference compares Predict and ValueGrad, one-row
+// passes through the kernels, with the scalar forward pass and backprop by
+// math.Float64bits.
+func TestPredictValueGradMatchReference(t *testing.T) {
+	X, y := refData(60, 12, 41)
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		dead int  // hidden units per layer forced dead
+		fit  bool // train on (X, y) first
+	}{
+		// The server's model: 12→64→64→1 trained on 60 samples for 200 epochs.
+		{name: "server", cfg: Config{Seed: 41}, fit: true},
+		// Untrained: every bias is +0, and YStd 1.
+		{name: "untrained", cfg: Config{Seed: 42}},
+		{name: "4x128", cfg: Config{Hidden: []int{128, 128, 128, 128}, Epochs: 5, Seed: 43}, fit: true},
+		{name: "one-hidden", cfg: Config{Hidden: []int{16}, Epochs: 30, Seed: 44}, fit: true},
+		{name: "dead-relu", cfg: Config{Hidden: []int{24, 16}, Epochs: 30, Seed: 45}, dead: 5, fit: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			n := New(12, tc.cfg)
+			killUnits(n, tc.dead)
+			if tc.fit {
+				n.Fit(X, y)
+			}
+			grad := make([]float64, n.InDim)
+			for i, x := range refInputs(rand.New(rand.NewSource(tc.cfg.Seed)), n.InDim, 500) {
+				want, wantG := refValueGrad(n, x)
+				p := n.Predict(x)
+				v, g := n.ValueGrad(x, grad)
+				sameBits(t, fmt.Sprintf("input %d (Predict, ValueGrad) values", i), []float64{p, v}, []float64{want, want})
+				sameBits(t, fmt.Sprintf("input %d ValueGrad gradient", i), g, wantG)
+			}
+		})
+	}
+}
+
 // TestPredictVarMatchesReference compares PredictVar's (mean, variance) with
 // the per-sample MC-dropout loop on a twin net, call by call.
 func TestPredictVarMatchesReference(t *testing.T) {
@@ -400,9 +540,10 @@ func TestPredictVarConcurrentMultiset(t *testing.T) {
 	sameMultiset(t, conc, x)
 }
 
-// TestPredictVarConcurrentWithBatch runs PredictVar beside PredictBatch and
-// the split ForwardBatch pass on one net. They share the batch-scratch pool,
-// so each must still return what it returns alone.
+// TestPredictVarConcurrentWithBatch runs PredictVar beside PredictBatch, the
+// split ForwardBatch pass and one-row Predict and ValueGrad calls on one net.
+// Passes of 1, 9 and 16 rows share the pool's scratch, so each must still
+// return what it returns alone.
 func TestPredictVarConcurrentWithBatch(t *testing.T) {
 	const workers, calls = 2, 40
 	n := mcNet()
@@ -411,12 +552,19 @@ func TestPredictVarConcurrentWithBatch(t *testing.T) {
 	n.PredictBatch(X, wantY)
 	wantG := linalg.NewMatrix(X.Rows, 12)
 	splitPass(n, X, make([]float64, X.Rows), wantG)
+	wantP := make([]float64, X.Rows)
+	wantV := make([]float64, X.Rows)
+	wantVG := linalg.NewMatrix(X.Rows, 12)
+	for r := range wantP {
+		wantP[r] = n.Predict(X.Row(r))
+		wantV[r], _ = n.ValueGrad(X.Row(r), wantVG.Row(r))
+	}
 	x := testInput()
 	conc := make([][2]float64, workers*calls)
-	errs := make(chan string, workers)
+	errs := make(chan string, 2*workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
-		wg.Add(2)
+		wg.Add(3)
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < calls; i++ {
@@ -439,6 +587,25 @@ func TestPredictVarConcurrentWithBatch(t *testing.T) {
 				for j := range G.Data {
 					if G.Data[j] != wantG.Data[j] {
 						errs <- fmt.Sprintf("ForwardBatch gradient %d = %v, alone %v", j, G.Data[j], wantG.Data[j])
+						return
+					}
+				}
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			grad := make([]float64, 12)
+			for i := 0; i < calls; i++ {
+				r := i % X.Rows
+				p := n.Predict(X.Row(r))
+				v, g := n.ValueGrad(X.Row(r), grad)
+				if math.Float64bits(p) != math.Float64bits(wantP[r]) || math.Float64bits(v) != math.Float64bits(wantV[r]) {
+					errs <- fmt.Sprintf("row %d: Predict %v and ValueGrad %v, alone %v and %v", r, p, v, wantP[r], wantV[r])
+					return
+				}
+				for j, gj := range g {
+					if math.Float64bits(gj) != math.Float64bits(wantVG.At(r, j)) {
+						errs <- fmt.Sprintf("row %d: ValueGrad gradient %d = %v, alone %v", r, j, gj, wantVG.At(r, j))
 						return
 					}
 				}

@@ -81,7 +81,7 @@ func New(server *modelserver.Server) *Service {
 	return &Service{Server: server, Exact: map[string]model.Model{}}
 }
 
-// serving lazily builds the sharded optimizer cache from the service's
+// serving lazily builds the bounded optimizer cache from the service's
 // tuning fields — lazily so callers can assign Telemetry and the Cache*
 // knobs after New.
 func (s *Service) serving() *serving.Cache {

@@ -10,7 +10,7 @@ import (
 
 // The serving benchmarks isolate the cache machinery: the build callback
 // returns a prebuilt optimizer and the solve callback is a no-op, so ns/op is
-// pure serving overhead (shard lookup, LRU bookkeeping, flight dispatch), not
+// pure serving overhead (index lookup, LRU bookkeeping, flight dispatch), not
 // solver time.
 
 // BenchmarkServingCacheHit is the steady-state fast path: Acquire+Release on
@@ -36,7 +36,7 @@ func BenchmarkServingCacheHit(b *testing.B) {
 }
 
 // BenchmarkServingCacheInsert is the churn path: every iteration inserts a
-// fresh key into a small cache, paying shard insert + LRU eviction + flight
+// fresh key into a small cache, paying index insert + LRU eviction + flight
 // setup/teardown.
 func BenchmarkServingCacheInsert(b *testing.B) {
 	c := NewCache(Config{Entries: 64})

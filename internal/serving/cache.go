@@ -6,10 +6,11 @@
 // refusing work the solver pool cannot absorb. The package provides, per
 // (workload, objectives, stages) key:
 //
-//   - a sharded optimizer/frontier cache: power-of-two shards, each with its
-//     own lock, per-shard LRU eviction under a global entry budget, and a TTL
-//     that bounds how stale a cached frontier (and the models behind it) may
-//     get before the entry is rebuilt;
+//   - a bounded optimizer/frontier cache: one index and one LRU list under one
+//     lock, held for a map access and never across a solve, least-recently-
+//     used eviction at the entry budget, and a TTL that bounds how stale a
+//     cached frontier (and the models behind it) may get before the entry is
+//     rebuilt;
 //   - singleflight coalescing: N concurrent identical requests trigger ONE
 //     build+solve; the waiters block on the flight and then apply their own
 //     preference weights to the shared frontier;
@@ -31,7 +32,6 @@ package serving
 import (
 	"errors"
 	"fmt"
-	"hash/maphash"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -44,7 +44,6 @@ import (
 // Defaults used for zero Config fields.
 const (
 	DefaultEntries     = 256
-	DefaultShards      = 16
 	DefaultTTL         = 15 * time.Minute
 	DefaultShedWait    = 500 * time.Millisecond
 	DefaultCoalesceMax = 3 * time.Second
@@ -54,12 +53,9 @@ const (
 // for every field; negative values disable the corresponding bound where
 // that is meaningful (TTL, MaxInflight).
 type Config struct {
-	// Entries bounds the total cached optimizers across all shards (default
-	// 256). The budget is split evenly per shard; eviction is LRU within the
-	// shard of the inserted key.
+	// Entries bounds the cached optimizers (default 256); inserting a key
+	// into a full cache evicts the least-recently-used entry.
 	Entries int
-	// Shards is the shard count, rounded up to a power of two (default 16).
-	Shards int
 	// TTL bounds the age of a cached entry from its creation; an expired
 	// entry is rebuilt on next access (models re-fetched, frontier
 	// re-solved), which is what keeps served answers from drifting
@@ -85,9 +81,6 @@ type Config struct {
 func (c *Config) defaults() {
 	if c.Entries <= 0 {
 		c.Entries = DefaultEntries
-	}
-	if c.Shards <= 0 {
-		c.Shards = DefaultShards
 	}
 	if c.TTL == 0 {
 		c.TTL = DefaultTTL
@@ -168,14 +161,16 @@ type flight struct {
 	err    error // write-once before close(done)
 }
 
-// entry is one cached optimizer. st guards the fields below it and is only
-// ever held briefly; optMu serializes optimizer USE (solve, expand,
-// recommend, frontier reads) and is what a Lease holds. The split keeps
-// state inspection (coalescing decisions, publishing) off the solve path's
+// entry is one cached optimizer. prev and next link it into the cache's LRU
+// list under Cache.mu. st guards the fields below it and is only ever held
+// briefly; optMu serializes optimizer USE (solve, expand, recommend,
+// frontier reads) and is what a Lease holds. The split keeps state
+// inspection (coalescing decisions, publishing) off the solve path's
 // critical section.
 type entry struct {
-	key     string
-	expires time.Time // zero = no expiry
+	key        string
+	expires    time.Time // zero = no expiry
+	prev, next *entry
 
 	st       sync.Mutex
 	opt      *udao.Optimizer
@@ -183,20 +178,6 @@ type entry struct {
 	inflight *flight
 
 	optMu sync.Mutex
-}
-
-type shard struct {
-	mu      sync.Mutex
-	entries map[string]*shardElem
-	// head is the most-, tail the least-recently-used entry.
-	head, tail *shardElem
-}
-
-// shardElem is an intrusive LRU node; a hand-rolled list keeps the per-shard
-// critical section free of interface boxing.
-type shardElem struct {
-	e          *entry
-	prev, next *shardElem
 }
 
 // Stats is a point-in-time snapshot of the cache's request and hit counts,
@@ -208,17 +189,17 @@ type Stats struct {
 	Hits     uint64
 }
 
-// Cache is the sharded serving cache. All methods are safe for concurrent
-// use.
+// Cache is the serving cache. All methods are safe for concurrent use.
 type Cache struct {
-	cfg      Config
-	shards   []shard
-	mask     uint64
-	perShard int
-	seed     maphash.Seed
-	sem      chan struct{}
+	cfg Config
+	sem chan struct{}
 
-	size           atomic.Int64
+	// mu guards the index and the LRU list threaded through its entries:
+	// head is the most-, tail the least-recently-used entry.
+	mu         sync.Mutex
+	entries    map[string]*entry
+	head, tail *entry
+
 	requests, hits atomic.Uint64
 
 	telRequests, telHits, telMisses  *telemetry.Counter
@@ -233,24 +214,7 @@ type Cache struct {
 // NewCache builds a cache from cfg (zero fields defaulted).
 func NewCache(cfg Config) *Cache {
 	cfg.defaults()
-	n := 1
-	for n < cfg.Shards {
-		n <<= 1
-	}
-	per := (cfg.Entries + n - 1) / n
-	if per < 1 {
-		per = 1
-	}
-	c := &Cache{
-		cfg:      cfg,
-		shards:   make([]shard, n),
-		mask:     uint64(n - 1),
-		perShard: per,
-		seed:     maphash.MakeSeed(),
-	}
-	for i := range c.shards {
-		c.shards[i].entries = make(map[string]*shardElem)
-	}
+	c := &Cache{cfg: cfg, entries: make(map[string]*entry)}
 	if cfg.MaxInflight > 0 {
 		c.sem = make(chan struct{}, cfg.MaxInflight)
 	}
@@ -438,7 +402,7 @@ func (c *Cache) runFlight(e *entry, f *flight, probes int, building bool, build 
 // warm-up never competes with live traffic for an entry it cannot improve.
 // Unlike Acquire, Prime does not count toward the request/hit/miss rates
 // (it is not a request); successful warm-ups increment
-// udao_serving_warmup_total and Stats.Warmups. The admission gate still
+// udao_serving_warmup_total. The admission gate still
 // applies: priming N keys concurrently cannot exceed MaxInflight solves.
 func (c *Cache) Prime(key string, probes int, build Builder, solve Solver) (bool, error) {
 	now := time.Now()
@@ -523,20 +487,16 @@ func (c *Cache) count(o Outcome) {
 
 // lookup returns the live entry for key, creating (and inserting) a fresh
 // one when the key is absent or its entry has expired. LRU order is updated;
-// insertion evicts the shard's least-recently-used entries beyond the
-// per-shard budget.
+// inserting into a full cache evicts the least-recently-used entries.
 func (c *Cache) lookup(key string, now time.Time) *entry {
-	sh := &c.shards[maphash.String(c.seed, key)&c.mask]
-	sh.mu.Lock()
-	if el, ok := sh.entries[key]; ok {
-		e := el.e
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if e, ok := c.entries[key]; ok {
 		if e.expires.IsZero() || now.Before(e.expires) {
-			sh.moveToFront(el)
-			sh.mu.Unlock()
+			c.moveToFront(e)
 			return e
 		}
-		sh.remove(el)
-		c.size.Add(-1)
+		c.remove(e)
 		c.telEvict.Add(1)
 		c.telEvictTTL.Add(1)
 	}
@@ -544,56 +504,52 @@ func (c *Cache) lookup(key string, now time.Time) *entry {
 	if c.cfg.TTL > 0 {
 		e.expires = now.Add(c.cfg.TTL)
 	}
-	for len(sh.entries) >= c.perShard {
-		sh.remove(sh.tail)
-		c.size.Add(-1)
+	for len(c.entries) >= c.cfg.Entries {
+		c.remove(c.tail)
 		c.telEvict.Add(1)
 		c.telEvictLRU.Add(1)
 	}
-	el := &shardElem{e: e}
-	sh.entries[key] = el
-	sh.pushFront(el)
-	c.size.Add(1)
-	sh.mu.Unlock()
-	c.telEntries.Set(float64(c.size.Load()))
+	c.entries[key] = e
+	c.pushFront(e)
+	c.telEntries.Set(float64(len(c.entries)))
 	return e
 }
 
-func (sh *shard) pushFront(el *shardElem) {
-	el.prev = nil
-	el.next = sh.head
-	if sh.head != nil {
-		sh.head.prev = el
+func (c *Cache) pushFront(e *entry) {
+	e.prev = nil
+	e.next = c.head
+	if c.head != nil {
+		c.head.prev = e
 	}
-	sh.head = el
-	if sh.tail == nil {
-		sh.tail = el
+	c.head = e
+	if c.tail == nil {
+		c.tail = e
 	}
 }
 
-func (sh *shard) unlink(el *shardElem) {
-	if el.prev != nil {
-		el.prev.next = el.next
+func (c *Cache) unlink(e *entry) {
+	if e.prev != nil {
+		e.prev.next = e.next
 	} else {
-		sh.head = el.next
+		c.head = e.next
 	}
-	if el.next != nil {
-		el.next.prev = el.prev
+	if e.next != nil {
+		e.next.prev = e.prev
 	} else {
-		sh.tail = el.prev
+		c.tail = e.prev
 	}
-	el.prev, el.next = nil, nil
+	e.prev, e.next = nil, nil
 }
 
-func (sh *shard) moveToFront(el *shardElem) {
-	if sh.head == el {
+func (c *Cache) moveToFront(e *entry) {
+	if c.head == e {
 		return
 	}
-	sh.unlink(el)
-	sh.pushFront(el)
+	c.unlink(e)
+	c.pushFront(e)
 }
 
-func (sh *shard) remove(el *shardElem) {
-	sh.unlink(el)
-	delete(sh.entries, el.e.key)
+func (c *Cache) remove(e *entry) {
+	c.unlink(e)
+	delete(c.entries, e.key)
 }

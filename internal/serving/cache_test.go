@@ -167,34 +167,48 @@ func TestCoalescingSingleflight(t *testing.T) {
 	}
 }
 
+// TestLRUEvictionBoundsEntries inserts 400 distinct keys at the default
+// config and checks that the cache keeps exactly Entries of them, the most
+// recent, and rebuilds an evicted key.
 func TestLRUEvictionBoundsEntries(t *testing.T) {
-	tel := telemetry.New()
-	c := NewCache(Config{Entries: 4, Shards: 1, Telemetry: tel})
-	build, solve, builds, _ := counters(t)
-	for i := 0; i < 16; i++ {
-		l, _, err := c.Acquire(fmt.Sprintf("k%d", i), 5, build, solve)
-		if err != nil {
-			t.Fatal(err)
-		}
-		l.Release()
+	const keys = 400
+	for _, entries := range []int{4, 10, 100} {
+		t.Run(fmt.Sprintf("entries-%d", entries), func(t *testing.T) {
+			tel := telemetry.New()
+			c := NewCache(Config{Entries: entries, Telemetry: tel})
+			build, solve, builds, _ := counters(t)
+			acquire := func(i int) Outcome {
+				t.Helper()
+				l, out, err := c.Acquire(fmt.Sprintf("k%d", i), 5, build, solve)
+				if err != nil {
+					t.Fatal(err)
+				}
+				l.Release()
+				return out
+			}
+			for i := 0; i < keys; i++ {
+				acquire(i)
+			}
+			if n := tel.Metrics.Gauge(telemetry.MetricServingEntries).Value(); n != float64(entries) {
+				t.Fatalf("%v entries cached, capacity %d", n, entries)
+			}
+			lru := telemetry.Labeled(telemetry.MetricServingEvictions, "reason", "lru")
+			if n := seriesValue(tel, lru); n != uint64(keys-entries) {
+				t.Fatalf("%s = %d, want %d", lru, n, keys-entries)
+			}
+			for i := keys - entries; i < keys; i++ {
+				if out := acquire(i); out != Hit {
+					t.Fatalf("recent key k%d served as %v, want a hit", i, out)
+				}
+			}
+			// The key just older than those was evicted: touching it again
+			// is a fresh build.
+			before := builds.Load()
+			if out := acquire(keys - entries - 1); out != Solved || builds.Load() != before+1 {
+				t.Fatalf("evicted key came back as %v with %d builds (was %d); want a rebuild", out, builds.Load(), before)
+			}
+		})
 	}
-	if n := tel.Metrics.Gauge(telemetry.MetricServingEntries).Value(); n > 4 {
-		t.Fatalf("%v entries cached, capacity 4", n)
-	}
-	lru := telemetry.Labeled(telemetry.MetricServingEvictions, "reason", "lru")
-	if n := seriesValue(tel, lru); n != 12 {
-		t.Fatalf("%s = %d, want 12", lru, n)
-	}
-	// k0 was evicted long ago: touching it again is a fresh build.
-	before := builds.Load()
-	l, out, err := c.Acquire("k0", 5, build, solve)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out != Solved || builds.Load() != before+1 {
-		t.Fatalf("evicted key came back as %v with %d builds (was %d); want a rebuild", out, builds.Load(), before)
-	}
-	l.Release()
 }
 
 func TestTTLExpiryRebuilds(t *testing.T) {

@@ -30,9 +30,10 @@ fi
 
 # Tracked benchmarks: the GEMM kernel on dense A (GEMM) and on A with the
 # 45% zeros of MOGD's hidden-layer passes, which the kernel skips (GEMMReLU;
-# informational until its first scripts/bench.sh recording), the split
-# batched DNN pass (ValueGradBatch: ForwardBatch, Grad, Done, as MOGD runs
-# it), DNN training
+# informational until its first scripts/bench.sh recording), single-point
+# DNN inference at 4×128 (Predict and ValueGrad: one-row passes through the
+# kernels), the split batched DNN pass (ValueGradBatch: ForwardBatch, Grad,
+# Done, as MOGD runs it), DNN training
 # at the server's shape (Fit; informational until its first scripts/bench.sh
 # recording) and MC-dropout uncertainty (PredictVar at 4×128, and
 # PredictVar2x64 at the server's shape, informational until recorded), the
@@ -49,13 +50,13 @@ fi
 # answer, cache hits included, pays it; informational until its first
 # scripts/bench.sh recording), and the calibration ledger's window update and
 # append (the /observe hot path — the append must stay off the disk write).
-TRACKED='GEMM GEMMReLU ValueGradBatch Fit PredictVar PredictVar2x64 EvaluatorValueGrad EvaluatorValueGradTelemetry EvaluatorMemoHit EvalBatch CompositeEval SpanStartEnd TracerEvents CoresValueGrad MOGDSolve MOGDSolveSerial MOGDSolveBatch SequentialCold ParallelCold ServingCacheHit ServingCacheInsert CoalescedDispatch RegistryAppend CalibWindowAdd CalibLedgerAppend'
+TRACKED='GEMM GEMMReLU Predict ValueGrad ValueGradBatch Fit PredictVar PredictVar2x64 EvaluatorValueGrad EvaluatorValueGradTelemetry EvaluatorMemoHit EvalBatch CompositeEval SpanStartEnd TracerEvents CoresValueGrad MOGDSolve MOGDSolveSerial MOGDSolveBatch SequentialCold ParallelCold ServingCacheHit ServingCacheInsert CoalescedDispatch RegistryAppend CalibWindowAdd CalibLedgerAppend'
 
 RAW=$(mktemp)
 trap 'rm -f "$RAW"' EXIT
 
 go test -run '^$' -bench 'GEMM' -benchmem -benchtime "$BENCHTIME" ./internal/linalg/ >>"$RAW"
-go test -run '^$' -bench 'ValueGradBatch|PredictVar|Fit' -benchmem -benchtime "$BENCHTIME" ./internal/model/dnn/ >>"$RAW"
+go test -run '^$' -bench 'Predict|ValueGrad$|ValueGradBatch|Fit' -benchmem -benchtime "$BENCHTIME" ./internal/model/dnn/ >>"$RAW"
 go test -run '^$' -bench 'Evaluator|EvalBatch|Composite' -benchmem -benchtime "$BENCHTIME" ./internal/problem/ >>"$RAW"
 go test -run '^$' -bench 'SpanStartEnd$|TracerEvents' -benchmem -benchtime "$BENCHTIME" ./internal/telemetry/ >>"$RAW"
 go test -run '^$' -bench 'CoresValueGrad' -benchmem -benchtime "$BENCHTIME" ./internal/spark/ >>"$RAW"

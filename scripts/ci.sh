@@ -12,7 +12,7 @@
 #      baselines, which run on the evaluator their caller hands them (NSGA-II
 #      evaluates each cohort on that evaluator's worker pool), and the
 #      observability layer (telemetry registry + spans, run registry,
-#      calibration ledger, HTTP service incl. the sharded serving cache and
+#      calibration ledger, HTTP service incl. the bounded serving cache and
 #      the /observe loop, watchdog)
 #   4. full test suite, then go vet and the tests of servbench/, a module of
 #      its own that go test ./... does not reach: they fail when code that
@@ -21,7 +21,9 @@
 #   5. benchmark smoke: one iteration of the MOGD benchmarks, of the cold
 #      Progressive Frontier benchmarks and of the cores objective's numeric
 #      gradient, so a broken benchmark harness fails CI instead of the next
-#      perf investigation
+#      perf investigation, and one run of udao-bench's Fig. 4(a) experiment
+#      over DNN models (PF-AP, PF-AS, WS and NC), the one command that has no
+#      test of its own
 #   6. fuzz smoke: 10s of FuzzJournalReopen over the durable journal's crash
 #      repair (the run registry, calibration ledger and alert log), 10s of
 #      FuzzLabelValue over the metric series label round trip the watchdog's
@@ -50,6 +52,7 @@ go test ./...
 go test -run '^$' -bench MOGD -benchtime 1x ./internal/solver/mogd/
 go test -run '^$' -bench Cold -benchtime 1x ./internal/core/
 go test -run '^$' -bench CoresValueGrad -benchtime 1x ./internal/spark/
+go run ./cmd/udao-bench -expt fig4a -model dnn -seed 3 >/dev/null
 go test -run '^$' -fuzz FuzzJournalReopen -fuzztime 10s ./internal/runlog/
 go test -run '^$' -fuzz FuzzLabelValue -fuzztime 10s ./internal/telemetry/
 go test -run '^$' -fuzz FuzzClipToBox -fuzztime 10s ./internal/metrics/
