@@ -26,6 +26,12 @@ import (
 // independent output elements, never from splitting one element's sum. The
 // package comment states the determinism contract this keeps.
 //
+// The two shapes of a DNN's one-unit output layer are too narrow for a tile
+// and take a direct loop that skips the same ±0 elements: GemmNT with one
+// output column (the forward pass into the output) sums each row's nonzero
+// products inline, and GemmNN with one inner element (the backward pass out
+// of it) adds one multiple of B's row per nonzero A element.
+//
 // The kernels panic on dimension mismatches and on aliasing: C must not share
 // memory with A or B (an aliased accumulator would read half-updated values).
 
@@ -90,6 +96,21 @@ func checkGemm(name string, am, an, bm, bn, cm, cn int, a, b, c *Matrix) {
 func GemmNT(a, b, c *Matrix) {
 	m, kk, n := a.Rows, a.Cols, b.Rows
 	checkGemm("GemmNT", m, kk, b.Cols, n, c.Rows, c.Cols, a, b, c)
+	if n == 1 {
+		// One output column (a DNN's output layer): one sum per row, too
+		// short a tile for the gather to pay; skip the ±0 A elements inline.
+		brow := b.Data[:kk]
+		for i := 0; i < m; i++ {
+			s := c.Data[i]
+			for k, v := range a.Row(i)[:kk] {
+				if v != 0 {
+					s += v * brow[k]
+				}
+			}
+			c.Data[i] = s
+		}
+		return
+	}
 	var z nonzeros
 	for i := 0; i < m; i++ {
 		arow := a.Row(i)
@@ -161,6 +182,20 @@ func GemmNT(a, b, c *Matrix) {
 func GemmNN(a, b, c *Matrix) {
 	m, kk, n := a.Rows, a.Cols, b.Cols
 	checkGemm("GemmNN", m, kk, b.Rows, n, c.Rows, c.Cols, a, b, c)
+	if kk == 1 {
+		// One inner element (backprop out of a DNN's one output): each C
+		// row adds one multiple of B's one row, or nothing for a ±0 A.
+		brow := b.Data[:n]
+		for i := 0; i < m; i++ {
+			if v := a.Data[i]; v != 0 {
+				crow := c.Row(i)[:n]
+				for j, bv := range brow {
+					crow[j] += v * bv
+				}
+			}
+		}
+		return
+	}
 	var z nonzeros
 	for i := 0; i < m; i++ {
 		arow := a.Row(i)

@@ -1,6 +1,7 @@
 package linalg
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -45,5 +46,32 @@ func BenchmarkGEMMScalarRef(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		refGemm(a, w, c, true)
+	}
+}
+
+// BenchmarkGEMMOut measures the DNN output layer's shapes at 8 (MOGD's
+// multi-starts) and 32 (a training mini-batch) rows: the forward pass into
+// the one output (NT, n = 1) over hidden activations with 45% zeros, and
+// the backward pass out of it (NN, K = 1).
+func BenchmarkGEMMOut(b *testing.B) {
+	for _, m := range []int{8, 32} {
+		rng := rand.New(rand.NewSource(1))
+		act := sparsify(rng, randMat(rng, m, 64), 0.45)
+		w := randMat(rng, 1, 64)
+		out := NewMatrix(m, 1)
+		b.Run(fmt.Sprintf("NT%dx64x1", m), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				GemmNT(act, w, out)
+			}
+		})
+		delta := randMat(rng, m, 1)
+		grad := NewMatrix(m, 64)
+		b.Run(fmt.Sprintf("NN%dx1x64", m), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				GemmNN(delta, w, grad)
+			}
+		})
 	}
 }

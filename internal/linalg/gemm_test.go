@@ -122,8 +122,9 @@ func gemmCase(t *testing.T, rng *rand.Rand, m, kk, n int, p zeroPattern) {
 // sizes that are no multiple of a tile, 1×N / N×1 degenerates, and empty
 // inner dimensions — with dense and zero-rich A (ReLU-like, all-zero rows,
 // one-hot rows), asserting bit-identity with the scalar triple loop. Inner
-// dimensions past the gather chunk (130, 300) and the MOGD hidden-layer
-// shape are swept as well.
+// dimensions past the gather chunk (130, 300), the MOGD hidden-layer shape
+// and the output layer's direct-loop shapes (NT with one output column, NN
+// with one inner element, at 8 and 32 rows) are swept as well.
 func TestGemmMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	dims := []int{1, 2, 3, 4, 5, 7, 8, 9, 16, 17}
@@ -135,7 +136,7 @@ func TestGemmMatchesScalar(t *testing.T) {
 				}
 			}
 		}
-		for _, shape := range [][3]int{{8, 64, 64}, {3, 128, 9}, {5, 129, 12}, {4, 130, 13}, {2, 300, 17}, {9, 256, 8}} {
+		for _, shape := range [][3]int{{8, 64, 64}, {3, 128, 9}, {5, 129, 12}, {4, 130, 13}, {2, 300, 17}, {9, 256, 8}, {8, 64, 1}, {32, 64, 1}, {8, 1, 64}, {32, 1, 64}} {
 			gemmCase(t, rng, shape[0], shape[1], shape[2], p)
 		}
 	}

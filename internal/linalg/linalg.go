@@ -86,27 +86,69 @@ func Cholesky(m *Matrix) (*Matrix, error) {
 	if m.Rows != m.Cols {
 		return nil, fmt.Errorf("linalg: Cholesky requires a square matrix, got %dx%d", m.Rows, m.Cols)
 	}
+	l := NewMatrix(m.Rows, m.Cols)
+	for i := 0; i < m.Rows; i++ {
+		copy(l.Row(i)[:i+1], m.Row(i)[:i+1])
+	}
+	if err := CholeskyInPlace(l); err != nil {
+		return nil, err
+	}
+	return l, nil
+}
+
+// CholeskyInPlace overwrites the lower triangle of the square matrix m with
+// the lower-triangular L of m = L·Lᵀ, with the same bits as Cholesky. It
+// reads only that triangle and leaves the upper one as it was. On
+// ErrNotPositiveDefinite m is left partly factored.
+//
+// Each element subtracts its products in ascending k order, as the textbook
+// row-by-row loop does. Rows are factored four at a time: their elements
+// left of the block share each loaded row of L and carry four independent
+// sums, and the block's own triangle follows element by element.
+func CholeskyInPlace(m *Matrix) error {
+	if m.Rows != m.Cols {
+		return fmt.Errorf("linalg: Cholesky requires a square matrix, got %dx%d", m.Rows, m.Cols)
+	}
 	n := m.Rows
-	l := NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		for j := 0; j <= i; j++ {
-			sum := m.At(i, j)
-			li := l.Row(i)
-			lj := l.Row(j)
-			for k := 0; k < j; k++ {
-				sum -= li[k] * lj[k]
-			}
-			if i == j {
-				if sum <= 0 || math.IsNaN(sum) {
-					return nil, ErrNotPositiveDefinite
+	for i0 := 0; i0 < n; i0 += 4 {
+		j0 := 0 // the first column the element-by-element pass factors
+		if i0+4 <= n {
+			r0, r1, r2, r3 := m.Row(i0)[:i0], m.Row(i0 + 1)[:i0], m.Row(i0 + 2)[:i0], m.Row(i0 + 3)[:i0]
+			for j := 0; j < i0; j++ {
+				lj := m.Row(j)[:j+1]
+				a0, a1, a2, a3 := r0[:j], r1[:j], r2[:j], r3[:j]
+				s0, s1, s2, s3 := r0[j], r1[j], r2[j], r3[j]
+				for k, v := range lj[:j] {
+					s0 -= a0[k] * v
+					s1 -= a1[k] * v
+					s2 -= a2[k] * v
+					s3 -= a3[k] * v
 				}
-				li[j] = math.Sqrt(sum)
-			} else {
-				li[j] = sum / lj[j]
+				d := lj[j]
+				r0[j], r1[j], r2[j], r3[j] = s0/d, s1/d, s2/d, s3/d
+			}
+			j0 = i0
+		}
+		for i := i0; i < min(i0+4, n); i++ {
+			li := m.Row(i)
+			for j := j0; j <= i; j++ {
+				sum := li[j]
+				lj := m.Row(j)
+				for k := 0; k < j; k++ {
+					sum -= li[k] * lj[k]
+				}
+				if i == j {
+					if sum <= 0 || math.IsNaN(sum) {
+						return ErrNotPositiveDefinite
+					}
+					li[j] = math.Sqrt(sum)
+				} else {
+					li[j] = sum / lj[j]
+				}
 			}
 		}
 	}
-	return l, nil
+	return nil
 }
 
 // SolveLower solves L·y = b for lower-triangular L by forward substitution.

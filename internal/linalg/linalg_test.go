@@ -72,6 +72,79 @@ func TestCholeskyReconstruction(t *testing.T) {
 	}
 }
 
+// refCholesky is the textbook row-by-row factorization that Cholesky and
+// CholeskyInPlace must reproduce bit for bit.
+func refCholesky(m *Matrix) (*Matrix, error) {
+	n := m.Rows
+	l := NewMatrix(n, n)
+	for i := 0; i < n; i++ {
+		for j := 0; j <= i; j++ {
+			sum := m.At(i, j)
+			li := l.Row(i)
+			lj := l.Row(j)
+			for k := 0; k < j; k++ {
+				sum -= li[k] * lj[k]
+			}
+			if i == j {
+				if sum <= 0 || math.IsNaN(sum) {
+					return nil, ErrNotPositiveDefinite
+				}
+				li[j] = math.Sqrt(sum)
+			} else {
+				li[j] = sum / lj[j]
+			}
+		}
+	}
+	return l, nil
+}
+
+// TestCholeskyMatchesReference compares Cholesky and CholeskyInPlace with
+// the textbook loop by bits on SPD matrices of every size up to 70 (every
+// remainder of the four-row blocks), and on matrices made indefinite at one
+// pivot, where all three must fail. CholeskyInPlace must neither read nor
+// write the upper triangle, which holds NaN here.
+func TestCholeskyMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 140; trial++ {
+		n := 1 + trial%70
+		a := randomSPD(n, rng)
+		if trial >= 70 {
+			p := rng.Intn(n)
+			a.Set(p, p, -a.At(p, p))
+		}
+		want, werr := refCholesky(a)
+		got, err := Cholesky(a)
+		in := NewMatrix(n, n)
+		for i := 0; i < n; i++ {
+			for j := range in.Row(i) {
+				in.Set(i, j, math.NaN())
+				if j <= i {
+					in.Set(i, j, a.At(i, j))
+				}
+			}
+		}
+		ierr := CholeskyInPlace(in)
+		if (werr == nil) != (err == nil) || (werr == nil) != (ierr == nil) {
+			t.Fatalf("trial %d (n %d): errors %v and %v in place, reference %v", trial, n, err, ierr, werr)
+		}
+		if werr != nil {
+			continue
+		}
+		for i := range want.Data {
+			r, c := i/n, i%n
+			if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
+				t.Fatalf("trial %d: Cholesky[%d,%d] = %v, reference %v", trial, r, c, got.Data[i], want.Data[i])
+			}
+			if c <= r && math.Float64bits(in.Data[i]) != math.Float64bits(want.Data[i]) {
+				t.Fatalf("trial %d: CholeskyInPlace[%d,%d] = %v, reference %v", trial, r, c, in.Data[i], want.Data[i])
+			}
+			if c > r && !math.IsNaN(in.Data[i]) {
+				t.Fatalf("trial %d: CholeskyInPlace wrote the upper triangle at [%d,%d]", trial, r, c)
+			}
+		}
+	}
+}
+
 func TestCholeskyRejectsIndefinite(t *testing.T) {
 	m := NewMatrixFrom(2, 2, []float64{1, 0, 0, -1})
 	if _, err := Cholesky(m); err == nil {

@@ -5,6 +5,12 @@
 // and analytic gradients of the posterior mean and standard deviation with
 // respect to the test input — the pieces MOGD needs to optimize GP-modeled
 // objectives, and OtterTune/MOBO need for acquisition search.
+//
+// Each Adam step of the MLE evaluates its hyperparameter exps once, builds
+// the signal kernel matrix once and reads it again in the gradient, and
+// forms K⁻¹ in place, in buffers kept for all the steps of a fit. Every
+// fitted value has the bits of the plain per-call-exps training that
+// ref_test.go keeps as the reference.
 package gp
 
 import (
@@ -54,8 +60,8 @@ type GP struct {
 	// Inference-time caches of the fitted hyperparameters, refreshed by
 	// refit: sf2 = exp(logSF2), lsc[d] = l_d, l2[d] = l_d² — they keep the
 	// per-training-point kernel evaluations of the prediction hot path
-	// exp-free per dimension while preserving the exact arithmetic of the
-	// uncached kernel (same divisions, bit-identical results).
+	// exp-free per dimension while preserving kernel's exact arithmetic
+	// (same divisions, bit-identical results).
 	sf2 float64
 	lsc []float64
 	l2  []float64
@@ -102,31 +108,50 @@ func Fit(X [][]float64, y []float64, cfg Config) (*GP, error) {
 // Dim implements model.Model.
 func (g *GP) Dim() int { return g.dim }
 
-// kernel evaluates k(a, b) without the noise term.
-func (g *GP) kernel(a, b []float64) float64 {
-	sf2 := math.Exp(g.logSF2)
+// exps returns the signal and noise variances σf² = exp(logSF2) and
+// σn² = exp(logSN2) and fills ell with the lengthscales ℓ_d = exp(logL_d).
+func (g *GP) exps(ell []float64) (sf2, sn2 float64) {
+	for d, v := range g.logL {
+		ell[d] = math.Exp(v)
+	}
+	return math.Exp(g.logSF2), math.Exp(g.logSN2)
+}
+
+// kernel evaluates k(a, b) without the noise term, for lengthscales ell and
+// signal variance sf2.
+func kernel(a, b, ell []float64, sf2 float64) float64 {
 	s := 0.0
 	for i := range a {
-		l := math.Exp(g.logL[i])
-		d := (a[i] - b[i]) / l
+		d := (a[i] - b[i]) / ell[i]
 		s += d * d
 	}
 	return sf2 * math.Exp(-0.5*s)
 }
 
-// kernelMatrix builds K + σn²I over the training inputs.
-func (g *GP) kernelMatrix() *linalg.Matrix {
-	n := len(g.X)
-	k := linalg.NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		for j := 0; j <= i; j++ {
-			v := g.kernel(g.X[i], g.X[j])
-			k.Set(i, j, v)
-			k.Set(j, i, v)
+// signalMatrix fills s with the signal kernel matrix over the training
+// inputs. Each k(x_i, x_j), j ≤ i, is evaluated once and mirrored: k(x_j,
+// x_i) has the same bits, as x_j − x_i = −(x_i − x_j) exactly and the
+// square drops the sign.
+func (g *GP) signalMatrix(s *linalg.Matrix, ell []float64, sf2 float64) {
+	for i, xi := range g.X {
+		for j, xj := range g.X[:i+1] {
+			v := kernel(xi, xj, ell, sf2)
+			s.Set(i, j, v)
+			s.Set(j, i, v)
 		}
 	}
-	k.AddDiag(math.Exp(g.logSN2))
-	return k
+}
+
+// noisy sets k's lower triangle to that of K = S + σn²I, plus jitter·I when
+// jitter > 0; it reads only S's lower triangle.
+func noisy(k, s *linalg.Matrix, sn2, jitter float64) {
+	for i := 0; i < s.Rows; i++ {
+		copy(k.Row(i)[:i+1], s.Row(i)[:i+1])
+	}
+	k.AddDiag(sn2)
+	if jitter > 0 {
+		k.AddDiag(jitter)
+	}
 }
 
 // refit recomputes the Cholesky factor, alpha vector and log marginal
@@ -137,16 +162,23 @@ func (g *GP) refit(y []float64) error {
 	for i, v := range y {
 		centered[i] = v - g.yMean
 	}
+	g.lsc = make([]float64, g.dim)
+	g.l2 = make([]float64, g.dim)
+	var sn2 float64
+	g.sf2, sn2 = g.exps(g.lsc)
+	for d, li := range g.lsc {
+		g.l2[d] = li * li
+	}
+	s := linalg.NewMatrix(n, n)
+	g.signalMatrix(s, g.lsc, g.sf2)
+	k := linalg.NewMatrix(n, n)
 	jitter := 0.0
 	for attempt := 0; attempt < 6; attempt++ {
-		k := g.kernelMatrix()
-		if jitter > 0 {
-			k.AddDiag(jitter)
-		}
+		noisy(k, s, sn2, jitter)
 		l, err := linalg.Cholesky(k)
 		if err != nil {
 			if jitter == 0 {
-				jitter = 1e-8 * math.Exp(g.logSF2)
+				jitter = 1e-8 * g.sf2
 			} else {
 				jitter *= 10
 			}
@@ -154,20 +186,31 @@ func (g *GP) refit(y []float64) error {
 		}
 		g.chol = l
 		g.alpha = linalg.CholSolve(l, centered)
-		g.sf2 = math.Exp(g.logSF2)
-		g.lsc = make([]float64, g.dim)
-		g.l2 = make([]float64, g.dim)
-		for d := range g.lsc {
-			li := math.Exp(g.logL[d])
-			g.lsc[d] = li
-			g.l2[d] = li * li
-		}
 		g.LogML = -0.5*linalg.Dot(centered, g.alpha) -
 			0.5*linalg.LogDetFromChol(l) -
 			0.5*float64(n)*math.Log(2*math.Pi)
 		return nil
 	}
 	return fmt.Errorf("gp: kernel matrix not positive definite after jitter escalation")
+}
+
+// mleWork is the state of one MLE step, allocated once per fit and reused
+// by every step: the lengthscales ℓ_d, the signal kernel matrix S, the
+// Cholesky factor of K = S + σn²I, K⁻¹ and the gradient.
+type mleWork struct {
+	ell          []float64
+	s, chol, inv *linalg.Matrix
+	grad         []float64
+}
+
+func newMLEWork(n, dim int) *mleWork {
+	return &mleWork{
+		ell:  make([]float64, dim),
+		s:    linalg.NewMatrix(n, n),
+		chol: linalg.NewMatrix(n, n),
+		inv:  linalg.NewMatrix(n, n),
+		grad: make([]float64, 2+dim),
+	}
 }
 
 // mle maximizes the log marginal likelihood over (logSF2, logL, logSN2) with
@@ -184,8 +227,9 @@ func (g *GP) mle(y []float64, cfg Config) {
 	const b1, b2, eps = 0.9, 0.999, 1e-8
 	bestLL := math.Inf(-1)
 	bestTheta := g.theta()
+	w := newMLEWork(n, g.dim)
 	for it := 1; it <= cfg.MLEIters; it++ {
-		grad, ll, ok := g.mleGrad(centered)
+		grad, ll, ok := g.mleGrad(centered, w)
 		if !ok {
 			// Ill-conditioned kernel at these params: shrink back toward the
 			// best seen and stop.
@@ -248,55 +292,128 @@ func (g *GP) setThetaAt(p int, v float64) {
 	}
 }
 
-// mleGrad returns (∂L/∂θ, L) at the current hyperparameters.
-func (g *GP) mleGrad(centered []float64) ([]float64, float64, bool) {
+// mleGrad returns (∂L/∂θ, L) at the current hyperparameters, in w.grad.
+func (g *GP) mleGrad(centered []float64, w *mleWork) ([]float64, float64, bool) {
 	n := len(centered)
-	k := g.kernelMatrix()
-	l, err := linalg.Cholesky(k)
-	if err != nil {
+	sf2, sn2 := g.exps(w.ell)
+	g.signalMatrix(w.s, w.ell, sf2)
+	noisy(w.chol, w.s, sn2, 0)
+	if linalg.CholeskyInPlace(w.chol) != nil {
 		return nil, 0, false
 	}
+	l := w.chol
 	alpha := linalg.CholSolve(l, centered)
 	ll := -0.5*linalg.Dot(centered, alpha) - 0.5*linalg.LogDetFromChol(l) - 0.5*float64(n)*math.Log(2*math.Pi)
 
-	// K⁻¹ via n solves.
-	kinv := linalg.NewMatrix(n, n)
-	e := make([]float64, n)
-	for j := 0; j < n; j++ {
-		e[j] = 1
-		col := linalg.CholSolve(l, e)
-		for i := 0; i < n; i++ {
-			kinv.Set(i, j, col[i])
-		}
-		e[j] = 0
-	}
+	cholInverse(l, w.inv)
 	// W = ααᵀ - K⁻¹; grad_θ = 0.5 tr(W · dK/dθ) = 0.5 Σ_ij W_ij dK_ij/dθ.
-	grad := make([]float64, 2+g.dim)
-	sn2 := math.Exp(g.logSN2)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			w := alpha[i]*alpha[j] - kinv.At(i, j)
-			kij := g.kernel(g.X[i], g.X[j]) // signal part only
+	grad := w.grad
+	for p := range grad {
+		grad[p] = 0
+	}
+	gl := grad[1 : 1+g.dim]
+	ell := w.ell[:len(gl)]
+	for i, xi := range g.X {
+		xi := xi[:len(gl)]
+		si := w.s.Row(i)
+		inv := w.inv.Row(i)
+		for j, xj := range g.X {
+			xj := xj[:len(gl)]
+			wij := alpha[i]*alpha[j] - inv[j]
 			// ∂K/∂logSF2 = signal part
-			grad[0] += 0.5 * w * kij
+			c := 0.5 * wij * si[j]
+			grad[0] += c
 			// ∂K/∂logL_d = kij · (Δ_d/l_d)²
-			for d := 0; d < g.dim; d++ {
-				ld := math.Exp(g.logL[d])
-				dd := (g.X[i][d] - g.X[j][d]) / ld
-				grad[1+d] += 0.5 * w * kij * dd * dd
+			for d, ld := range ell {
+				dd := (xi[d] - xj[d]) / ld
+				gl[d] += c * dd * dd
 			}
 			// ∂K/∂logSN2 = σn² on the diagonal
 			if i == j {
-				grad[1+g.dim] += 0.5 * w * sn2
+				grad[1+g.dim] += 0.5 * wij * sn2
 			}
 		}
 	}
 	return grad, ll, true
 }
 
+// cholInverse sets inv to K⁻¹ for the Cholesky factor l of K. Column j is
+// the solve K·x = e_j by forward then back substitution, and each element
+// subtracts the same products in the same ascending order as SolveLower and
+// SolveUpperT would, so it has their bits. The forward sweep of column j
+// starts at row j: the rows above it are exact +0, and a product with one
+// of them leaves every later sum, which starts from +0 or 1, unchanged.
+// Both sweeps run one row of all columns at a time in place, so the inner
+// loops carry independent sums, and subtract four rows per pass over one.
+func cholInverse(l, inv *linalg.Matrix) {
+	n := l.Rows
+	// Forward: row i of Y = L⁻¹ from the rows above it.
+	for i := 0; i < n; i++ {
+		li := l.Row(i)
+		yi := inv.Row(i)
+		for j := range yi {
+			yi[j] = 0
+		}
+		yi[i] = 1
+		k := 0
+		for ; k+4 <= i; k += 4 {
+			// Column j takes row k's product only when j ≤ k, as its solve
+			// starts at row j: columns k+1..k+3 take only the products of
+			// the rows at or below them.
+			a0, a1, a2, a3 := li[k], li[k+1], li[k+2], li[k+3]
+			y0 := inv.Row(k)[:k+1]
+			y1 := inv.Row(k + 1)[:k+2]
+			y2 := inv.Row(k + 2)[:k+3]
+			y3 := inv.Row(k + 3)[:k+4]
+			dst, b1, b2, b3 := yi[:k+1], y1[:k+1], y2[:k+1], y3[:k+1]
+			for j, v := range y0 {
+				dst[j] = dst[j] - a0*v - a1*b1[j] - a2*b2[j] - a3*b3[j]
+			}
+			yi[k+1] = yi[k+1] - a1*y1[k+1] - a2*y2[k+1] - a3*y3[k+1]
+			yi[k+2] = yi[k+2] - a2*y2[k+2] - a3*y3[k+2]
+			yi[k+3] -= a3 * y3[k+3]
+		}
+		for ; k < i; k++ {
+			a := li[k]
+			yk := inv.Row(k)[:k+1]
+			dst := yi[:len(yk)]
+			for j, v := range yk {
+				dst[j] -= a * v
+			}
+		}
+		for j := range yi[:i+1] {
+			yi[j] /= li[i]
+		}
+	}
+	// Back: row i of K⁻¹ = L⁻ᵀY from the rows below it.
+	for i := n - 1; i >= 0; i-- {
+		xi := inv.Row(i)[:n]
+		k := i + 1
+		for ; k+4 <= n; k += 4 {
+			a0, a1, a2, a3 := l.At(k, i), l.At(k+1, i), l.At(k+2, i), l.At(k+3, i)
+			x0 := inv.Row(k)[:n]
+			x1 := inv.Row(k + 1)[:n]
+			x2 := inv.Row(k + 2)[:n]
+			x3 := inv.Row(k + 3)[:n]
+			for j, v := range x0 {
+				xi[j] = xi[j] - a0*v - a1*x1[j] - a2*x2[j] - a3*x3[j]
+			}
+		}
+		for ; k < n; k++ {
+			a := l.At(k, i)
+			for j, v := range inv.Row(k)[:n] {
+				xi[j] -= a * v
+			}
+		}
+		d := l.At(i, i)
+		for j := range xi {
+			xi[j] /= d
+		}
+	}
+}
+
 // kernelFitted evaluates k(a, b) with the cached fitted hyperparameters —
-// the inference-path twin of kernel (which recomputes the exps so it stays
-// correct mid-MLE).
+// kernel's arithmetic, bit for bit, on the exps refit stored for inference.
 func (g *GP) kernelFitted(a, b []float64) float64 {
 	s := 0.0
 	for i := range a {

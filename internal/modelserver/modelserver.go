@@ -167,6 +167,7 @@ func (s *Server) Model(workload, objective string) (model.Model, error) {
 	span := s.tracer.StartSpan(telemetry.LevelRun, run, parent, "model", "train")
 	X, y, err := dataset(entries, objective, s.spc.Dim())
 	if err != nil {
+		span.End("error", nil)
 		return nil, err
 	}
 	logScale := s.cfg.LogTargets
@@ -192,6 +193,7 @@ func (s *Server) Model(workload, objective string) (model.Model, error) {
 		m, err = gp.Fit(X, y, s.cfg.GPCfg)
 	}
 	if err != nil {
+		span.End("error", nil)
 		return nil, fmt.Errorf("modelserver: training %s/%s: %w", workload, objective, err)
 	}
 	if logScale {

@@ -3,6 +3,7 @@ package modelserver
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -86,6 +87,38 @@ func TestMissingWorkloadAndObjective(t *testing.T) {
 	}
 	if _, err := srv.Model("w0", "nope"); err == nil {
 		t.Fatal("expected error for unknown objective")
+	}
+}
+
+// TestFailedTrainingEndsSpan traces two trainings that fail, one on a
+// missing objective and one whose kernel matrix cannot be factored (a NaN
+// trace input): each must close its model/train span with detail "error",
+// so /debug/trace shows it and its time is not charged to the parent span.
+func TestFailedTrainingEndsSpan(t *testing.T) {
+	spc, st := buildStore(t, 10)
+	bad := st.ForWorkload("w0")[0]
+	bad.Workload, bad.X = "w-nan", append([]float64(nil), bad.X...)
+	bad.X[0] = math.NaN()
+	st.Add(bad)
+	tel := telemetry.New()
+	srv := New(spc, st, Config{Kind: GP, Telemetry: tel})
+	for _, c := range []struct{ run, workload, objective string }{
+		{"missing-objective", "w0", "nope"},
+		{"unfactorable", "w-nan", "latency"},
+	} {
+		srv.SetTraceContext(c.run, 7)
+		if _, err := srv.Model(c.workload, c.objective); err == nil {
+			t.Fatalf("%s: Model(%q, %q) succeeded; want an error", c.run, c.workload, c.objective)
+		}
+		var ended bool
+		for _, e := range tel.Trace.Events(c.run) {
+			if e.Scope == "model" && e.Name == "train" && e.Detail == "error" && e.Span != 0 && e.Parent == 7 {
+				ended = true
+			}
+		}
+		if !ended {
+			t.Fatalf("%s: no model/train span ended with detail \"error\" under parent 7 in %+v", c.run, tel.Trace.Events(c.run))
+		}
 	}
 }
 

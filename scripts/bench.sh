@@ -13,13 +13,17 @@
 #   internal/linalg      GEMM / GEMMReLU / GEMMScalarRef  (the NT kernel on
 #                        dense A and on A with 45% zeros, the share of ReLU
 #                        outputs that did not fire in MOGD's hidden layers,
-#                        vs the reference triple loop)
+#                        vs the reference triple loop) / GEMMOut  (the DNN
+#                        output layer's one-column forward and one-inner
+#                        backward at 8 and 32 rows)
 #   internal/model/dnn   Predict / ValueGrad / PredictVar (4×128) /
 #                        PredictVar2x64 (MC dropout at the server's shape) /
 #                        ValueGradBatch (the split batched pass MOGD runs:
 #                        ForwardBatch, Grad, Done) / ValueGradScalarLoop /
 #                        Fit (a fresh net trained at the server's shape:
 #                        12→64→64→1, 60 samples, 200 epochs, batch 32)
+#   internal/model/gp    GPFit  (a GP trained at the server's shape: 60
+#                        traces × 12 knobs, the default 80 MLE steps)
 #   internal/problem     EvaluatorMemoHit[Telemetry] / EvaluatorMemoMiss /
 #                        EvaluatorValueGrad[Telemetry] / EvalBatch (its pool
 #                        is GOMAXPROCS wide; -cpu 1 gives the serial
@@ -69,6 +73,7 @@ trap 'rm -f "$RAW"' EXIT
 
 go test -run '^$' -bench 'GEMM' -benchmem -benchtime 1s ./internal/linalg/ >>"$RAW"
 go test -run '^$' -bench 'Predict|ValueGrad|Fit' -benchmem -benchtime 1s ./internal/model/dnn/ >>"$RAW"
+go test -run '^$' -bench 'GPFit' -benchmem -benchtime 1s ./internal/model/gp/ >>"$RAW"
 go test -run '^$' -bench 'Evaluator|EvalBatch|Composite' -benchmem -benchtime 1s ./internal/problem/ >>"$RAW"
 go test -run '^$' -bench 'Lookup|Get' -benchmem -benchtime 1s ./internal/space/ >>"$RAW"
 go test -run '^$' -bench 'CoresValueGrad' -benchmem -benchtime 1s ./internal/spark/ >>"$RAW"

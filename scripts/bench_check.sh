@@ -35,6 +35,8 @@ fi
 # kernels), the split batched DNN pass (ValueGradBatch: ForwardBatch, Grad,
 # Done, as MOGD runs it), DNN training
 # at the server's shape (Fit; informational until its first scripts/bench.sh
+# recording), GP training at the server's shape (GPFit: 60 traces × 12
+# knobs, 80 MLE steps; informational until its first scripts/bench.sh
 # recording) and MC-dropout uncertainty (PredictVar at 4×128, and
 # PredictVar2x64 at the server's shape, informational until recorded), the
 # evaluator seam (scalar, matrix-batch, and the stage-wise composite eval —
@@ -50,13 +52,14 @@ fi
 # answer, cache hits included, pays it; informational until its first
 # scripts/bench.sh recording), and the calibration ledger's window update and
 # append (the /observe hot path — the append must stay off the disk write).
-TRACKED='GEMM GEMMReLU Predict ValueGrad ValueGradBatch Fit PredictVar PredictVar2x64 EvaluatorValueGrad EvaluatorValueGradTelemetry EvaluatorMemoHit EvalBatch CompositeEval SpanStartEnd TracerEvents CoresValueGrad MOGDSolve MOGDSolveSerial MOGDSolveBatch SequentialCold ParallelCold ServingCacheHit ServingCacheInsert CoalescedDispatch RegistryAppend CalibWindowAdd CalibLedgerAppend'
+TRACKED='GEMM GEMMReLU Predict ValueGrad ValueGradBatch Fit GPFit PredictVar PredictVar2x64 EvaluatorValueGrad EvaluatorValueGradTelemetry EvaluatorMemoHit EvalBatch CompositeEval SpanStartEnd TracerEvents CoresValueGrad MOGDSolve MOGDSolveSerial MOGDSolveBatch SequentialCold ParallelCold ServingCacheHit ServingCacheInsert CoalescedDispatch RegistryAppend CalibWindowAdd CalibLedgerAppend'
 
 RAW=$(mktemp)
 trap 'rm -f "$RAW"' EXIT
 
 go test -run '^$' -bench 'GEMM' -benchmem -benchtime "$BENCHTIME" ./internal/linalg/ >>"$RAW"
 go test -run '^$' -bench 'Predict|ValueGrad$|ValueGradBatch|Fit' -benchmem -benchtime "$BENCHTIME" ./internal/model/dnn/ >>"$RAW"
+go test -run '^$' -bench 'GPFit' -benchmem -benchtime "$BENCHTIME" ./internal/model/gp/ >>"$RAW"
 go test -run '^$' -bench 'Evaluator|EvalBatch|Composite' -benchmem -benchtime "$BENCHTIME" ./internal/problem/ >>"$RAW"
 go test -run '^$' -bench 'SpanStartEnd$|TracerEvents' -benchmem -benchtime "$BENCHTIME" ./internal/telemetry/ >>"$RAW"
 go test -run '^$' -bench 'CoresValueGrad' -benchmem -benchtime "$BENCHTIME" ./internal/spark/ >>"$RAW"

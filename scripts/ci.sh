@@ -30,9 +30,11 @@
 #      per-workload rules read, 10s of FuzzClipToBox, the quality
 #      measures' point dedup against its reference, degenerate boxes
 #      included, 10s of FuzzCompositeRoundTrip over a stage-wise space's
-#      Decode/Round/Gather round trips, and 10s of FuzzGemm, both GEMM
+#      Decode/Round/Gather round trips, 10s of FuzzGemm, both GEMM
 #      kernels against the reference triple loop on shapes and zero
-#      patterns of A the fuzzer picks
+#      patterns of A the fuzzer picks, and 10s of FuzzGPFit, GP training
+#      against its per-call-exps reference, by bits, on small inputs with
+#      duplicated rows and constant targets
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -58,5 +60,6 @@ go test -run '^$' -fuzz FuzzLabelValue -fuzztime 10s ./internal/telemetry/
 go test -run '^$' -fuzz FuzzClipToBox -fuzztime 10s ./internal/metrics/
 go test -run '^$' -fuzz FuzzCompositeRoundTrip -fuzztime 10s ./internal/space/
 go test -run '^$' -fuzz FuzzGemm -fuzztime 10s ./internal/linalg/
+go test -run '^$' -fuzz FuzzGPFit -fuzztime 10s ./internal/model/gp/
 
 echo "ci: all gates passed"
