@@ -409,13 +409,6 @@ func BenchmarkAblationUncertaintyAlpha(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationPenalty: constrained-loss penalty constant P.
-func BenchmarkAblationPenalty(b *testing.B) {
-	benchAblation(b, func(l *experiments.Lab, s *experiments.Setup) ([]experiments.AblationRow, error) {
-		return l.AblationPenalty(s, []float64{1, 100}, 1)
-	})
-}
-
 func benchAblation(b *testing.B, f func(*experiments.Lab, *experiments.Setup) ([]experiments.AblationRow, error)) {
 	b.Helper()
 	l := benchLab()

@@ -461,12 +461,6 @@ func (r *runner) ablation() error {
 		return err
 	}
 	experiments.WriteAblation(os.Stdout, "uncertainty multiplier alpha", "actual-lat", rows)
-
-	rows, err = r.lab.AblationPenalty(setup, []float64{0.01, 1, 100, 10000}, *seedFlag)
-	if err != nil {
-		return err
-	}
-	experiments.WriteAblation(os.Stdout, "constrained-loss penalty P", "feasible-frac", rows)
 	return nil
 }
 

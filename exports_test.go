@@ -24,20 +24,19 @@ const modulePath = "repro"
 // it stays. Test tools check behaviour the programs keep; Unwrap is called
 // by the standard library through an interface the module never names.
 var testOnlyExportsAllowed = map[string]string{
-	"serving.ShedError.Unwrap":         "errors.Is and errors.As call it",
-	"objective.Rect.Contains":          "the PF-S completeness property test checks coverage with it",
-	"space.Composite.Gather":           "the pipeline test and FuzzCompositeRoundTrip check stage round trips with it",
-	"solver/mogd.Solver.Minimize":      "the §IV-B.1 single-objective base case is tested through it",
-	"core.Run.Exhausted":               "the run tests check with it that the uncertain space is fully resolved",
-	"model/gp.GP.Lengthscales":         "the ARD test reads the fitted lengthscales with it",
-	"model/gp.GP.LogML":                "the MLE test checks that the fit raised the log marginal likelihood",
-	"solver/mogd.Solver.CacheNearHits": "the near warm-start tests count warm-started probes with it",
-	"model/analytic.PaperExample":      "Fig. 3(e)'s models, a fixture for the tests of five packages",
-	"model/analytic.PaperExample2D":    "Fig. 3(f)'s models, a fixture for the tests of seven packages",
-	"problem.NewComposite":             "the conformance suite and the composite tests build pipeline problems with it; udao.NewPipelineOptimizer routes its stages through RoutedObjective instead",
-	"trace.Load":                       "it reads back the trace file that cmd/tracegen writes",
-	"core.Snapshot.Evals":              "udao.Options.OnProgress hands Snapshot to callers",
-	"core.Snapshot.UncertainFrac":      "udao.Options.OnProgress hands Snapshot to callers",
+	"serving.ShedError.Unwrap":      "errors.Is and errors.As call it",
+	"objective.Rect.Contains":       "the PF-S completeness property test checks coverage with it",
+	"space.Composite.Gather":        "the pipeline test and FuzzCompositeRoundTrip check stage round trips with it",
+	"solver/mogd.Solver.Minimize":   "the §IV-B.1 single-objective base case is tested through it",
+	"core.Run.Exhausted":            "the run tests check with it that the uncertain space is fully resolved",
+	"model/gp.GP.Lengthscales":      "the ARD test reads the fitted lengthscales with it",
+	"model/gp.GP.LogML":             "the MLE test checks that the fit raised the log marginal likelihood",
+	"model/analytic.PaperExample":   "Fig. 3(e)'s models, a fixture for the tests of five packages",
+	"model/analytic.PaperExample2D": "Fig. 3(f)'s models, a fixture for the tests of seven packages",
+	"problem.NewComposite":          "the conformance suite and the composite tests build pipeline problems with it; udao.NewPipelineOptimizer routes its stages through RoutedObjective instead",
+	"trace.Load":                    "it reads back the trace file that cmd/tracegen writes",
+	"core.Snapshot.Evals":           "udao.Options.OnProgress hands Snapshot to callers",
+	"core.Snapshot.UncertainFrac":   "udao.Options.OnProgress hands Snapshot to callers",
 }
 
 // TestNoTestOnlyExports fails when no non-test file of the module or of
@@ -51,8 +50,10 @@ var testOnlyExportsAllowed = map[string]string{
 // an interface type that non-test code uses and that declares the method:
 // container/heap reaches a queue's Less that way. A field is live only when
 // non-test code reads it; the left-hand side of an assignment, an ++ or --
-// operand and a composite-literal key write it. Fields with a struct tag are
-// wire formats and embedded fields are promoted, so neither is checked.
+// operand and a composite-literal key write it, and a read in the defaults
+// or validate method of the field's own struct type only fills in or checks
+// the field's value. Fields with a struct tag are wire formats and embedded
+// fields are promoted, so neither is checked.
 func TestNoTestOnlyExports(t *testing.T) {
 	fset := token.NewFileSet()
 	imp := &sourceImporter{fset: fset, std: importer.Default(), pkgs: map[string]*sourcePackage{}}
@@ -63,13 +64,14 @@ func TestNoTestOnlyExports(t *testing.T) {
 	ifaces := map[*types.Interface]bool{}
 	var decls []exportedObject
 	for _, p := range imp.pkgs {
-		receivers, writes := map[*ast.Ident]bool{}, map[*ast.Ident]bool{}
+		receivers, notReads := map[*ast.Ident]bool{}, map[*ast.Ident]bool{}
 		for _, f := range p.files {
 			markReceivers(f, receivers)
-			markWrites(f, writes)
+			markWrites(f, notReads)
+			markSelfChecks(f, p.info, notReads)
 		}
 		for id, obj := range p.info.Uses {
-			if v, ok := obj.(*types.Var); receivers[id] || ok && v.IsField() && writes[id] {
+			if v, ok := obj.(*types.Var); receivers[id] || ok && v.IsField() && notReads[id] {
 				continue
 			}
 			used[origin(obj)] = true
@@ -216,6 +218,38 @@ func markWrites(f *ast.File, writes map[*ast.Ident]bool) {
 		}
 		return true
 	})
+}
+
+// markSelfChecks marks the field uses in f's defaults and validate methods
+// that name a field of the method's own struct type: filling in a field's
+// default or rejecting its value does not read it for the program.
+func markSelfChecks(f *ast.File, info *types.Info, notReads map[*ast.Ident]bool) {
+	for _, d := range f.Decls {
+		fn, ok := d.(*ast.FuncDecl)
+		if !ok || fn.Recv == nil || fn.Body == nil || fn.Name.Name != "defaults" && fn.Name.Name != "validate" {
+			continue
+		}
+		t := info.Types[fn.Recv.List[0].Type].Type
+		if p, ok := t.(*types.Pointer); ok {
+			t = p.Elem()
+		}
+		st, ok := t.Underlying().(*types.Struct)
+		if !ok {
+			continue
+		}
+		ast.Inspect(fn.Body, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok {
+				if v, ok := info.Uses[id].(*types.Var); ok && v.IsField() {
+					for i := 0; i < st.NumFields(); i++ {
+						if st.Field(i) == origin(v) {
+							notReads[id] = true
+						}
+					}
+				}
+			}
+			return true
+		})
+	}
 }
 
 // markReceivers marks the identifiers in f's method receivers, which name

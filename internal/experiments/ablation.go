@@ -133,51 +133,6 @@ func (l *Lab) AblationUncertaintyAlpha(setup *Setup, alphas []float64, seed int6
 	return rows, nil
 }
 
-// AblationPenalty varies the constrained-loss penalty constant P (Eq. 3);
-// Extra is the fraction of middle-point probes that found a feasible point.
-func (l *Lab) AblationPenalty(setup *Setup, penalties []float64, seed int64) ([]AblationRow, error) {
-	k := len(setup.Models)
-	// A set of representative CO problems: the 2^k grid cells' lower boxes.
-	var cos []solver.CO
-	for mask := 0; mask < 1<<k; mask++ {
-		lo := make([]float64, k)
-		hi := make([]float64, k)
-		for j := 0; j < k; j++ {
-			span := setup.Nadir[j] - setup.Utopia[j]
-			if mask&(1<<j) == 0 {
-				lo[j] = setup.Utopia[j]
-				hi[j] = setup.Utopia[j] + span/4
-			} else {
-				lo[j] = setup.Utopia[j] + span/2
-				hi[j] = setup.Utopia[j] + 3*span/4
-			}
-		}
-		cos = append(cos, solver.CO{Target: 0, Lo: lo, Hi: hi})
-	}
-	var rows []AblationRow
-	for _, p := range penalties {
-		s, err := mogd.New(setup.evaluator(0), mogd.Config{Starts: 6, Iters: 80, Penalty: p, Seed: seed})
-		if err != nil {
-			return nil, err
-		}
-		start := time.Now()
-		results := s.SolveBatch(cos, seed)
-		found := 0
-		for _, r := range results {
-			if r.OK {
-				found++
-			}
-		}
-		rows = append(rows, AblationRow{
-			Variant: fmt.Sprintf("P=%g", p),
-			Elapsed: time.Since(start),
-			Points:  found,
-			Extra:   float64(found) / float64(len(cos)),
-		})
-	}
-	return rows, nil
-}
-
 func boolToInt(b bool) int {
 	if b {
 		return 1

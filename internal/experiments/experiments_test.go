@@ -333,12 +333,6 @@ func TestAblations(t *testing.T) {
 	}
 	WriteAblation(&buf, "alpha", "actual-lat", rows)
 
-	rows, err = l.AblationPenalty(setup, []float64{1, 100}, 14)
-	if err != nil || len(rows) != 2 {
-		t.Fatalf("penalty ablation: %v %v", rows, err)
-	}
-	WriteAblation(&buf, "penalty", "feasible-frac", rows)
-
 	if !strings.Contains(buf.String(), "ablation:") {
 		t.Fatal("missing ablation output")
 	}

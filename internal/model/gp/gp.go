@@ -58,27 +58,35 @@ type GP struct {
 	alpha  []float64      // K⁻¹(y - mean)
 	LogML  float64        // log marginal likelihood at the fitted params
 	// Inference-time caches of the fitted hyperparameters, refreshed by
-	// refit: sf2 = exp(logSF2), lsc[d] = l_d, l2[d] = l_d² — they keep the
-	// per-training-point kernel evaluations of the prediction hot path
-	// exp-free per dimension while preserving kernel's exact arithmetic
-	// (same divisions, bit-identical results).
+	// refit: sf2 = exp(logSF2), lsc[d] = l_d, l2[d] = l_d². Inference passes
+	// sf2 and lsc to kernel, so its per-training-point kernel evaluations
+	// are exp-free per dimension.
 	sf2 float64
 	lsc []float64
 	l2  []float64
 }
 
 // Fit trains a GP on (X, y). Inputs are expected in the normalized decision
-// space [0,1]^d. It returns an error when X is empty, ragged, or the kernel
-// matrix cannot be factorized even after jitter escalation.
+// space [0,1]^d. It returns an error when X is empty or ragged, when a row
+// of X or y holds a NaN or an infinity, or when the kernel matrix cannot be
+// factorized even after jitter escalation.
 func Fit(X [][]float64, y []float64, cfg Config) (*GP, error) {
 	cfg.defaults()
 	if len(X) == 0 || len(X) != len(y) {
 		return nil, errors.New("gp: need equal-length non-empty X and y")
 	}
 	d := len(X[0])
-	for _, row := range X {
+	for i, row := range X {
 		if len(row) != d {
 			return nil, errors.New("gp: ragged input matrix")
+		}
+		for _, v := range row {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return nil, fmt.Errorf("gp: input row %d is not finite: %v", i, row)
+			}
+		}
+		if math.IsNaN(y[i]) || math.IsInf(y[i], 0) {
+			return nil, fmt.Errorf("gp: target of row %d is not finite: %v", i, y[i])
 		}
 	}
 	ystd := linalg.StdDev(y)
@@ -412,22 +420,11 @@ func cholInverse(l, inv *linalg.Matrix) {
 	}
 }
 
-// kernelFitted evaluates k(a, b) with the cached fitted hyperparameters —
-// kernel's arithmetic, bit for bit, on the exps refit stored for inference.
-func (g *GP) kernelFitted(a, b []float64) float64 {
-	s := 0.0
-	for i := range a {
-		d := (a[i] - b[i]) / g.lsc[i]
-		s += d * d
-	}
-	return g.sf2 * math.Exp(-0.5*s)
-}
-
 // Predict implements model.Model (posterior mean). Safe for concurrent use.
 func (g *GP) Predict(x []float64) float64 {
 	dot := 0.0
 	for i, xi := range g.X {
-		dot += g.kernelFitted(x, xi) * g.alpha[i]
+		dot += kernel(x, xi, g.lsc, g.sf2) * g.alpha[i]
 	}
 	return g.yMean + dot
 }
@@ -437,11 +434,11 @@ func (g *GP) PredictVar(x []float64) (float64, float64) {
 	n := len(g.X)
 	ks := make([]float64, n)
 	for i := 0; i < n; i++ {
-		ks[i] = g.kernelFitted(x, g.X[i])
+		ks[i] = kernel(x, g.X[i], g.lsc, g.sf2)
 	}
 	mean := g.yMean + linalg.Dot(ks, g.alpha)
 	v := linalg.SolveLower(g.chol, ks)
-	variance := g.kernelFitted(x, x) - linalg.Dot(v, v)
+	variance := kernel(x, x, g.lsc, g.sf2) - linalg.Dot(v, v)
 	if variance < 0 {
 		variance = 0
 	}
@@ -460,7 +457,7 @@ func (g *GP) ValueGrad(x, grad []float64) (float64, []float64) {
 	}
 	dot := 0.0
 	for i, xi := range g.X {
-		kv := g.kernelFitted(x, xi) * g.alpha[i]
+		kv := kernel(x, xi, g.lsc, g.sf2) * g.alpha[i]
 		dot += kv
 		if kv == 0 {
 			continue

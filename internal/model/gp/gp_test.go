@@ -3,6 +3,7 @@ package gp
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/model"
@@ -29,6 +30,18 @@ func TestFitValidation(t *testing.T) {
 	}
 	if _, err := Fit([][]float64{{1}}, []float64{1, 2}, Config{}); err == nil {
 		t.Fatal("expected error for length mismatch")
+	}
+	// Non-finite data is rejected before training, naming the row, instead
+	// of surfacing as a kernel matrix that no jitter makes factorable.
+	X, y := makeData(10, 1, 0.01)
+	X[3][1] = math.NaN()
+	if _, err := Fit(X, y, Config{}); err == nil || !strings.Contains(err.Error(), "row 3") {
+		t.Fatalf("NaN input in row 3: error %v; want one naming row 3", err)
+	}
+	X, y = makeData(10, 1, 0.01)
+	y[7] = math.Inf(1)
+	if _, err := Fit(X, y, Config{}); err == nil || !strings.Contains(err.Error(), "row 7") {
+		t.Fatalf("+Inf target in row 7: error %v; want one naming row 7", err)
 	}
 }
 

@@ -13,7 +13,9 @@ import (
 // The maximum-likelihood training as it was before its exps were hoisted,
 // kept as the reference: kernel evaluates its 1+d exps on every call, the
 // gradient evaluates every kernel entry again, and K⁻¹ is n CholSolve
-// columns. Fit must reproduce refFit bit for bit, and mleGrad refMLEGrad.
+// columns. Fit must reproduce refFit bit for bit, and mleGrad refMLEGrad;
+// Predict, ValueGrad and PredictVar must reproduce the inference below,
+// built on the same per-call-exps kernel.
 
 // refFit trains a GP on (X, y). Inputs are expected in the normalized decision
 // space [0,1]^d. It returns an error when X is empty, ragged, or the kernel
@@ -63,6 +65,41 @@ func (g *GP) refKernel(a, b []float64) float64 {
 		s += d * d
 	}
 	return sf2 * math.Exp(-0.5*s)
+}
+
+// refPredict is the posterior mean at x.
+func (g *GP) refPredict(x []float64) float64 {
+	dot := 0.0
+	for i, xi := range g.X {
+		dot += g.refKernel(x, xi) * g.alpha[i]
+	}
+	return g.yMean + dot
+}
+
+// refValueGrad is the posterior mean at x and its gradient,
+// Σ_i α_i k(x, x_i) (x_i[d] − x[d]) / l_d², summed over every training point.
+func (g *GP) refValueGrad(x []float64) (float64, []float64) {
+	grad := make([]float64, g.dim)
+	dot := 0.0
+	for i, xi := range g.X {
+		kv := g.refKernel(x, xi) * g.alpha[i]
+		dot += kv
+		for d := range grad {
+			l := math.Exp(g.logL[d])
+			grad[d] += kv * (xi[d] - x[d]) / (l * l)
+		}
+	}
+	return g.yMean + dot, grad
+}
+
+// refPredictVar is the posterior mean and variance at x.
+func (g *GP) refPredictVar(x []float64) (float64, float64) {
+	ks := make([]float64, len(g.X))
+	for i, xi := range g.X {
+		ks[i] = g.refKernel(x, xi)
+	}
+	v := linalg.SolveLower(g.chol, ks)
+	return g.yMean + linalg.Dot(ks, g.alpha), math.Max(0, g.refKernel(x, x)-linalg.Dot(v, v))
 }
 
 // refKernelMatrix builds K + σn²I over the training inputs.
@@ -267,7 +304,10 @@ func bitsDiff(a, b []float64) string {
 	return ""
 }
 
-// checkFit fits (X, y) both ways and fails on any difference in bits.
+// checkFit fits (X, y) both ways and fails on any difference in bits, in
+// the fitted values or in Predict, ValueGrad and PredictVar against the
+// reference inference at three points: the first training input, the
+// center of the cube, and the midpoint of the first and last inputs.
 func checkFit(t *testing.T, name string, X [][]float64, y []float64, cfg Config) {
 	t.Helper()
 	got, gerr := Fit(X, y, cfg)
@@ -280,6 +320,24 @@ func checkFit(t *testing.T, name string, X [][]float64, y []float64, cfg Config)
 	}
 	if d := fitDiff(got, want); d != "" {
 		t.Fatalf("%s: %s", name, d)
+	}
+	center := make([]float64, len(X[0]))
+	mid := make([]float64, len(X[0]))
+	for d := range center {
+		center[d] = 0.5
+		mid[d] = (X[0][d] + X[len(X)-1][d]) / 2
+	}
+	for _, x := range [][]float64{X[0], center, mid} {
+		v, grad := got.ValueGrad(x, nil)
+		wv, wgrad := want.refValueGrad(x)
+		mean, variance := got.PredictVar(x)
+		wmean, wvariance := want.refPredictVar(x)
+		if d := bitsDiff([]float64{got.Predict(x), v, mean, variance}, []float64{want.refPredict(x), wv, wmean, wvariance}); d != "" {
+			t.Fatalf("%s: Predict, ValueGrad, PredictVar mean and variance at %v%s", name, x, d)
+		}
+		if d := bitsDiff(grad, wgrad); d != "" {
+			t.Fatalf("%s: ValueGrad gradient at %v%s", name, x, d)
+		}
 	}
 }
 

@@ -103,7 +103,7 @@ func TestObjForwardBatchLazyGrad(t *testing.T) {
 	h.Done()
 }
 
-// TestEvalBatchFallbackPath pins the worker-pool path for evaluators over
+// TestEvalBatchFallbackPath pins the par.For path for evaluators over
 // models without a native batched pass.
 func TestEvalBatchFallbackPath(t *testing.T) {
 	sum := model.Func{D: 3, F: func(x []float64) float64 { return x[0] + 2*x[1] - x[2] }}

@@ -57,9 +57,10 @@ func BenchmarkEvaluatorMemoMiss(b *testing.B) {
 	}
 }
 
-// BenchmarkEvalBatch measures the worker-pool batch path on a 64-point batch
-// of distinct points (memo disabled so the model cost is visible). The pool
-// is GOMAXPROCS wide, so -cpu 1 gives the serial scaling reference.
+// BenchmarkEvalBatch measures the par.For batch path on a 64-point batch of
+// distinct points (memo disabled so the model cost is visible). par.For runs
+// on up to GOMAXPROCS goroutines, so -cpu 1 gives the serial scaling
+// reference.
 func BenchmarkEvalBatch(b *testing.B) {
 	e := benchEvaluator(b, Options{MemoCap: -1})
 	xs := make([][]float64, 64)

@@ -3,13 +3,13 @@ package problem
 import (
 	"encoding/binary"
 	"math"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/model"
 	"repro/internal/objective"
+	"repro/internal/par"
 	"repro/internal/telemetry"
 )
 
@@ -43,10 +43,10 @@ func (o *Options) defaults() {
 }
 
 // Evaluator is the only gateway between optimizer code and objective models.
-// It owns the fused value+gradient hot path, a GOMAXPROCS-wide worker pool
-// for batch evaluation, a per-problem memoization cache keyed by the encoded
-// point, and an atomic evaluation counter, so every optimizer built on it
-// reports a comparable evaluation count (the paper's §VI efficiency axis).
+// It owns the fused value+gradient hot path, parallel batch evaluation, a
+// per-problem memoization cache keyed by the encoded point, and an atomic
+// evaluation counter, so every optimizer built on it reports a comparable
+// evaluation count (the paper's §VI efficiency axis).
 //
 // Semantics:
 //
@@ -66,8 +66,6 @@ func (o *Options) defaults() {
 type Evaluator struct {
 	prob *Problem
 	opts Options
-	// workers bounds EvalBatch's pool: GOMAXPROCS at construction.
-	workers int
 	// vgs fuses each objective's value+gradient evaluation.
 	vgs []model.ValueGradienter
 	// eff holds the objective used for reported values: the conservative
@@ -103,7 +101,7 @@ type Evaluator struct {
 // NewEvaluator builds an evaluator over the problem.
 func NewEvaluator(p *Problem, opts Options) *Evaluator {
 	opts.defaults()
-	e := &Evaluator{prob: p, opts: opts, workers: runtime.GOMAXPROCS(0)}
+	e := &Evaluator{prob: p, opts: opts}
 	for _, m := range p.Objectives {
 		e.vgs = append(e.vgs, model.EnsureValueGrad(m))
 		if opts.Alpha > 0 {
@@ -240,9 +238,9 @@ func (e *Evaluator) ObjValueGrad(j int, x, grad []float64) (float64, []float64) 
 // EvalBatch evaluates the effective objective vectors of every point,
 // returning results in input order. When every objective has a native batched
 // pass (the DNN models), the points go through EvalRows — one matrix pass per
-// objective over the memo misses; otherwise the points fan out over a
-// bounded worker pool. Both paths produce values bit-identical to sequential
-// per-point evaluation, so the choice changes wall-clock only.
+// objective over the memo misses; otherwise each point is one Eval on
+// par.For. Both paths produce values bit-identical to sequential per-point
+// evaluation, so the choice changes wall-clock only.
 func (e *Evaluator) EvalBatch(xs [][]float64) []objective.Point {
 	out := make([]objective.Point, len(xs))
 	if len(xs) == 0 {
@@ -263,34 +261,7 @@ func (e *Evaluator) EvalBatch(xs [][]float64) []objective.Point {
 	if e.allBatch {
 		return e.evalBatchMatrix(xs)
 	}
-	workers := e.workers
-	if workers > len(xs) {
-		workers = len(xs)
-	}
-	var next int64 = -1
-	work := func() {
-		for {
-			i := int(atomic.AddInt64(&next, 1))
-			if i >= len(xs) {
-				return
-			}
-			out[i] = e.Eval(xs[i])
-		}
-	}
-	if workers <= 1 {
-		work()
-		return out
-	}
-	var wg sync.WaitGroup
-	for w := 1; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			work()
-		}()
-	}
-	work()
-	wg.Wait()
+	par.For(len(xs), func(i int) { out[i] = e.Eval(xs[i]) })
 	return out
 }
 

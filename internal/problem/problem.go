@@ -8,7 +8,7 @@
 // baselines (§VI-A) and OtterTune (§VI-B) — as optimizers over the same
 // object: a set of learned objective functions on an encoded decision space.
 // Centralizing evaluation behind one seam gives every method the fused
-// value+gradient hot path, worker-pool batch evaluation, per-problem
+// value+gradient hot path, parallel batch evaluation, per-problem
 // memoization on the configuration lattice, and a comparable evaluation
 // count (the efficiency axis of §VI) for free, and gives future model
 // backends exactly one integration point.

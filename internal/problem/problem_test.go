@@ -112,25 +112,23 @@ func TestMemoCapFlush(t *testing.T) {
 	}
 }
 
-// withProcs builds an evaluator under GOMAXPROCS procs, so its batch pool is
-// procs wide whatever the machine.
-func withProcs(procs int, p *Problem, opts Options) *Evaluator {
+// evalBatchAt runs e.EvalBatch under GOMAXPROCS procs, so its points spread
+// over up to procs goroutines whatever the machine.
+func evalBatchAt(procs int, e *Evaluator, xs [][]float64) []objective.Point {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-	return NewEvaluator(p, opts)
+	return e.EvalBatch(xs)
 }
 
 func TestEvalBatchDeterministicOrder(t *testing.T) {
 	p := MustNew([]model.Model{quad(), lin()}, nil)
-	seq := withProcs(1, p, Options{MemoCap: -1})
-	par := withProcs(8, p, Options{MemoCap: -1})
 	xs := make([][]float64, 100)
 	for i := range xs {
 		xs[i] = []float64{float64(i) / 100, float64(99-i) / 100}
 	}
-	a := seq.EvalBatch(xs)
-	b := par.EvalBatch(xs)
+	a := evalBatchAt(1, NewEvaluator(p, Options{MemoCap: -1}), xs)
+	b := evalBatchAt(8, NewEvaluator(p, Options{MemoCap: -1}), xs)
 	if !reflect.DeepEqual(a, b) {
-		t.Fatal("EvalBatch order depends on workers")
+		t.Fatal("EvalBatch order depends on GOMAXPROCS")
 	}
 	if len(a) != len(xs) {
 		t.Fatalf("batch size %d", len(a))
@@ -138,8 +136,9 @@ func TestEvalBatchDeterministicOrder(t *testing.T) {
 }
 
 func TestEvalBatchConcurrentWithMemo(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
 	p := MustNew([]model.Model{quad(), lin()}, nil)
-	e := withProcs(8, p, Options{})
+	e := NewEvaluator(p, Options{})
 	xs := make([][]float64, 64)
 	for i := range xs {
 		xs[i] = []float64{float64(i%8) / 8, 0.5} // heavy key repetition

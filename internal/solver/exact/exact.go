@@ -19,10 +19,9 @@ package exact
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 
 	"repro/internal/objective"
+	"repro/internal/par"
 	"repro/internal/problem"
 	"repro/internal/solver"
 	"repro/internal/space"
@@ -33,7 +32,6 @@ type Config struct {
 	Samples int // Halton samples (default 4096)
 	Refine  int // coordinate line-search passes (default 3)
 	Steps   int // line-search resolution per pass (default 32)
-	Workers int // SolveBatch concurrency (default GOMAXPROCS)
 }
 
 func (c *Config) defaults() {
@@ -45,9 +43,6 @@ func (c *Config) defaults() {
 	}
 	if c.Steps == 0 {
 		c.Steps = 32
-	}
-	if c.Workers == 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
 	}
 }
 
@@ -173,36 +168,14 @@ func (s *Solver) Solve(co solver.CO, _ int64) (objective.Solution, bool) {
 	return objective.Solution{F: bestF, X: bestX}, true
 }
 
-// SolveBatch implements solver.Solver with a worker pool.
+// SolveBatch implements solver.Solver, solving the problems concurrently on
+// par.For. Each result is the problem's Solve, so the batch is
+// deterministic too.
 func (s *Solver) SolveBatch(cos []solver.CO, seed int64) []solver.Result {
 	out := make([]solver.Result, len(cos))
-	workers := s.cfg.Workers
-	if workers > len(cos) {
-		workers = len(cos)
-	}
-	if workers <= 1 {
-		for i, co := range cos {
-			sol, ok := s.Solve(co, seed)
-			out[i] = solver.Result{Sol: sol, OK: ok}
-		}
-		return out
-	}
-	var wg sync.WaitGroup
-	work := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range work {
-				sol, ok := s.Solve(cos[i], seed)
-				out[i] = solver.Result{Sol: sol, OK: ok}
-			}
-		}()
-	}
-	for i := range cos {
-		work <- i
-	}
-	close(work)
-	wg.Wait()
+	par.For(len(cos), func(i int) {
+		sol, ok := s.Solve(cos[i], seed)
+		out[i] = solver.Result{Sol: sol, OK: ok}
+	})
 	return out
 }

@@ -2,6 +2,7 @@ package exact
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/model"
@@ -115,11 +116,12 @@ func TestSolveBatch(t *testing.T) {
 	if !out[0].OK || out[1].OK || !out[2].OK {
 		t.Fatalf("batch feasibility wrong: %v %v %v", out[0].OK, out[1].OK, out[2].OK)
 	}
-	// Single worker path.
-	s2 := New(problem.NewEvaluator(s.ev.Problem(), problem.Options{}), Config{Samples: 128, Workers: 1})
+	// Single goroutine path.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	s2 := New(problem.NewEvaluator(s.ev.Problem(), problem.Options{}), Config{Samples: 128})
 	out2 := s2.SolveBatch(cos[:1], 0)
 	if !out2[0].OK {
-		t.Fatal("single worker batch failed")
+		t.Fatal("single goroutine batch failed")
 	}
 }
 

@@ -41,20 +41,6 @@ func BenchmarkMOGDSolve(b *testing.B) {
 	}
 }
 
-// BenchmarkMOGDSolveSerial pins Workers to 1 so the per-iteration hot-path
-// cost is visible without multi-start parallelism.
-func BenchmarkMOGDSolveSerial(b *testing.B) {
-	s := benchSolver(b, Config{Seed: 1, Workers: 1})
-	co := benchCO()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, ok := s.Solve(co, int64(i)); !ok {
-			b.Fatal("no solution")
-		}
-	}
-}
-
 // BenchmarkMOGDSolveBatch is the PF-AP fan-out: a batch of l^k = 9 CO
 // problems solved concurrently.
 func BenchmarkMOGDSolveBatch(b *testing.B) {

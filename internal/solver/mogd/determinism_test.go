@@ -2,6 +2,8 @@ package mogd
 
 import (
 	"fmt"
+	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/model"
@@ -12,41 +14,54 @@ import (
 
 // multiDimSolver builds a 4-knob 2-objective problem where multi-start
 // genuinely matters (the extra dimensions are inert but perturb the start
-// draws), configured with the given worker count.
-func multiDimSolver(t *testing.T, workers int, seed int64) *Solver {
+// draws).
+func multiDimSolver(t *testing.T, seed int64) *Solver {
 	t.Helper()
 	lat := analytic.Latency{D: 4, MaxExec: 8, MaxCores: 3, Serial: 20, Work: 2400, Shuffle: 6}
 	cost := analytic.CoreCost{D: 4, MaxExec: 8, MaxCores: 3}
-	return newSolver(t, []model.Model{lat, cost}, nil, Config{Seed: seed, Workers: workers})
+	return newSolver(t, []model.Model{lat, cost}, nil, Config{Seed: seed})
 }
 
-// TestSolveIndependentOfWorkers proves the concurrency contract: the solution
-// (both X and F) is bit-identical between a sequential run and an
-// oversubscribed 8-worker run, for several seeds. Run under -race in CI, this
-// also exercises the shared pool for data races.
+// solveBatchAt runs s.SolveBatch under GOMAXPROCS procs, which bounds how
+// many goroutines its probes run on.
+func solveBatchAt(procs int, s *Solver, cos []solver.CO, seed int64) []solver.Result {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	return s.SolveBatch(cos, seed)
+}
+
+// bitsEqual reports whether a and b hold the same float64 bits.
+func bitsEqual(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestSolveIndependentOfWorkers proves the concurrency contract: SolveBatch's
+// results (both X and F) have the same bits at GOMAXPROCS 1, where every
+// probe runs on the calling goroutine, and at GOMAXPROCS 8, where the probes
+// spread over up to eight goroutines, for several seeds. Run under -race in
+// CI, this also checks concurrent probes for data races.
 func TestSolveIndependentOfWorkers(t *testing.T) {
-	co := solver.CO{Target: 0, Lo: []float64{0, 1}, Hi: []float64{500, 20}}
+	cos := make([]solver.CO, 6)
+	for i := range cos {
+		cos[i] = solver.CO{Target: 0, Lo: []float64{0, 1}, Hi: []float64{500 - 40*float64(i), 20}}
+	}
 	for seed := int64(0); seed < 5; seed++ {
-		seq := multiDimSolver(t, 1, seed)
-		par := multiDimSolver(t, 8, seed)
-		for probe := int64(0); probe < 3; probe++ {
-			a, okA := seq.Solve(co, probe)
-			b, okB := par.Solve(co, probe)
-			if okA != okB {
-				t.Fatalf("seed %d probe %d: ok %v (1 worker) vs %v (8 workers)", seed, probe, okA, okB)
+		a := solveBatchAt(1, multiDimSolver(t, seed), cos, 17)
+		b := solveBatchAt(8, multiDimSolver(t, seed), cos, 17)
+		for i := range a {
+			if a[i].OK != b[i].OK {
+				t.Fatalf("seed %d probe %d: ok %v (GOMAXPROCS 1) vs %v (8)", seed, i, a[i].OK, b[i].OK)
 			}
-			if !okA {
-				continue
-			}
-			for j := range a.F {
-				if a.F[j] != b.F[j] {
-					t.Fatalf("seed %d probe %d: F[%d] %v != %v", seed, probe, j, a.F[j], b.F[j])
-				}
-			}
-			for d := range a.X {
-				if a.X[d] != b.X[d] {
-					t.Fatalf("seed %d probe %d: X[%d] %v != %v", seed, probe, d, a.X[d], b.X[d])
-				}
+			if !bitsEqual(a[i].Sol.F, b[i].Sol.F) || !bitsEqual(a[i].Sol.X, b[i].Sol.X) {
+				t.Fatalf("seed %d probe %d: F %v X %v (GOMAXPROCS 1) vs F %v X %v (8)",
+					seed, i, a[i].Sol.F, a[i].Sol.X, b[i].Sol.F, b[i].Sol.X)
 			}
 		}
 	}
@@ -54,22 +69,21 @@ func TestSolveIndependentOfWorkers(t *testing.T) {
 
 // TestSolveBatchOrderUnderConcurrency proves SolveBatch returns results in
 // input order and each entry matches the equivalent standalone Solve, however
-// the probes are scheduled across workers.
+// the probes are scheduled across goroutines.
 func TestSolveBatchOrderUnderConcurrency(t *testing.T) {
-	par := multiDimSolver(t, 8, 3)
-	seq := multiDimSolver(t, 1, 3)
+	s := multiDimSolver(t, 3)
 	cos := make([]solver.CO, 6)
 	for i := range cos {
 		// Distinct upper bounds make every probe's answer distinguishable.
 		cos[i] = solver.CO{Target: 0, Lo: []float64{0, 1}, Hi: []float64{500 - 40*float64(i), 24}}
 	}
 	const seed = int64(17)
-	out := par.SolveBatch(cos, seed)
+	out := solveBatchAt(8, s, cos, seed)
 	if len(out) != len(cos) {
 		t.Fatalf("batch returned %d results for %d problems", len(out), len(cos))
 	}
 	for i, r := range out {
-		want, okW := seq.Solve(cos[i], seed+int64(i)*7919)
+		want, okW := s.Solve(cos[i], seed+int64(i)*7919)
 		if r.OK != okW {
 			t.Fatalf("probe %d: ok %v, want %v", i, r.OK, okW)
 		}
@@ -92,8 +106,6 @@ func TestConfigRejectsNegatives(t *testing.T) {
 	bad := []Config{
 		{Starts: -1},
 		{Iters: -3},
-		{Workers: -2},
-		{Penalty: -5},
 	}
 	for i, cfg := range bad {
 		if _, err := New(ev, cfg); err == nil {
@@ -105,12 +117,12 @@ func TestConfigRejectsNegatives(t *testing.T) {
 	}
 }
 
-// TestSolveBatchSharedPoolNesting stresses the shared worker pool: batches
-// launched from multiple goroutines nest Solve inside SolveBatch while all
-// drawing tokens from one solver's pool. The non-blocking acquire makes
-// deadlock impossible by construction; this guards the invariant under -race.
-func TestSolveBatchSharedPoolNesting(t *testing.T) {
-	s := multiDimSolver(t, 4, 21)
+// TestSolveBatchConcurrentCalls runs three SolveBatch calls on one solver at
+// once, each fanning its probes out over goroutines of its own, so under
+// -race it checks that concurrent batches share the solver's scratch pool
+// and counters safely.
+func TestSolveBatchConcurrentCalls(t *testing.T) {
+	s := multiDimSolver(t, 21)
 	co := solver.CO{Target: 0, Lo: []float64{0, 1}, Hi: []float64{500, 24}}
 	done := make(chan error, 3)
 	for g := 0; g < 3; g++ {

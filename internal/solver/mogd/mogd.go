@@ -10,10 +10,14 @@
 //	L(x) = 1{0 ≤ F̂i ≤ 1}·F̂i² + Σ_j 1{F̂j < 0 ∨ F̂j > 1}·[(F̂j − ½)² + P]
 //
 // where F̂j is Fj normalized by its constraint bounds and P is a penalty
-// constant. Descent directions use the analytic mean gradients of the
-// models; the α·std uplift enters the loss values and feasibility checks
-// (its gradient is omitted — a documented approximation that keeps descent
-// cheap and deterministic for MC-dropout models).
+// constant. No P appears in the code, because no result depends on it.
+// Descent reads only the loss gradient, to which a constant adds nothing.
+// Incumbents are chosen by feasibility, then by target value, which is the
+// order of L for every P ≥ 1: a feasible point's loss is at most 1, an
+// infeasible one's exceeds ¼ + P. Descent directions use the analytic mean
+// gradients of the models; the α·std uplift enters the objective values and
+// feasibility checks (its gradient is omitted — a documented approximation
+// that keeps descent cheap and deterministic for MC-dropout models).
 //
 // Hot path: all model access goes through a problem.Evaluator. One Solve
 // advances ALL multi-starts together — each Adam iteration packs the start
@@ -28,10 +32,10 @@
 // configuration lattice (space.RoundInto, allocation-free) and evaluates all
 // the rounded candidates in one memoized problem.Evaluator.EvalRows call:
 // memo hits are copied, repeated rows are evaluated once, and the misses
-// share one batched pass per objective. SolveBatch fans its probes out on a
-// Workers-bounded pool, and with Config.NearStarts each probe warm-starts from
-// the nearest box the solver solved before. Models must be safe for
-// concurrent Predict/ValueGrad calls.
+// share one batched pass per objective. SolveBatch runs its probes on
+// par.For, and with Config.NearStarts each probe warm-starts from the nearest
+// box the solver solved before. Models must be safe for concurrent
+// Predict/ValueGrad calls.
 package mogd
 
 import (
@@ -39,12 +43,12 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/linalg"
 	"repro/internal/objective"
+	"repro/internal/par"
 	"repro/internal/problem"
 	"repro/internal/solver"
 	"repro/internal/space"
@@ -55,11 +59,9 @@ import (
 // negative values are rejected by New. The uncertainty multiplier α of
 // §IV-B.3 is the evaluator's (problem.Options.Alpha).
 type Config struct {
-	Starts  int     // multi-start count (default 8; start 0 is the center)
-	Iters   int     // Adam iterations per start (default 100)
-	Penalty float64 // P of Eq. 3 (default 100)
-	Workers int     // max concurrent starts/probes across Solve+SolveBatch (default GOMAXPROCS)
-	Seed    int64
+	Starts int // multi-start count (default 8; start 0 is the center)
+	Iters  int // Adam iterations per start (default 100)
+	Seed   int64
 	// NearStarts, when true, keeps the ε-constraint boxes the solver solved
 	// feasibly (the latest nearCap of them) and seeds the last multi-start row
 	// of every SolveBatch probe from the solution of the nearest stored box
@@ -103,10 +105,6 @@ func (c Config) validate() error {
 		return fmt.Errorf("mogd: Starts must be >= 0 (zero means default), got %d", c.Starts)
 	case c.Iters < 0:
 		return fmt.Errorf("mogd: Iters must be >= 0 (zero means default), got %d", c.Iters)
-	case c.Workers < 0:
-		return fmt.Errorf("mogd: Workers must be >= 0 (zero means default), got %d", c.Workers)
-	case c.Penalty < 0 || math.IsNaN(c.Penalty):
-		return fmt.Errorf("mogd: Penalty must be >= 0 (zero means default), got %v", c.Penalty)
 	}
 	return nil
 }
@@ -117,12 +115,6 @@ func (c *Config) defaults() {
 	}
 	if c.Iters == 0 {
 		c.Iters = 100
-	}
-	if c.Penalty == 0 {
-		c.Penalty = 100
-	}
-	if c.Workers == 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
 	}
 }
 
@@ -137,10 +129,6 @@ type Solver struct {
 	cfg Config
 	dim int
 	k   int
-	// sem is the shared token pool bounding extra worker goroutines across
-	// SolveBatch probes. Capacity is Workers-1: the calling goroutine always
-	// works too, so total parallelism from one caller never exceeds Workers.
-	sem chan struct{}
 	// scratch recycles per-Solve batched buffers (the multi-start matrices)
 	// across Solve calls.
 	scratch sync.Pool
@@ -180,7 +168,6 @@ func New(ev *problem.Evaluator, cfg Config) (*Solver, error) {
 		cfg: cfg,
 		dim: ev.Dim(),
 		k:   ev.NumObjectives(),
-		sem: make(chan struct{}, cfg.Workers-1),
 	}
 	if cfg.NearStarts {
 		s.near = &nearStore{boxes: make(map[string]nearBox)}
@@ -625,32 +612,8 @@ func (s *Solver) checkBounds(co solver.CO) {
 	}
 }
 
-// fanOut runs work on the calling goroutine plus up to maxHelpers extra
-// goroutines, each gated on a non-blocking token acquire from the shared
-// pool. Tokens held elsewhere (e.g. by SolveBatch probes) simply shrink the
-// fan-out; acquisition never blocks, so the pool cannot deadlock however
-// Solve and SolveBatch calls nest or interleave.
-func (s *Solver) fanOut(maxHelpers int, work func()) {
-	var wg sync.WaitGroup
-	for h := 0; h < maxHelpers; h++ {
-		select {
-		case s.sem <- struct{}{}:
-			wg.Add(1)
-			go func() {
-				defer func() { <-s.sem; wg.Done() }()
-				work()
-			}()
-		default:
-			h = maxHelpers // pool exhausted
-		}
-	}
-	work()
-	wg.Wait()
-}
-
 // reduce folds per-start results in start order — the same scan order a
-// sequential implementation uses, making the outcome independent of
-// goroutine scheduling.
+// sequential implementation uses.
 func (s *Solver) reduce(results []startResult) (objective.Solution, bool) {
 	var best objective.Solution
 	bestVal := math.Inf(1)
@@ -665,10 +628,10 @@ func (s *Solver) reduce(results []startResult) (objective.Solution, bool) {
 	return best, found
 }
 
-// SolveBatch solves the CO problems concurrently — the l^k simultaneous
-// probes of PF-AP (§IV-C). Results are in input order. Probes and the starts
-// inside each probe draw workers from the same bounded pool, so the probe ×
-// start product saturates Workers without oversubscribing it.
+// SolveBatch solves the CO problems concurrently on par.For — the l^k
+// simultaneous probes of PF-AP (§IV-C). Results are in input order, and
+// each equals what the probe's solve gives however the probes are
+// scheduled.
 func (s *Solver) SolveBatch(cos []solver.CO, seed int64) []solver.Result {
 	out := make([]solver.Result, len(cos))
 	for _, co := range cos {
@@ -696,18 +659,10 @@ func (s *Solver) SolveBatch(cos []solver.CO, seed int64) []solver.Result {
 	if s.cfg.NearStarts {
 		snap = s.epoch.Add(1)
 	}
-	var next int64 = -1
-	work := func() {
-		for {
-			i := int(atomic.AddInt64(&next, 1))
-			if i >= len(cos) {
-				break
-			}
-			sol, ok := s.solve(cos[i], seed+int64(i)*7919, snap)
-			out[i] = solver.Result{Sol: sol, OK: ok}
-		}
-	}
-	s.fanOut(len(cos)-1, work)
+	par.For(len(cos), func(i int) {
+		sol, ok := s.solve(cos[i], seed+int64(i)*7919, snap)
+		out[i] = solver.Result{Sol: sol, OK: ok}
+	})
 	return out
 }
 
@@ -745,7 +700,6 @@ type nearStore struct {
 	mu    sync.Mutex
 	boxes map[string]nearBox
 	order []string // keys, oldest first
-	hits  uint64   // warm starts served
 }
 
 // nearBox is one solved box: its target and bounds (copies of the CO's), the
@@ -849,17 +803,5 @@ func (st *nearStore) warmStart(co solver.CO, snap uint64, dst []float64) bool {
 		return false
 	}
 	copy(dst, bestX)
-	st.hits++
 	return true
-}
-
-// CacheNearHits returns how many solves were warm-started from a stored
-// neighbour. Always zero without NearStarts.
-func (s *Solver) CacheNearHits() uint64 {
-	if s.near == nil {
-		return 0
-	}
-	s.near.mu.Lock()
-	defer s.near.mu.Unlock()
-	return s.near.hits
 }

@@ -146,8 +146,8 @@ func TestSolveBatchMatchesSolve(t *testing.T) {
 }
 
 func TestSolveBatchSingleWorker(t *testing.T) {
-	s := paperProblem(t, Config{Seed: 8, Workers: 1})
-	out := s.SolveBatch([]solver.CO{{Target: 0, Lo: []float64{100, 1}, Hi: []float64{2400, 24}}}, 8)
+	s := paperProblem(t, Config{Seed: 8})
+	out := solveBatchAt(1, s, []solver.CO{{Target: 0, Lo: []float64{100, 1}, Hi: []float64{2400, 24}}}, 8)
 	if len(out) != 1 || !out[0].OK {
 		t.Fatal("single-worker batch failed")
 	}

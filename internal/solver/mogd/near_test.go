@@ -7,15 +7,21 @@ import (
 	"repro/internal/model"
 	"repro/internal/model/analytic"
 	"repro/internal/solver"
+	"repro/internal/telemetry"
 )
 
-// nearSolver is multiDimSolver with the NearStarts upgrade enabled.
-func nearSolver(t *testing.T, workers int, seed int64) *Solver {
+// nearSolver is multiDimSolver with the NearStarts upgrade enabled and a
+// telemetry registry of its own, whose near-hit counter nearHits reads.
+func nearSolver(t *testing.T, seed int64) *Solver {
 	t.Helper()
 	lat := analytic.Latency{D: 4, MaxExec: 8, MaxCores: 3, Serial: 20, Work: 2400, Shuffle: 6}
 	cost := analytic.CoreCost{D: 4, MaxExec: 8, MaxCores: 3}
-	return newSolver(t, []model.Model{lat, cost}, nil, Config{Seed: seed, Workers: workers, NearStarts: true})
+	return newSolver(t, []model.Model{lat, cost}, nil, Config{Seed: seed, NearStarts: true, Telemetry: telemetry.New()})
 }
+
+// nearHits reads how many probes the solver warm-started from a stored
+// neighbour (udao_pf_subcache_near_hits_total).
+func nearHits(s *Solver) uint64 { return s.telNear.Value() }
 
 func nearBatch(shift float64, n int) []solver.CO {
 	cos := make([]solver.CO, n)
@@ -30,15 +36,15 @@ func nearBatch(shift float64, n int) []solver.CO {
 // (the first batch on a fresh solver sees an empty snapshot), and a later
 // batch over neighbouring boxes warm-starts from the first batch's entries.
 func TestNearStartsSnapshotAndCounting(t *testing.T) {
-	s := nearSolver(t, 4, 7)
+	s := nearSolver(t, 7)
 	s.SolveBatch(nearBatch(0, 6), 17)
-	if got := s.CacheNearHits(); got != 0 {
+	if got := nearHits(s); got != 0 {
 		t.Fatalf("first batch warm-started %d times from its own entries; snapshot rule broken", got)
 	}
 	// Shifted boxes: exact keys miss, but every probe has a distance-`shift`
 	// neighbour from batch one.
 	out := s.SolveBatch(nearBatch(3, 6), 18)
-	if got := s.CacheNearHits(); got == 0 {
+	if got := nearHits(s); got == 0 {
 		t.Fatal("second batch over neighbouring boxes produced no near hits")
 	}
 	for i, r := range out {
@@ -52,16 +58,16 @@ func TestNearStartsSnapshotAndCounting(t *testing.T) {
 // near-warm-starts: with a populated cache, a fresh-box Solve matches the
 // cold-path solver bit for bit and leaves the near-hit counter alone.
 func TestNearStartsStandaloneSolveUntouched(t *testing.T) {
-	warm := nearSolver(t, 4, 7)
+	warm := nearSolver(t, 7)
 	warm.SolveBatch(nearBatch(0, 6), 17)
-	cold := multiDimSolver(t, 4, 7)
+	cold := multiDimSolver(t, 7)
 	co := solver.CO{Target: 0, Lo: []float64{0, 1}, Hi: []float64{471, 24}}
 	a, okA := warm.Solve(co, 99)
 	b, okB := cold.Solve(co, 99)
 	if okA != okB {
 		t.Fatalf("ok %v (warm cache) vs %v (cold)", okA, okB)
 	}
-	if got := warm.CacheNearHits(); got != 0 {
+	if got := nearHits(warm); got != 0 {
 		t.Fatalf("standalone Solve recorded %d near hits", got)
 	}
 	for j := range a.F {
@@ -78,18 +84,18 @@ func TestNearStartsStandaloneSolveUntouched(t *testing.T) {
 
 // TestNearStartsIndependentOfWorkers proves warm-started batches stay
 // deterministic under scheduling: two sequential batches produce bit-equal
-// results at 1 worker and at 8, even though the second batch's starting
+// results at GOMAXPROCS 1 and at 8, even though the second batch's starting
 // points come from the cache.
 func TestNearStartsIndependentOfWorkers(t *testing.T) {
-	one := nearSolver(t, 1, 7)
-	eight := nearSolver(t, 8, 7)
+	one := nearSolver(t, 7)
+	eight := nearSolver(t, 7)
 	for round, shift := range []float64{0, 3} {
 		cos := nearBatch(shift, 6)
-		a := one.SolveBatch(cos, int64(17+round))
-		b := eight.SolveBatch(cos, int64(17+round))
+		a := solveBatchAt(1, one, cos, int64(17+round))
+		b := solveBatchAt(8, eight, cos, int64(17+round))
 		for i := range a {
 			if a[i].OK != b[i].OK {
-				t.Fatalf("round %d probe %d: ok %v (1 worker) vs %v (8)", round, i, a[i].OK, b[i].OK)
+				t.Fatalf("round %d probe %d: ok %v (GOMAXPROCS 1) vs %v (8)", round, i, a[i].OK, b[i].OK)
 			}
 			if !a[i].OK {
 				continue
@@ -101,8 +107,8 @@ func TestNearStartsIndependentOfWorkers(t *testing.T) {
 			}
 		}
 	}
-	if one.CacheNearHits() != eight.CacheNearHits() {
-		t.Fatalf("near hits diverged: %d (1 worker) vs %d (8)", one.CacheNearHits(), eight.CacheNearHits())
+	if nearHits(one) != nearHits(eight) {
+		t.Fatalf("near hits diverged: %d (GOMAXPROCS 1) vs %d (8)", nearHits(one), nearHits(eight))
 	}
 }
 

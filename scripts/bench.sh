@@ -25,10 +25,11 @@
 #   internal/model/gp    GPFit  (a GP trained at the server's shape: 60
 #                        traces × 12 knobs, the default 80 MLE steps)
 #   internal/problem     EvaluatorMemoHit[Telemetry] / EvaluatorMemoMiss /
-#                        EvaluatorValueGrad[Telemetry] / EvalBatch (its pool
-#                        is GOMAXPROCS wide; -cpu 1 gives the serial
-#                        reference) / CompositeEval / CompositeValueGrad (the
-#                        stage-wise pipeline evaluation seam)
+#                        EvaluatorValueGrad[Telemetry] / EvalBatch (par.For
+#                        runs it on up to GOMAXPROCS goroutines; -cpu 1 gives
+#                        the serial reference) / CompositeEval /
+#                        CompositeValueGrad (the stage-wise pipeline
+#                        evaluation seam)
 #                        (the *Telemetry variants run with the full metrics
 #                        registry + tracer attached at default sampling; the
 #                        diff against their plain twins is the telemetry
@@ -45,7 +46,7 @@
 #   internal/metrics     ClipToBox/16, /1000  (the quality measures' point
 #                        normalization and dedup, at a served frontier's size
 #                        and a large one)
-#   internal/solver/mogd MOGDSolve / MOGDSolveSerial / MOGDSolveBatch
+#   internal/solver/mogd MOGDSolve / MOGDSolveBatch
 #   internal/moo/ws, nc  WSRun / NCRun  (baseline inner loops, a fresh
 #                        evaluator per run)
 #   internal/core        SequentialCold / ParallelCold  (PF-AS / PF-AP on a

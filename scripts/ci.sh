@@ -4,13 +4,15 @@
 #   1. gofmt lint (no unformatted files)
 #   2. go vet + full build
 #   3. race-detector pass over the concurrent hot paths (the GEMM kernels,
-#      solver incl. the batched MOGD multi-start path, models, core, the
-#      problem-layer evaluator, the composite space and recommendation
+#      par.For, the one parallel loop that both solvers' SolveBatch and the
+#      evaluator's EvalBatch run on, solver incl. the batched MOGD
+#      multi-start path, models, core, the problem-layer evaluator, the
+#      composite space and recommendation
 #      layers), the model server, whose one lock every concurrent /optimize
 #      trains under, and the trace store it reads, the cross-method
 #      conformance suite incl. the composite-space suites, the four
 #      baselines, which run on the evaluator their caller hands them (NSGA-II
-#      evaluates each cohort on that evaluator's worker pool), and the
+#      evaluates each cohort through that evaluator's EvalBatch), and the
 #      observability layer (telemetry registry + spans, run registry,
 #      calibration ledger, HTTP service incl. the bounded serving cache and
 #      the /observe loop, watchdog)
@@ -48,7 +50,7 @@ fi
 
 go vet ./...
 go build ./...
-go test -race ./internal/linalg/... ./internal/solver/... ./internal/model/... ./internal/modelserver/... ./internal/trace/... ./internal/core/... ./internal/moo/... ./internal/problem/... ./internal/space/... ./internal/recommend/... ./internal/conformance/... ./internal/telemetry/... ./internal/runlog/... ./internal/calib/... ./internal/watch/... ./internal/serving/... ./internal/service/...
+go test -race ./internal/linalg/... ./internal/par/... ./internal/solver/... ./internal/model/... ./internal/modelserver/... ./internal/trace/... ./internal/core/... ./internal/moo/... ./internal/problem/... ./internal/space/... ./internal/recommend/... ./internal/conformance/... ./internal/telemetry/... ./internal/runlog/... ./internal/calib/... ./internal/watch/... ./internal/serving/... ./internal/service/...
 go test ./...
 (cd servbench && go vet . && go test .)
 go test -run '^$' -bench MOGD -benchtime 1x ./internal/solver/mogd/
