@@ -22,6 +22,7 @@ import (
 // numerics must say so and update them.
 const (
 	digestDNNCores = "5a7dbd921c1c19b7b4fa195c"
+	digestDNNAlpha = "13b951de2020569882a4cf8b"
 	digestGP       = "da5167fd1f33c7aa5730da90"
 	digestPipeline = "9d9b5fa35395a2effc2ed995"
 )
@@ -104,6 +105,28 @@ func TestFrontierDigestDNNCores(t *testing.T) {
 	}
 	if got := frontierDigest(t, opt, []string{"latency", "cores"}, 8); got != digestDNNCores {
 		t.Fatalf("frontier digest %s, want %s", got, digestDNNCores)
+	}
+}
+
+// TestFrontierDigestDNNAlpha: the DNNCores problem under the conservative
+// α·std uplift, whose DNN std comes from MC dropout. One trained model
+// serves two optimizers in turn and both must reach the pinned frontier, so
+// the std at a point may not depend on the calls that reached the net
+// before, from this run's parallel probes or from an earlier run.
+func TestFrontierDigestDNNAlpha(t *testing.T) {
+	spc := spark.BatchSpace()
+	latency := digestDNN(spc, 3, 400)
+	for run := 1; run <= 2; run++ {
+		opt, err := NewOptimizer(spc, []Objective{
+			{Name: "latency", Model: latency},
+			{Name: "cores", Model: spark.CoresModel(spc)},
+		}, Options{Probes: 16, Seed: 5, Alpha: 0.5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := frontierDigest(t, opt, []string{"latency", "cores"}, 8); got != digestDNNAlpha {
+			t.Fatalf("optimizer %d: frontier digest %s, want %s", run, got, digestDNNAlpha)
+		}
 	}
 }
 

@@ -121,9 +121,8 @@ type Setup struct {
 }
 
 // evaluator builds a fresh evaluation seam over the setup's models and
-// lattice, with uncertainty multiplier alpha. Every run gets its own: an
-// empty memo and evaluation count, and — with α > 0, where MC-dropout values
-// depend on call order — values independent of the methods run before it.
+// lattice, with uncertainty multiplier alpha. Every run gets its own memo and
+// evaluation count, so the counts a method reports are its own.
 func (s *Setup) evaluator(alpha float64) *problem.Evaluator {
 	return problem.NewEvaluator(problem.MustNew(s.Models, s.Space), problem.Options{Alpha: alpha})
 }

@@ -2,7 +2,6 @@ package dnn
 
 import (
 	"fmt"
-	"math/rand"
 
 	"repro/internal/linalg"
 	"repro/internal/model"
@@ -31,11 +30,6 @@ type batchScratch struct {
 	wv   []*linalg.Matrix // per layer: Out×In view of the layer weights
 	dA   *linalg.Matrix   // ping-pong delta buffers, n×(widest layer)
 	dB   *linalg.Matrix
-	// PredictVar's buffers: the caller's input as a 1-row matrix, the
-	// samples' dropout multipliers, and the RNG it reseeds on every call.
-	in   linalg.Matrix
-	mask linalg.Matrix
-	rng  *rand.Rand
 	// net and rows make the scratch double as the model.BatchGrad handle of
 	// a split ForwardBatch pass (see below) without a separate allocation.
 	net  *Net
@@ -66,18 +60,9 @@ func view(m *linalg.Matrix, r, c int) *linalg.Matrix {
 	return m
 }
 
-func (n *Net) getBatchScratch() *batchScratch {
-	if n.pool == nil {
-		return n.newBatchScratch()
-	}
-	return n.pool.Get().(*batchScratch)
-}
+func (n *Net) getBatchScratch() *batchScratch { return n.pool.Get().(*batchScratch) }
 
-func (n *Net) putBatchScratch(sc *batchScratch) {
-	if n.pool != nil {
-		n.pool.Put(sc)
-	}
-}
+func (n *Net) putBatchScratch(sc *batchScratch) { n.pool.Put(sc) }
 
 // forwardBatch runs the network over all rows of X, returning the n×1 matrix
 // of standardized outputs (a view into sc's last activation buffer).

@@ -6,9 +6,10 @@
 // respect to both weights (for training) and inputs (the gradient the MOGD
 // solver consumes), Adam updates, mini-batching, incremental fine-tuning of a
 // trained network in memory, and Monte-Carlo-dropout predictive uncertainty
-// (the paper's Bayesian approximation for DNNs [9]). The paper's model server
-// also checkpoints the weights; here trained networks live in memory only,
-// so a Net has no serialized form.
+// (the paper's Bayesian approximation for DNNs [9]). A Net draws its dropout
+// masks once, so its variance, like its mean, is a function of x alone. The
+// paper's model server also checkpoints the weights; here trained networks
+// live in memory only, so a Net has no serialized form.
 //
 // Every pass runs on the GEMM kernels of internal/linalg, one GEMM per
 // layer: mini-batch training, batched inference, the MC-dropout samples, and
@@ -21,7 +22,6 @@ import (
 	"math"
 	"math/rand"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/linalg"
 	"repro/internal/model"
@@ -29,18 +29,23 @@ import (
 
 // Config controls network shape and training.
 type Config struct {
-	Hidden  []int   // hidden layer widths; paper's largest model is 4×128
-	Epochs  int     // training epochs (default 200)
-	Batch   int     // mini-batch size (default 32)
-	Dropout float64 // MC-dropout rate for uncertainty (default 0.05)
-	Samples int     // MC samples for PredictVar (default 16)
-	Seed    int64   // rng seed for init and shuffling
+	Hidden []int // hidden layer widths; paper's largest model is 4×128
+	Epochs int   // training epochs (default 200)
+	Batch  int   // mini-batch size (default 32)
+	Seed   int64 // rng seed for init, shuffling and the MC-dropout masks
 }
 
 // Training constants: the Adam learning rate and the L2 weight decay.
 const (
 	lr = 1e-3
 	l2 = 1e-4
+)
+
+// MC-dropout constants: the rate at which PredictVar drops hidden units and
+// its number of samples.
+const (
+	dropout   = 0.05
+	mcSamples = 16
 )
 
 func (c *Config) defaults() {
@@ -52,12 +57,6 @@ func (c *Config) defaults() {
 	}
 	if c.Batch == 0 {
 		c.Batch = 32
-	}
-	if c.Dropout == 0 {
-		c.Dropout = 0.05
-	}
-	if c.Samples == 0 {
-		c.Samples = 16
 	}
 }
 
@@ -79,17 +78,19 @@ type Net struct {
 	// Target standardization learned during Fit.
 	YMean, YStd float64
 	adamT       int
-	mcCounter   int64
+	// mask holds PredictVar's dropout multipliers, drawn once by New: row t
+	// is sample t's 1/keep or 0 per hidden unit, layer by layer.
+	mask *linalg.Matrix
 	// pool recycles pass scratch (see batch.go) between calls so every
 	// inference path (Predict, ValueGrad, PredictBatch, ForwardBatch,
 	// PredictVar) runs allocation-free after warm-up. It is per-Net (buffer
 	// shapes depend on the layer widths) and makes those paths safe for
-	// concurrent callers. A zero-value or hand-assembled Net (nil pool) falls
-	// back to per-call allocation.
+	// concurrent callers.
 	pool *sync.Pool
 }
 
-// New creates a network with Glorot-uniform initialization.
+// New creates a network with Glorot-uniform initialization, then draws the
+// MC-dropout masks from the same RNG, in the order (sample, layer, unit).
 func New(inDim int, cfg Config) *Net {
 	cfg.defaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
@@ -110,6 +111,17 @@ func New(inDim int, cfg Config) *Net {
 		l.mB = make([]float64, len(l.B))
 		l.vB = make([]float64, len(l.B))
 		n.Layers = append(n.Layers, l)
+	}
+	units := 0
+	for _, h := range cfg.Hidden {
+		units += h
+	}
+	const keep = 1 - dropout
+	n.mask = linalg.NewMatrix(mcSamples, units)
+	for i := range n.mask.Data {
+		if rng.Float64() < keep {
+			n.mask.Data[i] = 1 / keep
+		}
 	}
 	n.pool = &sync.Pool{New: func() interface{} { return n.newBatchScratch() }}
 	return n
@@ -148,62 +160,35 @@ func (n *Net) ValueGrad(x, grad []float64) (float64, []float64) {
 	return y*n.YStd + n.YMean, out
 }
 
-// PredictVar implements model.Uncertain with MC dropout: Cfg.Samples
-// stochastic forward passes with dropout rate Cfg.Dropout on hidden units.
-// Every mask is drawn first, in the per-sample order (sample, layer, unit),
-// from one RNG per call. The first layer precedes every mask, so it runs
-// once; the samples then move through each later layer as one GEMM. Each
-// sample's output is bit-identical to a scalar forward pass under its masks.
-// Safe for concurrent use; allocation-free after pool warm-up.
+// PredictVar implements model.Uncertain with MC dropout: mcSamples forward
+// passes that drop hidden units at rate dropout, under the masks New drew.
+// Every call reuses those masks (common random numbers), so the result is a
+// function of x alone and smooth in x. The first layer precedes every mask,
+// so it runs once; the samples then move through each later layer as one
+// GEMM. Each sample's output is bit-identical to a scalar forward pass under
+// its masks. Safe for concurrent use; allocation-free after pool warm-up.
 func (n *Net) PredictVar(x []float64) (mean, variance float64) {
-	s := n.Cfg.Samples
-	if s < 2 {
-		return n.Predict(x), 0
-	}
 	if len(x) != n.InDim {
 		panic(fmt.Sprintf("dnn: input length %d != %d", len(x), n.InDim))
 	}
 	sc := n.getBatchScratch()
-	seed := n.Cfg.Seed ^ atomic.AddInt64(&n.mcCounter, 1)
-	if sc.rng == nil {
-		sc.rng = rand.New(rand.NewSource(seed))
-	} else {
-		sc.rng.Seed(seed)
-	}
-	keep := 1 - n.Cfg.Dropout
-	units := 0
-	for _, l := range n.Layers {
-		if l.ReLU {
-			units += l.Out
-		}
-	}
-	// Row t of mask holds sample t's multipliers, layer by layer.
-	mask := view(&sc.mask, s, units)
-	for i := range mask.Data {
-		if sc.rng.Float64() < keep {
-			mask.Data[i] = 1 / keep
-		} else {
-			mask.Data[i] = 0
-		}
-	}
-	sc.in = linalg.Matrix{Rows: 1, Cols: n.InDim, Data: x}
+	in := linalg.Matrix{Rows: 1, Cols: n.InDim, Data: x}
 	first := view(sc.dA, 1, n.Layers[0].Out)
-	n.dense(0, &sc.in, first, sc)
-	sc.in.Data = nil // the pooled scratch must not keep x alive
-	a := view(sc.acts[0], s, n.Layers[0].Out)
-	for t := 0; t < s; t++ {
+	n.dense(0, &in, first, sc)
+	a := view(sc.acts[0], mcSamples, n.Layers[0].Out)
+	for t := 0; t < mcSamples; t++ {
 		copy(a.Row(t), first.Data)
 	}
 	off := 0
 	for li, l := range n.Layers {
 		if li > 0 {
-			z := view(sc.acts[li], s, l.Out)
+			z := view(sc.acts[li], mcSamples, l.Out)
 			n.dense(li, a, z, sc)
 			a = z
 		}
 		if l.ReLU {
-			for t := 0; t < s; t++ {
-				z, m := a.Row(t), mask.Row(t)[off:off+l.Out]
+			for t := 0; t < mcSamples; t++ {
+				z, m := a.Row(t), n.mask.Row(t)[off:off+l.Out]
 				for o := range z {
 					z[o] *= m[o]
 				}
@@ -212,14 +197,14 @@ func (n *Net) PredictVar(x []float64) (mean, variance float64) {
 		}
 	}
 	sum, sum2 := 0.0, 0.0
-	for _, out := range a.Data { // a is s×1: one output per sample
+	for _, out := range a.Data { // a is mcSamples×1: one output per sample
 		y := out*n.YStd + n.YMean
 		sum += y
 		sum2 += y * y
 	}
 	n.putBatchScratch(sc)
-	mean = sum / float64(s)
-	variance = sum2/float64(s) - mean*mean
+	mean = sum / mcSamples
+	variance = sum2/mcSamples - mean*mean
 	if variance < 0 {
 		variance = 0
 	}

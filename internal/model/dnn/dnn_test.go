@@ -93,7 +93,7 @@ func TestPredictConcurrentSafe(t *testing.T) {
 
 func TestPredictVar(t *testing.T) {
 	X, y := makeData(100, 7)
-	n := New(2, Config{Hidden: []int{16, 16}, Epochs: 50, Seed: 7, Dropout: 0.1, Samples: 32})
+	n := New(2, Config{Hidden: []int{16, 16}, Epochs: 50, Seed: 7})
 	n.Fit(X, y)
 	m, v := n.PredictVar([]float64{0.5, 0.5})
 	if v < 0 {
@@ -102,12 +102,6 @@ func TestPredictVar(t *testing.T) {
 	// MC mean should be near the deterministic prediction.
 	if det := n.Predict([]float64{0.5, 0.5}); math.Abs(m-det) > 3*math.Sqrt(v)+1 {
 		t.Fatalf("MC mean %v far from deterministic %v (var %v)", m, det, v)
-	}
-	// Samples < 2 falls back to deterministic prediction.
-	n2 := New(2, Config{Hidden: []int{8}, Samples: 1, Epochs: 1, Seed: 7})
-	n2.Fit(X[:10], y[:10])
-	if _, v := n2.PredictVar([]float64{0.5, 0.5}); v != 0 {
-		t.Fatal("single-sample PredictVar should have zero variance")
 	}
 }
 

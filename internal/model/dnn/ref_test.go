@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"sync"
 	"testing"
 
@@ -233,36 +232,47 @@ func refStep(n *Net, X [][]float64, ys []float64, batch []int) float64 {
 	return sse
 }
 
-// refPredictVar draws each sample's masks, then runs one scalar forward pass.
-func refPredictVar(n *Net, x []float64) (mean, variance float64) {
-	s := n.Cfg.Samples
-	n.mcCounter++
-	rng := rand.New(rand.NewSource(n.Cfg.Seed ^ n.mcCounter))
-	keep := 1 - n.Cfg.Dropout
-	acts := refActs(n)
-	mask := make([][]float64, len(n.Layers))
-	for li, l := range n.Layers {
-		if l.ReLU {
-			mask[li] = make([]float64, l.Out)
+// refMasks replays New's draws from Cfg.Seed: one per weight, layer by layer,
+// then every sample's keep/drop multipliers for the ReLU layers' units (nil
+// rows elsewhere).
+func refMasks(n *Net) [][][]float64 {
+	rng := rand.New(rand.NewSource(n.Cfg.Seed))
+	for _, l := range n.Layers {
+		for range l.W {
+			rng.Float64()
 		}
 	}
-	sum, sum2 := 0.0, 0.0
-	for t := 0; t < s; t++ {
-		for _, m := range mask {
+	keep := 1 - dropout
+	masks := make([][][]float64, mcSamples)
+	for t := range masks {
+		masks[t] = make([][]float64, len(n.Layers))
+		for li, l := range n.Layers {
+			if !l.ReLU {
+				continue
+			}
+			m := make([]float64, l.Out)
 			for o := range m {
 				if rng.Float64() < keep {
 					m[o] = 1 / keep
-				} else {
-					m[o] = 0
 				}
 			}
+			masks[t][li] = m
 		}
+	}
+	return masks
+}
+
+// refPredictVar runs one scalar forward pass per sample under refMasks.
+func refPredictVar(n *Net, x []float64) (mean, variance float64) {
+	acts := refActs(n)
+	sum, sum2 := 0.0, 0.0
+	for _, mask := range refMasks(n) {
 		y := refForward(n, x, acts, mask)*n.YStd + n.YMean
 		sum += y
 		sum2 += y * y
 	}
-	mean = sum / float64(s)
-	variance = sum2/float64(s) - mean*mean
+	mean = sum / mcSamples
+	variance = sum2/mcSamples - mean*mean
 	if variance < 0 {
 		variance = 0
 	}
@@ -444,71 +454,32 @@ func TestPredictValueGradMatchReference(t *testing.T) {
 }
 
 // TestPredictVarMatchesReference compares PredictVar's (mean, variance) with
-// the per-sample MC-dropout loop on a twin net, call by call.
+// the per-sample MC-dropout loop under masks replayed from the seed, over
+// two passes through the inputs: a call's result must not depend on the
+// calls before it.
 func TestPredictVarMatchesReference(t *testing.T) {
 	X, y := refData(60, 12, 21)
-	for _, tc := range []struct {
-		hidden  []int
-		samples int
-	}{
-		{[]int{64, 64}, 2}, {[]int{64, 64}, 16}, {[]int{64, 64}, 33},
-		{[]int{8}, 16}, {[]int{128, 128, 128, 128}, 16},
-	} {
-		t.Run(fmt.Sprintf("%v/samples-%d", tc.hidden, tc.samples), func(t *testing.T) {
-			cfg := Config{Hidden: tc.hidden, Epochs: 5, Dropout: 0.2, Samples: tc.samples, Seed: 21}
-			got, want := New(12, cfg), New(12, cfg)
-			got.Fit(X, y)
-			refFit(want, X, y)
-			for i, x := range X[:12] {
-				m, v := got.PredictVar(x)
-				rm, rv := refPredictVar(want, x)
-				sameBits(t, fmt.Sprintf("call %d (mean, variance)", i), []float64{m, v}, []float64{rm, rv})
+	for _, hidden := range [][]int{{64, 64}, {8}, {128, 128, 128, 128}} {
+		t.Run(fmt.Sprintf("%v/samples-%d", hidden, mcSamples), func(t *testing.T) {
+			n := New(12, Config{Hidden: hidden, Epochs: 5, Seed: 21})
+			n.Fit(X, y)
+			for pass := 0; pass < 2; pass++ {
+				for i, x := range X[:12] {
+					m, v := n.PredictVar(x)
+					rm, rv := refPredictVar(n, x)
+					sameBits(t, fmt.Sprintf("pass %d input %d (mean, variance)", pass, i), []float64{m, v}, []float64{rm, rv})
+				}
 			}
 		})
 	}
 }
 
-// mcNet is a trained server-shape net with a dropout rate that makes the MC
-// samples differ.
+// mcNet is a trained server-shape net.
 func mcNet() *Net {
 	X, y := refData(60, 12, 31)
-	n := New(12, Config{Epochs: 10, Dropout: 0.2, Seed: 31})
+	n := New(12, Config{Epochs: 10, Seed: 31})
 	n.Fit(X, y)
 	return n
-}
-
-// sortedBits returns the (mean, variance) pairs as sorted bit patterns, so
-// two runs can be compared as multisets.
-func sortedBits(res [][2]float64) [][2]uint64 {
-	out := make([][2]uint64, len(res))
-	for i, r := range res {
-		out[i] = [2]uint64{math.Float64bits(r[0]), math.Float64bits(r[1])}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i][0] != out[j][0] {
-			return out[i][0] < out[j][0]
-		}
-		return out[i][1] < out[j][1]
-	})
-	return out
-}
-
-// sameMultiset compares conc, the results of concurrent PredictVar calls,
-// with count sequential calls on a fresh twin net: each call draws the next
-// seed, so the two must hold the same results in some order.
-func sameMultiset(t *testing.T, conc [][2]float64, x []float64) {
-	t.Helper()
-	twin := mcNet()
-	seq := make([][2]float64, len(conc))
-	for i := range seq {
-		seq[i][0], seq[i][1] = twin.PredictVar(x)
-	}
-	a, b := sortedBits(conc), sortedBits(seq)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("concurrent results differ from sequential ones at sorted index %d: %x vs %x", i, a[i], b[i])
-		}
-	}
 }
 
 func testInput() []float64 {
@@ -519,9 +490,19 @@ func testInput() []float64 {
 	return x
 }
 
-// TestPredictVarConcurrentMultiset: N concurrent PredictVar calls return the
-// same multiset of results as N sequential calls on a twin net.
-func TestPredictVarConcurrentMultiset(t *testing.T) {
+// samePredictVar compares every (mean, variance) in conc, the results of
+// concurrent PredictVar calls at x, with one sequential call at x on n.
+func samePredictVar(t *testing.T, n *Net, conc [][2]float64, x []float64) {
+	t.Helper()
+	m, v := n.PredictVar(x)
+	for i, r := range conc {
+		sameBits(t, fmt.Sprintf("concurrent call %d (mean, variance)", i), r[:], []float64{m, v})
+	}
+}
+
+// TestPredictVarConcurrent: N concurrent PredictVar calls at one x each
+// return, bit for bit, what a sequential call at x returns.
+func TestPredictVarConcurrent(t *testing.T) {
 	const workers, perWorker = 4, 16
 	x := testInput()
 	n := mcNet()
@@ -537,7 +518,7 @@ func TestPredictVarConcurrentMultiset(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	sameMultiset(t, conc, x)
+	samePredictVar(t, n, conc, x)
 }
 
 // TestPredictVarConcurrentWithBatch runs PredictVar beside PredictBatch, the
@@ -617,5 +598,5 @@ func TestPredictVarConcurrentWithBatch(t *testing.T) {
 	for e := range errs {
 		t.Fatal(e)
 	}
-	sameMultiset(t, conc, x)
+	samePredictVar(t, n, conc, x)
 }

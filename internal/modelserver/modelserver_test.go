@@ -189,6 +189,27 @@ func TestConcurrentModel(t *testing.T) {
 	}
 }
 
+// postPredict POSTs a latency /predict request to the server at url.
+func postPredict(t *testing.T, url, workload string, x []float64) (int, predictResponse) {
+	t.Helper()
+	blob, err := json.Marshal(predictRequest{Workload: workload, Objective: "latency", X: x})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(url+"/predict", "application/json", bytes.NewReader(blob))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var pr predictResponse
+	if resp.StatusCode == http.StatusOK {
+		if err := json.NewDecoder(resp.Body).Decode(&pr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return resp.StatusCode, pr
+}
+
 func TestHTTPInterface(t *testing.T) {
 	spc, st := buildStore(t, 40)
 	srv := New(spc, st, Config{Kind: GP})
@@ -203,26 +224,7 @@ func TestHTTPInterface(t *testing.T) {
 	for i := range x {
 		x[i] = 0.4
 	}
-	predict := func(workload string, x []float64) (int, predictResponse) {
-		t.Helper()
-		blob, err := json.Marshal(predictRequest{Workload: workload, Objective: "latency", X: x})
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := http.Post(ts.URL+"/predict", "application/json", bytes.NewReader(blob))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		var pr predictResponse
-		if resp.StatusCode == http.StatusOK {
-			if err := json.NewDecoder(resp.Body).Decode(&pr); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return resp.StatusCode, pr
-	}
-	code, pr := predict("w0", x)
+	code, pr := postPredict(t, ts.URL, "w0", x)
 	if code != http.StatusOK {
 		t.Fatalf("POST /predict = %d", code)
 	}
@@ -235,10 +237,10 @@ func TestHTTPInterface(t *testing.T) {
 	}
 
 	// Error paths map to HTTP statuses.
-	if code, _ := predict("nope", x); code != http.StatusNotFound {
+	if code, _ := postPredict(t, ts.URL, "nope", x); code != http.StatusNotFound {
 		t.Fatalf("unknown workload: status %d, want 404", code)
 	}
-	if code, _ := predict("w0", []float64{0.1, 0.2}); code != http.StatusBadRequest {
+	if code, _ := postPredict(t, ts.URL, "w0", []float64{0.1, 0.2}); code != http.StatusBadRequest {
 		t.Fatalf("dim mismatch: status %d, want 400", code)
 	}
 	resp, err := http.Get(ts.URL + "/predict")
@@ -248,6 +250,29 @@ func TestHTTPInterface(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("GET /predict: status %d, want 405", resp.StatusCode)
+	}
+}
+
+// TestDNNPredictRepeats: a DNN server answers two /predict calls at one x
+// with the same variance bits.
+func TestDNNPredictRepeats(t *testing.T) {
+	spc, st := buildStore(t, 40)
+	ts := httptest.NewServer(New(spc, st, Config{Kind: DNN}).Handler())
+	defer ts.Close()
+	x := make([]float64, spc.Dim())
+	for i := range x {
+		x[i] = 0.4
+	}
+	var got [2]predictResponse
+	for i := range got {
+		code, pr := postPredict(t, ts.URL, "w0", x)
+		if code != http.StatusOK {
+			t.Fatalf("POST /predict %d = %d", i, code)
+		}
+		got[i] = pr
+	}
+	if !(got[0].Variance > 0) || math.Float64bits(got[0].Variance) != math.Float64bits(got[1].Variance) {
+		t.Fatalf("variances %v and %v, want one positive value", got[0].Variance, got[1].Variance)
 	}
 }
 

@@ -126,10 +126,8 @@ func TestEvalBatchFallbackPath(t *testing.T) {
 
 // evalRowsObjectives covers every model shape the MOGD candidate batch sees:
 // a native batched DNN, a GP (no batched pass), a plain Func, the Exp and
-// Negated wrappers, and a stage-routed sum. With pure set, only models whose
-// predictive variance is deterministic are used (the Conservative α·std path
-// of MC-dropout DNNs draws from a per-net counter).
-func evalRowsObjectives(t *testing.T, pure bool) []model.Model {
+// Negated wrappers, and a stage-routed sum.
+func evalRowsObjectives(t *testing.T) []model.Model {
 	t.Helper()
 	const d = 6
 	rng := rand.New(rand.NewSource(2))
@@ -147,9 +145,6 @@ func evalRowsObjectives(t *testing.T, pure bool) []model.Model {
 		t.Fatal(err)
 	}
 	fn := model.Func{D: d, F: func(x []float64) float64 { return 1 + 3*x[0]*x[4] }}
-	if pure {
-		return []model.Model{g, fn, model.Negated{M: model.Exp{M: g}}}
-	}
 	net := dnn.New(d, dnn.Config{Hidden: []int{8, 8}, Seed: 3})
 	stage := dnn.New(3, dnn.Config{Hidden: []int{8}, Seed: 4})
 	routed, err := model.NewRouted(d, []model.Model{stage, fn}, [][]int{{0, 2, 4}, {0, 1, 2, 3, 4, 5}}, []float64{1.5, 0.5})
@@ -166,15 +161,14 @@ func evalRowsObjectives(t *testing.T, pure bool) []model.Model {
 func TestEvalRowsMatchesEvalInto(t *testing.T) {
 	for _, tc := range []struct {
 		name string
-		pure bool
 		opts Options
 	}{
-		{"models", false, Options{}},
-		{"conservative", true, Options{Alpha: 1.5}},
-		{"no-memo", false, Options{MemoCap: -1}},
+		{"models", Options{}},
+		{"conservative", Options{Alpha: 1.5}},
+		{"no-memo", Options{MemoCap: -1}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			objs := evalRowsObjectives(t, tc.pure)
+			objs := evalRowsObjectives(t)
 			batch := NewEvaluator(MustNew(objs, nil), tc.opts)
 			rows := NewEvaluator(MustNew(objs, nil), tc.opts)
 			k := len(objs)

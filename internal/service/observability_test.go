@@ -21,7 +21,7 @@ import (
 // buildObservableService is buildService with telemetry and a run registry.
 func buildObservableService(t *testing.T) (*Service, string, *runlog.Registry) {
 	t.Helper()
-	svc, wl := buildService(t)
+	svc, wl := buildService(t, modelserver.GP)
 	svc.Telemetry = telemetry.New()
 	reg, err := runlog.Open(filepath.Join(t.TempDir(), "runs.jsonl"), runlog.Options{})
 	if err != nil {

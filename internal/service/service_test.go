@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -19,7 +20,8 @@ import (
 	"repro/internal/trace"
 )
 
-func buildService(t *testing.T) (*Service, string) {
+// buildService trains kind models over 40 traces of a three-operator job.
+func buildService(t *testing.T, kind modelserver.Kind) (*Service, string) {
 	t.Helper()
 	spc := spark.BatchSpace()
 	df := spark.Chain("svc-test", 3e6, 100,
@@ -44,13 +46,13 @@ func buildService(t *testing.T) (*Service, string) {
 	if err := trace.Collect(st, spc, "svc-test", confs, run, 1); err != nil {
 		t.Fatal(err)
 	}
-	svc := New(modelserver.New(spc, st, modelserver.Config{Kind: modelserver.GP}))
+	svc := New(modelserver.New(spc, st, modelserver.Config{Kind: kind}))
 	svc.Exact["cores"] = spark.CoresModel(spc)
 	return svc, "svc-test"
 }
 
 func TestOptimizeDirect(t *testing.T) {
-	svc, wl := buildService(t)
+	svc, wl := buildService(t, modelserver.GP)
 	resp, err := svc.Optimize(OptimizeRequest{Workload: wl, Weights: []float64{0.5, 0.5}, Probes: 15})
 	if err != nil {
 		t.Fatal(err)
@@ -70,7 +72,7 @@ func TestOptimizeDirect(t *testing.T) {
 }
 
 func TestOptimizeCachesFrontierAcrossWeights(t *testing.T) {
-	svc, wl := buildService(t)
+	svc, wl := buildService(t, modelserver.GP)
 	a, err := svc.Optimize(OptimizeRequest{Workload: wl, Weights: []float64{0.5, 0.5}, Probes: 15})
 	if err != nil {
 		t.Fatal(err)
@@ -88,8 +90,33 @@ func TestOptimizeCachesFrontierAcrossWeights(t *testing.T) {
 	}
 }
 
+// TestDNNPredictedStdRepeats: on a DNN service, the solve and two hits of
+// one key answer with one plan and report the same predicted_std bits.
+func TestDNNPredictedStdRepeats(t *testing.T) {
+	svc, wl := buildService(t, modelserver.DNN)
+	var first float64
+	for i, want := range []string{"solve", "hit", "hit"} {
+		resp, err := svc.Optimize(OptimizeRequest{Workload: wl, Weights: []float64{0.5, 0.5}, Probes: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Served != want {
+			t.Fatalf("request %d served %q, want %q", i, resp.Served, want)
+		}
+		std := resp.PredictedStd["latency"]
+		if i == 0 {
+			if !(std > 0) {
+				t.Fatalf("solve predicted_std %v, want > 0", std)
+			}
+			first = std
+		} else if math.Float64bits(std) != math.Float64bits(first) {
+			t.Fatalf("request %d predicted_std %v, the solve's %v", i, std, first)
+		}
+	}
+}
+
 func TestOptimizeErrors(t *testing.T) {
-	svc, _ := buildService(t)
+	svc, _ := buildService(t, modelserver.GP)
 	if _, err := svc.Optimize(OptimizeRequest{}); err == nil {
 		t.Fatal("expected error for missing workload")
 	}
@@ -102,7 +129,7 @@ func TestOptimizeErrors(t *testing.T) {
 }
 
 func TestHTTPEndpoints(t *testing.T) {
-	svc, wl := buildService(t)
+	svc, wl := buildService(t, modelserver.GP)
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
 
@@ -154,7 +181,7 @@ func TestHTTPEndpoints(t *testing.T) {
 // buildTelemetryService is buildService with telemetry threaded through.
 func buildTelemetryService(t *testing.T) (*Service, string) {
 	t.Helper()
-	svc, wl := buildService(t)
+	svc, wl := buildService(t, modelserver.GP)
 	svc.Telemetry = telemetry.New()
 	return svc, wl
 }

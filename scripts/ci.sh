@@ -16,7 +16,10 @@
 #      observability layer (telemetry registry + spans, run registry,
 #      calibration ledger, HTTP service incl. the bounded serving cache and
 #      the /observe loop, watchdog)
-#   4. full test suite, then go vet and the tests of servbench/, a module of
+#   4. full test suite; the frontier digests and the split-expand test
+#      again at GOMAXPROCS 1, 2 and 4, since PF-AP's probes fan out over up
+#      to GOMAXPROCS goroutines and the solver contract is the same bits at
+#      every count; then go vet and the tests of servbench/, a module of
 #      its own that go test ./... does not reach: they fail when code that
 #      servbench restates changes (TestRestatedSourceUnchanged) or an
 #      internal API it imports moves
@@ -52,6 +55,7 @@ go vet ./...
 go build ./...
 go test -race ./internal/linalg/... ./internal/par/... ./internal/solver/... ./internal/model/... ./internal/modelserver/... ./internal/trace/... ./internal/core/... ./internal/moo/... ./internal/problem/... ./internal/space/... ./internal/recommend/... ./internal/conformance/... ./internal/telemetry/... ./internal/runlog/... ./internal/calib/... ./internal/watch/... ./internal/serving/... ./internal/service/...
 go test ./...
+go test -run 'TestFrontierDigest|TestExpandSplitsMatchOneExpand' -cpu 1,2,4 .
 (cd servbench && go vet . && go test .)
 go test -run '^$' -bench MOGD -benchtime 1x ./internal/solver/mogd/
 go test -run '^$' -bench Cold -benchtime 1x ./internal/core/
